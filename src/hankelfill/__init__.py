@@ -10,8 +10,7 @@ is mapped back by the least-squares inverse embedding.
 from .completion import (CostTrace, FitConfig, TuckerModel, als_sweep, auxiliary_fill,
                          cost, init_model, tucker_complete)
 from .core import (Shape, as_mask, as_tensor, check_shape, fold, frobenius_norm,
-                   hadamard, mode_multiply, multilinear_product,
-                   multilinear_product_excluding, squeeze_modes, unfold)
+                   hadamard, mode_multiply, multilinear_product, squeeze_modes, unfold)
 from .embedding import (EmbeddingSpec, delay_embed_vector, duplication_counts,
                         embedded_observed_energy, inverse_delay_embed_vector,
                         inverse_mdt, mdt, mdt_mask)
@@ -41,8 +40,8 @@ __all__ = [
     "frobenius_norm", "generate_signal", "hadamard", "init_model",
     "inverse_delay_embed_vector", "inverse_mdt", "leading_singular_vectors",
     "linear_interpolate_gaps", "make_mask", "mdt", "mdt_mask", "mean_ssim",
-    "mode_multiply", "mode_residuals", "multilinear_product",
-    "multilinear_product_excluding", "pad_model", "psnr", "read_image", "read_mask",
-    "read_tensor", "recover", "select_increment_mode", "snr", "squeeze_modes",
-    "ssim_map", "tucker_complete", "unfold", "write_image", "write_mask", "write_tensor",
+    "mode_multiply", "mode_residuals", "multilinear_product", "pad_model", "psnr",
+    "read_image", "read_mask", "read_tensor", "recover", "select_increment_mode", "snr",
+    "squeeze_modes", "ssim_map", "tucker_complete", "unfold", "write_image", "write_mask",
+    "write_tensor",
 ]

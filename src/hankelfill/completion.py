@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_shape, mode_multiply, multilinear_product
+from .core import check_shape, is_unit_factor, mode_multiply, multilinear_product, unfold
 from .linalg import apply_sign_convention, complete_orthonormal_basis, leading_singular_vectors
 
 # (sweep index, masked squared-Frobenius cost) per outer iteration
@@ -117,6 +117,15 @@ def als_sweep(z: np.ndarray, model: TuckerModel) -> TuckerModel:
     keeps the top-R_m left singular vectors of the mode-m unfolding; modes of
     size 1 keep their identity factor.  The residual ||z - reconstruction||^2
     never increases.
+
+    The projections share their prefix: ``prefix = z x_{n<m} U_n^T`` with the
+    updated factors, mode m's projection is ``prefix x_{n>m} U_n^T`` with the
+    old ones, and after the update ``prefix <- prefix x_m U_m^T``; the last
+    prefix is the core.  The products run in the same order as a separate
+    chain from z per mode would run them, so the result is the same to the
+    bit.  1x1 identity factors are skipped.  When every rank is below its mode
+    size, only two products read a tensor of z's full size: the first step of
+    the first non-singleton mode's projection, and that mode's prefix update.
     """
     if z.shape != model.output_shape:
         raise ValueError(f"tensor shape {z.shape} does not match model's "
@@ -124,26 +133,25 @@ def als_sweep(z: np.ndarray, model: TuckerModel) -> TuckerModel:
     z = np.asarray(z, dtype=np.float64)
     factors = list(model.factors)
     ranks = model.ranks
+    prefix = z
     for m in range(z.ndim):
-        if z.shape[m] == 1:
-            continue
-        y = z
-        for n, u in enumerate(factors):
-            if n != m:
-                y = mode_multiply(y, u.T, n)
-        flat = np.reshape(np.moveaxis(y, m, 0), (y.shape[m], -1), order="F")
-        # A rank above the projected width (possible right after an increment,
-        # while the other modes are still small) adds columns orthogonal to the
-        # data; complete the basis deterministically, the energy is unchanged.
-        r_eff = min(ranks[m], flat.shape[1])
-        basis = leading_singular_vectors(flat, r_eff)
-        if r_eff < ranks[m]:
-            basis = complete_orthonormal_basis(basis, ranks[m])
-        factors[m] = basis
-    core = z
-    for n, u in enumerate(factors):
-        core = mode_multiply(core, u.T, n)
-    return TuckerModel(core, factors)
+        if z.shape[m] != 1:
+            y = prefix
+            for n in range(m + 1, z.ndim):
+                if not is_unit_factor(factors[n]):
+                    y = mode_multiply(y, factors[n].T, n)
+            flat = unfold(y, m)
+            # A rank above the projected width (possible right after an increment,
+            # while the other modes are still small) adds columns orthogonal to the
+            # data; complete the basis deterministically, the energy is unchanged.
+            r_eff = min(ranks[m], flat.shape[1])
+            basis = leading_singular_vectors(flat, r_eff)
+            if r_eff < ranks[m]:
+                basis = complete_orthonormal_basis(basis, ranks[m])
+            factors[m] = basis
+        if not is_unit_factor(factors[m]):
+            prefix = mode_multiply(prefix, factors[m].T, m)
+    return TuckerModel(prefix, factors)
 
 
 def tucker_complete(t_h: np.ndarray, q_h: np.ndarray, ranks: Sequence[int],

@@ -14,6 +14,7 @@ the lowest-numbered mode varying fastest.  Modes are 0-based throughout.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,7 +116,14 @@ def fold(m: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
 def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     """Mode-k product: contracts a R x I_k matrix against the k-th mode.
 
-    Satisfies unfold(result, k) = a @ unfold(t, k).
+    Satisfies unfold(result, k) = a @ unfold(t, k), with the package's
+    Fortran-order unfolding.  The kernel itself works on the C-order memory
+    layout instead: a C-contiguous tensor is the 3-way array
+    (left, I_k, right), left = prod(I_n, n < k), right = prod(I_n, n > k), so
+    the product is the batched matmul ``a @ view``, whose output already has
+    the layout of the result.  Neither operand is transposed or copied (a
+    non-contiguous ``t`` is made contiguous once); a mode with nothing on one
+    side (left == 1 or right == 1) is a single 2-D GEMM.
     """
     t = np.asarray(t, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -124,7 +132,22 @@ def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != t.shape[mode]:
         raise ValueError(f"mode_multiply: matrix {a.shape} does not match mode-{mode} size "
                          f"{t.shape[mode]} of tensor {t.shape}")
-    return np.moveaxis(np.tensordot(a, t, axes=(1, mode)), 0, mode)
+    t = np.ascontiguousarray(t)
+    size = t.shape[mode]
+    left = math.prod(t.shape[:mode])
+    right = math.prod(t.shape[mode + 1:])
+    if left == 1:
+        out = a @ t.reshape(size, right)
+    elif right == 1:
+        out = t.reshape(left, size) @ a.T
+    else:
+        out = np.matmul(a, t.reshape(left, size, right))
+    return out.reshape(t.shape[:mode] + (a.shape[0],) + t.shape[mode + 1:])
+
+
+def is_unit_factor(u: np.ndarray) -> bool:
+    """True for the 1x1 identity, which a mode product may skip exactly."""
+    return u.shape == (1, 1) and u[0, 0] == 1.0
 
 
 def _check_factors(g: np.ndarray, factors: Sequence[np.ndarray]) -> None:
@@ -137,27 +160,17 @@ def _check_factors(g: np.ndarray, factors: Sequence[np.ndarray]) -> None:
 
 
 def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply one factor matrix per mode: g x_0 U0 x_1 U1 ... (order-independent)."""
+    """Apply one factor matrix per mode: g x_0 U0 x_1 U1 ... (order-independent).
+
+    1x1 identity factors (singleton modes) are skipped.
+    """
     g = np.asarray(g, dtype=np.float64)
     _check_factors(g, factors)
     out = g
     for n, u in enumerate(factors):
-        out = mode_multiply(out, u, n)
-    return out
-
-
-def multilinear_product_excluding(g: np.ndarray, factors: Sequence[np.ndarray],
-                                  skip: int) -> np.ndarray:
-    """Multi-linear product applying every factor except mode ``skip``."""
-    g = np.asarray(g, dtype=np.float64)
-    _check_factors(g, factors)
-    if not 0 <= skip < g.ndim:
-        raise ValueError(f"skip mode {skip} out of range for order-{g.ndim} tensor")
-    out = g
-    for n, u in enumerate(factors):
-        if n == skip:
-            continue
-        out = mode_multiply(out, u, n)
+        u = np.asarray(u, dtype=np.float64)
+        if not is_unit_factor(u):
+            out = mode_multiply(out, u, n)
     return out
 
 

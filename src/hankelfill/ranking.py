@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_shape, mode_multiply
+from .core import check_shape, is_unit_factor, mode_multiply
 from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, cost, init_model
 from .linalg import apply_sign_convention
 
@@ -142,14 +142,19 @@ def mode_residuals(t_h: np.ndarray, q_h: np.ndarray, x: np.ndarray,
         raise ValueError(f"mode_residuals: shapes differ: data {t_h.shape}, "
                          f"mask {np.asarray(q_h).shape}, model {x.shape}")
     r = np.where(np.asarray(q_h, dtype=bool), t_h - x, 0.0)
+    factors = [np.asarray(u, dtype=np.float64) for u in factors]
+    # prefix = r x_{n<m} U_n^T, shared by every later mode (see als_sweep)
+    prefix = r
     values = []
     for m in range(r.ndim):
-        w = r
-        for n, u in enumerate(factors):
-            if n != m:
-                w = mode_multiply(w, np.asarray(u).T, n)
+        w = prefix
+        for n in range(m + 1, r.ndim):
+            if not is_unit_factor(factors[n]):
+                w = mode_multiply(w, factors[n].T, n)
         flat = w.ravel()
         values.append(float(flat @ flat))
+        if m + 1 < r.ndim and not is_unit_factor(factors[m]):
+            prefix = mode_multiply(prefix, factors[m].T, m)
     return values
 
 

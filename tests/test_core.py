@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hankelfill import (as_mask, as_tensor, check_shape, fold, frobenius_norm, hadamard,
-                        mode_multiply, multilinear_product, multilinear_product_excluding,
-                        squeeze_modes, unfold)
+                        mode_multiply, multilinear_product, squeeze_modes, unfold)
 from helpers import planted_tucker, random_orthonormal
 
 
@@ -209,43 +208,22 @@ class TestMultilinearProduct:
         factors = [rng.standard_normal((3, 3)) for _ in range(3)]
         full = multilinear_product(g, factors)
         for k in range(3):
-            partial = multilinear_product_excluding(g, factors, k)
+            partial = g
+            for n, u in enumerate(factors):
+                if n != k:
+                    partial = mode_multiply(partial, u, n)
             np.testing.assert_allclose(unfold(full, k), factors[k] @ unfold(partial, k),
                                        atol=1e-10)
+
+    def test_singleton_factors_other_than_identity_apply(self):
+        rng = np.random.default_rng(15)
+        g = rng.standard_normal((3, 1, 2))
+        out = multilinear_product(g, [np.eye(3), np.array([[-2.0]]), np.eye(2)])
+        np.testing.assert_array_equal(out, -2.0 * g)
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="factor"):
             multilinear_product(np.zeros((2, 2)), [np.eye(2)])
-
-
-class TestMultilinearProductExcluding:
-    def test_skip_with_identities_elsewhere(self):
-        rng = np.random.default_rng(15)
-        g = rng.standard_normal((2, 3, 4))
-        factors = [np.eye(2), rng.standard_normal((5, 3)), np.eye(4)]
-        out = multilinear_product_excluding(g, factors, 1)
-        np.testing.assert_allclose(out, g, atol=0)
-
-    def test_completion_recovers_full_product(self):
-        rng = np.random.default_rng(16)
-        g = rng.standard_normal((2, 3, 2))
-        factors = [rng.standard_normal((4, 2)), rng.standard_normal((5, 3)),
-                   rng.standard_normal((3, 2))]
-        for n in range(3):
-            partial = multilinear_product_excluding(g, factors, n)
-            np.testing.assert_allclose(mode_multiply(partial, factors[n], n),
-                                       multilinear_product(g, factors), atol=1e-12)
-
-    def test_order_two_skip_collapses_to_single_multiply(self):
-        rng = np.random.default_rng(17)
-        g = rng.standard_normal((3, 4))
-        factors = [rng.standard_normal((5, 3)), rng.standard_normal((6, 4))]
-        out = multilinear_product_excluding(g, factors, 1)
-        np.testing.assert_allclose(out, mode_multiply(g, factors[0], 0), atol=0)
-
-    def test_skip_out_of_range(self):
-        with pytest.raises(ValueError, match="skip"):
-            multilinear_product_excluding(np.zeros((2, 2)), [np.eye(2), np.eye(2)], 5)
 
 
 class TestSqueeze:

@@ -1,0 +1,184 @@
+"""The tensor-times-matrix kernel and the projection chains built on it.
+
+``mode_multiply`` is checked against the definition through the unfolding,
+and ``als_sweep``/``mode_residuals``, which share projection prefixes across
+modes, against the plain per-mode chains they replace.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hankelfill import (TuckerModel, als_sweep, fold, init_model, mode_multiply,
+                        mode_residuals, unfold)
+from hankelfill import completion, ranking
+from hankelfill.linalg import complete_orthonormal_basis, leading_singular_vectors
+
+EPS = np.finfo(np.float64).eps
+
+
+# ---------------------------------------------------------------- references
+
+def chain_als_sweep(z, model):
+    """One ALS cycle as a separate projection chain from z per mode, then the core."""
+    factors = list(model.factors)
+    ranks = model.ranks
+    for m in range(z.ndim):
+        if z.shape[m] == 1:
+            continue
+        y = z
+        for n, u in enumerate(factors):
+            if n != m:
+                y = mode_multiply(y, u.T, n)
+        flat = unfold(y, m)
+        r_eff = min(ranks[m], flat.shape[1])
+        basis = leading_singular_vectors(flat, r_eff)
+        if r_eff < ranks[m]:
+            basis = complete_orthonormal_basis(basis, ranks[m])
+        factors[m] = basis
+    core = z
+    for n, u in enumerate(factors):
+        core = mode_multiply(core, u.T, n)
+    return TuckerModel(core, factors)
+
+
+def chain_mode_residuals(t, q, x, factors):
+    """Masked residual projected onto every factor but one, one chain per mode."""
+    r = np.where(q, t - x, 0.0)
+    values = []
+    for m in range(r.ndim):
+        w = r
+        for n, u in enumerate(factors):
+            if n != m:
+                w = mode_multiply(w, u.T, n)
+        values.append(float(w.ravel() @ w.ravel()))
+    return values
+
+
+# ------------------------------------------------------------------- kernel
+
+def _layout(rng, shape, kind):
+    """A tensor of the given shape whose memory is laid out as ``kind`` says."""
+    if kind == "contiguous":
+        return rng.standard_normal(shape)
+    if kind == "fortran":
+        return np.asfortranarray(rng.standard_normal(shape))
+    if kind == "transposed":
+        perm = rng.permutation(len(shape))
+        base = rng.standard_normal(tuple(shape[p] for p in perm))
+        return base.transpose(np.argsort(perm))
+    # "sliced": every other entry along the first mode, offset by one
+    base = rng.standard_normal((2 * shape[0] + 1,) + tuple(shape[1:]))
+    return base[1::2]
+
+
+@st.composite
+def ttm_cases(draw, position):
+    low = 3 if position == "middle" else 1
+    order = draw(st.integers(low, 6))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+    mode = {"first": 0, "last": order - 1}.get(position)
+    if mode is None:
+        mode = draw(st.integers(1, order - 2))
+    size = shape[mode]
+    rows = draw(st.sampled_from([1, size, size + draw(st.integers(1, 3))]))
+    kind = draw(st.sampled_from(["contiguous", "fortran", "transposed", "sliced"]))
+    a_transposed = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    return shape, mode, rows, kind, a_transposed, seed
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mode_multiply_matches_unfolding_definition(position, data):
+    shape, mode, rows, kind, a_transposed, seed = data.draw(ttm_cases(position))
+    rng = np.random.default_rng(seed)
+    t = _layout(rng, shape, kind)
+    assert t.shape == shape
+    a = rng.standard_normal((shape[mode], rows)).T if a_transposed \
+        else rng.standard_normal((rows, shape[mode]))
+    out = mode_multiply(t, a, mode)
+    out_shape = shape[:mode] + (rows,) + shape[mode + 1:]
+    assert out.shape == out_shape
+    assert out.flags.c_contiguous
+    expected = fold(a @ unfold(t, mode), mode, out_shape)
+    # Both sides are length-I_k dot products, each within I_k*eps/2 of the
+    # exact value relative to |a| @ |t|; they may sum in different orders.
+    bound = shape[mode] * EPS * fold(np.abs(a) @ np.abs(unfold(t, mode)), mode, out_shape)
+    assert np.all(np.abs(out - expected) <= bound)
+
+
+# ------------------------------------------------------- prefix-shared chains
+
+@st.composite
+def sweep_cases(draw):
+    order = draw(st.integers(1, 6))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
+    ranks = tuple(draw(st.integers(1, j)) for j in shape)
+    # A 1x1 factor of -1 is orthonormal too, and must not be skipped as the
+    # identity is.
+    flip = draw(st.booleans())
+    return shape, ranks, flip, draw(st.integers(0, 2**32 - 1))
+
+
+def _start(shape, ranks, flip, seed):
+    model = init_model(ranks, shape, seed)
+    if flip:
+        model.factors = [-u if u.shape == (1, 1) else u for u in model.factors]
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sweep_cases())
+def test_als_sweep_matches_per_mode_chains_bit_for_bit(case):
+    shape, ranks, flip, seed = case
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(shape)
+    model = _start(shape, ranks, flip, seed)
+    for _ in range(2):
+        swept = als_sweep(z, model)
+        reference = chain_als_sweep(z, model)
+        np.testing.assert_array_equal(swept.core, reference.core)
+        for u, v in zip(swept.factors, reference.factors):
+            np.testing.assert_array_equal(u, v)
+        model = swept
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=sweep_cases())
+def test_mode_residuals_matches_per_mode_chains_bit_for_bit(case):
+    shape, ranks, flip, seed = case
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    q = rng.random(shape) < 0.6
+    model = _start(shape, ranks, flip, seed)
+    x = model.reconstruct()
+    assert mode_residuals(t, q, x, model.factors) == chain_mode_residuals(t, q, x, model.factors)
+
+
+# --------------------------------------------------------- structural guard
+
+@pytest.mark.parametrize("layer", ["als_sweep", "mode_residuals"])
+def test_sweep_reads_the_full_tensor_at_most_twice(monkeypatch, layer):
+    # Order 6 with one singleton mode; a per-mode chain from the full tensor
+    # (plus the core chain) reads it 6 times.
+    shape, ranks = (4, 5, 1, 6, 3, 4), (2, 3, 1, 2, 2, 3)
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(shape)
+    model = init_model(ranks, shape, 3)
+    full_reads = []
+
+    def counting(t, a, mode):
+        full_reads.append(np.size(t) == z.size)
+        return mode_multiply(t, a, mode)
+
+    monkeypatch.setattr(completion, "mode_multiply", counting)
+    monkeypatch.setattr(ranking, "mode_multiply", counting)
+    if layer == "als_sweep":
+        als_sweep(z, model)
+    else:
+        mode_residuals(z, rng.random(shape) < 0.5, model.reconstruct(), model.factors)
+    assert full_reads
+    assert sum(full_reads) <= 2
