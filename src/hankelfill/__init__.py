@@ -7,10 +7,9 @@ entries (monotone imputation + ALS, with automatic rank growth), and the fit
 is mapped back by the least-squares inverse embedding.
 """
 
-from .completion import (CostTrace, FitConfig, TuckerModel, als_sweep, auxiliary_fill,
-                         cost, init_model, tucker_complete)
-from .core import (Shape, as_mask, as_tensor, check_shape, fold, frobenius_norm,
-                   hadamard, mode_multiply, multilinear_product, squeeze_modes, unfold)
+from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, cost, init_model
+from .core import (Shape, as_mask, as_tensor, check_shape, fold, mode_multiply,
+                   multilinear_product, unfold)
 from .embedding import (EmbeddingSpec, delay_embed_vector, duplication_counts,
                         embedded_observed_energy, inverse_delay_embed_vector,
                         inverse_mdt, mdt, mdt_mask)
@@ -18,7 +17,7 @@ from .fileio import read_image, read_mask, read_tensor, write_image, write_mask,
 from .linalg import apply_sign_convention, leading_singular_vectors
 from .masks import make_mask
 from .metrics import SsimParams, mean_ssim, psnr, snr, ssim_map
-from .pipeline import FIXED_RANK, RecoveryReport, RecoveryRequest, recover
+from .pipeline import RecoveryReport, RecoveryRequest, recover
 from .ranking import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankIncrementResult,
                       RankSchedule, ScheduleExhaustedError, StoppingCriteria,
                       complete_with_rank_increment, default_rank_sequences,
@@ -29,19 +28,17 @@ from .signals import generate_signal, linear_interpolate_gaps
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONVERGED", "FIXED_RANK", "SCHEDULE_EXHAUSTED", "SWEEP_BUDGET",
-    "CostTrace", "EmbeddingSpec", "FitConfig", "RankIncrementResult", "RankSchedule",
+    "CONVERGED", "SCHEDULE_EXHAUSTED", "SWEEP_BUDGET",
+    "CostTrace", "EmbeddingSpec", "RankIncrementResult", "RankSchedule",
     "RecoveryReport", "RecoveryRequest", "ScheduleExhaustedError", "Shape",
     "SsimParams", "StoppingCriteria", "TuckerModel",
     "als_sweep", "apply_sign_convention", "as_mask", "as_tensor", "auxiliary_fill",
     "check_shape", "complete_with_rank_increment", "cost", "default_rank_sequences",
     "default_stopping_criteria", "delay_embed_vector", "duplication_counts",
-    "embedded_observed_energy", "fold",
-    "frobenius_norm", "generate_signal", "hadamard", "init_model",
+    "embedded_observed_energy", "fold", "generate_signal", "init_model",
     "inverse_delay_embed_vector", "inverse_mdt", "leading_singular_vectors",
     "linear_interpolate_gaps", "make_mask", "mdt", "mdt_mask", "mean_ssim",
     "mode_multiply", "mode_residuals", "multilinear_product", "pad_model", "psnr",
     "read_image", "read_mask", "read_tensor", "recover", "select_increment_mode", "snr",
-    "squeeze_modes", "ssim_map", "tucker_complete", "unfold", "write_image", "write_mask",
-    "write_tensor",
+    "ssim_map", "unfold", "write_image", "write_mask", "write_tensor",
 ]

@@ -21,18 +21,18 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, embedded_observed_energy, inverse_mdt, mdt
+from .embedding import EmbeddingSpec, inverse_mdt, mdt
 from .fileio import HTEN_MAGIC, read_image, read_mask, read_tensor, write_image, \
     write_mask, write_tensor
 from .masks import make_mask
 from .metrics import SsimParams, mean_ssim, psnr, snr, ssim_map
 from .pipeline import RecoveryRequest, recover
-from .ranking import (DEFAULT_EPSILON_REL, DEFAULT_MAX_TOTAL_SWEEPS, DEFAULT_TOL_REL,
-                      RankSchedule, StoppingCriteria)
+from .ranking import RankSchedule, default_stopping_criteria
 from .signals import generate_signal, linear_interpolate_gaps
 
 
@@ -83,14 +83,10 @@ def _cmd_recover(args) -> int:
     elif args.rank_seq is not None:
         schedule = RankSchedule(args.rank_seq)
 
-    criteria = None
-    if args.epsilon is not None or args.tol is not None or args.max_sweeps is not None:
-        energy = embedded_observed_energy(data, mask, args.tau)
-        criteria = StoppingCriteria(
-            epsilon=DEFAULT_EPSILON_REL * energy if args.epsilon is None else args.epsilon,
-            tol=DEFAULT_TOL_REL * energy if args.tol is None else args.tol,
-            max_total_sweeps=DEFAULT_MAX_TOTAL_SWEEPS if args.max_sweeps is None
-            else args.max_sweeps)
+    overrides = {"epsilon": args.epsilon, "tol": args.tol,
+                 "max_total_sweeps": args.max_sweeps}
+    criteria = replace(default_stopping_criteria(data, mask, args.tau),
+                       **{k: v for k, v in overrides.items() if v is not None})
 
     report = recover(RecoveryRequest(data=data, mask=mask, taus=args.tau,
                                      schedule=schedule, criteria=criteria,
@@ -100,7 +96,7 @@ def _cmd_recover(args) -> int:
     if args.trace_csv:
         _write_trace_csv(args.trace_csv, report.cost_trace, report.rank_history)
     print(f"status {report.status}, ranks {report.ranks}, "
-          f"sweeps {report.cost_trace[-1][0] if report.cost_trace else 0}, "
+          f"sweeps {report.cost_trace[-1][0]}, "
           f"wall {report.wall_time_s:.2f}s")
     return 0
 
@@ -158,9 +154,8 @@ def _cmd_demo_signal(args) -> int:
             raise ValueError("gap lies outside the signal")
         observed[args.gap_start:args.gap_start + args.gap_count] = False
 
-    energy = embedded_observed_energy(truth, observed, (args.tau,))
-    criteria = StoppingCriteria(epsilon=args.epsilon_rel * energy,
-                                tol=DEFAULT_TOL_REL * energy)
+    criteria = default_stopping_criteria(truth, observed, (args.tau,),
+                                         epsilon_rel=args.epsilon_rel)
     report = recover(RecoveryRequest(data=truth, mask=observed, taus=(args.tau,),
                                      criteria=criteria, seed=args.seed))
     linear = linear_interpolate_gaps(np.where(observed, truth, 0.0), observed)
@@ -194,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, type=_ints,
                    help="per-mode window lengths, e.g. 32,32,1")
     p.add_argument("--ranks", type=_ints, default=None,
-                   help="fixed embedded-space ranks (disables rank increment)")
+                   help="fixed embedded-space ranks (one-element rank sequences)")
     p.add_argument("--rank-seq", type=_rank_sequences, default=None,
                    help="per-embedded-mode rank sequences, ';'-separated, e.g. 1,2,4;1,2;1")
     p.add_argument("--epsilon", type=float, default=None,

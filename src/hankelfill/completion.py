@@ -1,6 +1,6 @@
-"""Tucker completion of a tensor with missing entries at fixed multilinear rank.
+"""Tucker completion building blocks: model, masked cost, imputation, ALS sweep.
 
-The fit alternates two steps until the masked cost stops moving:
+A fit alternates two steps until the masked cost stops moving:
 
 1. impute: overwrite the missing entries with the current model's values,
    which majorizes the masked cost by a surrogate that touches it at the
@@ -10,7 +10,9 @@ The fit alternates two steps until the masked cost stops moving:
    refresh the core.
 
 Each ALS sub-step solves its subproblem globally, so the masked cost is
-monotonically non-increasing; there is no step size to tune.
+monotonically non-increasing; there is no step size to tune.  The loop that
+drives these steps is :func:`hankelfill.ranking.complete_with_rank_increment`;
+a fixed-rank fit is a rank schedule of one-element sequences.
 """
 
 from __future__ import annotations
@@ -48,19 +50,6 @@ class TuckerModel:
 
     def reconstruct(self) -> np.ndarray:
         return multilinear_product(self.core, self.factors)
-
-
-@dataclass
-class FitConfig:
-    max_sweeps: int = 500
-    seed: int = 0
-    cost_record: bool = True
-    # Stop when |f_k - f_{k+1}| <= conv_tol * max(1, initial cost).
-    conv_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
 
 
 def cost(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> float:
@@ -152,40 +141,3 @@ def als_sweep(z: np.ndarray, model: TuckerModel) -> TuckerModel:
         if not is_unit_factor(factors[m]):
             prefix = mode_multiply(prefix, factors[m].T, m)
     return TuckerModel(prefix, factors)
-
-
-def tucker_complete(t_h: np.ndarray, q_h: np.ndarray, ranks: Sequence[int],
-                    cfg: FitConfig | None = None) -> tuple[TuckerModel, CostTrace]:
-    """Fit a fixed-rank Tucker model to the observed entries of t_h.
-
-    Parameters
-    ----------
-    t_h : data tensor (values at unobserved positions are ignored)
-    q_h : observation mask, True where t_h is known
-    ranks : target multilinear rank, one entry per mode
-    cfg : loop control; see :class:`FitConfig`
-
-    Returns the fitted model and the cost trace, one ``(sweep, cost)`` entry
-    per outer iteration starting at sweep 0 (the random initialization).  The
-    trace is monotonically non-increasing.
-    """
-    cfg = cfg or FitConfig()
-    t_h = np.asarray(t_h, dtype=np.float64)
-    q_h = np.asarray(q_h, dtype=bool)
-    model = init_model(ranks, t_h.shape, cfg.seed)
-    x = model.reconstruct()
-    f = cost(t_h, q_h, x)
-    f_first = f
-    trace: CostTrace = [(0, f)] if cfg.cost_record else []
-    for sweep in range(1, cfg.max_sweeps + 1):
-        z = auxiliary_fill(t_h, q_h, x)
-        model = als_sweep(z, model)
-        x = model.reconstruct()
-        f_new = cost(t_h, q_h, x)
-        if cfg.cost_record:
-            trace.append((sweep, f_new))
-        converged = abs(f - f_new) <= cfg.conv_tol * max(1.0, f_first)
-        f = f_new
-        if converged:
-            break
-    return model, trace

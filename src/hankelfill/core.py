@@ -65,28 +65,6 @@ def as_mask(flags, shape: Sequence[int] | None = None) -> np.ndarray:
     return q
 
 
-def _require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def frobenius_norm(t: np.ndarray) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product; bool masks are promoted to 0/1."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    _require_same_shape(a, b, "hadamard")
-    if a.dtype == np.bool_:
-        a = a.astype(np.float64)
-    if b.dtype == np.bool_:
-        b = b.astype(np.float64)
-    return a * b
-
-
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-k unfolding into an I_k x prod(other dims) matrix.
 
@@ -172,23 +150,3 @@ def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
         if not is_unit_factor(u):
             out = mode_multiply(out, u, n)
     return out
-
-
-def squeeze_modes(t: np.ndarray, modes: Sequence[int] | None = None) -> np.ndarray:
-    """Drop singleton modes (all of them, or the ones listed).
-
-    Singleton modes are carried through every operation in this package;
-    squeezing is only ever an explicit request, typically for reporting.
-    """
-    t = np.asarray(t)
-    if modes is None:
-        keep = [i for i, s in enumerate(t.shape) if s != 1]
-    else:
-        for m in modes:
-            if t.shape[m] != 1:
-                raise ValueError(f"mode {m} has size {t.shape[m]}, cannot squeeze")
-        drop = set(int(m) for m in modes)
-        keep = [i for i in range(t.ndim) if i not in drop]
-    if not keep:
-        keep = [0]  # never squeeze away the last mode
-    return t.reshape(tuple(t.shape[i] for i in keep))

@@ -1,11 +1,11 @@
 """End-to-end recovery: embed, complete in embedded space, invert.
 
 The three steps are (1) multi-way delay embedding of the data and its mask,
-(2) Tucker completion of the embedded tensor, at a fixed multilinear rank or
-with automatic rank growth, and (3) the inverse embedding of the completed
-tensor back to the input shape.  Observed entries also pass through the
-model, so the output is everywhere the model's explanation of the data
-rather than a patchwork of input and fill.
+(2) Tucker completion of the embedded tensor by the rank-increment loop
+(fixed ranks are one-element rank sequences), and (3) the inverse embedding
+of the completed tensor back to the input shape.  Observed entries also pass
+through the model, so the output is everywhere the model's explanation of
+the data rather than a patchwork of input and fill.
 """
 
 from __future__ import annotations
@@ -16,14 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .completion import CostTrace, FitConfig, tucker_complete
+from .completion import CostTrace
 from .core import as_mask, as_tensor
 from .embedding import EmbeddingSpec, inverse_mdt, mdt, mdt_mask
 from .metrics import psnr, snr
 from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
                       default_rank_sequences, default_stopping_criteria)
-
-FIXED_RANK = "fixed_rank"
 
 # Default ceiling on the embedded element count; delay embedding expands the
 # data volume by roughly prod(tau_n), which gets out of hand quickly.
@@ -34,10 +32,10 @@ DEFAULT_EMBEDDED_CAP = 200_000_000
 class RecoveryRequest:
     """Inputs of one recovery run.
 
-    ``schedule`` selects the completion strategy: a :class:`RankSchedule`
-    (or None for the default doubling sequences) runs rank increment; a
-    plain tuple of ints runs the fixed-rank fit at exactly those embedded
-    ranks.  ``criteria`` defaults to thresholds relative to the observed
+    ``schedule`` is a :class:`RankSchedule` of embedded-space rank
+    sequences, None for the default doubling sequences, or a plain tuple of
+    ints: fixed embedded ranks, run as one-element sequences.  Every run
+    obeys ``criteria``, which defaults to thresholds relative to the observed
     energy.
     """
 
@@ -86,27 +84,22 @@ def recover(req: RecoveryRequest, ground_truth: np.ndarray | None = None,
 
     t_h, spec = mdt(np.where(mask, data, 0.0), spec.taus)
     q_h = mdt_mask(mask, spec.taus)
-    criteria = req.criteria or default_stopping_criteria(t_h, q_h)
-
-    if req.schedule is not None and not isinstance(req.schedule, RankSchedule):
-        fixed_ranks = tuple(int(r) for r in req.schedule)
-        cfg = FitConfig(max_sweeps=criteria.max_total_sweeps, seed=req.seed)
-        model, trace = tucker_complete(t_h, q_h, fixed_ranks, cfg)
-        rank_history: list[tuple[int, int, int]] = []
-        status = FIXED_RANK
+    criteria = req.criteria or default_stopping_criteria(data, mask, spec.taus)
+    if req.schedule is None:
+        schedule = default_rank_sequences(t_h.shape)
+    elif isinstance(req.schedule, RankSchedule):
+        schedule = req.schedule
     else:
-        schedule = req.schedule if isinstance(req.schedule, RankSchedule) \
-            else default_rank_sequences(t_h.shape)
-        result = complete_with_rank_increment(t_h, q_h, schedule, criteria, seed=req.seed)
-        model, trace = result.model, result.cost_trace
-        rank_history, status = result.rank_history, result.status
+        schedule = RankSchedule(tuple((int(r),) for r in req.schedule))
+    result = complete_with_rank_increment(t_h, q_h, schedule, criteria, seed=req.seed)
 
-    estimate = inverse_mdt(model.reconstruct(), spec)
+    estimate = inverse_mdt(result.model.reconstruct(), spec)
     if not np.all(np.isfinite(estimate)):
         raise RuntimeError("recovery produced non-finite values")
 
-    report = RecoveryReport(estimate=estimate, ranks=model.ranks, cost_trace=trace,
-                            rank_history=rank_history, status=status,
+    report = RecoveryReport(estimate=estimate, ranks=result.terminal_ranks,
+                            cost_trace=result.cost_trace,
+                            rank_history=result.rank_history, status=result.status,
                             wall_time_s=time.perf_counter() - started)
     if ground_truth is not None:
         truth = as_tensor(ground_truth)

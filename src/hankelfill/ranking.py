@@ -6,6 +6,10 @@ per-mode sequence, the factor is padded with fresh orthonormal columns and
 the core with zeros (so the reconstruction is untouched), and sweeping
 resumes from that warm start.  The run stops when the cost drops below the
 noise threshold, the sequences are exhausted, or the sweep budget runs out.
+
+This is the package's only sweep loop.  A fixed-rank fit is a schedule of
+one-element sequences: it has nothing to grow, so a plateau ends it with
+status ``schedule_exhausted``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from .core import check_shape, is_unit_factor, mode_multiply
 from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, cost, init_model
+from .embedding import embedded_observed_energy
 from .linalg import apply_sign_convention
 
 # Terminal statuses of a rank-increment run.
@@ -98,15 +103,19 @@ class StoppingCriteria:
             raise ValueError("max_total_sweeps must be >= 1")
 
 
-def default_stopping_criteria(t_h: np.ndarray, q_h: np.ndarray,
+def default_stopping_criteria(values: np.ndarray, mask: np.ndarray, taus: Sequence[int],
                               epsilon_rel: float = DEFAULT_EPSILON_REL,
                               tol_rel: float = DEFAULT_TOL_REL,
                               max_total_sweeps: int = DEFAULT_MAX_TOTAL_SWEEPS,
                               ) -> StoppingCriteria:
-    """Thresholds scaled to the observed energy, so they transfer across data scales."""
-    t_h = np.asarray(t_h, dtype=np.float64)
-    observed = t_h[np.asarray(q_h, dtype=bool)]
-    energy = float(observed @ observed)
+    """Thresholds scaled to the observed energy, so they transfer across data scales.
+
+    ``values``/``mask`` are the input before embedding with windows ``taus``;
+    the energy is that of the observed part of the embedded tensor (see
+    :func:`embedded_observed_energy`).  All-ones windows give the plain
+    observed energy of ``values``.
+    """
+    energy = embedded_observed_energy(values, mask, taus)
     return StoppingCriteria(epsilon=epsilon_rel * energy, tol=tol_rel * energy,
                             max_total_sweeps=max_total_sweeps)
 
@@ -230,8 +239,9 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
                                  seed=0) -> RankIncrementResult:
     """Complete t_h by Tucker fitting with automatic rank growth.
 
-    Runs single sweeps of the fixed-rank fit; when two consecutive costs
-    differ by at most ``criteria.tol``, one mode's rank is advanced (see
+    Each sweep imputes the missing entries from the current model and runs
+    one :func:`als_sweep`; when two consecutive costs differ by at most
+    ``criteria.tol``, one mode's rank is advanced (see
     :func:`select_increment_mode`) and the model is padded in place of a cold
     restart.  Stops as soon as the masked cost is <= ``criteria.epsilon``,
     returning status ``converged``; running out of rank headroom or sweeps

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from hankelfill import multilinear_product
+from hankelfill import (RankSchedule, complete_with_rank_increment, cost, init_model,
+                        multilinear_product)
 
 
 def random_orthonormal(rng, rows, cols):
@@ -16,6 +17,17 @@ def planted_tucker(shape, ranks, data_seed):
     factors = [random_orthonormal(rng, j, r) for j, r in zip(shape, ranks)]
     core = rng.standard_normal(tuple(ranks))
     return multilinear_product(core, factors)
+
+
+def fixed_rank_fit(t, q, ranks, criteria, seed):
+    """Fixed-rank completion: the sweep loop on one-element rank sequences."""
+    schedule = RankSchedule(tuple((r,) for r in ranks))
+    return complete_with_rank_increment(t, q, schedule, criteria, seed=seed)
+
+
+def initial_cost(t, q, ranks, seed):
+    """Masked cost of the seeded random start that a fit at these ranks uses."""
+    return cost(t, q, init_model(ranks, t.shape, seed).reconstruct())
 
 
 def random_mask(shape, missing_fraction, seed):

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from hankelfill import (EmbeddingSpec, FitConfig, RecoveryRequest,
+from hankelfill import (EmbeddingSpec, RecoveryRequest, StoppingCriteria,
                         complete_with_rank_increment, default_rank_sequences,
                         default_stopping_criteria, generate_signal, inverse_mdt,
-                        linear_interpolate_gaps, make_mask, mdt, mdt_mask, psnr,
-                        recover, snr, ssim_map, tucker_complete)
-from helpers import (is_non_increasing, naive_ssim_map, orthonormality_defect,
-                     planted_tucker, random_mask, texture_image)
+                        linear_interpolate_gaps, make_mask, mdt, psnr, recover, snr,
+                        ssim_map)
+from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, naive_ssim_map,
+                     orthonormality_defect, planted_tucker, random_mask, texture_image)
 
 
 def _report(name, ok, detail):
@@ -60,11 +60,10 @@ def test_criterion_3_monotonicity_suite():
         t = rng.standard_normal(shape)
         t /= np.linalg.norm(t)
         q = rng.random(shape) >= rng.uniform(0.0, 0.95)
-        model, trace = tucker_complete(t, q, ranks,
-                                       FitConfig(max_sweeps=12, seed=case, conv_tol=0.0))
-        all_monotone &= is_non_increasing(trace, slack=1e-12)
+        result = fixed_rank_fit(t, q, ranks, StoppingCriteria(0.0, 0.0, 12), seed=case)
+        all_monotone &= is_non_increasing(result.cost_trace, slack=1e-12)
         worst_defect = max(worst_defect,
-                           max(orthonormality_defect(u) for u in model.factors))
+                           max(orthonormality_defect(u) for u in result.model.factors))
     elapsed = time.perf_counter() - started
     _report("3 monotonicity", all_monotone and worst_defect < 1e-10 and elapsed < 120.0,
             f"100 instances, worst orthonormality defect {worst_defect:.2e}, "
@@ -78,12 +77,13 @@ def test_criterion_4_planted_model():
     q = random_mask(shape, 0.30, seed=43)
     hidden = ~q
 
-    model, _ = tucker_complete(truth, q, true_ranks,
-                               FitConfig(max_sweeps=5000, seed=7, conv_tol=1e-15))
-    fixed_err = (np.linalg.norm((model.reconstruct() - truth)[hidden])
+    tol = 1e-15 * max(1.0, initial_cost(truth, q, true_ranks, seed=7))
+    fixed = fixed_rank_fit(truth, q, true_ranks, StoppingCriteria(0.0, tol, 5000), seed=7)
+    fixed_err = (np.linalg.norm((fixed.model.reconstruct() - truth)[hidden])
                  / np.linalg.norm(truth[hidden]))
 
-    criteria = default_stopping_criteria(truth, q, epsilon_rel=1e-10, tol_rel=1e-10)
+    criteria = default_stopping_criteria(truth, q, (1, 1, 1), epsilon_rel=1e-10,
+                                         tol_rel=1e-10)
     result = complete_with_rank_increment(truth, q, default_rank_sequences(shape),
                                           criteria, seed=7)
     inc_err = (np.linalg.norm((result.model.reconstruct() - truth)[hidden])
@@ -104,10 +104,8 @@ def test_criterion_5_signal_gap():
     observed = np.ones(length, bool)
     observed[85:115] = False  # samples 86..115, 1-based
 
-    t_h, _ = mdt(np.where(observed, truth, 0.0), (tau,))
-    q_h = mdt_mask(observed, (tau,))
-    criteria = default_stopping_criteria(t_h, q_h, epsilon_rel=1e-8, tol_rel=1e-9,
-                                         max_total_sweeps=2000)
+    criteria = default_stopping_criteria(truth, observed, (tau,), epsilon_rel=1e-8,
+                                         tol_rel=1e-9, max_total_sweeps=2000)
     report = recover(RecoveryRequest(data=truth, mask=observed, taus=(tau,),
                                      criteria=criteria, seed=0))
     gap = ~observed
@@ -127,10 +125,8 @@ def test_criterion_6_slice_inpainting():
     img = texture_image(64)
     mask = make_mask(img.shape, "slices", mode=1, start=30, count=5)
 
-    t_h, _ = mdt(np.where(mask, img, 0.0), (8, 8, 1))
-    q_h = mdt_mask(mask, (8, 8, 1))
-    criteria = default_stopping_criteria(t_h, q_h, epsilon_rel=1e-7, tol_rel=1e-5,
-                                         max_total_sweeps=3000)
+    criteria = default_stopping_criteria(img, mask, (8, 8, 1), epsilon_rel=1e-7,
+                                         tol_rel=1e-5, max_total_sweeps=3000)
     report = recover(RecoveryRequest(data=img, mask=mask, taus=(8, 8, 1),
                                      criteria=criteria, seed=0))
     recovered_psnr = psnr(img, report.estimate, 255.0)

@@ -107,7 +107,7 @@ class TestRecoverCommand:
             "--output", str(out_img), "--output", str(out_ten),
             "--trace-csv", str(trace))
         assert code == 0
-        assert "status fixed_rank" in out
+        assert "status converged" in out
         est = read_tensor(out_ten)
         assert est.shape == (24, 24, 3)
         assert np.all(np.isfinite(est))
@@ -146,6 +146,16 @@ class TestRecoverCommand:
         assert code == 0
         assert "status converged" in text
         assert "ranks (1, 1, 1, 1, 1, 1)" in text
+
+    def test_ranks_obey_epsilon(self, tmp_path, capsys):
+        data, mask = self.fixture_files(tmp_path)
+        code, text, _ = run_cli(
+            capsys, "recover", "--input", str(data), "--mask", str(mask),
+            "--tau", "4,4,1", "--ranks", "4,8,4,8,1,3", "--epsilon", "1e30",
+            "--output", str(tmp_path / "o.hten"))
+        assert code == 0
+        assert "status converged" in text
+        assert "sweeps 0," in text
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "recover", "--input", str(tmp_path / "nope.ppm"),

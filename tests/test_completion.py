@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hankelfill import (FitConfig, TuckerModel, als_sweep, auxiliary_fill, cost,
-                        frobenius_norm, init_model, mode_multiply, tucker_complete)
-from helpers import (is_non_increasing, orthonormality_defect, planted_tucker,
-                     random_mask, random_orthonormal)
+from hankelfill import (SWEEP_BUDGET, StoppingCriteria, TuckerModel, als_sweep,
+                        auxiliary_fill, cost, init_model, mode_multiply)
+from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, orthonormality_defect,
+                     planted_tucker, random_mask, random_orthonormal)
 
 
 class TestCost:
@@ -97,7 +97,7 @@ class TestInitModel:
 
 class TestAlsSweep:
     def residual(self, z, model):
-        return frobenius_norm(z - model.reconstruct()) ** 2
+        return float(np.linalg.norm(z - model.reconstruct())) ** 2
 
     def test_fixed_point_keeps_zero_residual(self):
         model = init_model((2, 2), (5, 6), seed=4)
@@ -118,7 +118,7 @@ class TestAlsSweep:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             z = rng.standard_normal((5, 4, 6))
-            z /= frobenius_norm(z)
+            z /= np.linalg.norm(z)
             model = init_model((2, 3, 2), z.shape, seed=seed + 1000)
             before = self.residual(z, model)
             after = self.residual(z, als_sweep(z, model))
@@ -150,51 +150,48 @@ class TestAlsSweep:
 
 
 class TestTuckerComplete:
+    """Fixed-rank fits: the sweep loop on one-element rank sequences."""
+
     def test_fully_observed_planted_model_fits_exactly(self):
         t = planted_tucker((8, 8, 8), (2, 2, 2), data_seed=12)
         q = np.ones(t.shape, bool)
-        model, trace = tucker_complete(t, q, (2, 2, 2),
-                                       FitConfig(max_sweeps=200, seed=1, conv_tol=1e-14))
-        assert trace[-1][1] < 1e-10
-        assert is_non_increasing(trace)
+        tol = 1e-14 * max(1.0, initial_cost(t, q, (2, 2, 2), seed=1))
+        result = fixed_rank_fit(t, q, (2, 2, 2), StoppingCriteria(0.0, tol, 200), seed=1)
+        assert result.cost_trace[-1][1] < 1e-10
+        assert is_non_increasing(result.cost_trace)
 
     def test_all_observed_equals_plain_als(self):
         # with a full mask the imputation is a no-op and the loop is plain ALS
         rng = np.random.default_rng(13)
         t = rng.standard_normal((6, 5, 4))
         q = np.ones(t.shape, bool)
-        cfg = FitConfig(max_sweeps=7, seed=3, conv_tol=0.0)
-        model, _ = tucker_complete(t, q, (2, 2, 2), cfg)
+        result = fixed_rank_fit(t, q, (2, 2, 2), StoppingCriteria(0.0, 0.0, 7), seed=3)
+        assert result.status == SWEEP_BUDGET
+        assert result.rank_history == []
         manual = init_model((2, 2, 2), t.shape, seed=3)
         for _ in range(7):
             np.testing.assert_array_equal(auxiliary_fill(t, q, manual.reconstruct()), t)
             manual = als_sweep(t, manual)
-        assert np.array_equal(model.core, manual.core)
-        for a, b in zip(model.factors, manual.factors):
+        assert np.array_equal(result.model.core, manual.core)
+        for a, b in zip(result.model.factors, manual.factors):
             assert np.array_equal(a, b)
 
     def test_hidden_entries_recovered(self):
         t = planted_tucker((8, 8, 8), (2, 2, 2), data_seed=14)
         q = random_mask(t.shape, 0.3, seed=15)
-        model, trace = tucker_complete(t, q, (2, 2, 2),
-                                       FitConfig(max_sweeps=3000, seed=2, conv_tol=1e-15))
-        x = model.reconstruct()
+        tol = 1e-15 * max(1.0, initial_cost(t, q, (2, 2, 2), seed=2))
+        result = fixed_rank_fit(t, q, (2, 2, 2), StoppingCriteria(0.0, tol, 3000), seed=2)
+        x = result.model.reconstruct()
         hidden = ~q
         rel = np.linalg.norm((x - t)[hidden]) / np.linalg.norm(t[hidden])
         assert rel < 1e-6
-        assert is_non_increasing(trace)
-
-    def test_cost_record_off(self):
-        t = planted_tucker((5, 5, 5), (1, 1, 1), data_seed=16)
-        q = np.ones(t.shape, bool)
-        _, trace = tucker_complete(t, q, (1, 1, 1),
-                                   FitConfig(max_sweeps=5, cost_record=False))
-        assert trace == []
+        assert is_non_increasing(result.cost_trace)
 
     def test_trace_starts_at_sweep_zero(self):
         t = planted_tucker((5, 5, 5), (2, 2, 2), data_seed=17)
         q = random_mask(t.shape, 0.2, seed=18)
-        _, trace = tucker_complete(t, q, (2, 2, 2), FitConfig(max_sweeps=10))
+        result = fixed_rank_fit(t, q, (2, 2, 2), StoppingCriteria(0.0, 0.0, 10), seed=0)
+        trace = result.cost_trace
         assert trace[0][0] == 0
         assert [s for s, _ in trace] == list(range(len(trace)))
 

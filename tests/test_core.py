@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hankelfill import (as_mask, as_tensor, check_shape, fold, frobenius_norm, hadamard,
-                        mode_multiply, multilinear_product, squeeze_modes, unfold)
+from hankelfill import (as_mask, as_tensor, check_shape, fold, mode_multiply,
+                        multilinear_product, unfold)
 from helpers import planted_tucker, random_orthonormal
 
 
@@ -33,52 +33,12 @@ class TestShapeAndConstruction:
 
 
 class TestFrobeniusNorm:
-    def test_zero_tensor(self):
-        assert frobenius_norm(np.zeros((2, 3))) == 0.0
-
-    def test_all_ones_2x2(self):
-        assert frobenius_norm(np.ones((2, 2))) == pytest.approx(2.0, abs=0)
-
-    def test_matches_bruteforce_loop(self):
-        rng = np.random.default_rng(1)
-        t = rng.standard_normal((3, 4, 5))
-        acc = 0.0
-        for i in range(3):
-            for j in range(4):
-                for k in range(5):
-                    acc += t[i, j, k] ** 2
-        assert frobenius_norm(t) == pytest.approx(np.sqrt(acc), rel=1e-12)
-
     def test_unfolding_invariant(self):
         rng = np.random.default_rng(2)
         t = rng.standard_normal((4, 3, 2))
         for mode in range(3):
             m = unfold(t, mode)
-            assert frobenius_norm(t) ** 2 == pytest.approx(float((m * m).sum()), rel=1e-12)
-
-
-class TestHadamard:
-    def test_identity_with_ones(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((2, 5))
-        np.testing.assert_array_equal(hadamard(a, np.ones_like(a)), a)
-
-    def test_absorbing_zeros(self):
-        a = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(hadamard(a, np.zeros_like(a)), np.zeros_like(a))
-
-    def test_mask_promotion_entrywise(self):
-        rng = np.random.default_rng(4)
-        t = rng.standard_normal((3, 4))
-        q = rng.random((3, 4)) > 0.5
-        out = hadamard(q, t)
-        for i in range(3):
-            for j in range(4):
-                assert out[i, j] == (t[i, j] if q[i, j] else 0.0)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 2\)"):
-            hadamard(np.zeros((2, 3)), np.zeros((3, 2)))
+            assert np.linalg.norm(t) ** 2 == pytest.approx(float((m * m).sum()), rel=1e-12)
 
 
 class TestUnfoldFold:
@@ -224,23 +184,6 @@ class TestMultilinearProduct:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="factor"):
             multilinear_product(np.zeros((2, 2)), [np.eye(2)])
-
-
-class TestSqueeze:
-    def test_drops_all_singletons(self):
-        t = np.zeros((1, 4, 1, 3))
-        assert squeeze_modes(t).shape == (4, 3)
-
-    def test_selected_modes_only(self):
-        t = np.zeros((1, 4, 1))
-        assert squeeze_modes(t, modes=[2]).shape == (1, 4)
-
-    def test_rejects_non_singleton(self):
-        with pytest.raises(ValueError, match="cannot squeeze"):
-            squeeze_modes(np.zeros((2, 3)), modes=[0])
-
-    def test_never_returns_order_zero(self):
-        assert squeeze_modes(np.zeros((1, 1))).shape == (1,)
 
 
 def test_planted_model_reconstructs_with_known_factors():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hankelfill import (FIXED_RANK, RecoveryRequest, StoppingCriteria, generate_signal,
-                        make_mask, recover)
+from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RecoveryRequest, StoppingCriteria,
+                        generate_signal, make_mask, recover)
 from helpers import is_non_increasing, texture_image
 
 
@@ -21,8 +21,26 @@ class TestRecover:
         req = RecoveryRequest(data=truth, mask=np.ones(100, bool), taus=(20,),
                               schedule=(2, 2), seed=0)
         report = recover(req)
-        assert report.status == FIXED_RANK
+        assert report.status == CONVERGED
         assert np.linalg.norm(report.estimate - truth) <= 1e-6 * np.linalg.norm(truth)
+
+    def test_fixed_ranks_obey_epsilon(self):
+        # the rank-(2, 2) start already meets a huge epsilon: no sweep runs
+        truth, req = small_signal_request(
+            schedule=(2, 2), criteria=StoppingCriteria(epsilon=1e30, tol=1e30))
+        report = recover(req)
+        assert report.status == CONVERGED
+        assert report.cost_trace[-1][0] == 0
+        assert report.ranks == (2, 2)
+
+    def test_fixed_ranks_stop_at_plateau(self):
+        # nothing to grow: the first plateau ends the run at the given ranks
+        truth, req = small_signal_request(
+            schedule=(1, 1), criteria=StoppingCriteria(epsilon=0.0, tol=1e30))
+        report = recover(req)
+        assert report.status == SCHEDULE_EXHAUSTED
+        assert report.cost_trace[-1][0] == 1
+        assert report.rank_history == []
 
     def test_gap_recovery_beats_flat_fill(self):
         truth, req = small_signal_request()

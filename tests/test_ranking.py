@@ -153,7 +153,7 @@ class TestCompleteWithRankIncrement:
     def test_planted_model_recovered(self):
         t = planted_tucker((8, 8, 8), (1, 3, 2), data_seed=10)
         q = random_mask(t.shape, 0.2, seed=11)
-        criteria = default_stopping_criteria(t, q, epsilon_rel=1e-12, tol_rel=1e-10)
+        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-12, tol_rel=1e-10)
         result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
                                               criteria, seed=5)
         assert result.status == CONVERGED
@@ -177,7 +177,7 @@ class TestCompleteWithRankIncrement:
     def test_trace_monotone_across_increments(self):
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=14)
         q = random_mask(t.shape, 0.3, seed=15)
-        criteria = default_stopping_criteria(t, q, epsilon_rel=1e-10, tol_rel=1e-8)
+        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
         result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
                                               criteria, seed=1)
         assert result.rank_history  # at least one increment happened
@@ -187,7 +187,7 @@ class TestCompleteWithRankIncrement:
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=16)
         q = random_mask(t.shape, 0.3, seed=17)
         schedule = default_rank_sequences(t.shape)
-        criteria = default_stopping_criteria(t, q, epsilon_rel=1e-10, tol_rel=1e-8)
+        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
         result = complete_with_rank_increment(t, q, schedule, criteria, seed=2)
         ranks = [1, 1, 1]
         for _, mode, new_rank in result.rank_history:
@@ -199,7 +199,7 @@ class TestCompleteWithRankIncrement:
     def test_increments_only_after_plateau(self):
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=18)
         q = random_mask(t.shape, 0.3, seed=19)
-        criteria = default_stopping_criteria(t, q, epsilon_rel=1e-10, tol_rel=1e-8)
+        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
         result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
                                               criteria, seed=3)
         costs = dict(result.cost_trace)
@@ -230,7 +230,7 @@ class TestCompleteWithRankIncrement:
         t = planted_tucker((6, 6, 6), (2, 2, 2), data_seed=24)
         q = random_mask(t.shape, 0.3, seed=25)
         schedule = default_rank_sequences(t.shape)
-        criteria = default_stopping_criteria(t, q, epsilon_rel=1e-8)
+        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-8)
         complete_with_rank_increment(t, q, schedule, criteria, seed=6)
         assert schedule.current_ranks() == (1, 1, 1)
 

@@ -1,0 +1,86 @@
+"""Properties of the single sweep loop, under fixed and growing rank schedules.
+
+Fixed ranks are one-element rank sequences, so every fit in the package runs
+through ``complete_with_rank_increment``; these properties hold for both.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
+                        StoppingCriteria, complete_with_rank_increment, default_rank_sequences,
+                        init_model, pad_model)
+
+
+@st.composite
+def loop_cases(draw):
+    order = draw(st.integers(2, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
+    kind = draw(st.sampled_from(["fixed", "doubling", "drawn"]))
+    if kind == "fixed":
+        schedule = RankSchedule(tuple((draw(st.integers(1, j)),) for j in shape))
+    elif kind == "doubling":
+        schedule = default_rank_sequences(shape)
+    else:
+        schedule = RankSchedule(tuple(
+            tuple(sorted(draw(st.sets(st.integers(1, j), min_size=1, max_size=j))))
+            for j in shape))
+    missing = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8]))
+    tol_rel = draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]))
+    return shape, schedule, missing, tol_rel, draw(st.integers(0, 2**32 - 1))
+
+
+def run(case):
+    shape, schedule, missing, tol_rel, seed = case
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    q = rng.random(shape) >= missing
+    energy = float(t[q] @ t[q])
+    criteria = StoppingCriteria(epsilon=0.0, tol=tol_rel * energy, max_total_sweeps=15)
+    return schedule, complete_with_rank_increment(t, q, schedule, criteria, seed=seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=loop_cases())
+def test_cost_never_increases_across_sweeps_and_increments(case):
+    _, result = run(case)
+    costs = [f for _, f in result.cost_trace]
+    slack = 1e-12 * costs[0]
+    assert all(after <= before + slack for before, after in zip(costs, costs[1:]))
+    assert [s for s, _ in result.cost_trace] == list(range(len(costs)))
+    assert result.status in (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=loop_cases())
+def test_every_rank_event_lands_on_its_sequence(case):
+    schedule, result = run(case)
+    cursors = [0] * schedule.order
+    last_sweep = 0
+    for sweep, mode, new_rank in result.rank_history:
+        assert sweep > last_sweep
+        cursors[mode] += 1
+        assert new_rank == schedule.sequences[mode][cursors[mode]]
+        last_sweep = sweep
+    expected = tuple(seq[k] for seq, k in zip(schedule.sequences, cursors))
+    assert result.terminal_ranks == expected
+    if all(len(seq) == 1 for seq in schedule.sequences):
+        assert result.rank_history == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_pad_model_leaves_reconstruction_unchanged(shape, data, seed):
+    ranks = tuple(data.draw(st.integers(1, j - 1)) for j in shape)
+    mode = data.draw(st.integers(0, len(shape) - 1))
+    new_rank = data.draw(st.integers(ranks[mode] + 1, shape[mode]))
+    model = init_model(ranks, shape, seed)
+    padded = pad_model(model, mode, new_rank, seed=seed + 1)
+    assert padded.ranks[mode] == new_rank
+    before = model.reconstruct()
+    after = padded.reconstruct()
+    # the added core slices are zero; only the GEMM summation order may differ
+    np.testing.assert_allclose(after, before, rtol=0,
+                               atol=1e-13 * max(1.0, float(np.abs(before).max())))
