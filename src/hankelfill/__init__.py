@@ -7,12 +7,12 @@ entries (monotone imputation + ALS, with automatic rank growth), and the fit
 is mapped back by the least-squares inverse embedding.
 """
 
-from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, cost, init_model
+from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, init_model
 from .core import (Shape, as_mask, as_tensor, check_shape, fold, mode_multiply,
                    multilinear_product, unfold)
 from .embedding import (EmbeddingSpec, delay_embed_vector, duplication_counts,
                         embedded_observed_energy, inverse_delay_embed_vector,
-                        inverse_mdt, mdt, mdt_mask)
+                        inverse_mdt, mdt)
 from .fileio import read_image, read_mask, read_tensor, write_image, write_mask, write_tensor
 from .linalg import apply_sign_convention, leading_singular_vectors
 from .masks import make_mask
@@ -33,11 +33,11 @@ __all__ = [
     "RecoveryReport", "RecoveryRequest", "ScheduleExhaustedError", "Shape",
     "SsimParams", "StoppingCriteria", "TuckerModel",
     "als_sweep", "apply_sign_convention", "as_mask", "as_tensor", "auxiliary_fill",
-    "check_shape", "complete_with_rank_increment", "cost", "default_rank_sequences",
+    "check_shape", "complete_with_rank_increment", "default_rank_sequences",
     "default_stopping_criteria", "delay_embed_vector", "duplication_counts",
     "embedded_observed_energy", "fold", "generate_signal", "init_model",
     "inverse_delay_embed_vector", "inverse_mdt", "leading_singular_vectors",
-    "linear_interpolate_gaps", "make_mask", "mdt", "mdt_mask", "mean_ssim",
+    "linear_interpolate_gaps", "make_mask", "mdt", "mean_ssim",
     "mode_multiply", "mode_residuals", "multilinear_product", "pad_model", "psnr",
     "read_image", "read_mask", "read_tensor", "recover", "select_increment_mode", "snr",
     "ssim_map", "unfold", "write_image", "write_mask", "write_tensor",

@@ -13,7 +13,9 @@ Images travel as binary PPM/PGM, everything else as HTEN tensors; the
 format is detected from the file contents on read and from the extension
 (.ppm/.pgm/.hten) on write.  All randomness is seeded: identical flags give
 bit-identical outputs.  Errors print a single ``error: ...`` line on stderr
-and exit nonzero.
+and exit nonzero; a ``recover`` run that stops above its cost threshold
+prints one ``warning: ...`` line on stderr naming the threshold that stopped
+it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .fileio import HTEN_MAGIC, read_image, read_mask, read_tensor, write_image,
 from .masks import make_mask
 from .metrics import SsimParams, mean_ssim, psnr, snr, ssim_map
 from .pipeline import RecoveryRequest, recover
-from .ranking import RankSchedule, default_stopping_criteria
+from .ranking import (SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
+                      default_stopping_criteria)
 from .signals import generate_signal, linear_interpolate_gaps
 
 
@@ -98,6 +101,12 @@ def _cmd_recover(args) -> int:
     print(f"status {report.status}, ranks {report.ranks}, "
           f"sweeps {report.cost_trace[-1][0]}, "
           f"wall {report.wall_time_s:.2f}s")
+    stopped_by = {SWEEP_BUDGET: f"--max-sweeps {criteria.max_total_sweeps}",
+                  SCHEDULE_EXHAUSTED: f"--tol {criteria.tol:.6g} at the final ranks"}
+    if report.status in stopped_by:
+        print(f"warning: stopped by {stopped_by[report.status]} with cost "
+              f"{report.cost_trace[-1][1]:.6g} above --epsilon {criteria.epsilon:.6g}",
+              file=sys.stderr)
     return 0
 
 

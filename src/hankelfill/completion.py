@@ -12,7 +12,9 @@ A fit alternates two steps until the masked cost stops moving:
 Each ALS sub-step solves its subproblem globally, so the masked cost is
 monotonically non-increasing; there is no step size to tune.  The loop that
 drives these steps is :func:`hankelfill.ranking.complete_with_rank_increment`;
-a fixed-rank fit is a rank schedule of one-element sequences.
+a fixed-rank fit is a rank schedule of one-element sequences.  The mask
+enters only the imputation: with z the imputed tensor and x the
+reconstruction, z - x is the masked residual and ||z - x||^2 the masked cost.
 """
 
 from __future__ import annotations
@@ -52,15 +54,10 @@ class TuckerModel:
         return multilinear_product(self.core, self.factors)
 
 
-def cost(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> float:
-    """Squared Frobenius norm of the residual restricted to observed entries."""
-    t = np.asarray(t)
-    x = np.asarray(x)
-    if t.shape != q.shape or t.shape != x.shape:
-        raise ValueError(f"cost: shapes differ: data {t.shape}, mask {np.asarray(q).shape}, "
-                         f"model {x.shape}")
-    e = (t - x)[np.asarray(q, dtype=bool)]
-    return float(e @ e)
+def cost(r: np.ndarray) -> float:
+    """Masked cost ||Q*(T - X)||^2 from the masked residual r (zero where unobserved)."""
+    flat = np.ravel(r)
+    return float(flat @ flat)
 
 
 def auxiliary_fill(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:

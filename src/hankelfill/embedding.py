@@ -58,10 +58,6 @@ class EmbeddingSpec:
         """prod tau_n * (I_n - tau_n + 1); the data-volume expansion of the embedding."""
         return int(np.prod(self.embedded_shape, dtype=np.int64))
 
-    def duplication_count(self, mode: int) -> np.ndarray:
-        """Per-element duplication multiplicities along one input mode."""
-        return duplication_counts(self.input_shape[mode], self.taus[mode])
-
 
 def delay_embed_vector(v: np.ndarray, tau: int) -> np.ndarray:
     """Hankel matrix of a vector: entry (i, j) = v[i + j], shape tau x (L - tau + 1)."""
@@ -147,8 +143,8 @@ def embedded_observed_energy(values: np.ndarray, mask: np.ndarray,
     """
     spec = EmbeddingSpec(np.asarray(values).shape, tuple(taus))
     w = np.where(np.asarray(mask, dtype=bool), np.asarray(values, dtype=np.float64), 0.0) ** 2
-    for mode in range(spec.order):
-        counts = spec.duplication_count(mode).astype(np.float64)
+    for mode, (length, tau) in enumerate(zip(spec.input_shape, spec.taus)):
+        counts = duplication_counts(length, tau).astype(np.float64)
         shape = [1] * w.ndim
         shape[mode] = -1
         w = w * counts.reshape(shape)

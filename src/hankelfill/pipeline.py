@@ -65,13 +65,16 @@ def recover(req: RecoveryRequest, ground_truth: np.ndarray | None = None,
 
     With ``ground_truth`` given, the report carries rmse/snr against it
     (and psnr when ``peak`` is set).  The estimate has the input shape and
-    is guaranteed finite.
+    is guaranteed finite.  A mask with no observed entry is rejected; observed
+    data that are all zero give an all-zero estimate, ``converged`` at sweep 0.
     """
     started = time.perf_counter()
     data = as_tensor(req.data)
     mask = as_mask(req.mask)
     if data.shape != mask.shape:
         raise ValueError(f"data shape {data.shape} differs from mask shape {mask.shape}")
+    if not mask.any():
+        raise ValueError("the mask observes no entry: there is nothing to fit")
     spec = EmbeddingSpec(data.shape, tuple(req.taus))
     count = spec.embedded_element_count()
     if count > req.max_embedded_elements:

@@ -6,6 +6,8 @@ per-mode sequence, the factor is padded with fresh orthonormal columns and
 the core with zeros (so the reconstruction is untouched), and sweeping
 resumes from that warm start.  The run stops when the cost drops below the
 noise threshold, the sequences are exhausted, or the sweep budget runs out.
+One masked pass per sweep, the imputation, yields the fill for the next
+sweep and the masked residual, from which come the cost and the mode ranking.
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -138,19 +140,15 @@ def default_rank_sequences(embedded_shape: Sequence[int]) -> RankSchedule:
     return RankSchedule(tuple(sequences))
 
 
-def mode_residuals(t_h: np.ndarray, q_h: np.ndarray, x: np.ndarray,
-                   factors: Sequence[np.ndarray]) -> list[float]:
+def mode_residuals(r: np.ndarray, factors: Sequence[np.ndarray]) -> list[float]:
     """Masked residual energy visible through every factor except one.
 
-    value_m = || masked residual projected onto all factors but mode m ||_F^2,
-    a proxy for how much cost reduction a rank bump on mode m can buy.
+    ``r`` is the masked residual (data minus reconstruction on observed
+    entries, zero elsewhere); value_m = || r projected onto all factors but
+    mode m ||_F^2, a proxy for how much cost reduction a rank bump on mode m
+    can buy.
     """
-    t_h = np.asarray(t_h)
-    x = np.asarray(x)
-    if t_h.shape != x.shape or t_h.shape != np.asarray(q_h).shape:
-        raise ValueError(f"mode_residuals: shapes differ: data {t_h.shape}, "
-                         f"mask {np.asarray(q_h).shape}, model {x.shape}")
-    r = np.where(np.asarray(q_h, dtype=bool), t_h - x, 0.0)
+    r = np.asarray(r, dtype=np.float64)
     factors = [np.asarray(u, dtype=np.float64) for u in factors]
     # prefix = r x_{n<m} U_n^T, shared by every later mode (see als_sweep)
     prefix = r
@@ -233,6 +231,22 @@ class RankIncrementResult:
         return self.model.ranks
 
 
+def _impute(t_h: np.ndarray, q_h: np.ndarray,
+            model: TuckerModel) -> tuple[np.ndarray, np.ndarray, float]:
+    """The sweep's one masked pass: the fill z, the masked residual z - x, its cost.
+
+    The residual (t - x where observed, +0 elsewhere) overwrites the
+    reconstruction x, which is copied first when it is the model's own core
+    (every factor a 1x1 identity).
+    """
+    x = model.reconstruct()
+    if np.may_share_memory(x, model.core):
+        x = x.copy()
+    z = auxiliary_fill(t_h, q_h, x)
+    r = np.subtract(z, x, out=x)
+    return z, r, cost(r)
+
+
 def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
                                  schedule: RankSchedule,
                                  criteria: StoppingCriteria,
@@ -245,7 +259,8 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     :func:`select_increment_mode`) and the model is padded in place of a cold
     restart.  Stops as soon as the masked cost is <= ``criteria.epsilon``,
     returning status ``converged``; running out of rank headroom or sweeps
-    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.
+    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  An
+    all-zero t_h is fitted exactly by the zero model, returned at sweep 0.
 
     The cost trace spans the whole run and is monotonically non-increasing,
     including across increments (padding preserves the reconstruction).
@@ -263,8 +278,9 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
 
     schedule = schedule.copy()
     model = init_model(schedule.current_ranks(), t_h.shape, seed)
-    x = model.reconstruct()
-    f_before = cost(t_h, q_h, x)
+    if not t_h.any():
+        model = TuckerModel(np.zeros_like(model.core), model.factors)
+    z, r, f_before = _impute(t_h, q_h, model)
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
     if f_before <= criteria.epsilon:
@@ -273,10 +289,12 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     status = SWEEP_BUDGET
     pads = 0
     for sweep in range(1, criteria.max_total_sweeps + 1):
-        z = auxiliary_fill(t_h, q_h, x)
         model = als_sweep(z, model)
-        x = model.reconstruct()
-        f_after = cost(t_h, q_h, x)
+        # Free the fill before the reconstruction allocates: its last product's
+        # input and output plus r are then the only full-size buffers besides
+        # t_h and q_h.
+        del z
+        z, r, f_after = _impute(t_h, q_h, model)
         trace.append((sweep, f_after))
         if f_after <= criteria.epsilon:
             status = CONVERGED
@@ -285,7 +303,7 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
             if not any(schedule.has_headroom(m) for m in range(schedule.order)):
                 status = SCHEDULE_EXHAUSTED
                 break
-            residuals = mode_residuals(t_h, q_h, x, model.factors)
+            residuals = mode_residuals(r, model.factors)
             mode = select_increment_mode(residuals, schedule)
             new_rank = schedule.advance(mode)
             pads += 1

@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from hankelfill import (RankSchedule, complete_with_rank_increment, cost, init_model,
-                        multilinear_product)
+from hankelfill import RankSchedule, complete_with_rank_increment, init_model, multilinear_product
 
 
 def random_orthonormal(rng, rows, cols):
@@ -25,9 +24,14 @@ def fixed_rank_fit(t, q, ranks, criteria, seed):
     return complete_with_rank_increment(t, q, schedule, criteria, seed=seed)
 
 
+def masked_cost(t, q, x):
+    """The masked cost ||Q*(T - X)||^2, summed over the observed entries only."""
+    return float(((t - x)[q] ** 2).sum())
+
+
 def initial_cost(t, q, ranks, seed):
     """Masked cost of the seeded random start that a fit at these ranks uses."""
-    return cost(t, q, init_model(ranks, t.shape, seed).reconstruct())
+    return masked_cost(t, q, init_model(ranks, t.shape, seed).reconstruct())
 
 
 def random_mask(shape, missing_fraction, seed):

@@ -140,12 +140,13 @@ class TestRecoverCommand:
         # a huge absolute threshold is met by the rank-one initialization
         data, mask = self.fixture_files(tmp_path)
         out = tmp_path / "o.hten"
-        code, text, _ = run_cli(
+        code, text, err = run_cli(
             capsys, "recover", "--input", str(data), "--mask", str(mask),
             "--tau", "4,4,1", "--epsilon", "1e30", "--output", str(out))
         assert code == 0
         assert "status converged" in text
         assert "ranks (1, 1, 1, 1, 1, 1)" in text
+        assert err == ""  # a converged run has nothing to warn about
 
     def test_ranks_obey_epsilon(self, tmp_path, capsys):
         data, mask = self.fixture_files(tmp_path)
@@ -156,6 +157,33 @@ class TestRecoverCommand:
         assert code == 0
         assert "status converged" in text
         assert "sweeps 0," in text
+
+    @pytest.mark.parametrize("flags, status, threshold", [
+        (("--max-sweeps", "2"), "sweep_budget", "--max-sweeps 2"),
+        (("--tol", "1e30"), "schedule_exhausted", "--tol 1e+30 at the final ranks"),
+    ])
+    def test_stop_above_epsilon_warns_on_stderr(self, tmp_path, capsys, flags, status,
+                                                threshold):
+        data, mask = self.fixture_files(tmp_path)
+        code, text, err = run_cli(
+            capsys, "recover", "--input", str(data), "--mask", str(mask),
+            "--tau", "4,4,1", "--ranks", "2,2,2,2,1,1", "--epsilon", "0", *flags,
+            "--output", str(tmp_path / "o.hten"))
+        assert code == 0
+        assert text.startswith(f"status {status}, ranks (2, 2, 2, 2, 1, 1), sweeps ")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"warning: stopped by {threshold} with cost ")
+        assert lines[0].endswith(" above --epsilon 0")
+
+    def test_empty_mask_is_an_error(self, tmp_path, capsys):
+        data, _ = self.fixture_files(tmp_path)
+        mask = tmp_path / "none.pgm"
+        write_mask(mask, np.zeros((24, 24), bool))
+        code, _, err = run_cli(capsys, "recover", "--input", str(data), "--mask", str(mask),
+                               "--tau", "4,4,1", "--output", str(tmp_path / "o.hten"))
+        assert code == 1
+        assert err.startswith("error: the mask observes no entry")
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "recover", "--input", str(tmp_path / "nope.ppm"),

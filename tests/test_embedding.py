@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelfill import (EmbeddingSpec, delay_embed_vector, duplication_counts,
                         embedded_observed_energy, inverse_delay_embed_vector,
-                        inverse_mdt, mdt, mdt_mask)
+                        inverse_mdt, mdt)
+from hankelfill.embedding import mdt_mask
 
 
 class TestDelayEmbedVector:
@@ -186,6 +189,35 @@ class TestEmbeddedObservedEnergy:
         q = np.ones(5, bool)
         # every window covers tau entries, (L - tau + 1) windows in total
         assert embedded_observed_energy(x, q, (3,)) == pytest.approx(3 * 3, rel=1e-12)
+
+
+@st.composite
+def round_trip_cases(draw):
+    order = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=order, max_size=order)))
+    # windows anywhere in [1, I_n], with both ends drawn often
+    taus = tuple(draw(st.one_of(st.just(1), st.just(size), st.integers(1, size)))
+                 for size in shape)
+    return shape, taus, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=round_trip_cases())
+def test_inverse_mdt_undoes_mdt(case):
+    shape, taus, seed = case
+    rng = np.random.default_rng(seed)
+    # Integer values: every duplicate sum and its division by the count are
+    # exact, so the round trip is too.
+    whole = rng.integers(-1000, 1000, shape).astype(np.float64)
+    xh, spec = mdt(whole, taus)
+    assert xh.shape == spec.embedded_shape
+    np.testing.assert_array_equal(inverse_mdt(xh, spec), whole)
+    # General values: the duplicates along mode n are equal, so summing and
+    # dividing them rounds by at most tau_n units in the last place.
+    x = rng.standard_normal(shape)
+    back = inverse_mdt(mdt(x, taus)[0], spec)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(back - x) <= sum(taus) * eps * np.abs(x))
 
 
 class TestInverseMdt:

@@ -85,6 +85,23 @@ class TestRecover:
         with pytest.raises(ValueError, match="expansion"):
             recover(req)
 
+    def test_empty_mask_rejected(self):
+        truth = generate_signal("damped-sine", 60, decay=0.01, omega=0.5)
+        with pytest.raises(ValueError, match="mask observes no entry"):
+            recover(RecoveryRequest(data=truth, mask=np.zeros(60, bool), taus=(20,)))
+
+    def test_all_zero_observed_data_give_zeros_at_sweep_zero(self):
+        # the zero model fits zero data exactly; the missing entries are not
+        # left to the random start
+        data = np.zeros(60)
+        data[20:30] = 7.0  # missing, so never read
+        mask = np.ones(60, bool)
+        mask[20:30] = False
+        report = recover(RecoveryRequest(data=data, mask=mask, taus=(20,)))
+        assert report.status == CONVERGED
+        assert report.cost_trace == [(0, 0.0)]
+        assert not report.estimate.any()
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differs"):
             recover(RecoveryRequest(data=np.zeros((4, 4)), mask=np.ones((4, 5), bool),

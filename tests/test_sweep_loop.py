@@ -4,19 +4,23 @@ Fixed ranks are one-element rank sequences, so every fit in the package runs
 through ``complete_with_rank_increment``; these properties hold for both.
 """
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
                         StoppingCriteria, complete_with_rank_increment, default_rank_sequences,
-                        init_model, pad_model)
+                        init_model, mdt, pad_model)
+from hankelfill import ranking
+from helpers import fixed_rank_fit, masked_cost
 
 
 @st.composite
-def loop_cases(draw):
+def loop_cases(draw, max_size=5):
     order = draw(st.integers(2, 4))
-    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
+    shape = tuple(draw(st.lists(st.integers(1, max_size), min_size=order, max_size=order)))
     kind = draw(st.sampled_from(["fixed", "doubling", "drawn"]))
     if kind == "fixed":
         schedule = RankSchedule(tuple((draw(st.integers(1, j)),) for j in shape))
@@ -38,13 +42,13 @@ def run(case):
     q = rng.random(shape) >= missing
     energy = float(t[q] @ t[q])
     criteria = StoppingCriteria(epsilon=0.0, tol=tol_rel * energy, max_total_sweeps=15)
-    return schedule, complete_with_rank_increment(t, q, schedule, criteria, seed=seed)
+    return schedule, t, q, complete_with_rank_increment(t, q, schedule, criteria, seed=seed)
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=loop_cases())
 def test_cost_never_increases_across_sweeps_and_increments(case):
-    _, result = run(case)
+    *_, result = run(case)
     costs = [f for _, f in result.cost_trace]
     slack = 1e-12 * costs[0]
     assert all(after <= before + slack for before, after in zip(costs, costs[1:]))
@@ -55,7 +59,7 @@ def test_cost_never_increases_across_sweeps_and_increments(case):
 @settings(max_examples=80, deadline=None)
 @given(case=loop_cases())
 def test_every_rank_event_lands_on_its_sequence(case):
-    schedule, result = run(case)
+    schedule, _, _, result = run(case)
     cursors = [0] * schedule.order
     last_sweep = 0
     for sweep, mode, new_rank in result.rank_history:
@@ -84,3 +88,50 @@ def test_pad_model_leaves_reconstruction_unchanged(shape, data, seed):
     # the added core slices are zero; only the GEMM summation order may differ
     np.testing.assert_allclose(after, before, rtol=0,
                                atol=1e-13 * max(1.0, float(np.abs(before).max())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=loop_cases(max_size=4))
+def test_cost_trace_is_the_masked_sum_of_each_sweeps_model(case):
+    # The loop takes each cost from its imputation pass, over the whole tensor;
+    # the oracle sums the observed entries only, for the model that sweep made
+    # (before any padding).  Both add the same nonnegative squares, at most
+    # 4**4 of them, in different orders.
+    models = []
+
+    def recording(make):
+        def wrapped(*args, **kwargs):
+            models.append(make(*args, **kwargs))
+            return models[-1]
+        return wrapped
+
+    saved = ranking.init_model, ranking.als_sweep
+    ranking.init_model, ranking.als_sweep = map(recording, saved)
+    try:
+        _, t, q, result = run(case)
+    finally:
+        ranking.init_model, ranking.als_sweep = saved
+    assert len(models) == len(result.cost_trace)
+    for model, (_, value) in zip(models, result.cost_trace):
+        oracle = masked_cost(t, q, model.reconstruct())
+        assert abs(value - oracle) <= 1e-13 * oracle
+
+
+def test_loop_holds_at_most_three_embedded_copies_besides_its_inputs():
+    # The reconstruction's last product holds its full-size input and output
+    # while the previous residual is alive; the fill it replaces is already
+    # freed, and the new residual overwrites the reconstruction.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((64, 64, 3))
+    q = rng.random(x.shape) >= 0.5
+    t_h, _ = mdt(np.where(q, x, 0.0), (16, 16, 1))
+    q_h, _ = mdt(q, (16, 16, 1))
+    ranks, criteria = (4, 8, 4, 8, 1, 3), StoppingCriteria(0.0, 0.0, 3)
+    tracemalloc.start()
+    try:
+        result = fixed_rank_fit(t_h, q_h, ranks, criteria, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.cost_trace[-1][0] == 3
+    assert peak <= 3.01 * t_h.nbytes
