@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingSpec, inverse_mdt, mdt
+from .embedding import embedded_shape, inverse_mdt, mdt
 from .fileio import HTEN_MAGIC, read_image, read_mask, read_tensor, write_image, \
     write_mask, write_tensor
 from .masks import make_mask
@@ -112,16 +112,19 @@ def _cmd_recover(args) -> int:
 
 def _cmd_embed(args) -> int:
     x = _read_any(args.input)
-    xh, spec = mdt(x, args.tau)
+    xh = mdt(x, args.tau)
     write_tensor(args.output, xh)
-    print(f"embedded shape {spec.embedded_shape}")
+    print(f"embedded shape {xh.shape}")
     return 0
 
 
 def _cmd_invert(args) -> int:
     xh = read_tensor(args.input)
-    spec = EmbeddingSpec(args.shape, args.tau)
-    _write_any(args.output, inverse_mdt(xh, spec))
+    expected = embedded_shape(args.shape, args.tau)
+    if xh.shape != expected:
+        raise ValueError(f"{args.input} holds shape {xh.shape}; --shape and --tau "
+                         f"embed to {expected}")
+    _write_any(args.output, inverse_mdt(xh))
     return 0
 
 

@@ -6,9 +6,12 @@ A window length tau_n per mode turns an order-N tensor of shape
     (tau_0, I_0 - tau_0 + 1, ..., tau_{N-1}, I_{N-1} - tau_{N-1} + 1)
 
 whose entry at (a_0, b_0, ..., a_{N-1}, b_{N-1}) is the source entry at
-(a_0 + b_0, ..., a_{N-1} + b_{N-1}).  The transform duplicates each source
-element once per window that covers it; the inverse averages the duplicates,
-which is exactly the Moore-Penrose pseudo-inverse of the duplication map.
+(a_0 + b_0, ..., a_{N-1} + b_{N-1}).  That shape is the whole spec of the
+embedding: its pairs give every window tau_n and every source length I_n,
+so :func:`inverse_mdt` takes the embedded tensor alone.  The transform
+duplicates each source element once per window that covers it; the inverse
+averages the duplicates, which is exactly the Moore-Penrose pseudo-inverse
+of the duplication map.
 Duplication matrices are never materialized: everything is index arithmetic,
 so the memory cost is the embedded tensor itself and nothing more.
 
@@ -17,7 +20,6 @@ tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,37 +28,24 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import Shape, check_shape
 
 
-@dataclass(frozen=True)
-class EmbeddingSpec:
-    """Bookkeeping for one embedding: input shape, windows, derived shape."""
+def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
+    """The order-2N shape (tau_0, I_0 - tau_0 + 1, ...) that :func:`mdt` produces.
 
-    input_shape: Shape
-    taus: tuple[int, ...]
-    embedded_shape: Shape = field(init=False)
-
-    def __post_init__(self):
-        shape = check_shape(self.input_shape)
-        taus = tuple(int(t) for t in self.taus)
-        if len(taus) != len(shape):
-            raise ValueError(f"need one window per mode: got {len(taus)} windows "
-                             f"for order-{len(shape)} shape {shape}")
-        for n, (tau, size) in enumerate(zip(taus, shape)):
-            if not 1 <= tau <= size:
-                raise ValueError(f"window tau={tau} out of range [1, {size}] on mode {n}")
-        embedded = []
-        for tau, size in zip(taus, shape):
-            embedded.extend((tau, size - tau + 1))
-        object.__setattr__(self, "input_shape", shape)
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "embedded_shape", tuple(embedded))
-
-    @property
-    def order(self) -> int:
-        return len(self.input_shape)
-
-    def embedded_element_count(self) -> int:
-        """prod tau_n * (I_n - tau_n + 1); the data-volume expansion of the embedding."""
-        return int(np.prod(self.embedded_shape, dtype=np.int64))
+    Checks one window per mode, each in [1, I_n].  The windows are the even
+    entries of the result and I_n = tau_n + (I_n - tau_n + 1) - 1, so the
+    embedded shape alone fixes the inverse transform.
+    """
+    shape = check_shape(shape)
+    taus = tuple(int(t) for t in taus)
+    if len(taus) != len(shape):
+        raise ValueError(f"need one window per mode: got {len(taus)} windows "
+                         f"for order-{len(shape)} shape {shape}")
+    embedded = []
+    for n, (tau, size) in enumerate(zip(taus, shape)):
+        if not 1 <= tau <= size:
+            raise ValueError(f"window tau={tau} out of range [1, {size}] on mode {n}")
+        embedded.extend((tau, size - tau + 1))
+    return tuple(embedded)
 
 
 def delay_embed_vector(v: np.ndarray, tau: int) -> np.ndarray:
@@ -104,24 +93,22 @@ def inverse_delay_embed_vector(h: np.ndarray, length: int, tau: int) -> np.ndarr
     return out / duplication_counts(length, tau)
 
 
-def mdt(x: np.ndarray, taus: Sequence[int]) -> tuple[np.ndarray, EmbeddingSpec]:
+def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:
     """Multi-way delay embedding of an order-N tensor into an order-2N tensor.
 
-    Returns the embedded tensor together with the :class:`EmbeddingSpec`
-    needed to invert it.  Embedded modes interleave as
-    (tau_0, window_0, tau_1, window_1, ...).
+    Embedded modes interleave as (tau_0, window_0, tau_1, window_1, ...); see
+    :func:`embedded_shape`.  :func:`inverse_mdt` needs nothing but the result.
     """
     x = np.asarray(x)
-    spec = EmbeddingSpec(x.shape, tuple(taus))
-    windows = tuple(size - tau + 1 for size, tau in zip(spec.input_shape, spec.taus))
+    windows = embedded_shape(x.shape, taus)[1::2]
     # sliding_window_view with window (L - tau + 1) yields exactly the
     # (tau_0...tau_{N-1}, B_0...B_{N-1}) block; interleave the two groups.
     w = sliding_window_view(x, windows)
-    n = spec.order
+    n = x.ndim
     perm = []
     for i in range(n):
         perm.extend((i, n + i))
-    return np.ascontiguousarray(w.transpose(perm)), spec
+    return np.ascontiguousarray(w.transpose(perm))
 
 
 def mdt_mask(q: np.ndarray, taus: Sequence[int]) -> np.ndarray:
@@ -129,8 +116,7 @@ def mdt_mask(q: np.ndarray, taus: Sequence[int]) -> np.ndarray:
     q = np.asarray(q)
     if q.dtype != np.bool_:
         q = q != 0
-    embedded, _ = mdt(q, taus)
-    return embedded
+    return mdt(q, taus)
 
 
 def embedded_observed_energy(values: np.ndarray, mask: np.ndarray,
@@ -141,9 +127,10 @@ def embedded_observed_energy(values: np.ndarray, mask: np.ndarray,
     window, so its energy is weighted by the product of per-mode duplication
     counts.  Used to scale stopping thresholds to the data.
     """
-    spec = EmbeddingSpec(np.asarray(values).shape, tuple(taus))
+    lengths = np.shape(values)
+    windows = embedded_shape(lengths, taus)[::2]
     w = np.where(np.asarray(mask, dtype=bool), np.asarray(values, dtype=np.float64), 0.0) ** 2
-    for mode, (length, tau) in enumerate(zip(spec.input_shape, spec.taus)):
+    for mode, (length, tau) in enumerate(zip(lengths, windows)):
         counts = duplication_counts(length, tau).astype(np.float64)
         shape = [1] * w.ndim
         shape[mode] = -1
@@ -151,23 +138,25 @@ def embedded_observed_energy(values: np.ndarray, mask: np.ndarray,
     return float(w.sum())
 
 
-def inverse_mdt(xh: np.ndarray, spec: EmbeddingSpec) -> np.ndarray:
-    """Map an order-2N embedded tensor back to the original order-N shape.
+def inverse_mdt(xh: np.ndarray) -> np.ndarray:
+    """Map an order-2N embedded tensor back to its order-N source shape.
 
-    Exact left inverse of :func:`mdt`; a non-Hankel input collapses to the
-    per-mode weighted average of duplicates (the separable pseudo-inverse).
+    Mode pair n of ``xh`` has shape (tau_n, I_n - tau_n + 1), which gives the
+    window and I_n.  Exact left inverse of :func:`mdt`; a non-Hankel input
+    collapses to the per-mode weighted average of duplicates (the separable
+    pseudo-inverse).
     """
     xh = np.asarray(xh, dtype=np.float64)
-    if xh.shape != spec.embedded_shape:
-        raise ValueError(f"embedded shape {xh.shape} does not match spec {spec.embedded_shape}")
+    if xh.ndim % 2:
+        raise ValueError(f"an embedded tensor has one (tau, window) pair of modes per "
+                         f"source mode, so even order; got shape {xh.shape}")
+    check_shape(xh.shape)
     out = xh
     # Collapse (tau, window) pairs back to full axes, last mode first so the
     # axis numbering of the pairs still to process stays put.
-    for mode in range(spec.order - 1, -1, -1):
-        tau = spec.taus[mode]
-        length = spec.input_shape[mode]
-        width = length - tau + 1
-        axis = 2 * mode
+    for axis in range(xh.ndim - 2, -1, -2):
+        tau, width = xh.shape[axis], xh.shape[axis + 1]
+        length = tau + width - 1
         z = np.moveaxis(out, (axis, axis + 1), (0, 1))
         acc = np.zeros((length,) + z.shape[2:])
         for a in range(tau):

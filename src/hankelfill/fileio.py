@@ -148,6 +148,9 @@ def read_tensor(path) -> np.ndarray:
 def read_mask(path, data_shape=None) -> np.ndarray:
     """Read an observation mask from a PGM/PPM (nonzero = observed) or HTEN file.
 
+    An HTEN mask holding NaN or +-Inf is rejected: such a value says neither
+    observed nor missing.
+
     A 2-D image mask is broadcast along trailing modes when ``data_shape``
     says the data carries extra channels (e.g. HxW mask for HxWx3 data).
     """
@@ -155,7 +158,11 @@ def read_mask(path, data_shape=None) -> np.ndarray:
     if head[:2] in (b"P5", b"P6"):
         q = as_mask(read_image(path) != 0)
     elif head == HTEN_MAGIC:
-        q = as_mask(read_tensor(path) != 0)
+        values = read_tensor(path)
+        if not np.isfinite(values).all():
+            raise ValueError(f"mask {path} holds non-finite values; "
+                             "want 0 for missing and a finite nonzero for observed")
+        q = as_mask(values != 0)
     else:
         raise ValueError(f"unrecognized mask file format (leading bytes {head!r})")
     if data_shape is not None:

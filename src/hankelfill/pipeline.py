@@ -3,13 +3,15 @@
 The three steps are (1) multi-way delay embedding of the data and its mask,
 (2) Tucker completion of the embedded tensor by the rank-increment loop
 (fixed ranks are one-element rank sequences), and (3) the inverse embedding
-of the completed tensor back to the input shape.  Observed entries also pass
+of the completed tensor back to the input shape, which the embedded shape
+alone determines.  Observed entries also pass
 through the model, so the output is everywhere the model's explanation of
 the data rather than a patchwork of input and fill.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +20,7 @@ import numpy as np
 
 from .completion import CostTrace
 from .core import as_mask, as_tensor
-from .embedding import EmbeddingSpec, inverse_mdt, mdt, mdt_mask
+from .embedding import embedded_shape, inverse_mdt, mdt, mdt_mask
 from .metrics import psnr, snr
 from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
                       default_rank_sequences, default_stopping_criteria)
@@ -65,29 +67,30 @@ def recover(req: RecoveryRequest, ground_truth: np.ndarray | None = None,
 
     With ``ground_truth`` given, the report carries rmse/snr against it
     (and psnr when ``peak`` is set).  The estimate has the input shape and
-    is guaranteed finite.  A mask with no observed entry is rejected; observed
-    data that are all zero give an all-zero estimate, ``converged`` at sweep 0.
+    is guaranteed finite.  The embedded element count is checked against
+    ``max_embedded_elements`` before anything is embedded.  A mask with no
+    observed entry is rejected (by the sweep loop); observed data that are all
+    zero give an all-zero estimate, ``converged`` at sweep 0.
     """
     started = time.perf_counter()
     data = as_tensor(req.data)
     mask = as_mask(req.mask)
     if data.shape != mask.shape:
         raise ValueError(f"data shape {data.shape} differs from mask shape {mask.shape}")
-    if not mask.any():
-        raise ValueError("the mask observes no entry: there is nothing to fit")
-    spec = EmbeddingSpec(data.shape, tuple(req.taus))
-    count = spec.embedded_element_count()
+    shape = embedded_shape(data.shape, req.taus)
+    count = math.prod(shape)
+    taus = shape[::2]
     if count > req.max_embedded_elements:
-        expansion = int(np.prod(spec.taus, dtype=np.int64))
+        expansion = math.prod(taus)
         raise ValueError(
             f"embedded tensor would hold {count} elements (a roughly {expansion}x "
-            f"expansion of the input via windows {spec.taus}); the cap is "
+            f"expansion of the input via windows {taus}); the cap is "
             f"{req.max_embedded_elements}. Reduce the windows or raise "
             "max_embedded_elements.")
 
-    t_h, spec = mdt(np.where(mask, data, 0.0), spec.taus)
-    q_h = mdt_mask(mask, spec.taus)
-    criteria = req.criteria or default_stopping_criteria(data, mask, spec.taus)
+    t_h = mdt(np.where(mask, data, 0.0), taus)
+    q_h = mdt_mask(mask, taus)
+    criteria = req.criteria or default_stopping_criteria(data, mask, taus)
     if req.schedule is None:
         schedule = default_rank_sequences(t_h.shape)
     elif isinstance(req.schedule, RankSchedule):
@@ -96,7 +99,7 @@ def recover(req: RecoveryRequest, ground_truth: np.ndarray | None = None,
         schedule = RankSchedule(tuple((int(r),) for r in req.schedule))
     result = complete_with_rank_increment(t_h, q_h, schedule, criteria, seed=req.seed)
 
-    estimate = inverse_mdt(result.model.reconstruct(), spec)
+    estimate = inverse_mdt(result.model.reconstruct())
     if not np.all(np.isfinite(estimate)):
         raise RuntimeError("recovery produced non-finite values")
 

@@ -1,13 +1,16 @@
 """Rank-increment driver: grows multilinear ranks mode by mode.
 
-Fitting starts at rank one everywhere.  Whenever the masked cost plateaus,
-the mode whose projected residual is largest gets its rank advanced along a
-per-mode sequence, the factor is padded with fresh orthonormal columns and
-the core with zeros (so the reconstruction is untouched), and sweeping
-resumes from that warm start.  The run stops when the cost drops below the
-noise threshold, the sequences are exhausted, or the sweep budget runs out.
-One masked pass per sweep, the imputation, yields the fill for the next
-sweep and the masked residual, from which come the cost and the mode ranking.
+Fitting starts every mode at the first entry of its rank sequence (rank one
+under the default doubling sequences).  Whenever the masked cost plateaus,
+the mode whose projected residual is largest grows to the next entry of its
+sequence, the factor is padded with fresh orthonormal columns and the core
+with zeros (so the reconstruction is untouched), and sweeping resumes from
+that warm start.  The schedule is an immutable value: the model's ranks are
+the only record of how far each sequence has advanced.  The run stops when
+the cost drops below the noise threshold, the sequences are exhausted, or
+the sweep budget runs out.  One masked pass per sweep, the imputation,
+yields the fill for the next sweep and the masked residual, from which come
+the cost and the mode ranking.
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -16,7 +19,7 @@ status ``schedule_exhausted``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,52 +41,27 @@ DEFAULT_TOL_REL = 1e-6
 DEFAULT_MAX_TOTAL_SWEEPS = 10_000
 
 
-class ScheduleExhaustedError(RuntimeError):
-    """Raised when an increment is requested but no mode has rank headroom."""
-
-
-@dataclass
+@dataclass(frozen=True)
 class RankSchedule:
-    """Per-mode rank sequences with a cursor into each."""
+    """Per-mode rank sequences, each strictly increasing.
+
+    A fit's progress along them is its model's ranks.
+    """
 
     sequences: tuple[tuple[int, ...], ...]
-    cursors: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        self.sequences = tuple(tuple(int(r) for r in seq) for seq in self.sequences)
-        for m, seq in enumerate(self.sequences):
+        sequences = tuple(tuple(int(r) for r in seq) for seq in self.sequences)
+        for m, seq in enumerate(sequences):
             if not seq:
                 raise ValueError(f"mode {m} has an empty rank sequence")
             if any(b <= a for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"mode {m} sequence {seq} is not strictly increasing")
-        if not self.cursors:
-            self.cursors = [0] * len(self.sequences)
-        if len(self.cursors) != len(self.sequences):
-            raise ValueError("one cursor per sequence required")
-        for m, k in enumerate(self.cursors):
-            if not 0 <= k < len(self.sequences[m]):
-                raise ValueError(f"cursor {k} out of range for mode {m}")
+        object.__setattr__(self, "sequences", sequences)
 
     @property
     def order(self) -> int:
         return len(self.sequences)
-
-    def current_ranks(self) -> tuple[int, ...]:
-        return tuple(seq[k] for seq, k in zip(self.sequences, self.cursors))
-
-    def has_headroom(self, mode: int) -> bool:
-        return self.cursors[mode] < len(self.sequences[mode]) - 1
-
-    def advance(self, mode: int) -> int:
-        """Move one mode's cursor forward; returns the new rank."""
-        if not self.has_headroom(mode):
-            raise ScheduleExhaustedError(f"mode {mode} already at its final rank "
-                                         f"{self.sequences[mode][-1]}")
-        self.cursors[mode] += 1
-        return self.sequences[mode][self.cursors[mode]]
-
-    def copy(self) -> "RankSchedule":
-        return RankSchedule(self.sequences, list(self.cursors))
 
 
 @dataclass
@@ -165,23 +143,29 @@ def mode_residuals(r: np.ndarray, factors: Sequence[np.ndarray]) -> list[float]:
     return values
 
 
-def select_increment_mode(residuals: Sequence[float], schedule: RankSchedule) -> int:
-    """Pick the mode to grow: largest residual among growable modes.
+def _growable(schedule: RankSchedule, ranks: Sequence[int]) -> list[int]:
+    """Modes whose rank is below the end of their sequence."""
+    return [m for m, (seq, r) in enumerate(zip(schedule.sequences, ranks)) if r < seq[-1]]
 
-    A mode must have sequence headroom, and is skipped while its current rank
-    already reaches the product of the other modes' ranks (a Tucker core
-    cannot use rank beyond that bound, so growing it cannot reduce the cost;
-    unchecked, such no-op increments re-trigger the plateau detector and
-    cascade one mode to saturation).  If the bound excludes every growable
-    mode, as at the all-ones start, plain headroom applies.  Ties go to the
-    lowest mode index.
+
+def select_increment_mode(residuals: Sequence[float], schedule: RankSchedule,
+                          ranks: Sequence[int]) -> int:
+    """Pick the mode to grow at the current ``ranks``: largest residual among growable modes.
+
+    A mode must be below the end of its sequence, and is skipped while its
+    current rank already reaches the product of the other modes' ranks (a
+    Tucker core cannot use rank beyond that bound, so growing it cannot
+    reduce the cost; unchecked, such no-op increments re-trigger the plateau
+    detector and cascade one mode to saturation).  If the bound excludes
+    every growable mode, as at the all-ones start, plain headroom applies.
+    Ties go to the lowest mode index.
     """
-    if len(residuals) != schedule.order:
-        raise ValueError(f"{len(residuals)} residuals for {schedule.order} modes")
-    headroom = [m for m in range(schedule.order) if schedule.has_headroom(m)]
+    if not len(residuals) == len(ranks) == schedule.order:
+        raise ValueError(f"{len(residuals)} residuals and {len(ranks)} ranks "
+                         f"for {schedule.order} modes")
+    headroom = _growable(schedule, ranks)
     if not headroom:
-        raise ScheduleExhaustedError("schedule exhausted: every mode is at its final rank")
-    ranks = schedule.current_ranks()
+        raise ValueError("schedule exhausted: every mode is at its final rank")
     total = int(np.prod(ranks, dtype=np.int64))
     eligible = [m for m in headroom if ranks[m] < total // ranks[m]]
     if not eligible:
@@ -259,8 +243,9 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     :func:`select_increment_mode`) and the model is padded in place of a cold
     restart.  Stops as soon as the masked cost is <= ``criteria.epsilon``,
     returning status ``converged``; running out of rank headroom or sweeps
-    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  An
-    all-zero t_h is fitted exactly by the zero model, returned at sweep 0.
+    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
+    q_h with no observed entry is a ValueError; an all-zero t_h is fitted
+    exactly by the zero model, returned at sweep 0.
 
     The cost trace spans the whole run and is monotonically non-increasing,
     including across increments (padding preserves the reconstruction).
@@ -275,9 +260,10 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
         if seq[-1] > t_h.shape[m]:
             raise ValueError(f"mode {m} sequence tops out at {seq[-1]} but the mode "
                              f"has size {t_h.shape[m]}")
+    if not q_h.any():
+        raise ValueError("the mask observes no entry: there is nothing to fit")
 
-    schedule = schedule.copy()
-    model = init_model(schedule.current_ranks(), t_h.shape, seed)
+    model = init_model(tuple(seq[0] for seq in schedule.sequences), t_h.shape, seed)
     if not t_h.any():
         model = TuckerModel(np.zeros_like(model.core), model.factors)
     z, r, f_before = _impute(t_h, q_h, model)
@@ -300,12 +286,12 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
             status = CONVERGED
             break
         if abs(f_after - f_before) <= criteria.tol:
-            if not any(schedule.has_headroom(m) for m in range(schedule.order)):
+            if not _growable(schedule, model.ranks):
                 status = SCHEDULE_EXHAUSTED
                 break
             residuals = mode_residuals(r, model.factors)
-            mode = select_increment_mode(residuals, schedule)
-            new_rank = schedule.advance(mode)
+            mode = select_increment_mode(residuals, schedule, model.ranks)
+            new_rank = next(k for k in schedule.sequences[mode] if k > model.ranks[mode])
             pads += 1
             model = pad_model(model, mode, new_rank, seed=(seed, pads))
             history.append((sweep, mode, new_rank))

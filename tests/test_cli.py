@@ -58,6 +58,16 @@ class TestEmbedInvert:
         assert code == 0
         assert np.abs(read_tensor(back) - t).max() <= 1e-12
 
+    def test_invert_rejects_a_file_that_disagrees_with_shape_and_tau(self, tmp_path, capsys):
+        emb = tmp_path / "e.hten"
+        write_tensor(emb, np.zeros((4, 6, 3, 5)))  # embeds (9, 7) with tau (4, 3)
+        for shape, tau in [("9,8", "4,3"), ("9,7", "3,3"), ("9", "4")]:
+            code, _, err = run_cli(capsys, "invert", "--input", str(emb), "--shape", shape,
+                                   "--tau", tau, "--output", str(tmp_path / "b.hten"))
+            assert code == 1
+            assert err.startswith("error:")
+            assert not (tmp_path / "b.hten").exists()
+
 
 class TestMaskCommand:
     def test_slices_mask_written(self, tmp_path, capsys):

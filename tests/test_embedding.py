@@ -1,11 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (EmbeddingSpec, delay_embed_vector, duplication_counts,
-                        embedded_observed_energy, inverse_delay_embed_vector,
-                        inverse_mdt, mdt)
+from hankelfill import (delay_embed_vector, duplication_counts, embedded_observed_energy,
+                        embedded_shape, inverse_delay_embed_vector, inverse_mdt, mdt)
 from hankelfill.embedding import mdt_mask
 
 
@@ -95,33 +96,32 @@ class TestInverseDelayEmbedVector:
 
 
 class TestEmbeddingSpec:
+    """``embedded_shape``: the checked spec of one embedding, as a shape."""
+
     def test_color_image_shape(self):
-        spec = EmbeddingSpec((256, 256, 3), (32, 32, 1))
-        assert spec.embedded_shape == (32, 225, 32, 225, 1, 3)
+        assert embedded_shape((256, 256, 3), (32, 32, 1)) == (32, 225, 32, 225, 1, 3)
 
     def test_small_image_shape(self):
-        spec = EmbeddingSpec((64, 64, 3), (8, 8, 1))
-        assert spec.embedded_shape == (8, 57, 8, 57, 1, 3)
+        assert embedded_shape((64, 64, 3), (8, 8, 1)) == (8, 57, 8, 57, 1, 3)
 
     def test_volume_accounting(self):
-        spec = EmbeddingSpec((10, 7), (4, 3))
-        assert spec.embedded_element_count() == 4 * 7 * 3 * 5
+        assert math.prod(embedded_shape((10, 7), (4, 3))) == 4 * 7 * 3 * 5
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError, match="out of range"):
-            EmbeddingSpec((5, 5), (6, 1))
+            embedded_shape((5, 5), (6, 1))
 
     def test_rejects_arity_mismatch(self):
         with pytest.raises(ValueError, match="one window per mode"):
-            EmbeddingSpec((5, 5), (2,))
+            embedded_shape((5, 5), (2,))
 
 
 class TestMdt:
     def test_small_tensor_entries(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 4))
-        xh, spec = mdt(x, (2, 3))
-        assert spec.embedded_shape == (2, 4, 3, 2)
+        xh = mdt(x, (2, 3))
+        assert xh.shape == (2, 4, 3, 2)
         for a in range(2):
             for b in range(4):
                 for c in range(3):
@@ -131,21 +131,21 @@ class TestMdt:
     def test_all_tau_one_copies_input(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 4, 2))
-        xh, spec = mdt(x, (1, 1, 1))
-        assert spec.embedded_shape == (1, 3, 1, 4, 1, 2)
+        xh = mdt(x, (1, 1, 1))
+        assert xh.shape == (1, 3, 1, 4, 1, 2)
         np.testing.assert_array_equal(xh.reshape(x.shape), x)
 
     def test_vector_case_matches_delay_embed(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(9)
-        xh, _ = mdt(v, (4,))
+        xh = mdt(v, (4,))
         np.testing.assert_array_equal(xh, delay_embed_vector(v, 4))
 
     def test_generalized_antidiagonal_equality(self):
         # entries agree whenever the per-mode index sums agree
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 5))
-        xh, _ = mdt(x, (3, 2))
+        xh = mdt(x, (3, 2))
         t0, b0, t1, b1 = xh.shape
         for a in range(t0):
             for b in range(b0):
@@ -179,7 +179,7 @@ class TestEmbeddedObservedEnergy:
         x = rng.standard_normal((7, 6, 3))
         q = rng.random(x.shape) > 0.4
         taus = (3, 2, 1)
-        xh, _ = mdt(np.where(q, x, 0.0), taus)
+        xh = mdt(np.where(q, x, 0.0), taus)
         qh = mdt_mask(q, taus)
         direct = float((xh[qh] ** 2).sum())
         assert embedded_observed_energy(x, q, taus) == pytest.approx(direct, rel=1e-12)
@@ -209,13 +209,13 @@ def test_inverse_mdt_undoes_mdt(case):
     # Integer values: every duplicate sum and its division by the count are
     # exact, so the round trip is too.
     whole = rng.integers(-1000, 1000, shape).astype(np.float64)
-    xh, spec = mdt(whole, taus)
-    assert xh.shape == spec.embedded_shape
-    np.testing.assert_array_equal(inverse_mdt(xh, spec), whole)
+    xh = mdt(whole, taus)
+    assert xh.shape == embedded_shape(shape, taus)
+    np.testing.assert_array_equal(inverse_mdt(xh), whole)
     # General values: the duplicates along mode n are equal, so summing and
     # dividing them rounds by at most tau_n units in the last place.
     x = rng.standard_normal(shape)
-    back = inverse_mdt(mdt(x, taus)[0], spec)
+    back = inverse_mdt(mdt(x, taus))
     eps = np.finfo(np.float64).eps
     assert np.all(np.abs(back - x) <= sum(taus) * eps * np.abs(x))
 
@@ -228,27 +228,23 @@ class TestInverseMdt:
             shape = tuple(int(rng.integers(2, 7)) for _ in range(order))
             taus = tuple(int(rng.integers(1, s + 1)) for s in shape)
             x = rng.standard_normal(shape)
-            xh, spec = mdt(x, taus)
-            back = inverse_mdt(xh, spec)
+            back = inverse_mdt(mdt(x, taus))
             assert np.linalg.norm(back - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_constant_input_gives_constant_output(self):
-        spec = EmbeddingSpec((6, 5), (3, 2))
-        out = inverse_mdt(np.full(spec.embedded_shape, 2.5), spec)
+        out = inverse_mdt(np.full(embedded_shape((6, 5), (3, 2)), 2.5))
         np.testing.assert_allclose(out, np.full((6, 5), 2.5), atol=0)
 
     def test_vector_case_matches_inverse_delay_embed(self):
         rng = np.random.default_rng(7)
         h = rng.standard_normal((3, 5))
-        spec = EmbeddingSpec((7,), (3,))
-        np.testing.assert_allclose(inverse_mdt(h, spec),
+        np.testing.assert_allclose(inverse_mdt(h),
                                    inverse_delay_embed_vector(h, 7, 3), atol=0)
 
     def test_non_hankel_is_per_element_mean(self):
         rng = np.random.default_rng(8)
-        spec = EmbeddingSpec((5, 4), (2, 3))
-        xh = rng.standard_normal(spec.embedded_shape)
-        out = inverse_mdt(xh, spec)
+        xh = rng.standard_normal(embedded_shape((5, 4), (2, 3)))
+        out = inverse_mdt(xh)
         # oracle: average every duplicated copy of each source position
         for i in range(5):
             for j in range(4):
@@ -257,7 +253,9 @@ class TestInverseMdt:
                           for c in range(3) if 0 <= j - c < 2]
                 assert out[i, j] == pytest.approx(np.mean(copies), rel=1e-12)
 
-    def test_shape_mismatch(self):
-        spec = EmbeddingSpec((6, 5), (3, 2))
-        with pytest.raises(ValueError, match="does not match"):
-            inverse_mdt(np.zeros((3, 4, 2, 5)), spec)
+    def test_odd_order_rejected(self):
+        # an order-2N tensor pairs (tau_n, I_n - tau_n + 1); an odd order has
+        # a window without its count
+        for shape in [(3,), (3, 4, 2)]:
+            with pytest.raises(ValueError, match="even order"):
+                inverse_mdt(np.zeros(shape))

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hankelfill import (read_image, read_mask, read_tensor, write_image, write_mask,
                         write_tensor)
@@ -162,3 +165,18 @@ class TestMaskFiles:
         write_mask(path, np.ones((2, 2), bool))
         with pytest.raises(ValueError, match="does not match"):
             read_mask(path, data_shape=(3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=arrays(np.float64, st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+                     elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_hten_mask_is_finite_values_read_as_nonzero(tmp_path_factory, values):
+    # NaN and +-Inf say neither observed nor missing: such a file is an error,
+    # never a mask that counts them as observed
+    path = tmp_path_factory.mktemp("masks") / "m.hten"
+    write_tensor(path, values)
+    if np.isfinite(values).all():
+        np.testing.assert_array_equal(read_mask(path), values != 0)
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            read_mask(path)

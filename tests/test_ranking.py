@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        ScheduleExhaustedError, StoppingCriteria,
-                        complete_with_rank_increment, default_rank_sequences,
+                        StoppingCriteria, complete_with_rank_increment, default_rank_sequences,
                         default_stopping_criteria, init_model, mode_residuals,
                         pad_model, select_increment_mode)
 from helpers import is_non_increasing, orthonormality_defect, planted_tucker, random_mask
@@ -32,22 +33,12 @@ class TestRankSchedule:
         with pytest.raises(ValueError, match="strictly increasing"):
             RankSchedule(((1, 2, 2),))
 
-    def test_cursor_tracking(self):
-        sched = RankSchedule(((1, 2, 4), (1, 3)))
-        assert sched.current_ranks() == (1, 1)
-        assert sched.advance(0) == 2
-        assert sched.current_ranks() == (2, 1)
-        assert sched.has_headroom(0)
-        assert sched.advance(0) == 4
-        assert not sched.has_headroom(0)
-        with pytest.raises(ScheduleExhaustedError):
-            sched.advance(0)
-
-    def test_copy_is_independent(self):
-        sched = RankSchedule(((1, 2),))
-        other = sched.copy()
-        other.advance(0)
-        assert sched.current_ranks() == (1,)
+    def test_is_immutable(self):
+        # a run's progress lives in its model's ranks, never in the schedule
+        sched = RankSchedule([[1, 2]])
+        assert sched.sequences == ((1, 2),)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sched.sequences = ((1,),)
 
 
 class TestModeResiduals:
@@ -86,31 +77,31 @@ class TestModeResiduals:
 class TestSelectIncrementMode:
     def test_argmax_with_headroom(self):
         sched = RankSchedule(((1, 2), (1, 2), (1, 2)))
-        assert select_increment_mode([5.0, 9.0, 2.0], sched) == 1
+        assert select_increment_mode([5.0, 9.0, 2.0], sched, (1, 1, 1)) == 1
 
     def test_tie_break_lowest_index(self):
         sched = RankSchedule(((1, 2), (1, 2), (1, 2)))
-        assert select_increment_mode([9.0, 9.0, 2.0], sched) == 0
+        assert select_increment_mode([9.0, 9.0, 2.0], sched, (1, 1, 1)) == 0
 
     def test_saturated_mode_excluded(self):
-        sched = RankSchedule(((1, 2), (1, 2), (1, 2)), cursors=[0, 1, 0])
-        assert select_increment_mode([5.0, 9.0, 2.0], sched) == 0
+        sched = RankSchedule(((1, 2), (1, 2), (1, 2)))
+        assert select_increment_mode([5.0, 9.0, 2.0], sched, (1, 2, 1)) == 0
 
     def test_all_saturated_raises(self):
-        sched = RankSchedule(((1,), (2,)), cursors=[0, 0])
-        with pytest.raises(ScheduleExhaustedError, match="exhausted"):
-            select_increment_mode([1.0, 2.0], sched)
+        sched = RankSchedule(((1,), (2,)))
+        with pytest.raises(ValueError, match="exhausted"):
+            select_increment_mode([1.0, 2.0], sched, (1, 2))
 
     def test_representability_guard_blocks_runaway_mode(self):
         # ranks (2, 1, 1): mode 0 already exceeds the product of the others,
         # so even with the largest residual it must not be grown again
-        sched = RankSchedule(((1, 2, 4), (1, 2), (1, 2)), cursors=[1, 0, 0])
-        assert select_increment_mode([100.0, 5.0, 2.0], sched) == 1
+        sched = RankSchedule(((1, 2, 4), (1, 2), (1, 2)))
+        assert select_increment_mode([100.0, 5.0, 2.0], sched, (2, 1, 1)) == 1
 
     def test_guard_falls_back_at_all_ones(self):
         sched = RankSchedule(((1, 2), (1, 2), (1, 2)))
         # at (1, 1, 1) every mode sits on the bound; plain argmax applies
-        assert select_increment_mode([1.0, 5.0, 2.0], sched) == 1
+        assert select_increment_mode([1.0, 5.0, 2.0], sched, (1, 1, 1)) == 1
 
 
 class TestPadModel:
@@ -228,9 +219,20 @@ class TestCompleteWithRankIncrement:
         t = planted_tucker((6, 6, 6), (2, 2, 2), data_seed=24)
         q = random_mask(t.shape, 0.3, seed=25)
         schedule = default_rank_sequences(t.shape)
+        before = dataclasses.replace(schedule)
         criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-8)
-        complete_with_rank_increment(t, q, schedule, criteria, seed=6)
-        assert schedule.current_ranks() == (1, 1, 1)
+        result = complete_with_rank_increment(t, q, schedule, criteria, seed=6)
+        assert result.rank_history  # the run grew some rank
+        assert schedule == before
+
+    def test_empty_mask_rejected(self):
+        # with nothing observed every model has cost 0; the loop must not
+        # return its random start as converged
+        t = np.arange(30.0).reshape(5, 6)
+        with pytest.raises(ValueError, match="mask observes no entry"):
+            complete_with_rank_increment(t, np.zeros(t.shape, bool),
+                                         default_rank_sequences(t.shape),
+                                         StoppingCriteria(epsilon=0.0, tol=0.0), seed=0)
 
     def test_sequence_exceeding_mode_size_rejected(self):
         t = np.zeros((4, 4))
