@@ -8,21 +8,21 @@ is mapped back by the least-squares inverse embedding.
 """
 
 from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, init_model
-from .core import (Shape, as_mask, as_tensor, check_shape, fold, mode_multiply,
-                   multilinear_product, unfold)
-from .embedding import (delay_embed_vector, duplication_counts, embedded_observed_energy,
-                        embedded_shape, inverse_delay_embed_vector, inverse_mdt, mdt)
+from .core import (Shape, as_mask, as_tensor, check_shape, mode_multiply, multilinear_product,
+                   unfold)
+from .embedding import (duplication_counts, embedded_observed_energy, embedded_shape,
+                        inverse_mdt, mdt)
 from .fileio import read_image, read_mask, read_tensor, write_image, write_mask, write_tensor
 from .linalg import apply_sign_convention, leading_singular_vectors
 from .masks import make_mask
-from .metrics import SsimParams, mean_ssim, psnr, snr, ssim_map
+from .metrics import mean_ssim, psnr, snr, ssim_map
 from .pipeline import RecoveryReport, RecoveryRequest, recover
 from .ranking import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankIncrementResult,
                       RankSchedule, StoppingCriteria,
                       complete_with_rank_increment, default_rank_sequences,
                       default_stopping_criteria, mode_residuals, pad_model,
                       select_increment_mode)
-from .signals import generate_signal, linear_interpolate_gaps
+from .signals import damped_sine, linear_interpolate_gaps
 
 __version__ = "0.1.0"
 
@@ -30,12 +30,12 @@ __all__ = [
     "CONVERGED", "SCHEDULE_EXHAUSTED", "SWEEP_BUDGET",
     "CostTrace", "RankIncrementResult", "RankSchedule",
     "RecoveryReport", "RecoveryRequest", "Shape",
-    "SsimParams", "StoppingCriteria", "TuckerModel",
+    "StoppingCriteria", "TuckerModel",
     "als_sweep", "apply_sign_convention", "as_mask", "as_tensor", "auxiliary_fill",
-    "check_shape", "complete_with_rank_increment", "default_rank_sequences",
-    "default_stopping_criteria", "delay_embed_vector", "duplication_counts",
-    "embedded_observed_energy", "embedded_shape", "fold", "generate_signal", "init_model",
-    "inverse_delay_embed_vector", "inverse_mdt", "leading_singular_vectors",
+    "check_shape", "complete_with_rank_increment", "damped_sine", "default_rank_sequences",
+    "default_stopping_criteria", "duplication_counts",
+    "embedded_observed_energy", "embedded_shape", "init_model",
+    "inverse_mdt", "leading_singular_vectors",
     "linear_interpolate_gaps", "make_mask", "mdt", "mean_ssim",
     "mode_multiply", "mode_residuals", "multilinear_product", "pad_model", "psnr",
     "read_image", "read_mask", "read_tensor", "recover", "select_increment_mode", "snr",

@@ -32,11 +32,11 @@ from .embedding import embedded_shape, inverse_mdt, mdt
 from .fileio import HTEN_MAGIC, read_image, read_mask, read_tensor, write_image, \
     write_mask, write_tensor
 from .masks import make_mask
-from .metrics import SsimParams, mean_ssim, psnr, snr, ssim_map
+from .metrics import mean_ssim, psnr, snr
 from .pipeline import RecoveryRequest, recover
 from .ranking import (SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
                       default_stopping_criteria)
-from .signals import generate_signal, linear_interpolate_gaps
+from .signals import damped_sine, linear_interpolate_gaps
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -148,18 +148,14 @@ def _cmd_metrics(args) -> int:
     if args.snr:
         print(snr(ref, est))
     if args.ssim:
-        params = SsimParams(dynamic_range=args.peak)
-        if ref.ndim == 2:
-            print(ssim_map(ref, est, params)[1])
-        else:
-            print(mean_ssim(ref, est, slice_mode=args.slice_mode, params=params))
+        print(mean_ssim(ref, est, slice_mode=args.slice_mode, peak=args.peak))
     return 0
 
 
 def _cmd_demo_signal(args) -> int:
-    truth = generate_signal("damped-sine", args.length, seed=args.seed,
-                            amplitude=args.amplitude, decay=args.decay,
-                            omega=args.omega, phase=args.phase, noise=args.noise)
+    truth = damped_sine(args.length, amplitude=args.amplitude, decay=args.decay,
+                        omega=args.omega, phase=args.phase, noise=args.noise,
+                        seed=args.seed)
     observed = np.ones(args.length, dtype=bool)
     if args.gap_count:
         if args.gap_start < 0 or args.gap_start + args.gap_count > args.length:

@@ -1,4 +1,4 @@
-"""Dense N-way tensor algebra: unfolding, folding and multi-linear products.
+"""Dense N-way tensor algebra: unfolding and multi-linear products.
 
 Value carriers are plain ``numpy.ndarray`` objects: float64 arrays for data
 tensors and bool arrays for observation masks. One linearization convention is
@@ -75,20 +75,6 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
-
-
-def fold(m: np.ndarray, mode: int, shape: Sequence[int]) -> np.ndarray:
-    """Exact inverse of :func:`unfold` under the same linearization."""
-    shape = check_shape(shape)
-    m = np.asarray(m)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
-    rest = tuple(s for i, s in enumerate(shape) if i != mode)
-    expected = (shape[mode], int(np.prod(rest, dtype=np.int64)) if rest else 1)
-    if m.ndim != 2 or m.shape != expected:
-        raise ValueError(f"fold: matrix shape {m.shape} inconsistent with target {shape} at mode {mode}"
-                         f" (expected {expected})")
-    return np.moveaxis(np.reshape(m, (shape[mode],) + rest, order="F"), 0, mode)
 
 
 def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:

@@ -6,9 +6,10 @@ A window length tau_n per mode turns an order-N tensor of shape
     (tau_0, I_0 - tau_0 + 1, ..., tau_{N-1}, I_{N-1} - tau_{N-1} + 1)
 
 whose entry at (a_0, b_0, ..., a_{N-1}, b_{N-1}) is the source entry at
-(a_0 + b_0, ..., a_{N-1} + b_{N-1}).  That shape is the whole spec of the
-embedding: its pairs give every window tau_n and every source length I_n,
-so :func:`inverse_mdt` takes the embedded tensor alone.  The transform
+(a_0 + b_0, ..., a_{N-1} + b_{N-1}); a vector of length L becomes its
+tau x (L - tau + 1) Hankel matrix, entry (i, j) = v[i + j].  That shape is
+the whole spec of the embedding: its pairs give every window tau_n and every
+source length I_n, so :func:`inverse_mdt` takes the embedded tensor alone.  The transform
 duplicates each source element once per window that covers it; the inverse
 averages the duplicates, which is exactly the Moore-Penrose pseudo-inverse
 of the duplication map.
@@ -20,6 +21,7 @@ tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -48,17 +50,6 @@ def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
     return tuple(embedded)
 
 
-def delay_embed_vector(v: np.ndarray, tau: int) -> np.ndarray:
-    """Hankel matrix of a vector: entry (i, j) = v[i + j], shape tau x (L - tau + 1)."""
-    v = np.asarray(v)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    length = v.shape[0]
-    if not 1 <= tau <= length:
-        raise ValueError(f"window tau={tau} out of range [1, {length}]")
-    return sliding_window_view(v, length - tau + 1).copy()
-
-
 def duplication_counts(length: int, tau: int) -> np.ndarray:
     """How many sliding windows cover each of the L positions.
 
@@ -71,26 +62,6 @@ def duplication_counts(length: int, tau: int) -> np.ndarray:
     return np.minimum.reduce([i, i[::-1],
                               np.full(length, tau, dtype=np.int64),
                               np.full(length, length - tau + 1, dtype=np.int64)])
-
-
-def inverse_delay_embed_vector(h: np.ndarray, length: int, tau: int) -> np.ndarray:
-    """Least-squares preimage of a tau x (L - tau + 1) matrix under delay embedding.
-
-    For a true Hankel matrix this is an exact left inverse; for anything else
-    each output element is the mean of its duplicated copies, which is the
-    pseudo-inverse solution argmin_v ||embed(v) - h||_F.
-    """
-    h = np.asarray(h, dtype=np.float64)
-    if not 1 <= tau <= length:
-        raise ValueError(f"window tau={tau} out of range [1, {length}]")
-    width = length - tau + 1
-    if h.shape != (tau, width):
-        raise ValueError(f"matrix shape {h.shape} does not match tau={tau}, L={length} "
-                         f"(expected {(tau, width)})")
-    out = np.zeros(length)
-    for a in range(tau):
-        out[a:a + width] += h[a]
-    return out / duplication_counts(length, tau)
 
 
 def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:
@@ -144,7 +115,7 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
     Mode pair n of ``xh`` has shape (tau_n, I_n - tau_n + 1), which gives the
     window and I_n.  Exact left inverse of :func:`mdt`; a non-Hankel input
     collapses to the per-mode weighted average of duplicates (the separable
-    pseudo-inverse).
+    pseudo-inverse).  The result never shares memory with ``xh``.
     """
     xh = np.asarray(xh, dtype=np.float64)
     if xh.ndim % 2:
@@ -152,16 +123,21 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
                          f"source mode, so even order; got shape {xh.shape}")
     check_shape(xh.shape)
     out = xh
-    # Collapse (tau, window) pairs back to full axes, last mode first so the
-    # axis numbering of the pairs still to process stays put.
+    # Collapse (tau, window) pairs back to full axes, last pair first, each on
+    # the C-order (left, tau, window, right) view that mode_multiply also
+    # uses.  A tau = 1 pair is a single window: collapsing it is a reshape.
     for axis in range(xh.ndim - 2, -1, -2):
-        tau, width = xh.shape[axis], xh.shape[axis + 1]
+        tau, width = out.shape[axis], out.shape[axis + 1]
         length = tau + width - 1
-        z = np.moveaxis(out, (axis, axis + 1), (0, 1))
-        acc = np.zeros((length,) + z.shape[2:])
-        for a in range(tau):
-            acc[a:a + width] += z[a]
-        counts = duplication_counts(length, tau).astype(np.float64)
-        acc /= counts.reshape((length,) + (1,) * (acc.ndim - 1))
-        out = np.moveaxis(acc, 0, axis)
+        head, tail = out.shape[:axis], out.shape[axis + 2:]
+        if tau > 1:
+            pairs = out.reshape(math.prod(head), tau, width, math.prod(tail))
+            acc = np.zeros((pairs.shape[0], length, pairs.shape[3]))
+            for a in range(tau):
+                acc[:, a:a + width] += pairs[:, a]
+            acc /= duplication_counts(length, tau).astype(np.float64)[:, None]
+            out = acc
+        out = out.reshape(head + (length,) + tail)
+    if np.may_share_memory(out, xh):
+        out = out.copy()
     return out

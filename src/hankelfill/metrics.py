@@ -1,46 +1,27 @@
-"""Reconstruction quality metrics: PSNR, SNR and structural similarity."""
+"""Reconstruction quality metrics: PSNR, SNR and structural similarity.
+
+SSIM uses the usual settings of Wang et al. (2004): an 11x11 Gaussian window
+of std 1.5, K1 = 0.01 and K2 = 0.03; only the peak value is an argument.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+WINDOW = 11
+SIGMA = 1.5
+K1 = 0.01
+K2 = 0.03
 
-@dataclass(frozen=True)
-class SsimParams:
-    """Local-statistics SSIM settings.
 
-    window is the side length in pixels (odd); a Gaussian weighting of the
-    given sigma is used unless ``gaussian`` is False, in which case the
-    window is uniform.  k1/k2 stabilize the luminance and contrast terms
-    relative to ``dynamic_range``.
-    """
+def _gaussian_window() -> np.ndarray:
+    half = (WINDOW - 1) / 2.0
+    g = np.exp(-((np.arange(WINDOW) - half) ** 2) / (2.0 * SIGMA**2))
+    k = np.outer(g, g)
+    return k / k.sum()
 
-    window: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 255.0
-    gaussian: bool = True
 
-    def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 1, got {self.window}")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ValueError("k1 and k2 must be positive")
-        if self.dynamic_range <= 0:
-            raise ValueError("dynamic_range must be positive")
-
-    def kernel(self) -> np.ndarray:
-        """Normalized window weights (sums to 1)."""
-        w = self.window
-        if not self.gaussian:
-            return np.full((w, w), 1.0 / (w * w))
-        half = (w - 1) / 2.0
-        g = np.exp(-((np.arange(w) - half) ** 2) / (2.0 * self.sigma**2))
-        k = np.outer(g, g)
-        return k / k.sum()
+_KERNEL = _gaussian_window()
 
 
 def _check_pair(reference: np.ndarray, estimate: np.ndarray, op: str):
@@ -87,33 +68,34 @@ def _local_mean(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def ssim_map(reference: np.ndarray, estimate: np.ndarray,
-             params: SsimParams = SsimParams()) -> tuple[np.ndarray, float]:
+             peak: float = 255.0) -> tuple[np.ndarray, float]:
     """SSIM over every position where the window fits, plus its mean.
 
     Returns ``(map, score)`` where the map covers the valid region
-    (H - window + 1) x (W - window + 1) and score is its mean, in [-1, 1].
+    (H - 10) x (W - 10) of the 11x11 window and score is its mean, in [-1, 1].
+    ``peak`` is the data's dynamic range, as in :func:`psnr`.
     """
     reference, estimate = _check_pair(reference, estimate, "ssim")
     if reference.ndim != 2:
         raise ValueError(f"ssim expects 2-D slices, got shape {reference.shape}")
-    w = params.window
-    if min(reference.shape) < w:
-        raise ValueError(f"image {reference.shape} smaller than the {w}x{w} window")
-    kernel = params.kernel()
-    mu_x = _local_mean(reference, kernel)
-    mu_y = _local_mean(estimate, kernel)
-    var_x = _local_mean(reference * reference, kernel) - mu_x * mu_x
-    var_y = _local_mean(estimate * estimate, kernel) - mu_y * mu_y
-    cov = _local_mean(reference * estimate, kernel) - mu_x * mu_y
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    if peak <= 0:
+        raise ValueError(f"peak must be positive, got {peak}")
+    if min(reference.shape) < WINDOW:
+        raise ValueError(f"image {reference.shape} smaller than the {WINDOW}x{WINDOW} window")
+    mu_x = _local_mean(reference, _KERNEL)
+    mu_y = _local_mean(estimate, _KERNEL)
+    var_x = _local_mean(reference * reference, _KERNEL) - mu_x * mu_x
+    var_y = _local_mean(estimate * estimate, _KERNEL) - mu_y * mu_y
+    cov = _local_mean(reference * estimate, _KERNEL) - mu_x * mu_y
+    c1 = (K1 * peak) ** 2
+    c2 = (K2 * peak) ** 2
     smap = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)
             / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
     return smap, float(smap.mean())
 
 
 def mean_ssim(reference: np.ndarray, estimate: np.ndarray, slice_mode: int = 2,
-              params: SsimParams = SsimParams()) -> float:
+              peak: float = 255.0) -> float:
     """Mean SSIM over all 2-D slices taken along one mode of a 3-way tensor.
 
     2-D inputs are scored as a single slice.  For color images pass the
@@ -121,12 +103,12 @@ def mean_ssim(reference: np.ndarray, estimate: np.ndarray, slice_mode: int = 2,
     """
     reference, estimate = _check_pair(reference, estimate, "mean_ssim")
     if reference.ndim == 2:
-        return ssim_map(reference, estimate, params)[1]
+        return ssim_map(reference, estimate, peak)[1]
     if reference.ndim != 3:
         raise ValueError(f"mean_ssim expects a 2-D or 3-way tensor, got order {reference.ndim}")
     if not 0 <= slice_mode < 3:
         raise ValueError(f"slice_mode {slice_mode} out of range for a 3-way tensor")
     ref_slices = np.moveaxis(reference, slice_mode, 0)
     est_slices = np.moveaxis(estimate, slice_mode, 0)
-    scores = [ssim_map(r, e, params)[1] for r, e in zip(ref_slices, est_slices)]
+    scores = [ssim_map(r, e, peak)[1] for r, e in zip(ref_slices, est_slices)]
     return float(np.mean(scores))

@@ -21,7 +21,6 @@ import numpy as np
 from .completion import CostTrace
 from .core import as_mask, as_tensor
 from .embedding import embedded_shape, inverse_mdt, mdt, mdt_mask
-from .metrics import psnr, snr
 from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
                       default_rank_sequences, default_stopping_criteria)
 
@@ -58,16 +57,14 @@ class RecoveryReport:
     rank_history: list[tuple[int, int, int]]
     status: str
     wall_time_s: float
-    metrics: dict[str, float] | None = None
 
 
-def recover(req: RecoveryRequest, ground_truth: np.ndarray | None = None,
-            peak: float | None = None) -> RecoveryReport:
+def recover(req: RecoveryRequest) -> RecoveryReport:
     """Run the full pipeline and return the estimate plus run diagnostics.
 
-    With ``ground_truth`` given, the report carries rmse/snr against it
-    (and psnr when ``peak`` is set).  The estimate has the input shape and
-    is guaranteed finite.  The embedded element count is checked against
+    The estimate has the input shape and is guaranteed finite; score it
+    with :mod:`hankelfill.metrics`.  The report's ranks are the final
+    model's.  The embedded element count is checked against
     ``max_embedded_elements`` before anything is embedded.  A mask with no
     observed entry is rejected (by the sweep loop); observed data that are all
     zero give an all-zero estimate, ``converged`` at sweep 0.
@@ -103,18 +100,7 @@ def recover(req: RecoveryRequest, ground_truth: np.ndarray | None = None,
     if not np.all(np.isfinite(estimate)):
         raise RuntimeError("recovery produced non-finite values")
 
-    report = RecoveryReport(estimate=estimate, ranks=result.terminal_ranks,
-                            cost_trace=result.cost_trace,
-                            rank_history=result.rank_history, status=result.status,
-                            wall_time_s=time.perf_counter() - started)
-    if ground_truth is not None:
-        truth = as_tensor(ground_truth)
-        if truth.shape != estimate.shape:
-            raise ValueError(f"ground truth shape {truth.shape} differs from "
-                             f"estimate shape {estimate.shape}")
-        scores = {"rmse": float(np.sqrt(np.mean((estimate - truth) ** 2))),
-                  "snr_db": snr(truth, estimate)}
-        if peak is not None:
-            scores["psnr_db"] = psnr(truth, estimate, peak)
-        report.metrics = scores
-    return report
+    return RecoveryReport(estimate=estimate, ranks=result.model.ranks,
+                          cost_trace=result.cost_trace,
+                          rank_history=result.rank_history, status=result.status,
+                          wall_time_s=time.perf_counter() - started)

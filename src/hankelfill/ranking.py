@@ -77,27 +77,27 @@ class StoppingCriteria:
     max_total_sweeps: int = DEFAULT_MAX_TOTAL_SWEEPS
 
     def __post_init__(self):
-        if self.epsilon < 0 or self.tol < 0:
-            raise ValueError("epsilon and tol must be nonnegative")
+        # NaN fails this test too: as a threshold it would never fire
+        if not (self.epsilon >= 0 and self.tol >= 0):
+            raise ValueError(f"epsilon and tol must be nonnegative, got "
+                             f"epsilon={self.epsilon}, tol={self.tol}")
         if self.max_total_sweeps < 1:
             raise ValueError("max_total_sweeps must be >= 1")
 
 
 def default_stopping_criteria(values: np.ndarray, mask: np.ndarray, taus: Sequence[int],
-                              epsilon_rel: float = DEFAULT_EPSILON_REL,
-                              tol_rel: float = DEFAULT_TOL_REL,
-                              max_total_sweeps: int = DEFAULT_MAX_TOTAL_SWEEPS,
-                              ) -> StoppingCriteria:
+                              epsilon_rel: float = DEFAULT_EPSILON_REL) -> StoppingCriteria:
     """Thresholds scaled to the observed energy, so they transfer across data scales.
 
     ``values``/``mask`` are the input before embedding with windows ``taus``;
     the energy is that of the observed part of the embedded tensor (see
     :func:`embedded_observed_energy`).  All-ones windows give the plain
-    observed energy of ``values``.
+    observed energy of ``values``.  epsilon is ``epsilon_rel`` and tol
+    DEFAULT_TOL_REL times that energy, with DEFAULT_MAX_TOTAL_SWEEPS; change
+    any of them with ``dataclasses.replace``.
     """
     energy = embedded_observed_energy(values, mask, taus)
-    return StoppingCriteria(epsilon=epsilon_rel * energy, tol=tol_rel * energy,
-                            max_total_sweeps=max_total_sweeps)
+    return StoppingCriteria(epsilon=epsilon_rel * energy, tol=DEFAULT_TOL_REL * energy)
 
 
 def default_rank_sequences(embedded_shape: Sequence[int]) -> RankSchedule:
@@ -209,10 +209,6 @@ class RankIncrementResult:
     # (sweep index at which the increment fired, mode, new rank)
     rank_history: list[tuple[int, int, int]]
     status: str
-
-    @property
-    def terminal_ranks(self) -> tuple[int, ...]:
-        return self.model.ranks
 
 
 def _impute(t_h: np.ndarray, q_h: np.ndarray,

@@ -1,96 +1,28 @@
-"""Synthetic 1-D test signals and a linear-interpolation reference fill."""
+"""A damped-sinusoid test signal and a linear-interpolation reference fill."""
 
 from __future__ import annotations
 
 import numpy as np
 
-KINDS = ("damped-sine", "sine-mixture", "lorenz-x")
 
+def damped_sine(length: int, *, amplitude: float = 1.0, decay: float = 0.01,
+                omega: float = 0.5, phase: float = 0.0, noise: float = 0.0,
+                seed=0) -> np.ndarray:
+    """amplitude * exp(-decay * t) * sin(omega * t + phase) at t = 0 .. length - 1.
 
-def generate_signal(kind: str, length: int, seed=0, **params) -> np.ndarray:
-    """Generate a deterministic test signal of the given length.
-
-    damped-sine    amplitude * exp(-decay * t) * sin(omega * t + phase)
-                   plus optional Gaussian noise of std ``noise``
-    sine-mixture   sum of sinusoids given by ``amplitudes``/``omegas``/``phases``
-                   plus optional noise
-    lorenz-x       first coordinate of the Lorenz system integrated with
-                   classic fourth-order Runge-Kutta at fixed step ``dt``
-                   (sigma=10, rho=28, beta=8/3 by default); ``discard``
-                   leading transient samples
+    Gaussian noise of std ``noise`` is added, drawn from a generator seeded
+    with ``seed``.  A noiseless damped sinusoid delay-embeds to a Hankel
+    matrix of rank two, the low-rank structure the recovery relies on.
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    t = np.arange(length, dtype=np.float64)
-
-    if kind == "damped-sine":
-        amplitude = float(params.pop("amplitude", 1.0))
-        decay = float(params.pop("decay", 0.01))
-        omega = float(params.pop("omega", 0.5))
-        phase = float(params.pop("phase", 0.0))
-        noise = float(params.pop("noise", 0.0))
-        _reject_extra(kind, params)
-        v = amplitude * np.exp(-decay * t) * np.sin(omega * t + phase)
-        return _add_noise(v, noise, seed)
-
-    if kind == "sine-mixture":
-        amplitudes = np.atleast_1d(np.asarray(params.pop("amplitudes", [1.0]), dtype=np.float64))
-        omegas = np.atleast_1d(np.asarray(params.pop("omegas", [0.5]), dtype=np.float64))
-        phases = np.atleast_1d(np.asarray(params.pop("phases", np.zeros_like(omegas)),
-                                          dtype=np.float64))
-        noise = float(params.pop("noise", 0.0))
-        _reject_extra(kind, params)
-        if not len(amplitudes) == len(omegas) == len(phases):
-            raise ValueError("amplitudes, omegas and phases must have equal length")
-        v = np.zeros(length)
-        for a, w, p in zip(amplitudes, omegas, phases):
-            v += a * np.sin(w * t + p)
-        return _add_noise(v, noise, seed)
-
-    if kind == "lorenz-x":
-        dt = float(params.pop("dt", 0.01))
-        state = np.asarray(params.pop("x0", (1.0, 1.0, 1.0)), dtype=np.float64)
-        sigma = float(params.pop("sigma", 10.0))
-        rho = float(params.pop("rho", 28.0))
-        beta = float(params.pop("beta", 8.0 / 3.0))
-        discard = int(params.pop("discard", 0))
-        _reject_extra(kind, params)
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        if state.shape != (3,):
-            raise ValueError(f"x0 must be a 3-vector, got shape {state.shape}")
-        if discard < 0:
-            raise ValueError("discard must be nonnegative")
-
-        def deriv(s):
-            x, y, z = s
-            return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
-
-        out = np.empty(length)
-        for i in range(discard + length):
-            if i >= discard:
-                out[i - discard] = state[0]
-            k1 = deriv(state)
-            k2 = deriv(state + 0.5 * dt * k1)
-            k3 = deriv(state + 0.5 * dt * k2)
-            k4 = deriv(state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return out
-
-    raise ValueError(f"unknown signal kind {kind!r}; choose from {KINDS}")
-
-
-def _add_noise(v: np.ndarray, noise: float, seed) -> np.ndarray:
     if noise < 0:
         raise ValueError(f"noise std must be nonnegative, got {noise}")
+    t = np.arange(length, dtype=np.float64)
+    v = amplitude * np.exp(-decay * t) * np.sin(omega * t + phase)
     if noise == 0.0:
         return v
     return v + noise * np.random.default_rng(seed).standard_normal(v.shape)
-
-
-def _reject_extra(kind: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters for {kind!r}: {sorted(params)}")
 
 
 def linear_interpolate_gaps(values: np.ndarray, observed: np.ndarray) -> np.ndarray:

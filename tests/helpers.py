@@ -2,7 +2,11 @@
 
 import numpy as np
 
-from hankelfill import RankSchedule, complete_with_rank_increment, init_model, multilinear_product
+from hankelfill import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
+                        duplication_counts, embedded_observed_energy, init_model,
+                        multilinear_product)
+from hankelfill.metrics import K1, K2, SIGMA, WINDOW
+from hankelfill.ranking import DEFAULT_MAX_TOTAL_SWEEPS
 
 
 def random_orthonormal(rng, rows, cols):
@@ -22,6 +26,14 @@ def fixed_rank_fit(t, q, ranks, criteria, seed):
     """Fixed-rank completion: the sweep loop on one-element rank sequences."""
     schedule = RankSchedule(tuple((r,) for r in ranks))
     return complete_with_rank_increment(t, q, schedule, criteria, seed=seed)
+
+
+def relative_criteria(values, mask, taus, epsilon_rel, tol_rel,
+                      max_total_sweeps=DEFAULT_MAX_TOTAL_SWEEPS):
+    """Stopping thresholds as fractions of the observed embedded energy."""
+    energy = embedded_observed_energy(values, mask, taus)
+    return StoppingCriteria(epsilon=epsilon_rel * energy, tol=tol_rel * energy,
+                            max_total_sweeps=max_total_sweeps)
 
 
 def masked_cost(t, q, x):
@@ -61,12 +73,43 @@ def texture_image(side=64, channels=3):
     return (img - img.min()) / (img.max() - img.min()) * 255.0
 
 
-def naive_ssim_map(reference, estimate, params):
+def fold(m, mode, shape):
+    """Inverse of ``unfold``: the oracle its layout is checked against."""
+    shape = tuple(shape)
+    m = np.asarray(m)
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
+    rest = tuple(s for i, s in enumerate(shape) if i != mode)
+    expected = (shape[mode], int(np.prod(rest, dtype=np.int64)) if rest else 1)
+    if m.ndim != 2 or m.shape != expected:
+        raise ValueError(f"fold: matrix shape {m.shape} inconsistent with target {shape} at mode {mode}"
+                         f" (expected {expected})")
+    return np.moveaxis(np.reshape(m, (shape[mode],) + rest, order="F"), 0, mode)
+
+
+def delay_embed_vector(v, tau):
+    """Hankel matrix of a vector: entry (i, j) = v[i + j], shape tau x (L - tau + 1)."""
+    v = np.asarray(v)
+    width = v.shape[0] - tau + 1
+    return np.array([v[a:a + width] for a in range(tau)])
+
+
+def inverse_delay_embed_vector(h, length, tau):
+    """Mean of the duplicated copies of each of the ``length`` vector entries."""
+    width = length - tau + 1
+    out = np.zeros(length)
+    for a in range(tau):
+        out[a:a + width] += h[a]
+    return out / duplication_counts(length, tau)
+
+
+def naive_ssim_map(reference, estimate, peak=255.0):
     """Plain sliding-window SSIM, one window at a time; the test oracle."""
-    kernel = params.kernel()
-    w = params.window
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    w = WINDOW
+    g = np.exp(-((np.arange(w) - (w - 1) / 2) ** 2) / (2 * SIGMA**2))
+    kernel = np.outer(g, g) / np.outer(g, g).sum()
+    c1 = (K1 * peak) ** 2
+    c2 = (K2 * peak) ** 2
     rows = reference.shape[0] - w + 1
     cols = reference.shape[1] - w + 1
     out = np.empty((rows, cols))

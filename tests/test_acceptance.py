@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from hankelfill import (RecoveryRequest, StoppingCriteria, complete_with_rank_increment,
-                        default_rank_sequences, default_stopping_criteria, embedded_shape,
-                        generate_signal, inverse_mdt, linear_interpolate_gaps, make_mask,
-                        mdt, psnr, recover, snr, ssim_map)
+                        damped_sine, default_rank_sequences, embedded_shape, inverse_mdt,
+                        linear_interpolate_gaps, make_mask, mdt, psnr, recover, snr, ssim_map)
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, naive_ssim_map,
-                     orthonormality_defect, planted_tucker, random_mask, texture_image)
+                     orthonormality_defect, planted_tucker, random_mask, relative_criteria,
+                     texture_image)
 
 
 def _report(name, ok, detail):
@@ -82,30 +82,28 @@ def test_criterion_4_planted_model():
     fixed_err = (np.linalg.norm((fixed.model.reconstruct() - truth)[hidden])
                  / np.linalg.norm(truth[hidden]))
 
-    criteria = default_stopping_criteria(truth, q, (1, 1, 1), epsilon_rel=1e-10,
-                                         tol_rel=1e-10)
+    criteria = relative_criteria(truth, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-10)
     result = complete_with_rank_increment(truth, q, default_rank_sequences(shape),
                                           criteria, seed=7)
     inc_err = (np.linalg.norm((result.model.reconstruct() - truth)[hidden])
                / np.linalg.norm(truth[hidden]))
-    covers = all(r >= p for r, p in zip(result.terminal_ranks, true_ranks))
+    covers = all(r >= p for r, p in zip(result.model.ranks, true_ranks))
     elapsed = time.perf_counter() - started
     _report("4 planted-model",
             fixed_err < 1e-5 and inc_err < 1e-3 and covers and elapsed < 30.0,
             f"fixed-rank err {fixed_err:.2e}, increment err {inc_err:.2e}, "
-            f"terminal ranks {result.terminal_ranks}, {elapsed:.1f}s")
+            f"terminal ranks {result.model.ranks}, {elapsed:.1f}s")
 
 
 def test_criterion_5_signal_gap():
     started = time.perf_counter()
     length, tau, amplitude = 200, 50, 1.0
-    truth = generate_signal("damped-sine", length, amplitude=amplitude, decay=0.005,
-                            omega=0.55, phase=0.3)
+    truth = damped_sine(length, amplitude=amplitude, decay=0.005, omega=0.55, phase=0.3)
     observed = np.ones(length, bool)
     observed[85:115] = False  # samples 86..115, 1-based
 
-    criteria = default_stopping_criteria(truth, observed, (tau,), epsilon_rel=1e-8,
-                                         tol_rel=1e-9, max_total_sweeps=2000)
+    criteria = relative_criteria(truth, observed, (tau,), epsilon_rel=1e-8, tol_rel=1e-9,
+                                 max_total_sweeps=2000)
     report = recover(RecoveryRequest(data=truth, mask=observed, taus=(tau,),
                                      criteria=criteria, seed=0))
     gap = ~observed
@@ -125,8 +123,8 @@ def test_criterion_6_slice_inpainting():
     img = texture_image(64)
     mask = make_mask(img.shape, "slices", mode=1, start=30, count=5)
 
-    criteria = default_stopping_criteria(img, mask, (8, 8, 1), epsilon_rel=1e-7,
-                                         tol_rel=1e-5, max_total_sweeps=3000)
+    criteria = relative_criteria(img, mask, (8, 8, 1), epsilon_rel=1e-7, tol_rel=1e-5,
+                                 max_total_sweeps=3000)
     report = recover(RecoveryRequest(data=img, mask=mask, taus=(8, 8, 1),
                                      criteria=criteria, seed=0))
     recovered_psnr = psnr(img, report.estimate, 255.0)
@@ -163,10 +161,8 @@ def test_criterion_7_metric_correctness():
 
     ref = rng.uniform(0, 255, (16, 16))
     est = np.clip(ref + rng.normal(0, 30, (16, 16)), 0, 255)
-    from hankelfill import SsimParams
-    params = SsimParams()
-    smap, _ = ssim_map(ref, est, params)
-    gap = float(np.abs(smap - naive_ssim_map(ref, est, params)).max())
+    smap, _ = ssim_map(ref, est)
+    gap = float(np.abs(smap - naive_ssim_map(ref, est)).max())
     ok &= gap <= 1e-8
     details.append(f"ssim vs naive {gap:.1e}")
     _report("7 metric-correctness", ok, ", ".join(details))

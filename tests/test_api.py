@@ -4,10 +4,23 @@ The size check is deliberate: a change that grows or shrinks the API has to
 update it, and say why.
 """
 
+import dataclasses
+import inspect
+
 import hankelfill
 
 REMOVED = ("tucker_complete", "FitConfig", "FIXED_RANK", "hadamard", "frobenius_norm",
-           "squeeze_modes", "cost", "mdt_mask", "EmbeddingSpec", "ScheduleExhaustedError")
+           "squeeze_modes", "cost", "mdt_mask", "EmbeddingSpec", "ScheduleExhaustedError",
+           "delay_embed_vector", "inverse_delay_embed_vector", "fold", "SsimParams",
+           "generate_signal")
+
+# Settings that no caller outside the tests used.
+REMOVED_PARAMETERS = {
+    hankelfill.recover: ("ground_truth", "peak"),
+    hankelfill.default_stopping_criteria: ("tol_rel", "max_total_sweeps"),
+    hankelfill.ssim_map: ("params",),
+    hankelfill.mean_ssim: ("params",),
+}
 
 
 def test_names_are_unique():
@@ -24,5 +37,12 @@ def test_removed_names_stay_gone():
     assert [name for name in REMOVED if hasattr(hankelfill, name)] == []
 
 
+def test_removed_settings_stay_gone():
+    for func, names in REMOVED_PARAMETERS.items():
+        assert set(names).isdisjoint(inspect.signature(func).parameters), func.__name__
+    assert "metrics" not in {f.name for f in dataclasses.fields(hankelfill.RecoveryReport)}
+    assert not hasattr(hankelfill.RankIncrementResult, "terminal_ranks")
+
+
 def test_size():
-    assert len(hankelfill.__all__) == 51
+    assert len(hankelfill.__all__) == 47

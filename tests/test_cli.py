@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hankelfill import read_tensor, write_image, write_mask, write_tensor
+from hankelfill import read_image, read_tensor, ssim_map, write_image, write_mask, write_tensor
 from hankelfill.cli import main
 from helpers import texture_image
 
@@ -32,6 +32,17 @@ class TestMetricsCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 3
         assert all(float(line) > 0 for line in lines)
+
+    def test_gray_ssim_is_the_single_slice_score(self, tmp_path, capsys):
+        ref = tmp_path / "ref.pgm"
+        est = tmp_path / "est.pgm"
+        write_image(ref, texture_image(16, channels=1)[:, :, 0])
+        write_image(est, np.clip(texture_image(16, channels=1)[:, :, 0] + 9.0, 0, 255))
+        code, out, _ = run_cli(capsys, "metrics", "--ref", str(ref), "--est", str(est),
+                               "--ssim", "--peak", "200")
+        assert code == 0
+        expected = ssim_map(read_image(ref), read_image(est), peak=200.0)[1]
+        assert out == f"{expected}\n"
 
     def test_no_metric_requested_fails(self, tmp_path, capsys):
         path = tmp_path / "a.pgm"
@@ -185,6 +196,19 @@ class TestRecoverCommand:
         assert len(lines) == 1
         assert lines[0].startswith(f"warning: stopped by {threshold} with cost ")
         assert lines[0].endswith(" above --epsilon 0")
+
+    @pytest.mark.parametrize("flag", ["--epsilon", "--tol"])
+    def test_nan_threshold_is_an_error(self, tmp_path, capsys, flag):
+        # NaN compares false: as --tol it never sees a plateau, as --epsilon
+        # it never converges, so the run would spend its whole budget
+        data, mask = self.fixture_files(tmp_path)
+        out = tmp_path / "o.hten"
+        code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask", str(mask),
+                                  "--tau", "4,4,1", flag, "nan", "--output", str(out))
+        assert code == 1
+        assert text == ""
+        assert err.startswith("error: epsilon and tol must be nonnegative")
+        assert not out.exists()
 
     def test_empty_mask_is_an_error(self, tmp_path, capsys):
         data, _ = self.fixture_files(tmp_path)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hankelfill import (as_mask, as_tensor, check_shape, fold, mode_multiply,
-                        multilinear_product, unfold)
-from helpers import planted_tucker, random_orthonormal
+from hankelfill import (as_mask, as_tensor, check_shape, mode_multiply, multilinear_product,
+                        unfold)
+from helpers import fold, planted_tucker, random_orthonormal
 
 
 class TestShapeAndConstruction:

@@ -5,32 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (delay_embed_vector, duplication_counts, embedded_observed_energy,
-                        embedded_shape, inverse_delay_embed_vector, inverse_mdt, mdt)
+from hankelfill import (duplication_counts, embedded_observed_energy, embedded_shape,
+                        inverse_mdt, mdt)
 from hankelfill.embedding import mdt_mask
+from helpers import delay_embed_vector, inverse_delay_embed_vector
 
 
 class TestDelayEmbedVector:
+    """``mdt`` of a vector: its Hankel matrix."""
+
     def test_hankel_matrix_of_1_to_5(self):
-        h = delay_embed_vector(np.array([1.0, 2, 3, 4, 5]), 3)
+        h = mdt(np.array([1.0, 2, 3, 4, 5]), (3,))
         np.testing.assert_array_equal(h, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
 
     def test_tau_one_is_row(self):
         v = np.arange(4.0)
-        h = delay_embed_vector(v, 1)
+        h = mdt(v, (1,))
         assert h.shape == (1, 4)
         np.testing.assert_array_equal(h[0], v)
 
     def test_tau_full_is_column(self):
         v = np.arange(4.0)
-        h = delay_embed_vector(v, 4)
+        h = mdt(v, (4,))
         assert h.shape == (4, 1)
         np.testing.assert_array_equal(h[:, 0], v)
 
     def test_constant_antidiagonals(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(9)
-        h = delay_embed_vector(v, 4)
+        h = mdt(v, (4,))
         for i in range(4):
             for j in range(6):
                 assert h[i, j] == v[i + j]
@@ -38,7 +41,7 @@ class TestDelayEmbedVector:
     def test_tau_out_of_range(self):
         for bad in (0, 6):
             with pytest.raises(ValueError, match="out of range"):
-                delay_embed_vector(np.zeros(5), bad)
+                mdt(np.zeros(5), (bad,))
 
 
 class TestDuplicationCounts:
@@ -52,7 +55,7 @@ class TestDuplicationCounts:
         for length in range(1, 9):
             v = np.arange(1.0, length + 1)
             for tau in range(1, length + 1):
-                h = delay_embed_vector(v, tau)
+                h = mdt(v, (tau,))
                 occurrences = [(h == x).sum() for x in v]
                 np.testing.assert_array_equal(duplication_counts(length, tau), occurrences)
 
@@ -62,19 +65,18 @@ class TestDuplicationCounts:
 
 
 class TestInverseDelayEmbedVector:
+    """``inverse_mdt`` of a tau x (L - tau + 1) matrix: the least-squares vector."""
+
     def test_roundtrip(self):
         v = np.array([1.0, 2, 3, 4, 5])
-        np.testing.assert_allclose(
-            inverse_delay_embed_vector(delay_embed_vector(v, 3), 5, 3), v, atol=0)
+        np.testing.assert_allclose(inverse_mdt(mdt(v, (3,))), v, atol=0)
 
     def test_hand_computed_non_hankel(self):
         h = np.array([[1.0, 5.0], [3.0, 7.0]])
-        np.testing.assert_allclose(inverse_delay_embed_vector(h, 3, 2), [1.0, 4.0, 7.0],
-                                   atol=0)
+        np.testing.assert_allclose(inverse_mdt(h), [1.0, 4.0, 7.0], atol=0)
 
     def test_all_ones_input(self):
-        np.testing.assert_allclose(inverse_delay_embed_vector(np.ones((3, 4)), 6, 3),
-                                   np.ones(6), atol=0)
+        np.testing.assert_allclose(inverse_mdt(np.ones((3, 4))), np.ones(6), atol=0)
 
     def test_least_squares_against_dense_pseudoinverse(self):
         # oracle: materialize the duplication matrix and use its pinv
@@ -87,12 +89,7 @@ class TestInverseDelayEmbedVector:
                     s[a + tau * b, a + b] = 1.0
             h = rng.standard_normal((tau, width))
             expected = np.linalg.pinv(s) @ h.ravel(order="F")
-            np.testing.assert_allclose(inverse_delay_embed_vector(h, length, tau),
-                                       expected, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            inverse_delay_embed_vector(np.zeros((2, 2)), 5, 2)
+            np.testing.assert_allclose(inverse_mdt(h), expected, atol=1e-12)
 
 
 class TestEmbeddingSpec:
@@ -211,7 +208,10 @@ def test_inverse_mdt_undoes_mdt(case):
     whole = rng.integers(-1000, 1000, shape).astype(np.float64)
     xh = mdt(whole, taus)
     assert xh.shape == embedded_shape(shape, taus)
-    np.testing.assert_array_equal(inverse_mdt(xh), whole)
+    back = inverse_mdt(xh)
+    np.testing.assert_array_equal(back, whole)
+    # a fresh array, also when every window is 1 and collapsing is a reshape
+    assert not np.shares_memory(back, xh)
     # General values: the duplicates along mode n are equal, so summing and
     # dividing them rounds by at most tau_n units in the last place.
     x = rng.standard_normal(shape)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,3 +182,77 @@ def test_hten_mask_is_finite_values_read_as_nonzero(tmp_path_factory, values):
     else:
         with pytest.raises(ValueError, match="non-finite"):
             read_mask(path)
+
+
+# ---------------------------------------------------------------- hostile files
+# A file from outside is either read or rejected with a ValueError; a header
+# must never make a reader allocate for, or unpack, what the file does not hold.
+
+ABSURD_DIMS = (0, 2**40, 2**62, 2**63, 2**64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+       absurd=st.sampled_from(ABSURD_DIMS), at=st.integers(0, 3),
+       payload=st.binary(max_size=64))
+def test_absurd_hten_dims_are_value_errors(tmp_path_factory, dims, absurd, at, payload):
+    dims.insert(min(at, len(dims)), absurd)
+    path = tmp_path_factory.mktemp("hten") / "t.hten"
+    path.write_bytes(b"HTEN" + struct.pack(f"<BB{len(dims)}Q", 1, len(dims), *dims) + payload)
+    with pytest.raises(ValueError):
+        read_tensor(path)
+    with pytest.raises(ValueError):
+        read_mask(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(magic=st.sampled_from([b"P5", b"P6"]),
+       sizes=st.tuples(st.sampled_from(ABSURD_DIMS + (-1, 2**64, 10**40)),
+                       st.integers(1, 2**64)).flatmap(st.permutations),
+       payload=st.binary(max_size=64))
+def test_absurd_image_dims_are_value_errors(tmp_path_factory, magic, sizes, payload):
+    path = tmp_path_factory.mktemp("pnm") / "i.pnm"
+    path.write_bytes(magic + b"\n%d %d\n255\n" % tuple(sizes) + payload)
+    with pytest.raises(ValueError):
+        read_image(path)
+    with pytest.raises(ValueError):
+        read_mask(path)
+
+
+VALID_FILES = {
+    "ppm": (read_image, b"P6\n4 3\n255\n" + bytes(range(36))),
+    "pgm": (read_image, b"P5\n# a comment\n4 3\n255\n" + bytes(range(12))),
+    "hten": (read_tensor, b"HTEN" + struct.pack("<BB2Q", 1, 2, 2, 3) + np.arange(6.0).tobytes()),
+}
+
+# one edit of a valid file: cut it at a byte, overwrite a byte, or insert bytes
+_mutations = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 64), st.just(b"")),
+    st.tuples(st.just("set"), st.integers(0, 64), st.binary(min_size=1, max_size=1)),
+    st.tuples(st.just("insert"), st.integers(0, 64), st.binary(min_size=1, max_size=12)))
+
+
+def _mutate(data, edits):
+    for kind, at, chunk in edits:
+        at = min(at, len(data))
+        if kind == "cut":
+            data = data[:at]
+        elif kind == "set":
+            data = data[:at] + chunk + data[at + 1:]
+        else:
+            data = data[:at] + chunk + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(VALID_FILES)), edits=st.lists(_mutations, min_size=1,
+                                                                  max_size=4))
+def test_mutated_files_are_read_or_value_errors(tmp_path_factory, kind, edits):
+    reader, data = VALID_FILES[kind]
+    path = tmp_path_factory.mktemp("mutated") / f"m.{kind}"
+    path.write_bytes(_mutate(data, edits))
+    for read in (reader, read_mask):
+        try:
+            read(path)
+        except ValueError:
+            pass

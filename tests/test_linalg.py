@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelfill.linalg import (apply_sign_convention, complete_orthonormal_basis,
                                leading_singular_vectors)
@@ -122,3 +124,33 @@ class TestCompleteOrthonormalBasis:
     def test_rejects_impossible_extension(self):
         with pytest.raises(ValueError):
             complete_orthonormal_basis(np.eye(3), 4)
+
+
+@st.composite
+def ill_conditioned_matrices(draw):
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 12))
+    k = min(rows, cols)
+    # singular values from 1 down to 1e-14, both ends present
+    inner = draw(st.lists(st.floats(-14.0, 0.0), min_size=max(k - 2, 0),
+                          max_size=max(k - 2, 0)))
+    exponents = sorted([0.0, -14.0][:k] + inner, reverse=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = random_orthonormal(rng, rows, k)
+    right = random_orthonormal(rng, cols, k)
+    a = (left * 10.0 ** np.array(exponents)) @ right.T
+    return a, draw(st.integers(1, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ill_conditioned_matrices())
+def test_captured_energy_matches_svd(case):
+    # The Gram eigensolve squares the condition number, so its vectors may
+    # differ from the SVD's in the tiny directions; the energy they capture,
+    # the quantity the ALS update maximizes, must not.
+    a, r = case
+    u = leading_singular_vectors(a, r)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    total = float(np.sum(sigma**2))
+    assert abs(captured_energy(u, a) - float(np.sum(sigma[:r] ** 2))) <= 1e-12 * total
+    assert orthonormality_defect(u) < 1e-12

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hankelfill import SsimParams, mean_ssim, psnr, snr, ssim_map
+from hankelfill import mean_ssim, psnr, snr, ssim_map
 from helpers import naive_ssim_map
 
 
@@ -83,17 +83,17 @@ class TestSsim:
         rng = np.random.default_rng(6)
         ref = rng.uniform(0, 255, (16, 16))
         est = np.clip(ref + rng.normal(0, 25, (16, 16)), 0, 255)
-        params = SsimParams()
-        smap, _ = ssim_map(ref, est, params)
-        np.testing.assert_allclose(smap, naive_ssim_map(ref, est, params), atol=1e-8)
+        smap, _ = ssim_map(ref, est)
+        np.testing.assert_allclose(smap, naive_ssim_map(ref, est), atol=1e-8)
 
-    def test_matches_naive_oracle_uniform_window(self):
+    def test_peak_scales_the_stabilizers(self):
+        # scaling data and peak together leaves every SSIM term's ratio alone
         rng = np.random.default_rng(7)
-        ref = rng.uniform(0, 255, (16, 16))
-        est = rng.uniform(0, 255, (16, 16))
-        params = SsimParams(window=7, gaussian=False)
-        smap, _ = ssim_map(ref, est, params)
-        np.testing.assert_allclose(smap, naive_ssim_map(ref, est, params), atol=1e-8)
+        ref = rng.uniform(0, 1, (16, 16))
+        est = np.clip(ref + rng.normal(0, 0.1, (16, 16)), 0, 1)
+        smap, _ = ssim_map(ref, est, peak=1.0)
+        np.testing.assert_allclose(smap, naive_ssim_map(ref, est, peak=1.0), atol=1e-8)
+        np.testing.assert_allclose(smap, ssim_map(255 * ref, 255 * est)[0], rtol=1e-12)
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -110,11 +110,11 @@ class TestSsim:
 
     def test_image_smaller_than_window(self):
         with pytest.raises(ValueError, match="smaller than"):
-            ssim_map(np.zeros((8, 8)), np.zeros((8, 8)), SsimParams(window=11))
+            ssim_map(np.zeros((8, 8)), np.zeros((8, 8)))
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError, match="odd"):
-            SsimParams(window=4)
+    def test_invalid_peak(self):
+        with pytest.raises(ValueError, match="peak"):
+            ssim_map(np.zeros((12, 12)), np.zeros((12, 12)), peak=0.0)
 
 
 class TestMeanSsim:

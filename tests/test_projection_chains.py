@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (TuckerModel, als_sweep, fold, init_model, mode_multiply,
-                        mode_residuals, unfold)
+from hankelfill import (TuckerModel, als_sweep, init_model, mode_multiply, mode_residuals,
+                        unfold)
 from hankelfill import completion, ranking
 from hankelfill.linalg import complete_orthonormal_basis, leading_singular_vectors
+from helpers import fold
 
 EPS = np.finfo(np.float64).eps
 

@@ -7,7 +7,16 @@ from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedul
                         StoppingCriteria, complete_with_rank_increment, default_rank_sequences,
                         default_stopping_criteria, init_model, mode_residuals,
                         pad_model, select_increment_mode)
-from helpers import is_non_increasing, orthonormality_defect, planted_tucker, random_mask
+from helpers import (is_non_increasing, orthonormality_defect, planted_tucker, random_mask,
+                     relative_criteria)
+
+
+class TestStoppingCriteria:
+    @pytest.mark.parametrize("epsilon, tol", [(float("nan"), 1.0), (1.0, float("nan")),
+                                              (-1.0, 1.0), (1.0, -1e-300)])
+    def test_negative_or_nan_threshold_rejected(self, epsilon, tol):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            StoppingCriteria(epsilon=epsilon, tol=tol)
 
 
 class TestDefaultRankSequences:
@@ -142,11 +151,11 @@ class TestCompleteWithRankIncrement:
     def test_planted_model_recovered(self):
         t = planted_tucker((8, 8, 8), (1, 3, 2), data_seed=10)
         q = random_mask(t.shape, 0.2, seed=11)
-        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-12, tol_rel=1e-10)
+        criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-12, tol_rel=1e-10)
         result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
                                               criteria, seed=5)
         assert result.status == CONVERGED
-        assert all(r >= p for r, p in zip(result.terminal_ranks, (1, 3, 2)))
+        assert all(r >= p for r, p in zip(result.model.ranks, (1, 3, 2)))
         x = result.model.reconstruct()
         hidden = ~q
         rel = np.linalg.norm((x - t)[hidden]) / np.linalg.norm(t[hidden])
@@ -160,13 +169,13 @@ class TestCompleteWithRankIncrement:
         result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
                                               criteria, seed=0)
         assert result.status == CONVERGED
-        assert result.terminal_ranks == (1, 1, 1)
+        assert result.model.ranks == (1, 1, 1)
         assert len(result.cost_trace) == 1  # initial cost already below epsilon
 
     def test_trace_monotone_across_increments(self):
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=14)
         q = random_mask(t.shape, 0.3, seed=15)
-        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
+        criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
         result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
                                               criteria, seed=1)
         assert result.rank_history  # at least one increment happened
@@ -176,19 +185,19 @@ class TestCompleteWithRankIncrement:
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=16)
         q = random_mask(t.shape, 0.3, seed=17)
         schedule = default_rank_sequences(t.shape)
-        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
+        criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
         result = complete_with_rank_increment(t, q, schedule, criteria, seed=2)
         ranks = [1, 1, 1]
         for _, mode, new_rank in result.rank_history:
             assert new_rank > ranks[mode]
             assert new_rank in schedule.sequences[mode]
             ranks[mode] = new_rank
-        assert tuple(ranks) == result.terminal_ranks
+        assert tuple(ranks) == result.model.ranks
 
     def test_increments_only_after_plateau(self):
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=18)
         q = random_mask(t.shape, 0.3, seed=19)
-        criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
+        criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
         result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
                                               criteria, seed=3)
         costs = dict(result.cost_trace)
@@ -203,7 +212,7 @@ class TestCompleteWithRankIncrement:
         criteria = StoppingCriteria(epsilon=0.0, tol=1e-3, max_total_sweeps=500)
         result = complete_with_rank_increment(t, q, schedule, criteria, seed=4)
         assert result.status == SCHEDULE_EXHAUSTED
-        assert result.terminal_ranks == (2, 2, 2)
+        assert result.model.ranks == (2, 2, 2)
 
     def test_sweep_budget_status(self):
         rng = np.random.default_rng(22)

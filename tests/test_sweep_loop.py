@@ -69,7 +69,7 @@ def test_every_rank_event_lands_on_its_sequence(case):
         assert new_rank == schedule.sequences[mode][cursors[mode]]
         last_sweep = sweep
     expected = tuple(seq[k] for seq, k in zip(schedule.sequences, cursors))
-    assert result.terminal_ranks == expected
+    assert result.model.ranks == expected
     if all(len(seq) == 1 for seq in schedule.sequences):
         assert result.rank_history == []
 
