@@ -156,9 +156,12 @@ def _cmd_demo_signal(args) -> int:
     truth = damped_sine(args.length, amplitude=args.amplitude, decay=args.decay,
                         omega=args.omega, phase=args.phase, noise=args.noise,
                         seed=args.seed)
+    if args.gap_start < 0 or args.gap_count < 0:
+        raise ValueError(f"--gap-start and --gap-count must be nonnegative, got "
+                         f"{args.gap_start} and {args.gap_count}")
     observed = np.ones(args.length, dtype=bool)
     if args.gap_count:
-        if args.gap_start < 0 or args.gap_start + args.gap_count > args.length:
+        if args.gap_start + args.gap_count > args.length:
             raise ValueError("gap lies outside the signal")
         observed[args.gap_start:args.gap_start + args.gap_count] = False
 

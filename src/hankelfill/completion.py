@@ -15,6 +15,9 @@ drives these steps is :func:`hankelfill.ranking.complete_with_rank_increment`;
 a fixed-rank fit is a rank schedule of one-element sequences.  The mask
 enters only the imputation: with z the imputed tensor and x the
 reconstruction, z - x is the masked residual and ||z - x||^2 the masked cost.
+:func:`auxiliary_fill` computes z as a new array; the loop computes the same
+z and z - x in place, overwriting x with z and writing the residual into one
+buffer kept for the whole run.
 """
 
 from __future__ import annotations
@@ -61,7 +64,11 @@ def cost(r: np.ndarray) -> float:
 
 
 def auxiliary_fill(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Observed entries from t, missing entries from the model reconstruction x."""
+    """Observed entries from t, missing entries from the model reconstruction x.
+
+    A new array; the sweep loop makes the same fill in place (see
+    ``ranking._impute``).
+    """
     t = np.asarray(t)
     x = np.asarray(x)
     if t.shape != q.shape or t.shape != x.shape:

@@ -126,13 +126,19 @@ def _check_factors(g: np.ndarray, factors: Sequence[np.ndarray]) -> None:
 def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Apply one factor matrix per mode: g x_0 U0 x_1 U1 ... (order-independent).
 
-    1x1 identity factors (singleton modes) are skipped.
+    The modes are applied in growth order, increasing I_n / R_n for a factor
+    of shape (I_n, R_n), ties going to the higher mode index first: the
+    products that shrink or barely grow the tensor run while it is small, and
+    the last, largest product gets the widest trailing block, so its batched
+    matmul is a few large GEMMs.  The result equals the mode-order chain up to
+    rounding.  1x1 identity factors (singleton modes) are skipped.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_factors(g, factors)
+    factors = [np.asarray(u, dtype=np.float64) for u in factors]
+    order = sorted(range(g.ndim), key=lambda n: (factors[n].shape[0] / factors[n].shape[1], -n))
     out = g
-    for n, u in enumerate(factors):
-        u = np.asarray(u, dtype=np.float64)
-        if not is_unit_factor(u):
-            out = mode_multiply(out, u, n)
+    for n in order:
+        if not is_unit_factor(factors[n]):
+            out = mode_multiply(out, factors[n], n)
     return out

@@ -14,7 +14,9 @@ duplicates each source element once per window that covers it; the inverse
 averages the duplicates, which is exactly the Moore-Penrose pseudo-inverse
 of the duplication map.
 Duplication matrices are never materialized: everything is index arithmetic,
-so the memory cost is the embedded tensor itself and nothing more.
+so the memory cost is the embedded tensor itself and nothing more.  A Tucker
+model of an embedded tensor maps back without being reconstructed at all
+(:func:`inverse_mdt_tucker`).
 
 tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 """
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Shape, check_shape
+from .core import Shape, check_shape, multilinear_product
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -141,3 +143,46 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
     if np.may_share_memory(out, xh):
         out = out.copy()
     return out
+
+
+def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
+    """K[i, (r, s)] = sum over a + b = i of u_tau[a, r] * u_window[b, s], over counts[i].
+
+    The factor pair of one embedded (tau, window) mode pair, collapsed onto
+    the source mode of length I = tau + window - 1 the way :func:`inverse_mdt`
+    collapses the embedded tensor; the columns run over (r, s) in C order.
+    Row i of the sum is ``u_tau[::-1].T @ padded[i:i + tau]`` with u_window
+    padded by tau - 1 zero rows on each side: one matmul over a sliding
+    window view.
+    """
+    tau, r_tau = u_tau.shape
+    width, r_window = u_window.shape
+    length = tau + width - 1
+    padded = np.zeros((width + 2 * (tau - 1), r_window))
+    padded[tau - 1:tau - 1 + width] = u_window
+    windows = sliding_window_view(padded, tau, axis=0).transpose(0, 2, 1)
+    k = np.matmul(u_tau[::-1].T, windows).reshape(length, r_tau * r_window)
+    return k / duplication_counts(length, tau).astype(np.float64)[:, None]
+
+
+def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """``inverse_mdt`` of the Tucker tensor ``core x_0 U_0 ... x_{2N-1} U_{2N-1}``, unbuilt.
+
+    Averaging the duplicates of a mode pair is linear in each factor pair, so
+    H^+(G x U) = G' x_n K_n: G' is the core with each (r_2n, r_2n+1) pair of
+    modes merged (a C-order reshape) and K_n the pair matrix of factors 2n
+    and 2n+1 over the duplication counts.  The embedded tensor never exists:
+    the largest arrays are the source-sized output and the K_n, each
+    I_n x (r_2n * r_2n+1), which outgrow the embedded tensor only when the
+    ranks near the window sizes on a model of few modes.  Equal to
+    ``inverse_mdt`` of the reconstruction up to rounding.
+    """
+    core = np.asarray(core, dtype=np.float64)
+    if core.ndim % 2 or len(factors) != core.ndim:
+        raise ValueError(f"an embedded Tucker model has one factor per mode of an even-order "
+                         f"core; got a core of shape {core.shape} and {len(factors)} factors")
+    factors = [np.asarray(u, dtype=np.float64) for u in factors]
+    merged = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
+                                for n in range(0, core.ndim, 2)))
+    return multilinear_product(merged, [_pair_matrix(factors[n], factors[n + 1])
+                                        for n in range(0, core.ndim, 2)])

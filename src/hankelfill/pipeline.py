@@ -3,8 +3,9 @@
 The three steps are (1) multi-way delay embedding of the data and its mask,
 (2) Tucker completion of the embedded tensor by the rank-increment loop
 (fixed ranks are one-element rank sequences), and (3) the inverse embedding
-of the completed tensor back to the input shape, which the embedded shape
-alone determines.  Observed entries also pass
+of the fitted model back to the input shape.  Step 3 maps the Tucker model
+back directly (:func:`hankelfill.embedding.inverse_mdt_tucker`), so the
+completed embedded tensor is never built.  Observed entries also pass
 through the model, so the output is everywhere the model's explanation of
 the data rather than a patchwork of input and fill.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from .completion import CostTrace
 from .core import as_mask, as_tensor
-from .embedding import embedded_shape, inverse_mdt, mdt, mdt_mask
+from .embedding import embedded_shape, inverse_mdt_tucker, mdt, mdt_mask
 from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
                       default_rank_sequences, default_stopping_criteria)
 
@@ -96,7 +97,7 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
         schedule = RankSchedule(tuple((int(r),) for r in req.schedule))
     result = complete_with_rank_increment(t_h, q_h, schedule, criteria, seed=req.seed)
 
-    estimate = inverse_mdt(result.model.reconstruct())
+    estimate = inverse_mdt_tucker(result.model.core, result.model.factors)
     if not np.all(np.isfinite(estimate)):
         raise RuntimeError("recovery produced non-finite values")
 

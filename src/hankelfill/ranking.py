@@ -9,8 +9,9 @@ that warm start.  The schedule is an immutable value: the model's ranks are
 the only record of how far each sequence has advanced.  The run stops when
 the cost drops below the noise threshold, the sequences are exhausted, or
 the sweep budget runs out.  One masked pass per sweep, the imputation,
-yields the fill for the next sweep and the masked residual, from which come
-the cost and the mode ranking.
+fills the reconstruction in place for the next sweep and writes the masked
+residual into one buffer kept for the whole run; from the residual come the
+cost and the mode ranking.
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -19,13 +20,14 @@ status ``schedule_exhausted``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import check_shape, is_unit_factor, mode_multiply
-from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, cost, init_model
+from .completion import CostTrace, TuckerModel, als_sweep, cost, init_model
 from .embedding import embedded_observed_energy
 from .linalg import apply_sign_convention
 
@@ -81,7 +83,12 @@ class StoppingCriteria:
         if not (self.epsilon >= 0 and self.tol >= 0):
             raise ValueError(f"epsilon and tol must be nonnegative, got "
                              f"epsilon={self.epsilon}, tol={self.tol}")
-        if self.max_total_sweeps < 1:
+        try:
+            sweeps = operator.index(self.max_total_sweeps)
+        except TypeError:
+            raise ValueError(f"max_total_sweeps must be an integer, got "
+                             f"{self.max_total_sweeps!r}") from None
+        if sweeps < 1:
             raise ValueError("max_total_sweeps must be >= 1")
 
 
@@ -211,20 +218,23 @@ class RankIncrementResult:
     status: str
 
 
-def _impute(t_h: np.ndarray, q_h: np.ndarray,
-            model: TuckerModel) -> tuple[np.ndarray, np.ndarray, float]:
-    """The sweep's one masked pass: the fill z, the masked residual z - x, its cost.
+def _impute(t_h: np.ndarray, q_h: np.ndarray, model: TuckerModel,
+            r: np.ndarray) -> tuple[np.ndarray, float]:
+    """The sweep's one masked pass: the fill z and the cost, the masked residual into ``r``.
 
-    The residual (t - x where observed, +0 elsewhere) overwrites the
-    reconstruction x, which is copied first when it is the model's own core
-    (every factor a 1x1 identity).
+    ``r`` receives t - x on the observed entries and is never written
+    elsewhere, so a buffer the caller allocated as zeros once per run holds
+    the masked residual (+0 where unobserved) after every call.  The fill
+    then overwrites the reconstruction x in place, so z is x: no full-size
+    buffer is allocated besides the reconstruction, which is copied first
+    when it is the model's own core (every factor a 1x1 identity).
     """
     x = model.reconstruct()
     if np.may_share_memory(x, model.core):
         x = x.copy()
-    z = auxiliary_fill(t_h, q_h, x)
-    r = np.subtract(z, x, out=x)
-    return z, r, cost(r)
+    np.subtract(t_h, x, out=r, where=q_h)
+    np.copyto(x, t_h, where=q_h)
+    return x, cost(r)
 
 
 def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
@@ -262,7 +272,8 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     model = init_model(tuple(seq[0] for seq in schedule.sequences), t_h.shape, seed)
     if not t_h.any():
         model = TuckerModel(np.zeros_like(model.core), model.factors)
-    z, r, f_before = _impute(t_h, q_h, model)
+    r = np.zeros(t_h.shape)
+    z, f_before = _impute(t_h, q_h, model, r)
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
     if f_before <= criteria.epsilon:
@@ -272,11 +283,11 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     pads = 0
     for sweep in range(1, criteria.max_total_sweeps + 1):
         model = als_sweep(z, model)
-        # Free the fill before the reconstruction allocates: its last product's
-        # input and output plus r are then the only full-size buffers besides
-        # t_h and q_h.
+        # Free the fill before the reconstruction allocates: its output and r
+        # are then the only full-size buffers besides t_h and q_h (growth
+        # order keeps the last product's input small).
         del z
-        z, r, f_after = _impute(t_h, q_h, model)
+        z, f_after = _impute(t_h, q_h, model, r)
         trace.append((sweep, f_after))
         if f_after <= criteria.epsilon:
             status = CONVERGED

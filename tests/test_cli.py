@@ -245,6 +245,17 @@ class TestDemoSignal:
         assert rec < 0.05
         assert lin > 0.25
 
+    @pytest.mark.parametrize("gap", [("--gap-count", "-5"),
+                                     ("--gap-start", "-3", "--gap-count", "0"),
+                                     ("--gap-start", "-3")])
+    def test_negative_gap_is_an_error(self, tmp_path, capsys, gap):
+        out = tmp_path / "demo.csv"
+        code, text, err = run_cli(capsys, "demo-signal", *gap, "--output", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "nonnegative" in err
+        assert text == ""
+        assert not out.exists()
+
 
 def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:

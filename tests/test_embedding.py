@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (duplication_counts, embedded_observed_energy, embedded_shape,
-                        inverse_mdt, mdt)
-from hankelfill.embedding import mdt_mask
+                        inverse_mdt, mdt, multilinear_product)
+from hankelfill.embedding import inverse_mdt_tucker, mdt_mask
 from helpers import delay_embed_vector, inverse_delay_embed_vector
 
 
@@ -218,6 +218,40 @@ def test_inverse_mdt_undoes_mdt(case):
     back = inverse_mdt(mdt(x, taus))
     eps = np.finfo(np.float64).eps
     assert np.all(np.abs(back - x) <= sum(taus) * eps * np.abs(x))
+
+
+@st.composite
+def embedded_tucker_cases(draw):
+    order = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=order, max_size=order)))
+    taus = tuple(draw(st.one_of(st.just(1), st.just(size), st.integers(1, size)))
+                 for size in shape)
+    ranks = tuple(draw(st.integers(1, j)) for j in embedded_shape(shape, taus))
+    return shape, taus, ranks, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=embedded_tucker_cases())
+def test_tucker_model_maps_back_as_its_reconstruction_does(case):
+    shape, taus, ranks, seed = case
+    rng = np.random.default_rng(seed)
+    core = rng.standard_normal(ranks)
+    factors = [rng.standard_normal((j, r)) for j, r in zip(embedded_shape(shape, taus), ranks)]
+    out = inverse_mdt_tucker(core, factors)
+    expected = inverse_mdt(multilinear_product(core, factors))
+    assert out.shape == shape
+    # Tolerance: both sides add the same products |g| * prod |u| over the
+    # duplication count, in different orders and groupings.  The embedded
+    # side sums over each rank and each window (sum(ranks) + sum(taus) deep),
+    # the structured side over each window and each merged rank pair
+    # (sum(taus) + sum(r_2n * r_2n+1) deep), and each side divides once per
+    # mode.  So the two differ by at most that total depth times eps times
+    # the same average taken over magnitudes.
+    magnitude = inverse_mdt(multilinear_product(np.abs(core), [np.abs(u) for u in factors]))
+    depth = (sum(ranks) + 2 * sum(taus) + 2 * len(shape)
+             + sum(a * b for a, b in zip(ranks[::2], ranks[1::2])))
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(out - expected) <= depth * eps * magnitude)
 
 
 class TestInverseMdt:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (TuckerModel, als_sweep, init_model, mode_multiply, mode_residuals,
-                        unfold)
-from hankelfill import completion, ranking
+                        multilinear_product, unfold)
+from hankelfill import completion, core, ranking
 from hankelfill.linalg import complete_orthonormal_basis, leading_singular_vectors
 from helpers import fold
 
@@ -110,6 +110,37 @@ def test_mode_multiply_matches_unfolding_definition(position, data):
     assert np.all(np.abs(out - expected) <= bound)
 
 
+@st.composite
+def product_cases(draw):
+    order = draw(st.integers(1, 5))
+    ranks = tuple(draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+    # rows below, at and above each rank; a 1x1 identity is skipped
+    rows = tuple(draw(st.integers(1, 6)) for _ in ranks)
+    identity = tuple(r == j == 1 and draw(st.booleans()) for r, j in zip(ranks, rows))
+    return ranks, rows, identity, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=product_cases())
+def test_multilinear_product_matches_the_mode_order_chain(case):
+    ranks, rows, identity, seed = case
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(ranks)
+    factors = [np.ones((1, 1)) if unit else rng.standard_normal((j, r))
+               for j, r, unit in zip(rows, ranks, identity)]
+    out = multilinear_product(g, factors)
+    chain = g
+    for n, u in enumerate(factors):
+        chain = mode_multiply(chain, u, n)
+    assert out.shape == rows
+    # Each entry is a sum of products g * prod u over every rank tuple; in any
+    # mode order, its rounding is a chain of dot products sum(ranks) long, so
+    # each side is within sum(ranks) * eps/2 of the exact value relative to
+    # the same product over magnitudes.
+    bound = sum(ranks) * EPS * multilinear_product(np.abs(g), [np.abs(u) for u in factors])
+    assert np.all(np.abs(out - chain) <= bound)
+
+
 # ------------------------------------------------------- prefix-shared chains
 
 @st.composite
@@ -182,3 +213,23 @@ def test_sweep_reads_the_full_tensor_at_most_twice(monkeypatch, layer):
         mode_residuals(z, model.factors)
     assert full_reads
     assert sum(full_reads) <= 2
+
+
+def test_reconstruct_reads_no_full_size_tensor(monkeypatch):
+    # The pixel-128 model (a 128x128x3 image, windows (16, 16, 1)).  In mode
+    # order its last product is the 3x3 channel factor over the full tensor;
+    # in growth order (I_n / R_n = 2, 113/16, 2, 113/16, -, 1, ties to the
+    # higher mode) the full size is only ever the output.
+    shape, ranks = (16, 113, 16, 113, 1, 3), (8, 16, 8, 16, 1, 3)
+    model = init_model(ranks, shape, 0)
+    calls = []
+
+    def recording(t, a, mode):
+        calls.append((mode, np.size(t)))
+        return mode_multiply(t, a, mode)
+
+    monkeypatch.setattr(core, "mode_multiply", recording)
+    x = model.reconstruct()
+    assert x.shape == shape
+    assert [mode for mode, _ in calls] == [5, 2, 0, 3, 1]
+    assert max(size for _, size in calls) < x.size / 4

@@ -18,6 +18,17 @@ class TestStoppingCriteria:
         with pytest.raises(ValueError, match="must be nonnegative"):
             StoppingCriteria(epsilon=epsilon, tol=tol)
 
+    @pytest.mark.parametrize("budget", [2.5, 2.0, "3", None])
+    def test_non_integer_sweep_budget_rejected(self, budget):
+        # a float budget used to pass here and stop the loop with a TypeError
+        with pytest.raises(ValueError, match="max_total_sweeps must be an integer"):
+            StoppingCriteria(0.0, 0.0, budget)
+
+    def test_integer_sweep_budget_of_any_integer_type_accepted(self):
+        assert StoppingCriteria(0.0, 0.0, np.int64(3)).max_total_sweeps == 3
+        with pytest.raises(ValueError, match=">= 1"):
+            StoppingCriteria(0.0, 0.0, 0)
+
 
 class TestDefaultRankSequences:
     def test_doubling_to_32(self):

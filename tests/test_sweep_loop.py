@@ -14,6 +14,7 @@ from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedul
                         StoppingCriteria, complete_with_rank_increment, default_rank_sequences,
                         init_model, mdt, pad_model)
 from hankelfill import ranking
+from hankelfill.completion import cost
 from helpers import fixed_rank_fit, masked_cost
 
 
@@ -118,10 +119,39 @@ def test_cost_trace_is_the_masked_sum_of_each_sweeps_model(case):
         assert abs(value - oracle) <= 1e-13 * oracle
 
 
-def test_loop_holds_at_most_three_embedded_copies_besides_its_inputs():
-    # The reconstruction's last product holds its full-size input and output
-    # while the previous residual is alive; the fill it replaces is already
-    # freed, and the new residual overwrites the reconstruction.
+@settings(max_examples=80, deadline=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=4), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_imputation_is_the_fill_and_residual_bit_for_bit(shape, data, seed):
+    # The loop keeps one residual buffer for a whole run, allocated as zeros,
+    # and fills each reconstruction in place.  Two models in a row into the
+    # same buffer must each give exactly the fill where(q, t, x), the residual
+    # where(q, t - x, 0) with +0 where unobserved, and the cost r.r.
+    shape = tuple(shape)
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    q = rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    r = np.zeros(shape)
+    for k in range(2):
+        ranks = tuple(data.draw(st.integers(1, j)) for j in shape)
+        model = init_model(ranks, shape, (seed, k))
+        core = model.core.copy()  # every factor is 1x1 when all sizes are 1
+        x = model.reconstruct()
+        z, value = ranking._impute(t, q, model, r)
+        np.testing.assert_array_equal(model.core, core)
+        np.testing.assert_array_equal(z, np.where(q, t, x))
+        expected = np.where(q, t - x, 0.0)
+        np.testing.assert_array_equal(r, expected)
+        assert not np.signbit(r[~q]).any()
+        assert value == cost(expected)
+
+
+def test_loop_holds_under_two_and_a_half_embedded_copies_besides_its_inputs():
+    # The fill and the residual are one copy each, reused in place every sweep.
+    # The ALS sweep adds its projections (a third of a copy here).  The
+    # reconstruction adds its last product's input (8/49 of a copy) to its
+    # output, which becomes the next fill; the previous fill is freed by then.
+    # Measured: 2.332 copies.
     rng = np.random.default_rng(0)
     x = rng.standard_normal((64, 64, 3))
     q = rng.random(x.shape) >= 0.5
@@ -135,4 +165,4 @@ def test_loop_holds_at_most_three_embedded_copies_besides_its_inputs():
     finally:
         tracemalloc.stop()
     assert result.cost_trace[-1][0] == 3
-    assert peak <= 3.01 * t_h.nbytes
+    assert peak <= 2.342 * t_h.nbytes
