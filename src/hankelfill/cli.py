@@ -33,7 +33,7 @@ from .fileio import HTEN_MAGIC, read_image, read_mask, read_tensor, write_image,
     write_mask, write_tensor
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr
-from .pipeline import RecoveryRequest, recover
+from .pipeline import RecoveryRequest, checked_embedded_shape, recover
 from .ranking import (SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
                       default_stopping_criteria)
 from .signals import damped_sine, linear_interpolate_gaps
@@ -112,6 +112,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_embed(args) -> int:
     x = _read_any(args.input)
+    checked_embedded_shape(x.shape, args.tau)
     xh = mdt(x, args.tau)
     write_tensor(args.output, xh)
     print(f"embedded shape {xh.shape}")

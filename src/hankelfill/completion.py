@@ -15,9 +15,9 @@ drives these steps is :func:`hankelfill.ranking.complete_with_rank_increment`;
 a fixed-rank fit is a rank schedule of one-element sequences.  The mask
 enters only the imputation: with z the imputed tensor and x the
 reconstruction, z - x is the masked residual and ||z - x||^2 the masked cost.
-:func:`auxiliary_fill` computes z as a new array; the loop computes the same
-z and z - x in place, overwriting x with z and writing the residual into one
-buffer kept for the whole run.
+:func:`auxiliary_fill` computes z as a new array; the loop reconstructs x into
+the previous fill and overwrites it with z in place, summing the cost block
+by block on the way, so z is the run's one full-size buffer.
 """
 
 from __future__ import annotations
@@ -53,8 +53,12 @@ class TuckerModel:
     def output_shape(self) -> tuple[int, ...]:
         return tuple(u.shape[0] for u in self.factors)
 
-    def reconstruct(self) -> np.ndarray:
-        return multilinear_product(self.core, self.factors)
+    def reconstruct(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The full tensor core x_0 U_0 ... x_{N-1} U_{N-1}, written into ``out`` if given.
+
+        Bit-equal with and without ``out`` (see :func:`multilinear_product`).
+        """
+        return multilinear_product(self.core, self.factors, out=out)
 
 
 def cost(r: np.ndarray) -> float:

@@ -77,7 +77,8 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
 
 
-def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
+def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Mode-k product: contracts a R x I_k matrix against the k-th mode.
 
     Satisfies unfold(result, k) = a @ unfold(t, k), with the package's
@@ -87,7 +88,10 @@ def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     the product is the batched matmul ``a @ view``, whose output already has
     the layout of the result.  Neither operand is transposed or copied (a
     non-contiguous ``t`` is made contiguous once); a mode with nothing on one
-    side (left == 1 or right == 1) is a single 2-D GEMM.
+    side (left == 1 or right == 1) is a single 2-D GEMM.  ``out``, a
+    C-contiguous float64 array of the result's shape, receives the product
+    and is returned in place of a new array; the values are the same to the
+    bit.
     """
     t = np.asarray(t, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
@@ -100,13 +104,24 @@ def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     size = t.shape[mode]
     left = math.prod(t.shape[:mode])
     right = math.prod(t.shape[mode + 1:])
+    shape = t.shape[:mode] + (a.shape[0],) + t.shape[mode + 1:]
     if left == 1:
-        out = a @ t.reshape(size, right)
+        x, y, dims = a, t.reshape(size, right), (a.shape[0], right)
     elif right == 1:
-        out = t.reshape(left, size) @ a.T
+        x, y, dims = t.reshape(left, size), a.T, (left, a.shape[0])
     else:
-        out = np.matmul(a, t.reshape(left, size, right))
-    return out.reshape(t.shape[:mode] + (a.shape[0],) + t.shape[mode + 1:])
+        x, y, dims = a, t.reshape(left, size, right), (left, a.shape[0], right)
+    if out is None:
+        return (x @ y).reshape(shape)
+    _check_out(out, shape)
+    np.matmul(x, y, out=out.reshape(dims))
+    return out
+
+
+def _check_out(out: np.ndarray, shape: Shape) -> None:
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, got "
+                         f"{out.dtype} {out.shape}")
 
 
 def is_unit_factor(u: np.ndarray) -> bool:
@@ -123,7 +138,8 @@ def _check_factors(g: np.ndarray, factors: Sequence[np.ndarray]) -> None:
             raise ValueError(f"factor {n} has shape {u.shape}, needs {g.shape[n]} columns")
 
 
-def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray],
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Apply one factor matrix per mode: g x_0 U0 x_1 U1 ... (order-independent).
 
     The modes are applied in growth order, increasing I_n / R_n for a factor
@@ -131,14 +147,21 @@ def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
     products that shrink or barely grow the tensor run while it is small, and
     the last, largest product gets the widest trailing block, so its batched
     matmul is a few large GEMMs.  The result equals the mode-order chain up to
-    rounding.  1x1 identity factors (singleton modes) are skipped.
+    rounding.  1x1 identity factors (singleton modes) are skipped.  ``out``
+    (see :func:`mode_multiply`) receives the last product, or a copy of ``g``
+    when every factor is skipped, and is returned.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_factors(g, factors)
     factors = [np.asarray(u, dtype=np.float64) for u in factors]
     order = sorted(range(g.ndim), key=lambda n: (factors[n].shape[0] / factors[n].shape[1], -n))
-    out = g
-    for n in order:
-        if not is_unit_factor(factors[n]):
-            out = mode_multiply(out, factors[n], n)
-    return out
+    steps = [n for n in order if not is_unit_factor(factors[n])]
+    if not steps:
+        if out is None:
+            return g
+        _check_out(out, g.shape)
+        np.copyto(out, g)
+        return out
+    for n in steps[:-1]:
+        g = mode_multiply(g, factors[n], n)
+    return mode_multiply(g, factors[steps[-1]], steps[-1], out=out)

@@ -13,9 +13,11 @@ source length I_n, so :func:`inverse_mdt` takes the embedded tensor alone.  The 
 duplicates each source element once per window that covers it; the inverse
 averages the duplicates, which is exactly the Moore-Penrose pseudo-inverse
 of the duplication map.
-Duplication matrices are never materialized: everything is index arithmetic,
-so the memory cost is the embedded tensor itself and nothing more.  A Tucker
-model of an embedded tensor maps back without being reconstructed at all
+Duplication matrices are never materialized: everything is index arithmetic.
+:func:`mdt` allocates nothing at all, its result is a read-only strided view
+of the source, so an embedded tensor that only gets read (the data and mask
+of a fit) costs no more memory than its source.  A Tucker model of an
+embedded tensor maps back without being reconstructed at all
 (:func:`inverse_mdt_tucker`).
 
 tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Shape, check_shape, multilinear_product
+from .core import Shape, check_shape, is_unit_factor, mode_multiply
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -71,6 +73,9 @@ def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:
 
     Embedded modes interleave as (tau_0, window_0, tau_1, window_1, ...); see
     :func:`embedded_shape`.  :func:`inverse_mdt` needs nothing but the result.
+    The result is a read-only strided view of ``x``: it allocates nothing and
+    sees later writes to ``x``.  Copy it (``np.array``) for a writable,
+    contiguous embedded tensor.
     """
     x = np.asarray(x)
     windows = embedded_shape(x.shape, taus)[1::2]
@@ -81,11 +86,14 @@ def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:
     perm = []
     for i in range(n):
         perm.extend((i, n + i))
-    return np.ascontiguousarray(w.transpose(perm))
+    return w.transpose(perm)
 
 
 def mdt_mask(q: np.ndarray, taus: Sequence[int]) -> np.ndarray:
-    """Delay embedding of an observation mask; flags are duplicated verbatim."""
+    """Delay embedding of an observation mask; flags are duplicated verbatim.
+
+    A read-only view, as from :func:`mdt`, of ``q`` or of ``q != 0``.
+    """
     q = np.asarray(q)
     if q.dtype != np.bool_:
         q = q != 0
@@ -162,7 +170,34 @@ def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
     padded[tau - 1:tau - 1 + width] = u_window
     windows = sliding_window_view(padded, tau, axis=0).transpose(0, 2, 1)
     k = np.matmul(u_tau[::-1].T, windows).reshape(length, r_tau * r_window)
-    return k / duplication_counts(length, tau).astype(np.float64)[:, None]
+    k /= duplication_counts(length, tau).astype(np.float64)[:, None]
+    return k
+
+
+def _window_sum(t: np.ndarray, mode: int, u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
+    """``t x_mode K`` for the pair matrix K of ``u_tau`` and ``u_window``, K unbuilt.
+
+    Mode ``mode`` of ``t`` runs over (r, s) in C order.  u_window is
+    contracted into s first, giving y[.., r, b, ..]; then each window
+    offset a adds sum_r u_tau[a, r] y[.., r, b, ..] at source index a + b,
+    one GEMM per a, and the sums are divided by the duplication counts.
+    Besides the source-sized result this holds y and one GEMM's output.
+    """
+    tau, r_tau = u_tau.shape
+    width, r_window = u_window.shape
+    length = tau + width - 1
+    head, tail = t.shape[:mode], t.shape[mode + 1:]
+    left, right = math.prod(head), math.prod(tail)
+    y = mode_multiply(t.reshape(left, r_tau, r_window, right), u_window, 2)
+    y = y.reshape(left, r_tau, width * right)
+    acc = np.zeros((left, length * right))
+    term = np.empty((left, width * right))
+    for a in range(tau):
+        np.matmul(u_tau[a], y, out=term)
+        acc[:, a * right:(a + width) * right] += term
+    acc = acc.reshape(left, length, right)
+    acc /= duplication_counts(length, tau).astype(np.float64)[:, None]
+    return acc.reshape(head + (length,) + tail)
 
 
 def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -171,18 +206,33 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     Averaging the duplicates of a mode pair is linear in each factor pair, so
     H^+(G x U) = G' x_n K_n: G' is the core with each (r_2n, r_2n+1) pair of
     modes merged (a C-order reshape) and K_n the pair matrix of factors 2n
-    and 2n+1 over the duplication counts.  The embedded tensor never exists:
-    the largest arrays are the source-sized output and the K_n, each
-    I_n x (r_2n * r_2n+1), which outgrow the embedded tensor only when the
-    ranks near the window sizes on a model of few modes.  Equal to
-    ``inverse_mdt`` of the reconstruction up to rounding.
+    and 2n+1 over the duplication counts.  The embedded tensor never exists.
+    The pairs are applied in growth order, as :func:`multilinear_product`
+    applies factors, and each pair takes the smaller of two ways: the
+    product with K_n, an I_n x (r_2n * r_2n+1) matrix, or :func:`_window_sum`,
+    which holds the tensor with U_2n+1 contracted in (r_2n * (I_n - tau_n + 1)
+    in place of the merged rank) instead.  K_n outgrows the embedded tensor
+    when the ranks near the window sizes on a model of few modes; the window
+    sum never holds more than one embedded copy.  Equal to ``inverse_mdt``
+    of the reconstruction up to rounding.
     """
     core = np.asarray(core, dtype=np.float64)
     if core.ndim % 2 or len(factors) != core.ndim:
         raise ValueError(f"an embedded Tucker model has one factor per mode of an even-order "
                          f"core; got a core of shape {core.shape} and {len(factors)} factors")
     factors = [np.asarray(u, dtype=np.float64) for u in factors]
-    merged = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
-                                for n in range(0, core.ndim, 2)))
-    return multilinear_product(merged, [_pair_matrix(factors[n], factors[n + 1])
-                                        for n in range(0, core.ndim, 2)])
+    pairs = list(zip(factors[::2], factors[1::2]))
+    out = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
+                             for n in range(0, core.ndim, 2)))
+    lengths = [u_tau.shape[0] + u_window.shape[0] - 1 for u_tau, u_window in pairs]
+    for n in sorted(range(out.ndim), key=lambda n: (lengths[n] / out.shape[n], -n)):
+        u_tau, u_window = pairs[n]
+        rest = out.size // out.shape[n]
+        # K_n's elements against the window sum's y and one GEMM output
+        if lengths[n] * out.shape[n] <= rest * (u_tau.shape[1] + 1) * u_window.shape[0]:
+            k = _pair_matrix(u_tau, u_window)
+            if not is_unit_factor(k):
+                out = mode_multiply(out, k, n)
+        else:
+            out = _window_sum(out, n, u_tau, u_window)
+    return out

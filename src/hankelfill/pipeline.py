@@ -30,6 +30,24 @@ from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increme
 DEFAULT_EMBEDDED_CAP = 200_000_000
 
 
+def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int],
+                           cap: int = DEFAULT_EMBEDDED_CAP) -> tuple[int, ...]:
+    """The embedded shape of ``shape`` under windows ``taus``, checked against ``cap``.
+
+    A ValueError, before anything is allocated, when the embedded tensor
+    would hold more than ``cap`` elements.
+    """
+    embedded = embedded_shape(shape, taus)
+    count = math.prod(embedded)
+    if count > cap:
+        windows = embedded[::2]
+        raise ValueError(
+            f"embedded tensor would hold {count} elements (a roughly {math.prod(windows)}x "
+            f"expansion of the input via windows {windows}); the cap is {cap}. Reduce the "
+            "windows or raise max_embedded_elements.")
+    return embedded
+
+
 @dataclass
 class RecoveryRequest:
     """Inputs of one recovery run.
@@ -75,16 +93,7 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
     mask = as_mask(req.mask)
     if data.shape != mask.shape:
         raise ValueError(f"data shape {data.shape} differs from mask shape {mask.shape}")
-    shape = embedded_shape(data.shape, req.taus)
-    count = math.prod(shape)
-    taus = shape[::2]
-    if count > req.max_embedded_elements:
-        expansion = math.prod(taus)
-        raise ValueError(
-            f"embedded tensor would hold {count} elements (a roughly {expansion}x "
-            f"expansion of the input via windows {taus}); the cap is "
-            f"{req.max_embedded_elements}. Reduce the windows or raise "
-            "max_embedded_elements.")
+    taus = checked_embedded_shape(data.shape, req.taus, req.max_embedded_elements)[::2]
 
     t_h = mdt(np.where(mask, data, 0.0), taus)
     q_h = mdt_mask(mask, taus)

@@ -8,10 +8,11 @@ with zeros (so the reconstruction is untouched), and sweeping resumes from
 that warm start.  The schedule is an immutable value: the model's ranks are
 the only record of how far each sequence has advanced.  The run stops when
 the cost drops below the noise threshold, the sequences are exhausted, or
-the sweep budget runs out.  One masked pass per sweep, the imputation,
-fills the reconstruction in place for the next sweep and writes the masked
-residual into one buffer kept for the whole run; from the residual come the
-cost and the mode ranking.
+the sweep budget runs out.  A run holds one full-size buffer, the fill:
+each sweep reconstructs its model into the fill the ALS sweep has just read,
+and one masked pass over cache-sized blocks, the imputation, sums the
+masked cost and fills the reconstruction in place for the next sweep.  Only
+a plateau rebuilds the masked residual, for the mode ranking.
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -20,6 +21,7 @@ status ``schedule_exhausted``.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -218,23 +220,73 @@ class RankIncrementResult:
     status: str
 
 
-def _impute(t_h: np.ndarray, q_h: np.ndarray, model: TuckerModel,
-            r: np.ndarray) -> tuple[np.ndarray, float]:
-    """The sweep's one masked pass: the fill z and the cost, the masked residual into ``r``.
+# The masked pass walks the tensor in blocks of at most this many elements.
+# A block of the reconstruction, of the data's strided view and of the
+# scratch difference (256 KiB each in float64), plus its mask, stays in a
+# core's L2 cache, so the difference, its cost and the fill reread it from
+# cache and not from memory; and the one scratch array of a run stays small.
+_BLOCK_ELEMENTS = 2**15
 
-    ``r`` receives t - x on the observed entries and is never written
-    elsewhere, so a buffer the caller allocated as zeros once per run holds
-    the masked residual (+0 where unobserved) after every call.  The fill
-    then overwrites the reconstruction x in place, so z is x: no full-size
-    buffer is allocated besides the reconstruction, which is copied first
-    when it is the model's own core (every factor a 1x1 identity).
+
+def _blocks(shape: Sequence[int]):
+    """Index tuples that tile an array of ``shape``, each block at most _BLOCK_ELEMENTS.
+
+    The trailing axes whose sizes multiply to at most the block stay whole;
+    the axis before them is cut into runs, and the axes before that are
+    taken one index at a time, so a block of a C-contiguous array is
+    contiguous.
     """
-    x = model.reconstruct()
+    k, inner = len(shape) - 1, 1
+    while k > 0 and inner * shape[k] <= _BLOCK_ELEMENTS:
+        inner *= shape[k]
+        k -= 1
+    step = _BLOCK_ELEMENTS // inner
+    for lead in itertools.product(*map(range, shape[:k])):
+        for start in range(0, shape[k], step):
+            yield lead + (slice(start, start + step),)
+
+
+def _impute(t_h: np.ndarray, q_h: np.ndarray, model: TuckerModel, scratch: np.ndarray,
+            out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """The sweep's one masked pass: the fill z = where(q_h, t_h, x) and the masked cost.
+
+    The model's reconstruction x is written into ``out`` (a new array when
+    None), then one pass over blocks (see :func:`_blocks`) keeps each block
+    of x in the flat ``scratch`` (as long as the largest block), fills the
+    block in place, so z is x, and turns the scratch into the block's masked
+    difference z - x = where(q_h, t_h - x, 0), whose squared norm it adds to
+    the cost.  The cost is the sum over blocks, which only the summation
+    order tells from the whole tensor's; the arrays read in the pass are all
+    contiguous but the strided t_h and q_h, each once.
+    A reconstruction that is the model's own core (every factor a 1x1
+    identity) is copied first, so the fill never writes into the model.
+    """
+    x = model.reconstruct(out=out)
     if np.may_share_memory(x, model.core):
         x = x.copy()
-    np.subtract(t_h, x, out=r, where=q_h)
-    np.copyto(x, t_h, where=q_h)
-    return x, cost(r)
+    total = 0.0
+    for block in _blocks(x.shape):
+        xb = x[block]
+        diff = scratch[:xb.size].reshape(xb.shape)
+        np.copyto(diff, xb)
+        np.copyto(xb, t_h[block], where=q_h[block])
+        # z - x: t - x where observed, x - x = +0 elsewhere
+        np.subtract(xb, diff, out=diff)
+        total += cost(diff)
+    return x, total
+
+
+def _masked_residual(z: np.ndarray, model: TuckerModel) -> np.ndarray:
+    """z - x for the fill z of ``model``'s reconstruction x: the masked residual.
+
+    Where observed z is t, so this is the masked pass's own t - x; elsewhere
+    z is x and x - x = +0.  So it equals where(q, t - x, 0) bit for bit: a
+    reconstruction gives the same bits whether or not it is written into a
+    buffer.
+    """
+    r = model.reconstruct()
+    np.subtract(z, r, out=r)
+    return r
 
 
 def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
@@ -272,8 +324,8 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     model = init_model(tuple(seq[0] for seq in schedule.sequences), t_h.shape, seed)
     if not t_h.any():
         model = TuckerModel(np.zeros_like(model.core), model.factors)
-    r = np.zeros(t_h.shape)
-    z, f_before = _impute(t_h, q_h, model, r)
+    scratch = np.empty(min(_BLOCK_ELEMENTS, t_h.size))
+    z, f_before = _impute(t_h, q_h, model, scratch)
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
     if f_before <= criteria.epsilon:
@@ -283,11 +335,10 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     pads = 0
     for sweep in range(1, criteria.max_total_sweeps + 1):
         model = als_sweep(z, model)
-        # Free the fill before the reconstruction allocates: its output and r
-        # are then the only full-size buffers besides t_h and q_h (growth
-        # order keeps the last product's input small).
-        del z
-        z, f_after = _impute(t_h, q_h, model, r)
+        # The sweep has read the fill for the last time: reconstruct into it,
+        # so it is the run's one full-size buffer (growth order keeps the last
+        # product's input small).
+        z, f_after = _impute(t_h, q_h, model, scratch, out=z)
         trace.append((sweep, f_after))
         if f_after <= criteria.epsilon:
             status = CONVERGED
@@ -296,7 +347,7 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
             if not _growable(schedule, model.ranks):
                 status = SCHEDULE_EXHAUSTED
                 break
-            residuals = mode_residuals(r, model.factors)
+            residuals = mode_residuals(_masked_residual(z, model), model.factors)
             mode = select_increment_mode(residuals, schedule, model.ranks)
             new_rank = next(k for k in schedule.sequences[mode] if k > model.ranks[mode])
             pads += 1

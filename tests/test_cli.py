@@ -79,6 +79,18 @@ class TestEmbedInvert:
             assert err.startswith("error:")
             assert not (tmp_path / "b.hten").exists()
 
+    def test_embed_over_the_embedded_cap_is_an_error(self, tmp_path, capsys):
+        # 20000 x 20001 = 400M embedded elements, twice the cap recover uses
+        src = tmp_path / "v.hten"
+        out = tmp_path / "e.hten"
+        write_tensor(src, np.zeros(40000))
+        code, _, err = run_cli(capsys, "embed", "--input", str(src), "--tau", "20000",
+                               "--output", str(out))
+        assert code == 1
+        assert err.startswith("error: embedded tensor would hold 400020000 elements")
+        assert "the cap is 200000000" in err
+        assert not out.exists()
+
 
 class TestMaskCommand:
     def test_slices_mask_written(self, tmp_path, capsys):

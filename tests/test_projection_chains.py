@@ -7,7 +7,7 @@ modes, against the plain per-mode chains they replace.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (TuckerModel, als_sweep, init_model, mode_multiply, mode_residuals,
@@ -103,6 +103,9 @@ def test_mode_multiply_matches_unfolding_definition(position, data):
     out_shape = shape[:mode] + (rows,) + shape[mode + 1:]
     assert out.shape == out_shape
     assert out.flags.c_contiguous
+    buf = np.full(out_shape, np.nan)
+    assert mode_multiply(t, a, mode, out=buf) is buf
+    np.testing.assert_array_equal(buf, out)
     expected = fold(a @ unfold(t, mode), mode, out_shape)
     # Both sides are length-I_k dot products, each within I_k*eps/2 of the
     # exact value relative to |a| @ |t|; they may sum in different orders.
@@ -139,6 +142,31 @@ def test_multilinear_product_matches_the_mode_order_chain(case):
     # the same product over magnitudes.
     bound = sum(ranks) * EPS * multilinear_product(np.abs(g), [np.abs(u) for u in factors])
     assert np.all(np.abs(out - chain) <= bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=product_cases())
+@example(case=((1, 1), (1, 1), (True, True), 0))
+def test_reconstruct_into_a_buffer_is_bit_equal(case):
+    # The sweep loop reconstructs every model into the fill the previous one
+    # left behind; the values must not depend on where they are written.  With
+    # every factor a 1x1 identity the buffer receives a copy of the core.
+    ranks, rows, identity, seed = case
+    rng = np.random.default_rng(seed)
+    model = TuckerModel(rng.standard_normal(ranks),
+                        [np.ones((1, 1)) if unit else rng.standard_normal((j, r))
+                         for j, r, unit in zip(rows, ranks, identity)])
+    buf = np.full(rows, np.nan)
+    assert model.reconstruct(out=buf) is buf
+    np.testing.assert_array_equal(buf, model.reconstruct())
+    assert not np.shares_memory(buf, model.core)
+
+
+def test_a_buffer_of_the_wrong_shape_or_layout_is_rejected():
+    model = init_model((2, 3), (4, 5), 0)
+    for buf in (np.empty((5, 4)), np.empty((4, 5), order="F"), np.empty((4, 5), np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            model.reconstruct(out=buf)
 
 
 # ------------------------------------------------------- prefix-shared chains
@@ -224,9 +252,9 @@ def test_reconstruct_reads_no_full_size_tensor(monkeypatch):
     model = init_model(ranks, shape, 0)
     calls = []
 
-    def recording(t, a, mode):
+    def recording(t, a, mode, out=None):
         calls.append((mode, np.size(t)))
-        return mode_multiply(t, a, mode)
+        return mode_multiply(t, a, mode, out=out)
 
     monkeypatch.setattr(core, "mode_multiply", recording)
     x = model.reconstruct()
