@@ -78,6 +78,8 @@ def _write_trace_csv(path, trace, rank_history) -> None:
 def _cmd_recover(args) -> int:
     data = _read_any(args.input)
     mask = read_mask(args.mask, data_shape=data.shape)
+    # recover checks this cap too, but offers a setting no flag reaches
+    checked_embedded_shape(data.shape, args.tau)
     if args.ranks is not None and args.rank_seq is not None:
         raise ValueError("--ranks and --rank-seq are mutually exclusive")
     schedule = None

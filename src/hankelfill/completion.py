@@ -17,7 +17,7 @@ enters only the imputation: with z the imputed tensor and x the
 reconstruction, z - x is the masked residual and ||z - x||^2 the masked cost.
 :func:`auxiliary_fill` computes z as a new array; the loop reconstructs x into
 the previous fill and overwrites it with z in place, summing the cost block
-by block on the way, so z is the run's one full-size buffer.
+by block on the way, so between plateaus z is the run's one full-size buffer.
 """
 
 from __future__ import annotations

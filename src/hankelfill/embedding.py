@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Shape, check_shape, is_unit_factor, mode_multiply
+from .core import Shape, check_shape, mode_multiply
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -153,35 +153,17 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
-    """K[i, (r, s)] = sum over a + b = i of u_tau[a, r] * u_window[b, s], over counts[i].
-
-    The factor pair of one embedded (tau, window) mode pair, collapsed onto
-    the source mode of length I = tau + window - 1 the way :func:`inverse_mdt`
-    collapses the embedded tensor; the columns run over (r, s) in C order.
-    Row i of the sum is ``u_tau[::-1].T @ padded[i:i + tau]`` with u_window
-    padded by tau - 1 zero rows on each side: one matmul over a sliding
-    window view.
-    """
-    tau, r_tau = u_tau.shape
-    width, r_window = u_window.shape
-    length = tau + width - 1
-    padded = np.zeros((width + 2 * (tau - 1), r_window))
-    padded[tau - 1:tau - 1 + width] = u_window
-    windows = sliding_window_view(padded, tau, axis=0).transpose(0, 2, 1)
-    k = np.matmul(u_tau[::-1].T, windows).reshape(length, r_tau * r_window)
-    k /= duplication_counts(length, tau).astype(np.float64)[:, None]
-    return k
-
-
 def _window_sum(t: np.ndarray, mode: int, u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
-    """``t x_mode K`` for the pair matrix K of ``u_tau`` and ``u_window``, K unbuilt.
+    """Collapse mode ``mode`` of ``t``, a merged (r, s) rank pair, onto its source mode.
 
-    Mode ``mode`` of ``t`` runs over (r, s) in C order.  u_window is
-    contracted into s first, giving y[.., r, b, ..]; then each window
-    offset a adds sum_r u_tau[a, r] y[.., r, b, ..] at source index a + b,
-    one GEMM per a, and the sums are divided by the duplication counts.
-    Besides the source-sized result this holds y and one GEMM's output.
+    Mode ``mode`` runs over (r, s) in C order.  The result is ``t`` with the
+    pair's embedded modes expanded by ``u_tau`` and ``u_window`` and then
+    averaged back as :func:`inverse_mdt` averages them, without the
+    expansion: u_window is contracted into s first, giving
+    y[.., r, b, ..]; then each window offset a adds
+    sum_r u_tau[a, r] y[.., r, b, ..] at source index a + b, one GEMM per
+    a, and the sums are divided by the duplication counts.  Besides the
+    source-sized result this holds y and one GEMM's output.
     """
     tau, r_tau = u_tau.shape
     width, r_window = u_window.shape
@@ -204,17 +186,13 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     """``inverse_mdt`` of the Tucker tensor ``core x_0 U_0 ... x_{2N-1} U_{2N-1}``, unbuilt.
 
     Averaging the duplicates of a mode pair is linear in each factor pair, so
-    H^+(G x U) = G' x_n K_n: G' is the core with each (r_2n, r_2n+1) pair of
-    modes merged (a C-order reshape) and K_n the pair matrix of factors 2n
-    and 2n+1 over the duplication counts.  The embedded tensor never exists.
-    The pairs are applied in growth order, as :func:`multilinear_product`
-    applies factors, and each pair takes the smaller of two ways: the
-    product with K_n, an I_n x (r_2n * r_2n+1) matrix, or :func:`_window_sum`,
-    which holds the tensor with U_2n+1 contracted in (r_2n * (I_n - tau_n + 1)
-    in place of the merged rank) instead.  K_n outgrows the embedded tensor
-    when the ranks near the window sizes on a model of few modes; the window
-    sum never holds more than one embedded copy.  Equal to ``inverse_mdt``
-    of the reconstruction up to rounding.
+    the map-back acts on the core with each (r_2n, r_2n+1) pair of modes
+    merged (a C-order reshape), one source mode at a time
+    (:func:`_window_sum`); the embedded tensor never exists.  The pairs are
+    applied in growth order, as :func:`multilinear_product` applies factors.
+    Each array a step holds is no larger than the embedded tensor; the
+    largest is the partial result with U_2n+1 contracted in.  Equal to
+    ``inverse_mdt`` of the reconstruction up to rounding.
     """
     core = np.asarray(core, dtype=np.float64)
     if core.ndim % 2 or len(factors) != core.ndim:
@@ -226,13 +204,5 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
                              for n in range(0, core.ndim, 2)))
     lengths = [u_tau.shape[0] + u_window.shape[0] - 1 for u_tau, u_window in pairs]
     for n in sorted(range(out.ndim), key=lambda n: (lengths[n] / out.shape[n], -n)):
-        u_tau, u_window = pairs[n]
-        rest = out.size // out.shape[n]
-        # K_n's elements against the window sum's y and one GEMM output
-        if lengths[n] * out.shape[n] <= rest * (u_tau.shape[1] + 1) * u_window.shape[0]:
-            k = _pair_matrix(u_tau, u_window)
-            if not is_unit_factor(k):
-                out = mode_multiply(out, k, n)
-        else:
-            out = _window_sum(out, n, u_tau, u_window)
+        out = _window_sum(out, n, *pairs[n])
     return out

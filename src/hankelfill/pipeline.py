@@ -31,20 +31,23 @@ DEFAULT_EMBEDDED_CAP = 200_000_000
 
 
 def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int],
-                           cap: int = DEFAULT_EMBEDDED_CAP) -> tuple[int, ...]:
+                           cap: int = DEFAULT_EMBEDDED_CAP,
+                           cap_setting: str | None = None) -> tuple[int, ...]:
     """The embedded shape of ``shape`` under windows ``taus``, checked against ``cap``.
 
     A ValueError, before anything is allocated, when the embedded tensor
-    would hold more than ``cap`` elements.
+    would hold more than ``cap`` elements.  ``cap_setting`` names the setting
+    that raises the cap, for a caller that has one; the error then offers it.
     """
     embedded = embedded_shape(shape, taus)
     count = math.prod(embedded)
     if count > cap:
         windows = embedded[::2]
+        raise_it = f" or raise {cap_setting}" if cap_setting else ""
         raise ValueError(
             f"embedded tensor would hold {count} elements (a roughly {math.prod(windows)}x "
             f"expansion of the input via windows {windows}); the cap is {cap}. Reduce the "
-            "windows or raise max_embedded_elements.")
+            f"windows{raise_it}.")
     return embedded
 
 
@@ -93,7 +96,8 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
     mask = as_mask(req.mask)
     if data.shape != mask.shape:
         raise ValueError(f"data shape {data.shape} differs from mask shape {mask.shape}")
-    taus = checked_embedded_shape(data.shape, req.taus, req.max_embedded_elements)[::2]
+    taus = checked_embedded_shape(data.shape, req.taus, req.max_embedded_elements,
+                                  cap_setting="max_embedded_elements")[::2]
 
     t_h = mdt(np.where(mask, data, 0.0), taus)
     q_h = mdt_mask(mask, taus)

@@ -8,11 +8,13 @@ with zeros (so the reconstruction is untouched), and sweeping resumes from
 that warm start.  The schedule is an immutable value: the model's ranks are
 the only record of how far each sequence has advanced.  The run stops when
 the cost drops below the noise threshold, the sequences are exhausted, or
-the sweep budget runs out.  A run holds one full-size buffer, the fill:
-each sweep reconstructs its model into the fill the ALS sweep has just read,
-and one masked pass over cache-sized blocks, the imputation, sums the
-masked cost and fills the reconstruction in place for the next sweep.  Only
-a plateau rebuilds the masked residual, for the mode ranking.
+the sweep budget runs out.  Outside plateaus a run holds one full-size
+buffer, the fill: each sweep reconstructs its model into the fill the ALS
+sweep has just read, and one masked pass over cache-sized blocks, the
+imputation, sums the masked cost and fills the reconstruction in place for
+the next sweep.  Only
+a plateau rebuilds the masked residual, a second full-size array, for the
+mode ranking.
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with

@@ -89,6 +89,8 @@ class TestEmbedInvert:
         assert code == 1
         assert err.startswith("error: embedded tensor would hold 400020000 elements")
         assert "the cap is 200000000" in err
+        # no flag sets the cap, so the error offers only smaller windows
+        assert err.rstrip().endswith("Reduce the windows.")
         assert not out.exists()
 
 
@@ -230,6 +232,16 @@ class TestRecoverCommand:
                                "--tau", "4,4,1", "--output", str(tmp_path / "o.hten"))
         assert code == 1
         assert err.startswith("error: the mask observes no entry")
+
+    def test_recover_over_the_embedded_cap_offers_only_smaller_windows(self, tmp_path, capsys):
+        data, mask = tmp_path / "v.hten", tmp_path / "q.hten"
+        write_tensor(data, np.zeros(40000))
+        write_mask(mask, np.ones(40000, bool))
+        code, _, err = run_cli(capsys, "recover", "--input", str(data), "--mask", str(mask),
+                               "--tau", "20000", "--output", str(tmp_path / "o.hten"))
+        assert code == 1
+        assert err.startswith("error: embedded tensor would hold 400020000 elements")
+        assert err.rstrip().endswith("Reduce the windows.")
 
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "recover", "--input", str(tmp_path / "nope.ppm"),

@@ -270,11 +270,12 @@ def test_tucker_model_maps_back_as_its_reconstruction_does(case):
 
 @pytest.mark.parametrize("ranks", [(4, 4), (16, 16), (32, 64), (50, 151)])
 def test_tucker_model_maps_back_within_about_one_embedded_copy(ranks):
-    # A 200-sample signal with window 50 embeds to 50 x 151.  Built as the
-    # 200 x (r_0 * r_1) pair matrix, the map-back of these models peaked at
-    # 1.49, 15.3, 112 and 405 embedded copies; contracting the window factor
-    # into the core first holds at most the 50 x 151 full-rank product, plus
-    # a few source-sized vectors (measured: 1.30 copies at full rank).
+    # A 200-sample signal with window 50 embeds to 50 x 151.  Through a
+    # 200 x (r_0 * r_1) matrix of the factor pair's window sums, the
+    # map-back of these models peaked at 1.49, 15.3, 112 and 405 embedded
+    # copies; contracting the window factor into the core first holds at
+    # most the 50 x 151 full-rank product, plus a few source-sized vectors
+    # (measured: 1.30 copies at full rank).
     rng = np.random.default_rng(0)
     core = rng.standard_normal(ranks)
     factors = [rng.standard_normal((j, r)) for j, r in zip((50, 151), ranks)]

@@ -82,8 +82,9 @@ class TestRecover:
         data = np.zeros((64, 64))
         req = RecoveryRequest(data=data, mask=np.ones_like(data, bool), taus=(32, 32),
                               max_embedded_elements=10_000)
-        with pytest.raises(ValueError, match="expansion"):
+        with pytest.raises(ValueError, match="expansion") as info:
             recover(req)
+        assert str(info.value).endswith("Reduce the windows or raise max_embedded_elements.")
 
     def test_empty_mask_rejected(self):
         truth = damped_sine(60, decay=0.01, omega=0.5)

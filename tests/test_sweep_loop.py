@@ -200,3 +200,17 @@ def test_recover_holds_under_one_and_a_half_embedded_copies():
     report, peak = traced_peak(lambda: recover(request))
     assert report.cost_trace[-1][0] == 3
     assert peak <= 1.367 * 8 * math.prod(embedded_shape(x.shape, TAUS))
+
+
+def test_a_plateau_holds_one_embedded_copy_more_than_a_sweep():
+    # A rank-growing run rebuilds the masked residual at each plateau, a
+    # second full-size array beside the fill, for the mode ranking.  At these
+    # low ranks the sweeps peak at 1.092 copies (the same run stopped one
+    # sweep before its plateau); with the plateau, measured: 2.092 copies.
+    x, q, _ = image_case()
+    energy = float(x[q] @ x[q])
+    request = RecoveryRequest(x, q, TAUS, criteria=StoppingCriteria(0.0, 1e-2 * energy, 6),
+                              seed=0)
+    report, peak = traced_peak(lambda: recover(request))
+    assert report.rank_history == [(6, 2, 2)]
+    assert peak <= 2.102 * 8 * math.prod(embedded_shape(x.shape, TAUS))
