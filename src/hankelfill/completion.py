@@ -17,7 +17,8 @@ enters only the imputation: with z the imputed tensor and x the
 reconstruction, z - x is the masked residual and ||z - x||^2 the masked cost.
 :func:`auxiliary_fill` computes z as a new array; the loop reconstructs x into
 the previous fill and overwrites it with z in place, summing the cost block
-by block on the way, so between plateaus z is the run's one full-size buffer.
+by block on the way, so z is the run's one full-size buffer; the ALS sweep
+and the mode ranking read it through one projection chain.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class TuckerModel:
     @property
     def ranks(self) -> tuple[int, ...]:
         return self.core.shape
-
-    @property
-    def output_shape(self) -> tuple[int, ...]:
-        return tuple(u.shape[0] for u in self.factors)
 
     def reconstruct(self, out: np.ndarray | None = None) -> np.ndarray:
         """The full tensor core x_0 U_0 ... x_{N-1} U_{N-1}, written into ``out`` if given.
@@ -107,45 +104,54 @@ def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
     return TuckerModel(core, factors)
 
 
+def _leave_one_out(t: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarray:
+    """Project t onto every factor but mode m's, for each mode m of size above 1.
+
+    ``visit(m, prefix x_{n>m} U_n^T)`` sees each projection, where
+    ``prefix = t x_{n<m} U_n^T`` with the factors as earlier visits left them;
+    then the prefix takes in ``factors[m]``.  Returns the last prefix, t
+    projected onto every factor.  Each product runs as a per-mode chain from t
+    would run it, so the values are the same to the bit; 1x1 identity factors
+    are skipped.  With every rank below its mode size, only the first
+    projection's first product and its prefix update read a full-size tensor.
+    """
+    if t.shape != tuple(u.shape[0] for u in factors):
+        raise ValueError(f"tensor shape {t.shape} does not match model's "
+                         f"factor rows {tuple(u.shape[0] for u in factors)}")
+    prefix = t
+    for m in range(t.ndim):
+        if t.shape[m] != 1:
+            y = prefix
+            for n in range(m + 1, t.ndim):
+                if not is_unit_factor(factors[n]):
+                    y = mode_multiply(y, factors[n].T, n)
+            visit(m, y)
+        if not is_unit_factor(factors[m]):
+            prefix = mode_multiply(prefix, factors[m].T, m)
+    return prefix
+
+
 def als_sweep(z: np.ndarray, model: TuckerModel) -> TuckerModel:
     """One ALS cycle on a complete tensor z: every factor once, then the core.
 
     Mode m's update projects z onto all other (already updated) factors and
     keeps the top-R_m left singular vectors of the mode-m unfolding; modes of
     size 1 keep their identity factor.  The residual ||z - reconstruction||^2
-    never increases.
-
-    The projections share their prefix: ``prefix = z x_{n<m} U_n^T`` with the
-    updated factors, mode m's projection is ``prefix x_{n>m} U_n^T`` with the
-    old ones, and after the update ``prefix <- prefix x_m U_m^T``; the last
-    prefix is the core.  The products run in the same order as a separate
-    chain from z per mode would run them, so the result is the same to the
-    bit.  1x1 identity factors are skipped.  When every rank is below its mode
-    size, only two products read a tensor of z's full size: the first step of
-    the first non-singleton mode's projection, and that mode's prefix update.
+    never increases.  The projections share their prefixes
+    (:func:`_leave_one_out`), and the last prefix is the core.
     """
-    if z.shape != model.output_shape:
-        raise ValueError(f"tensor shape {z.shape} does not match model's "
-                         f"factor rows {model.output_shape}")
     z = np.asarray(z, dtype=np.float64)
     factors = list(model.factors)
-    ranks = model.ranks
-    prefix = z
-    for m in range(z.ndim):
-        if z.shape[m] != 1:
-            y = prefix
-            for n in range(m + 1, z.ndim):
-                if not is_unit_factor(factors[n]):
-                    y = mode_multiply(y, factors[n].T, n)
-            flat = unfold(y, m)
-            # A rank above the projected width (possible right after an increment,
-            # while the other modes are still small) adds columns orthogonal to the
-            # data; complete the basis deterministically, the energy is unchanged.
-            r_eff = min(ranks[m], flat.shape[1])
-            basis = leading_singular_vectors(flat, r_eff)
-            if r_eff < ranks[m]:
-                basis = complete_orthonormal_basis(basis, ranks[m])
-            factors[m] = basis
-        if not is_unit_factor(factors[m]):
-            prefix = mode_multiply(prefix, factors[m].T, m)
-    return TuckerModel(prefix, factors)
+
+    def update(m, y):
+        flat = unfold(y, m)
+        # A rank above the projected width (possible right after an increment,
+        # while the other modes are still small) adds columns orthogonal to the
+        # data; complete the basis deterministically, the energy is unchanged.
+        rank = model.ranks[m]
+        r_eff = min(rank, flat.shape[1])
+        basis = leading_singular_vectors(flat, r_eff)
+        factors[m] = basis if r_eff == rank else complete_orthonormal_basis(basis, rank)
+
+    core = _leave_one_out(z, factors, update)
+    return TuckerModel(core, factors)

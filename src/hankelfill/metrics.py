@@ -35,8 +35,8 @@ def _check_pair(reference: np.ndarray, estimate: np.ndarray, op: str):
 def psnr(reference: np.ndarray, estimate: np.ndarray, peak: float = 255.0) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the inputs are identical."""
     reference, estimate = _check_pair(reference, estimate, "psnr")
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0 < peak < np.inf:
+        raise ValueError(f"peak must be positive and finite, got {peak}")
     mse = float(np.mean((reference - estimate) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -78,8 +78,8 @@ def ssim_map(reference: np.ndarray, estimate: np.ndarray,
     reference, estimate = _check_pair(reference, estimate, "ssim")
     if reference.ndim != 2:
         raise ValueError(f"ssim expects 2-D slices, got shape {reference.shape}")
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+    if not 0 < peak < np.inf:
+        raise ValueError(f"peak must be positive and finite, got {peak}")
     if min(reference.shape) < WINDOW:
         raise ValueError(f"image {reference.shape} smaller than the {WINDOW}x{WINDOW} window")
     mu_x = _local_mean(reference, _KERNEL)

@@ -13,6 +13,7 @@ the data rather than a patchwork of input and fill.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,9 +37,16 @@ def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int],
     """The embedded shape of ``shape`` under windows ``taus``, checked against ``cap``.
 
     A ValueError, before anything is allocated, when the embedded tensor
-    would hold more than ``cap`` elements.  ``cap_setting`` names the setting
-    that raises the cap, for a caller that has one; the error then offers it.
+    would hold more than ``cap`` elements or ``cap`` is not an integer >= 1.
+    ``cap_setting`` names the setting that raises the cap, for a caller that
+    has one; the error then offers it.
     """
+    try:
+        valid = operator.index(cap) >= 1
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{cap_setting or 'cap'} must be an integer >= 1, got {cap!r}")
     embedded = embedded_shape(shape, taus)
     count = math.prod(embedded)
     if count > cap:

@@ -8,13 +8,12 @@ with zeros (so the reconstruction is untouched), and sweeping resumes from
 that warm start.  The schedule is an immutable value: the model's ranks are
 the only record of how far each sequence has advanced.  The run stops when
 the cost drops below the noise threshold, the sequences are exhausted, or
-the sweep budget runs out.  Outside plateaus a run holds one full-size
-buffer, the fill: each sweep reconstructs its model into the fill the ALS
-sweep has just read, and one masked pass over cache-sized blocks, the
-imputation, sums the masked cost and fills the reconstruction in place for
-the next sweep.  Only
-a plateau rebuilds the masked residual, a second full-size array, for the
-mode ranking.
+the sweep budget runs out.  A run holds one full-size buffer, the fill:
+each sweep reconstructs its model into the fill the ALS sweep has just
+read, and one masked pass over cache-sized blocks, the imputation, sums the
+masked cost and fills the reconstruction in place for the next sweep.  A
+plateau ranks the modes from that fill, through the ALS sweep's projection
+chain, and rebuilds nothing.
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -24,14 +23,15 @@ status ``schedule_exhausted``.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import check_shape, is_unit_factor, mode_multiply
-from .completion import CostTrace, TuckerModel, als_sweep, cost, init_model
+from .core import check_shape, mode_multiply
+from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, cost, init_model
 from .embedding import embedded_observed_energy
 from .linalg import apply_sign_convention
 
@@ -83,9 +83,9 @@ class StoppingCriteria:
     max_total_sweeps: int = DEFAULT_MAX_TOTAL_SWEEPS
 
     def __post_init__(self):
-        # NaN fails this test too: as a threshold it would never fire
-        if not (self.epsilon >= 0 and self.tol >= 0):
-            raise ValueError(f"epsilon and tol must be nonnegative, got "
+        # NaN never fires; inf ends at the random start or makes every sweep a plateau
+        if not (0 <= self.epsilon < math.inf and 0 <= self.tol < math.inf):
+            raise ValueError(f"epsilon and tol must be nonnegative and finite, got "
                              f"epsilon={self.epsilon}, tol={self.tol}")
         try:
             sweeps = operator.index(self.max_total_sweeps)
@@ -129,29 +129,27 @@ def default_rank_sequences(embedded_shape: Sequence[int]) -> RankSchedule:
     return RankSchedule(tuple(sequences))
 
 
-def mode_residuals(r: np.ndarray, factors: Sequence[np.ndarray]) -> list[float]:
+def mode_residuals(z: np.ndarray, model: TuckerModel) -> list[float]:
     """Masked residual energy visible through every factor except one.
 
-    ``r`` is the masked residual (data minus reconstruction on observed
-    entries, zero elsewhere); value_m = || r projected onto all factors but
-    mode m ||_F^2, a proxy for how much cost reduction a rank bump on mode m
-    can buy.
+    ``z`` is the fill of ``model``'s reconstruction x, so z - x is the masked
+    residual; value_m = ||(z - x) projected onto all factors but mode m||^2,
+    a proxy for how much cost reduction a rank bump on mode m can buy.  With
+    orthonormal factors that projection of x is the core times U_m on mode m,
+    so x is never built: z runs through the chain of :func:`als_sweep`.  A
+    mode of size 1 sees the whole projection, the chain's last prefix less
+    the core.
     """
-    r = np.asarray(r, dtype=np.float64)
-    factors = [np.asarray(u, dtype=np.float64) for u in factors]
-    # prefix = r x_{n<m} U_n^T, shared by every later mode (see als_sweep)
-    prefix = r
-    values = []
-    for m in range(r.ndim):
-        w = prefix
-        for n in range(m + 1, r.ndim):
-            if not is_unit_factor(factors[n]):
-                w = mode_multiply(w, factors[n].T, n)
-        flat = w.ravel()
-        values.append(float(flat @ flat))
-        if m + 1 < r.ndim and not is_unit_factor(factors[m]):
-            prefix = mode_multiply(prefix, factors[m].T, m)
-    return values
+    z = np.asarray(z, dtype=np.float64)
+    values = [0.0] * z.ndim
+
+    def score(m, y):
+        d = (y - mode_multiply(model.core, model.factors[m], m)).ravel()
+        values[m] = float(d @ d)
+
+    d = (_leave_one_out(z, model.factors, score) - model.core).ravel()
+    whole = float(d @ d)
+    return [whole if j == 1 else v for j, v in zip(z.shape, values)]
 
 
 def _growable(schedule: RankSchedule, ranks: Sequence[int]) -> list[int]:
@@ -278,19 +276,6 @@ def _impute(t_h: np.ndarray, q_h: np.ndarray, model: TuckerModel, scratch: np.nd
     return x, total
 
 
-def _masked_residual(z: np.ndarray, model: TuckerModel) -> np.ndarray:
-    """z - x for the fill z of ``model``'s reconstruction x: the masked residual.
-
-    Where observed z is t, so this is the masked pass's own t - x; elsewhere
-    z is x and x - x = +0.  So it equals where(q, t - x, 0) bit for bit: a
-    reconstruction gives the same bits whether or not it is written into a
-    buffer.
-    """
-    r = model.reconstruct()
-    np.subtract(z, r, out=r)
-    return r
-
-
 def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
                                  schedule: RankSchedule,
                                  criteria: StoppingCriteria,
@@ -349,8 +334,7 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
             if not _growable(schedule, model.ranks):
                 status = SCHEDULE_EXHAUSTED
                 break
-            residuals = mode_residuals(_masked_residual(z, model), model.factors)
-            mode = select_increment_mode(residuals, schedule, model.ranks)
+            mode = select_increment_mode(mode_residuals(z, model), schedule, model.ranks)
             new_rank = next(k for k in schedule.sequences[mode] if k > model.ranks[mode])
             pads += 1
             model = pad_model(model, mode, new_rank, seed=(seed, pads))

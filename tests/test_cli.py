@@ -44,6 +44,16 @@ class TestMetricsCommand:
         expected = ssim_map(read_image(ref), read_image(est), peak=200.0)[1]
         assert out == f"{expected}\n"
 
+    @pytest.mark.parametrize("peak", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_peak_is_an_error(self, tmp_path, capsys, peak):
+        path = tmp_path / "a.ppm"
+        write_image(path, texture_image(16))
+        code, out, err = run_cli(capsys, "metrics", "--ref", str(path), "--est", str(path),
+                                 "--psnr", "--ssim", "--peak", peak)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: peak must be positive and finite")
+
     def test_no_metric_requested_fails(self, tmp_path, capsys):
         path = tmp_path / "a.pgm"
         write_image(path, np.zeros((4, 4)))
@@ -214,15 +224,19 @@ class TestRecoverCommand:
     @pytest.mark.parametrize("flag", ["--epsilon", "--tol"])
     def test_nan_threshold_is_an_error(self, tmp_path, capsys, flag):
         # NaN compares false: as --tol it never sees a plateau, as --epsilon
-        # it never converges, so the run would spend its whole budget
+        # it never converges, so the run would spend its whole budget.  An
+        # infinite --epsilon would return the random start as converged, an
+        # infinite --tol would make every sweep a plateau.
         data, mask = self.fixture_files(tmp_path)
         out = tmp_path / "o.hten"
-        code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask", str(mask),
-                                  "--tau", "4,4,1", flag, "nan", "--output", str(out))
-        assert code == 1
-        assert text == ""
-        assert err.startswith("error: epsilon and tol must be nonnegative")
-        assert not out.exists()
+        for value in ("nan", "inf"):
+            code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask",
+                                      str(mask), "--tau", "4,4,1", flag, value,
+                                      "--output", str(out))
+            assert code == 1
+            assert text == ""
+            assert err.startswith("error: epsilon and tol must be nonnegative and finite")
+            assert not out.exists()
 
     def test_empty_mask_is_an_error(self, tmp_path, capsys):
         data, _ = self.fixture_files(tmp_path)

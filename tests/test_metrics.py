@@ -33,8 +33,10 @@ class TestPsnr:
         assert psnr(ref, est, 255.0) == pytest.approx(shifted, abs=1e-10)
 
     def test_invalid_peak(self):
-        with pytest.raises(ValueError, match="peak"):
-            psnr(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
+        # a NaN peak would give a NaN score, an infinite one +inf dB
+        for peak in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="peak must be positive and finite"):
+                psnr(np.zeros((2, 2)), np.ones((2, 2)), peak)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
@@ -113,8 +115,9 @@ class TestSsim:
             ssim_map(np.zeros((8, 8)), np.zeros((8, 8)))
 
     def test_invalid_peak(self):
-        with pytest.raises(ValueError, match="peak"):
-            ssim_map(np.zeros((12, 12)), np.zeros((12, 12)), peak=0.0)
+        for peak in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="peak must be positive and finite"):
+                ssim_map(np.zeros((12, 12)), np.zeros((12, 12)), peak=peak)
 
 
 class TestMeanSsim:

@@ -85,6 +85,11 @@ class TestRecover:
         with pytest.raises(ValueError, match="expansion") as info:
             recover(req)
         assert str(info.value).endswith("Reduce the windows or raise max_embedded_elements.")
+        # a NaN cap compares false and would let every size through
+        for cap in (float("nan"), 1e9, 2.5, 0, -1, None):
+            req.max_embedded_elements = cap
+            with pytest.raises(ValueError, match="max_embedded_elements must be an integer >= 1"):
+                recover(req)
 
     def test_empty_mask_rejected(self):
         truth = damped_sine(60, decay=0.01, omega=0.5)

@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, complete_with_rank_increment, default_rank_sequences,
-                        default_stopping_criteria, init_model, mode_residuals,
-                        pad_model, select_increment_mode)
+                        StoppingCriteria, TuckerModel, complete_with_rank_increment,
+                        default_rank_sequences, default_stopping_criteria, init_model,
+                        mode_residuals, pad_model, select_increment_mode)
 from helpers import (is_non_increasing, orthonormality_defect, planted_tucker, random_mask,
                      relative_criteria)
 
 
 class TestStoppingCriteria:
     @pytest.mark.parametrize("epsilon, tol", [(float("nan"), 1.0), (1.0, float("nan")),
-                                              (-1.0, 1.0), (1.0, -1e-300)])
+                                              (-1.0, 1.0), (1.0, -1e-300),
+                                              (float("inf"), 1.0), (1.0, float("inf"))])
     def test_negative_or_nan_threshold_rejected(self, epsilon, tol):
-        with pytest.raises(ValueError, match="must be nonnegative"):
+        # an infinite epsilon would stop at the random start as "converged"
+        with pytest.raises(ValueError, match="must be nonnegative and finite"):
             StoppingCriteria(epsilon=epsilon, tol=tol)
 
     @pytest.mark.parametrize("budget", [2.5, 2.0, "3", None])
@@ -65,7 +67,8 @@ class TestModeResiduals:
     def test_zero_when_fit_is_exact(self):
         # an exact fit leaves a zero masked residual
         factors = [np.eye(s, 2) for s in (5, 6, 4)]
-        assert mode_residuals(np.zeros((5, 6, 4)), factors) == [0.0, 0.0, 0.0]
+        model = TuckerModel(np.zeros((2, 2, 2)), factors)
+        assert mode_residuals(np.zeros((5, 6, 4)), model) == [0.0, 0.0, 0.0]
 
     def test_identity_factors_give_plain_residual(self):
         rng = np.random.default_rng(2)
@@ -74,7 +77,8 @@ class TestModeResiduals:
         q = random_mask(t.shape, 0.4, seed=3)
         factors = [np.eye(s) for s in t.shape]
         masked = float((((t - x) * q) ** 2).sum())
-        for value in mode_residuals(np.where(q, t - x, 0.0), factors):
+        model = TuckerModel(np.zeros(t.shape), factors)
+        for value in mode_residuals(np.where(q, t - x, 0.0), model):
             assert value == pytest.approx(masked, rel=1e-12)
 
     def test_matches_einsum_oracle(self):
@@ -91,7 +95,8 @@ class TestModeResiduals:
             float((np.einsum("abc,ai,ck->ibk", r, u0, u2) ** 2).sum()),
             float((np.einsum("abc,ai,bj->ijc", r, u0, u1) ** 2).sum()),
         ]
-        np.testing.assert_allclose(mode_residuals(r, factors), oracle, rtol=1e-10)
+        model = TuckerModel(np.zeros((2, 3, 2)), factors)
+        np.testing.assert_allclose(mode_residuals(r, model), oracle, rtol=1e-10)
 
 
 class TestSelectIncrementMode:
