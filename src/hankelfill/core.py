@@ -74,7 +74,8 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     t = np.asarray(t)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
+    axes = (mode, *range(mode), *range(mode + 1, t.ndim))
+    return np.reshape(t.transpose(axes), (t.shape[mode], -1), order="F")
 
 
 def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int,

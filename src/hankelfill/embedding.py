@@ -106,17 +106,27 @@ def embedded_observed_energy(values: np.ndarray, mask: np.ndarray,
 
     Computed without embedding: each source entry shows up once per covering
     window, so its energy is weighted by the product of per-mode duplication
-    counts.  Used to scale stopping thresholds to the data.
+    counts.  Used to scale stopping thresholds to the data.  Finite data
+    whose energy overflows float64 (magnitudes near 1e154 and up) are a
+    ValueError that asks for rescaled data.
     """
     lengths = np.shape(values)
     windows = embedded_shape(lengths, taus)[::2]
-    w = np.where(np.asarray(mask, dtype=bool), np.asarray(values, dtype=np.float64), 0.0) ** 2
-    for mode, (length, tau) in enumerate(zip(lengths, windows)):
-        counts = duplication_counts(length, tau).astype(np.float64)
-        shape = [1] * w.ndim
-        shape[mode] = -1
-        w = w * counts.reshape(shape)
-    return float(w.sum())
+    observed = np.where(np.asarray(mask, dtype=bool), np.asarray(values, dtype=np.float64), 0.0)
+    with np.errstate(over="ignore"):
+        w = observed ** 2
+        for mode, (length, tau) in enumerate(zip(lengths, windows)):
+            counts = duplication_counts(length, tau).astype(np.float64)
+            shape = [1] * w.ndim
+            shape[mode] = -1
+            w = w * counts.reshape(shape)
+        energy = float(w.sum())
+    if not math.isfinite(energy):
+        if not np.isfinite(observed).all():
+            raise ValueError("observed values must be finite (no NaN/Inf)")
+        raise ValueError(f"the observed energy of the data overflows float64 (largest "
+                         f"observed magnitude {np.abs(observed).max():.3g}); rescale the data")
+    return energy
 
 
 def inverse_mdt(xh: np.ndarray) -> np.ndarray:

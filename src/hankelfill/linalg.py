@@ -1,10 +1,13 @@
 """Leading singular vectors of a dense matrix, deterministic by construction.
 
-The only matrix kernel the completion sweep needs.  Works on the Gram matrix
-of the smaller side: eigendecomposition of A A^T when the matrix is wide
-(J <= K), of A^T A plus a back-multiplication when it is tall.  Mode sizes in
-this package are window lengths, so J stays small while K can be the product
-of every other mode; the Gram trick keeps the decomposition at J x J.
+The only matrix kernel the completion sweep needs, with one decomposition per
+call.  A wide matrix (J <= K) takes the eigendecomposition of its J x J Gram
+matrix A A^T: mode sizes in this package are window lengths, so J stays small
+while K can be the product of every other mode, and the Gram matrix keeps the
+work at J x J.  A tall matrix (J > K), what the updates of a delay-embedded
+vector or a heavily projected mode see, takes one thin SVD, whose left
+singular vectors are orthonormal as LAPACK returns them, also where A is
+rank-deficient.
 """
 
 from __future__ import annotations
@@ -17,11 +20,9 @@ def apply_sign_convention(u: np.ndarray) -> np.ndarray:
 
     First occurrence wins on ties, which makes the output deterministic.
     """
-    u = np.array(u, dtype=np.float64, copy=True)
-    idx = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[idx, np.arange(u.shape[1])])
-    signs[signs == 0] = 1.0
-    return u * signs
+    u = np.asarray(u, dtype=np.float64)
+    idx = np.abs(u).argmax(axis=0)
+    return u * np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
 def complete_orthonormal_basis(u: np.ndarray, total: int) -> np.ndarray:
@@ -43,8 +44,11 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal J x r basis of the dominant left singular subspace of a J x K matrix.
 
     Maximizes the captured energy ||U^T A||_F^2 over all rank-r orthonormal
-    bases.  Near-degenerate singular values are taken as the eigensolver
-    returns them; the caller gets a valid dominant subspace either way.
+    bases.  Wide and square inputs take the top eigenvectors of A A^T; tall
+    ones the first r left singular vectors of a thin SVD, which span the
+    rank-deficient directions too.  Near-degenerate singular values are taken
+    as the solver returns them; the caller gets a valid dominant subspace
+    either way.  Columns follow :func:`apply_sign_convention`.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -52,22 +56,12 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     rows, cols = a.shape
     if not 1 <= r <= min(rows, cols):
         raise ValueError(f"r={r} out of range [1, {min(rows, cols)}] for shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
 
     if rows <= cols:
         _, vecs = np.linalg.eigh(a @ a.T)
         u = vecs[:, ::-1][:, :r]
     else:
-        vals, vecs = np.linalg.eigh(a.T @ a)
-        vals = vals[::-1][:r]
-        v = vecs[:, ::-1][:, :r]
-        u = a @ v
-        sigma = np.sqrt(np.clip(vals, 0.0, None))
-        ok = sigma > np.finfo(np.float64).tiny
-        u[:, ok] /= sigma[ok]
-        u[:, ~ok] = 0.0
-        # QR pass restores orthonormality lost to tiny singular values and
-        # fills rank-deficient directions deterministically.
-        u, _ = np.linalg.qr(u)
+        u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
     return apply_sign_convention(np.ascontiguousarray(u))

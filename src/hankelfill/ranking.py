@@ -105,8 +105,11 @@ def default_stopping_criteria(values: np.ndarray, mask: np.ndarray, taus: Sequen
     :func:`embedded_observed_energy`).  All-ones windows give the plain
     observed energy of ``values``.  epsilon is ``epsilon_rel`` and tol
     DEFAULT_TOL_REL times that energy, with DEFAULT_MAX_TOTAL_SWEEPS; change
-    any of them with ``dataclasses.replace``.
+    any of them with ``dataclasses.replace``.  A negative, NaN or infinite
+    ``epsilon_rel`` is a ValueError.
     """
+    if not 0 <= epsilon_rel < math.inf:
+        raise ValueError(f"epsilon_rel must be nonnegative and finite, got {epsilon_rel}")
     energy = embedded_observed_energy(values, mask, taus)
     return StoppingCriteria(epsilon=epsilon_rel * energy, tol=DEFAULT_TOL_REL * energy)
 

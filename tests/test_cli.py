@@ -238,6 +238,22 @@ class TestRecoverCommand:
             assert err.startswith("error: epsilon and tol must be nonnegative and finite")
             assert not out.exists()
 
+    def test_energy_overflow_is_one_error_line(self, tmp_path, capsys):
+        # thresholds set to 0 must not be blamed for data whose energy overflows
+        data, mask = tmp_path / "v.hten", tmp_path / "q.hten"
+        write_tensor(data, 1e160 * np.sin(np.arange(120) / 5.0))
+        write_mask(mask, np.arange(120) % 7 != 3)
+        out = tmp_path / "o.hten"
+        code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask",
+                                  str(mask), "--tau", "30", "--epsilon", "0", "--tol", "0",
+                                  "--output", str(out))
+        assert code == 1
+        assert text == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the observed energy of the data overflows float64")
+        assert err.rstrip().endswith("rescale the data")
+        assert not out.exists()
+
     def test_empty_mask_is_an_error(self, tmp_path, capsys):
         data, _ = self.fixture_files(tmp_path)
         mask = tmp_path / "none.pgm"
@@ -292,6 +308,17 @@ class TestDemoSignal:
         assert code == 1
         assert err.startswith("error:") and "nonnegative" in err
         assert text == ""
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_epsilon_rel_is_an_error(self, tmp_path, capsys, value):
+        out = tmp_path / "demo.csv"
+        code, text, err = run_cli(capsys, "demo-signal", "--epsilon-rel", value,
+                                  "--output", str(out))
+        assert code == 1
+        assert text == ""
+        assert err == f"error: epsilon_rel must be nonnegative and finite, got {float(value)}\n"
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,30 @@ class TestEmbeddedObservedEnergy:
         q = np.ones(5, bool)
         # every window covers tau entries, (L - tau + 1) windows in total
         assert embedded_observed_energy(x, q, (3,)) == pytest.approx(3 * 3, rel=1e-12)
+
+    def test_overflow_is_one_error_that_asks_for_rescaling(self):
+        # 1e160 squared overflows float64; the default thresholds would be
+        # infinite and rejected under names the caller never set
+        x = 1e160 * np.sin(np.arange(40) / 3.0)
+        q = np.ones(40, bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="overflows float64.*rescale the data"):
+                embedded_observed_energy(x, q, (8,))
+
+    def test_largest_finite_energy_is_returned(self):
+        x = np.full(4, 1e153)
+        assert embedded_observed_energy(x, np.ones(4, bool), (1,)) == pytest.approx(4e306)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observed_value_is_an_error(self, bad):
+        x = np.ones(6)
+        x[2] = bad
+        with pytest.raises(ValueError, match="observed values must be finite"):
+            embedded_observed_energy(x, np.ones(6, bool), (2,))
+        mask = np.ones(6, bool)
+        mask[2] = False  # an unobserved entry does not count
+        assert embedded_observed_energy(x, mask, (1,)) == 5.0
 
 
 @st.composite

@@ -37,7 +37,7 @@ class TestLeadingSingularVectors:
         assert captured_energy(u, a) == pytest.approx(float((sigma[:3] ** 2).sum()),
                                                       rel=1e-10)
 
-    def test_tall_matrix_back_multiplication_path(self):
+    def test_tall_matrix_thin_svd_path(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((9, 4))
         for r in (1, 2, 4):
@@ -78,6 +78,25 @@ class TestLeadingSingularVectors:
         u = leading_singular_vectors(a, 4)
         for col in u.T:
             assert col[np.argmax(np.abs(col))] >= 0
+
+    @pytest.mark.parametrize("shape, solver", [((9, 4), "svd"), ((4, 9), "eigh"),
+                                               ((5, 5), "eigh")])
+    def test_one_decomposition_per_call(self, monkeypatch, shape, solver):
+        # tall: one thin SVD, orthonormal by construction, no fix-up QR;
+        # wide or square: one eigensolve of the small Gram matrix
+        calls = []
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("svd", "eigh", "qr"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        a = np.random.default_rng(8).standard_normal(shape)
+        leading_singular_vectors(a, 2)
+        assert calls == [solver]
 
     def test_r_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -145,12 +164,48 @@ def ill_conditioned_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=ill_conditioned_matrices())
 def test_captured_energy_matches_svd(case):
-    # The Gram eigensolve squares the condition number, so its vectors may
-    # differ from the SVD's in the tiny directions; the energy they capture,
-    # the quantity the ALS update maximizes, must not.
+    # On wide inputs the Gram eigensolve squares the condition number, so its
+    # vectors may differ from the SVD's in the tiny directions; the energy
+    # they capture, the quantity the ALS update maximizes, must not.
     a, r = case
     u = leading_singular_vectors(a, r)
     sigma = np.linalg.svd(a, compute_uv=False)
     total = float(np.sum(sigma**2))
     assert abs(captured_energy(u, a) - float(np.sum(sigma[:r] ** 2))) <= 1e-12 * total
     assert orthonormality_defect(u) < 1e-12
+
+
+@st.composite
+def tall_matrices(draw):
+    """J x K with J > K, as the sweep's updates on delay embeddings see them.
+
+    Columns may be zero or copies of earlier ones (rank-deficient), and each
+    is scaled by a power of ten in [1e-150, 1e150].
+    """
+    rows = draw(st.integers(2, 200))
+    cols = draw(st.integers(1, min(8, rows - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((rows, cols))
+    for k in range(cols):
+        kind = draw(st.sampled_from(["random", "zero", "copy"]))
+        if kind == "zero":
+            a[:, k] = 0.0
+        elif kind == "copy" and k:
+            a[:, k] = a[:, draw(st.integers(0, k - 1))]
+    a *= 10.0 ** np.array(draw(st.lists(st.integers(-150, 150), min_size=cols,
+                                        max_size=cols)), dtype=np.float64)
+    return a, draw(st.integers(1, cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tall_matrices())
+def test_tall_basis_is_orthonormal_and_captures_the_top_energy(case):
+    a, r = case
+    u = leading_singular_vectors(a, r)
+    assert u.shape == (a.shape[0], r)
+    assert orthonormality_defect(u) <= 1e-12
+    # energies of a / max|a|, so squares of 1e150 entries do not overflow
+    scaled = a / max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
+    sigma = np.linalg.svd(scaled, compute_uv=False)
+    total = float(np.sum(sigma**2))
+    assert abs(captured_energy(u, scaled) - float(np.sum(sigma[:r] ** 2))) <= 1e-12 * total

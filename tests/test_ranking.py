@@ -26,6 +26,13 @@ class TestStoppingCriteria:
         with pytest.raises(ValueError, match="max_total_sweeps must be an integer"):
             StoppingCriteria(0.0, 0.0, budget)
 
+    @pytest.mark.parametrize("epsilon_rel", [float("nan"), float("inf"), -1.0])
+    def test_default_criteria_reject_a_bad_epsilon_rel(self, epsilon_rel):
+        # the error names the argument the caller set, not the scaled epsilon
+        with pytest.raises(ValueError, match=r"epsilon_rel must be nonnegative and finite"):
+            default_stopping_criteria(np.ones(8), np.ones(8, bool), (2,),
+                                      epsilon_rel=epsilon_rel)
+
     def test_integer_sweep_budget_of_any_integer_type_accepted(self):
         assert StoppingCriteria(0.0, 0.0, np.int64(3)).max_total_sweeps == 3
         with pytest.raises(ValueError, match=">= 1"):
