@@ -24,13 +24,11 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from .embedding import embedded_shape, inverse_mdt, mdt
-from .fileio import HTEN_MAGIC, read_image, read_mask, read_tensor, write_image, \
-    write_mask, write_tensor
+from .fileio import _read_any, _write_any, read_mask, read_tensor, write_mask, write_tensor
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr
 from .pipeline import RecoveryRequest, checked_embedded_shape, recover
@@ -48,22 +46,6 @@ def _ints(text: str) -> tuple[int, ...]:
 
 def _rank_sequences(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(part) for part in text.split(";"))
-
-
-def _read_any(path) -> np.ndarray:
-    head = Path(path).read_bytes()[:4]
-    if head[:2] in (b"P5", b"P6"):
-        return read_image(path)
-    if head == HTEN_MAGIC:
-        return read_tensor(path)
-    raise ValueError(f"unrecognized file format for {path} (leading bytes {head!r})")
-
-
-def _write_any(path, t: np.ndarray) -> None:
-    if str(path).endswith((".ppm", ".pgm")):
-        write_image(path, t)
-    else:
-        write_tensor(path, t)
 
 
 def _write_trace_csv(path, trace, rank_history) -> None:

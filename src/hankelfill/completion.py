@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import check_shape, is_unit_factor, mode_multiply, multilinear_product, unfold
-from .linalg import apply_sign_convention, complete_orthonormal_basis, leading_singular_vectors
+from .linalg import complete_orthonormal_basis, leading_singular_vectors
 
 # (sweep index, masked squared-Frobenius cost) per outer iteration
 CostTrace = list[tuple[int, float]]
@@ -81,8 +81,9 @@ def auxiliary_fill(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
 def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
     """Seeded random start: orthonormalized Gaussian factors, Gaussian core.
 
-    Singleton modes get a fixed 1x1 identity factor (they are never updated
-    by the sweep either).
+    Each factor is :func:`complete_orthonormal_basis` of an empty basis by a
+    Gaussian block.  Singleton modes get a fixed 1x1 identity factor (they
+    are never updated by the sweep either) and draw nothing.
     """
     shape = check_shape(shape)
     ranks = tuple(int(r) for r in ranks)
@@ -97,9 +98,8 @@ def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
         if j == 1:
             factors.append(np.ones((1, 1)))
             continue
-        raw = rng.standard_normal((j, r))
-        basis, _ = np.linalg.qr(raw)
-        factors.append(apply_sign_convention(basis))
+        factors.append(complete_orthonormal_basis(np.empty((j, 0)),
+                                                  rng.standard_normal((j, r))))
     core = rng.standard_normal(ranks)
     return TuckerModel(core, factors)
 
@@ -135,8 +135,9 @@ def als_sweep(z: np.ndarray, model: TuckerModel) -> TuckerModel:
     """One ALS cycle on a complete tensor z: every factor once, then the core.
 
     Mode m's update projects z onto all other (already updated) factors and
-    keeps the top-R_m left singular vectors of the mode-m unfolding; modes of
-    size 1 keep their identity factor.  The residual ||z - reconstruction||^2
+    keeps the top-R_m left singular vectors of the mode-m unfolding, completed
+    by identity columns where R_m exceeds the projected width; modes of size 1
+    keep their identity factor.  The residual ||z - reconstruction||^2
     never increases.  The projections share their prefixes
     (:func:`_leave_one_out`), and the last prefix is the core.
     """
@@ -150,8 +151,8 @@ def als_sweep(z: np.ndarray, model: TuckerModel) -> TuckerModel:
         # data; complete the basis deterministically, the energy is unchanged.
         rank = model.ranks[m]
         r_eff = min(rank, flat.shape[1])
-        basis = leading_singular_vectors(flat, r_eff)
-        factors[m] = basis if r_eff == rank else complete_orthonormal_basis(basis, rank)
+        factors[m] = complete_orthonormal_basis(leading_singular_vectors(flat, r_eff),
+                                                np.eye(flat.shape[0], rank - r_eff))
 
     core = _leave_one_out(z, factors, update)
     return TuckerModel(core, factors)

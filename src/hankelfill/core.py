@@ -41,27 +41,21 @@ def check_shape(dims: Iterable[int]) -> Shape:
     return shape
 
 
-def as_tensor(values, shape: Sequence[int] | None = None) -> np.ndarray:
+def as_tensor(values) -> np.ndarray:
     """Coerce input to a float64 dense tensor, rejecting NaN/Inf entries."""
     t = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        t = t.reshape(check_shape(shape))
-    else:
-        check_shape(t.shape)
+    check_shape(t.shape)
     if not np.all(np.isfinite(t)):
         raise ValueError("tensor values must be finite (no NaN/Inf)")
     return t
 
 
-def as_mask(flags, shape: Sequence[int] | None = None) -> np.ndarray:
+def as_mask(flags) -> np.ndarray:
     """Coerce input to a boolean observation mask (True = observed)."""
     q = np.asarray(flags)
     if q.dtype != np.bool_:
         q = q != 0
-    if shape is not None:
-        q = q.reshape(check_shape(shape))
-    else:
-        check_shape(q.shape)
+    check_shape(q.shape)
     return q
 
 

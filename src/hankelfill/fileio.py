@@ -143,28 +143,44 @@ def read_tensor(path) -> np.ndarray:
     return np.asarray(values, dtype=np.float64).reshape(shape, order="F")
 
 
+# ---------------------------------------------------------------- any format
+
+def _read_any(path) -> np.ndarray:
+    """An image or an HTEN tensor, told apart by the file's leading bytes."""
+    with open(path, "rb") as fh:
+        head = fh.read(4)
+    if head[:2] in (b"P5", b"P6"):
+        return read_image(path)
+    if head == HTEN_MAGIC:
+        return read_tensor(path)
+    raise ValueError(f"unrecognized file format for {path} (leading bytes {head!r})")
+
+
+def _is_image_path(path) -> bool:
+    return str(path).endswith((".ppm", ".pgm"))
+
+
+def _write_any(path, t: np.ndarray) -> None:
+    """An image for paths ending .ppm/.pgm, an HTEN tensor for any other."""
+    (write_image if _is_image_path(path) else write_tensor)(path, t)
+
+
 # ---------------------------------------------------------------- masks
 
 def read_mask(path, data_shape=None) -> np.ndarray:
     """Read an observation mask from a PGM/PPM (nonzero = observed) or HTEN file.
 
-    An HTEN mask holding NaN or +-Inf is rejected: such a value says neither
-    observed nor missing.
+    A mask holding NaN or +-Inf, which only an HTEN file can, is rejected:
+    such a value says neither observed nor missing.
 
     A 2-D image mask is broadcast along trailing modes when ``data_shape``
     says the data carries extra channels (e.g. HxW mask for HxWx3 data).
     """
-    head = Path(path).read_bytes()[:4]
-    if head[:2] in (b"P5", b"P6"):
-        q = as_mask(read_image(path) != 0)
-    elif head == HTEN_MAGIC:
-        values = read_tensor(path)
-        if not np.isfinite(values).all():
-            raise ValueError(f"mask {path} holds non-finite values; "
-                             "want 0 for missing and a finite nonzero for observed")
-        q = as_mask(values != 0)
-    else:
-        raise ValueError(f"unrecognized mask file format (leading bytes {head!r})")
+    values = _read_any(path)
+    if not np.isfinite(values).all():
+        raise ValueError(f"mask {path} holds non-finite values; "
+                         "want 0 for missing and a finite nonzero for observed")
+    q = as_mask(values != 0)
     if data_shape is not None:
         data_shape = check_shape(data_shape)
         if q.shape != data_shape:
@@ -177,15 +193,14 @@ def read_mask(path, data_shape=None) -> np.ndarray:
 
 
 def write_mask(path, q: np.ndarray) -> None:
-    """Write a mask as PGM 0/255 (paths ending .pgm) or as HTEN 0/1."""
+    """Write a mask as an image of 0/255 (paths ending .ppm/.pgm) or as HTEN 0/1.
+
+    A PGM holds one channel: a mask of three equal channels is written as
+    one, and one whose channels differ is rejected.
+    """
     q = as_mask(q)
-    if str(path).endswith(".pgm"):
-        if q.ndim == 3:
-            if not (q == q[:, :, :1]).all():
-                raise ValueError("mask varies across channels; PGM cannot represent it")
-            q = q[:, :, 0]
-        if q.ndim != 2:
-            raise ValueError(f"cannot write order-{q.ndim} mask as PGM")
-        write_image(path, q.astype(np.float64) * 255.0)
-    else:
-        write_tensor(path, q.astype(np.float64))
+    if str(path).endswith(".pgm") and q.ndim == 3:
+        if not (q == q[:, :, :1]).all():
+            raise ValueError("mask varies across channels; PGM cannot represent it")
+        q = q[:, :, 0]
+    _write_any(path, q * (float(_IMAGE_MAXVAL) if _is_image_path(path) else 1.0))

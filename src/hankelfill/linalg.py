@@ -1,13 +1,13 @@
-"""Leading singular vectors of a dense matrix, deterministic by construction.
+"""Orthonormal bases, deterministic by construction: dominant subspaces and new columns.
 
-The only matrix kernel the completion sweep needs, with one decomposition per
-call.  A wide matrix (J <= K) takes the eigendecomposition of its J x J Gram
-matrix A A^T: mode sizes in this package are window lengths, so J stays small
-while K can be the product of every other mode, and the Gram matrix keeps the
-work at J x J.  A tall matrix (J > K), what the updates of a delay-embedded
-vector or a heavily projected mode see, takes one thin SVD, whose left
-singular vectors are orthonormal as LAPACK returns them, also where A is
-rank-deficient.
+:func:`leading_singular_vectors` takes one decomposition per call.  A wide
+matrix (J <= K) takes the eigendecomposition of its J x J Gram matrix A A^T:
+mode sizes in this package are window lengths, so J stays small while K can
+be the product of every other mode.  A tall matrix (J > K), what the updates
+of a delay-embedded vector or a heavily projected mode see, takes one thin
+SVD, orthonormal as LAPACK returns it, also where A is rank-deficient.
+:func:`complete_orthonormal_basis` makes every new factor column (random
+start, rank padding, rank above an update's width) with one QR.
 """
 
 from __future__ import annotations
@@ -25,19 +25,21 @@ def apply_sign_convention(u: np.ndarray) -> np.ndarray:
     return u * np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
-def complete_orthonormal_basis(u: np.ndarray, total: int) -> np.ndarray:
-    """Extend an orthonormal J x k basis to J x total columns, deterministically.
+def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Append one new orthonormal column per column of ``extra`` to the J x k basis u.
 
-    The added columns come from a QR pass over [u | I], so they depend only
-    on the input.  The span of the first k columns is preserved.
+    One Householder QR of [u | extra]: its trailing columns, under
+    :func:`apply_sign_convention`, follow u unchanged.  They are orthonormal
+    and orthogonal to u even where ``extra`` is rank-deficient or lies in
+    u's span, and depend only on the inputs.  Zero extra columns return u.
     """
     rows, have = u.shape
-    if not have <= total <= rows:
-        raise ValueError(f"cannot extend {u.shape} basis to {total} columns")
-    if total == have:
+    if extra.shape[0] != rows or have + extra.shape[1] > rows:
+        raise ValueError(f"cannot extend {u.shape} basis by {extra.shape} columns")
+    if extra.shape[1] == 0:
         return u
-    q, _ = np.linalg.qr(np.hstack([u, np.eye(rows)]))
-    return apply_sign_convention(q[:, :total])
+    q, _ = np.linalg.qr(np.hstack([u, extra]))
+    return np.hstack([u, apply_sign_convention(q[:, have:])])
 
 
 def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 from .core import check_shape, mode_multiply
 from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, cost, init_model
 from .embedding import embedded_observed_energy
-from .linalg import apply_sign_convention
+from .linalg import complete_orthonormal_basis
 
 # Terminal statuses of a rank-increment run.
 CONVERGED = "converged"            # masked cost reached epsilon
@@ -189,28 +189,20 @@ def select_increment_mode(residuals: Sequence[float], schedule: RankSchedule,
 def pad_model(model: TuckerModel, mode: int, new_rank: int, seed) -> TuckerModel:
     """Warm start at a higher rank: extend one factor, zero-pad the core.
 
-    The added factor columns are random, orthonormalized against the existing
-    ones; the matching core slices are zero, so the padded model reconstructs
-    exactly the same tensor as the input model.
+    The added factor columns are :func:`complete_orthonormal_basis` of the
+    factor by a seeded Gaussian block; the matching core slices are zero, so
+    the padded model reconstructs exactly the same tensor as the input model.
     """
     u = model.factors[mode]
     rows, r_old = u.shape
     if not r_old < new_rank <= rows:
         raise ValueError(f"new rank {new_rank} out of range ({r_old}, {rows}] on mode {mode}")
-    rng = np.random.default_rng(seed)
-    extra = rng.standard_normal((rows, new_rank - r_old))
-    extra -= u @ (u.T @ extra)
-    extra, _ = np.linalg.qr(extra)
-    # second projection pass guards against loss of orthogonality to u
-    extra -= u @ (u.T @ extra)
-    extra, _ = np.linalg.qr(extra)
-    padded = np.hstack([u, apply_sign_convention(extra)])
-
+    extra = np.random.default_rng(seed).standard_normal((rows, new_rank - r_old))
+    factors = list(model.factors)
+    factors[mode] = complete_orthonormal_basis(u, extra)
     pad_shape = list(model.core.shape)
     pad_shape[mode] = new_rank - r_old
     core = np.concatenate([model.core, np.zeros(pad_shape)], axis=mode)
-    factors = list(model.factors)
-    factors[mode] = padded
     return TuckerModel(core, factors)
 
 
@@ -292,8 +284,9 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     restart.  Stops as soon as the masked cost is <= ``criteria.epsilon``,
     returning status ``converged``; running out of rank headroom or sweeps
     gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
-    q_h with no observed entry is a ValueError; an all-zero t_h is fitted
-    exactly by the zero model, returned at sweep 0.
+    q_h with no observed entry, or a random start whose masked cost overflows
+    float64, is a ValueError; an all-zero t_h is fitted exactly by the zero
+    model, returned at sweep 0.
 
     The cost trace spans the whole run and is monotonically non-increasing,
     including across increments (padding preserves the reconstruction).
@@ -315,7 +308,11 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     if not t_h.any():
         model = TuckerModel(np.zeros_like(model.core), model.factors)
     scratch = np.empty(min(_BLOCK_ELEMENTS, t_h.size))
-    z, f_before = _impute(t_h, q_h, model, scratch)
+    with np.errstate(over="ignore"):
+        z, f_before = _impute(t_h, q_h, model, scratch)
+    if not math.isfinite(f_before):  # the cost never increases: this covers every sweep
+        raise ValueError("the masked cost of the random start overflows float64; "
+                         "rescale the data")
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
     if f_before <= criteria.epsilon:

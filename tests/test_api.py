@@ -20,6 +20,8 @@ REMOVED_PARAMETERS = {
     hankelfill.default_stopping_criteria: ("tol_rel", "max_total_sweeps"),
     hankelfill.ssim_map: ("params",),
     hankelfill.mean_ssim: ("params",),
+    hankelfill.as_tensor: ("shape",),
+    hankelfill.as_mask: ("shape",),
 }
 
 

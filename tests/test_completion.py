@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hankelfill import (SWEEP_BUDGET, StoppingCriteria, TuckerModel, als_sweep,
-                        auxiliary_fill, init_model, mode_multiply)
+                        apply_sign_convention, auxiliary_fill, init_model, mode_multiply)
 from hankelfill.completion import cost
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, masked_cost,
                      orthonormality_defect, planted_tucker, random_mask, random_orthonormal)
@@ -85,6 +85,18 @@ class TestInitModel:
         model = init_model((3, 2, 4), (8, 5, 9), seed=2)
         for u in model.factors:
             assert orthonormality_defect(u) < 1e-10
+
+    def test_factors_are_the_seeded_gaussian_blocks_orthonormalized(self):
+        # pins the seeded start: one Gaussian block per non-singleton mode, in
+        # mode order, then the core, all from one stream
+        shape, ranks = (8, 1, 5, 9), (3, 1, 2, 4)
+        model = init_model(ranks, shape, seed=12)
+        rng = np.random.default_rng(12)
+        for u, j, r in zip(model.factors, shape, ranks):
+            if j > 1:
+                expected = apply_sign_convention(np.linalg.qr(rng.standard_normal((j, r)))[0])
+                assert np.array_equal(u, expected)
+        assert np.array_equal(model.core, rng.standard_normal(ranks))
 
     def test_singleton_mode_gets_identity(self):
         model = init_model((2, 1, 2), (5, 1, 4), seed=3)

@@ -129,20 +129,77 @@ class TestCompleteOrthonormalBasis:
     def test_extends_and_preserves_prefix_span(self):
         rng = np.random.default_rng(7)
         u = random_orthonormal(rng, 6, 2)
-        full = complete_orthonormal_basis(u, 5)
+        full = complete_orthonormal_basis(u, rng.standard_normal((6, 3)))
         assert full.shape == (6, 5)
         assert orthonormality_defect(full) < 1e-10
-        # the first two columns still span the original subspace
-        proj = full[:, :2] @ (full[:, :2].T @ u)
-        np.testing.assert_allclose(proj, u, atol=1e-10)
+        # the first two columns are the original basis itself
+        np.testing.assert_array_equal(full[:, :2], u)
 
     def test_noop_when_already_full(self):
         u = np.eye(4)[:, :3]
-        np.testing.assert_array_equal(complete_orthonormal_basis(u, 3), u)
+        assert complete_orthonormal_basis(u, np.empty((4, 0))) is u
 
     def test_rejects_impossible_extension(self):
-        with pytest.raises(ValueError):
-            complete_orthonormal_basis(np.eye(3), 4)
+        with pytest.raises(ValueError, match="cannot extend"):
+            complete_orthonormal_basis(np.eye(3), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="cannot extend"):
+            complete_orthonormal_basis(np.eye(3)[:, :1], np.ones((4, 1)))
+
+    @pytest.mark.parametrize("rows, have, extra", [(151, 2, 2), (9, 0, 4), (5, 3, 0)])
+    def test_one_qr_of_the_basis_and_its_extra_columns(self, monkeypatch, rows, have, extra):
+        # the QR sees k + m columns, never the J + k of [u | I]
+        widths = []
+        real = np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            widths.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        rng = np.random.default_rng(9)
+        u = np.linalg.svd(rng.standard_normal((rows, max(have, 1))),
+                          full_matrices=False)[0][:, :have]
+        complete_orthonormal_basis(u, np.eye(rows, extra))
+        assert widths == ([(rows, have + extra)] if extra else [])
+
+
+@st.composite
+def bases_and_candidates(draw):
+    """A J x k orthonormal basis and m <= J - k candidate columns.
+
+    Each candidate is Gaussian, zero, a copy of a column of the basis or an
+    identity column, so [u | extra] may be rank-deficient.
+    """
+    rows = draw(st.integers(1, 60))
+    have = draw(st.integers(0, rows))
+    extra = draw(st.integers(0, rows - have))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.svd(rng.standard_normal((rows, max(have, 1))),
+                      full_matrices=False)[0][:, :have]
+    cand = rng.standard_normal((rows, extra))
+    for c in range(extra):
+        kind = draw(st.sampled_from(["gaussian", "zero", "copy", "identity"]))
+        if kind == "zero":
+            cand[:, c] = 0.0
+        elif kind == "copy" and have:
+            cand[:, c] = u[:, draw(st.integers(0, have - 1))]
+        elif kind == "identity":
+            cand[:, c] = np.eye(rows)[draw(st.integers(0, rows - 1))]
+    return u, cand
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=bases_and_candidates())
+def test_completion_keeps_the_basis_and_adds_orthonormal_columns(case):
+    u, extra = case
+    full = complete_orthonormal_basis(u, extra)
+    have = u.shape[1]
+    assert full.shape == (u.shape[0], have + extra.shape[1])
+    assert np.array_equal(full[:, :have], u)
+    # max(initial=0) covers the empty cases, k = m = 0
+    defect = np.abs(full.T @ full - np.eye(full.shape[1])).max(initial=0.0)
+    assert defect <= 1e-12
+    assert np.abs(u.T @ full[:, have:]).max(initial=0.0) <= 1e-12
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,16 @@ class TestRecover:
         assert report.status == CONVERGED
         assert report.cost_trace == [(0, 0.0)]
         assert not report.estimate.any()
+
+    def test_overflowing_cost_with_caller_thresholds_is_one_error(self):
+        # thresholds of the caller's own skip the observed energy; the masked
+        # cost of the start overflows instead, and never recovers
+        truth, req = small_signal_request(criteria=StoppingCriteria(0, 0, 50))
+        req.data = 1e160 * truth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(ValueError, match="overflows float64; rescale the data"):
+                recover(req)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differs"):

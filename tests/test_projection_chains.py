@@ -36,7 +36,7 @@ def chain_als_sweep(z, model):
         r_eff = min(ranks[m], flat.shape[1])
         basis = leading_singular_vectors(flat, r_eff)
         if r_eff < ranks[m]:
-            basis = complete_orthonormal_basis(basis, ranks[m])
+            basis = complete_orthonormal_basis(basis, np.eye(z.shape[m], ranks[m] - r_eff))
         factors[m] = basis
     core = z
     for n, u in enumerate(factors):
