@@ -13,9 +13,10 @@ Images travel as binary PPM/PGM, everything else as HTEN tensors; the
 format is detected from the file contents on read and from the extension
 (.ppm/.pgm/.hten) on write.  All randomness is seeded: identical flags give
 bit-identical outputs.  Errors print a single ``error: ...`` line on stderr
-and exit nonzero; a ``recover`` run that stops above its cost threshold
-prints one ``warning: ...`` line on stderr naming the threshold that stopped
-it.
+and exit nonzero.  A ``recover`` run prints one ``warning: ...`` line on
+stderr for each of two things: a run of fully missing slices that no
+window bridges, and a stop above its cost threshold, naming the threshold
+that stopped it.
 """
 
 from __future__ import annotations
@@ -85,6 +86,10 @@ def _cmd_recover(args) -> int:
     print(f"status {report.status}, ranks {report.ranks}, "
           f"sweeps {report.cost_trace[-1][0]}, "
           f"wall {report.wall_time_s:.2f}s")
+    if report.unbridged_gap is not None:
+        mode, run = report.unbridged_gap
+        print(f"warning: {run} fully missing slices in a row on mode {mode}; no window "
+              f"bridges a run on a mode with --tau 1", file=sys.stderr)
     stopped_by = {SWEEP_BUDGET: f"--max-sweeps {criteria.max_total_sweeps}",
                   SCHEDULE_EXHAUSTED: f"--tol {criteria.tol:.6g} at the final ranks"}
     if report.status in stopped_by:

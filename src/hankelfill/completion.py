@@ -1,24 +1,29 @@
 """Tucker completion building blocks: model, masked cost, imputation, ALS sweep.
 
-A fit alternates two steps until the masked cost stops moving:
+A fit alternates two steps until its cost stops moving:
 
 1. impute: overwrite the missing entries with the current model's values,
-   which majorizes the masked cost by a surrogate that touches it at the
-   current iterate;
+   which majorizes the cost by a surrogate that touches it at the current
+   iterate;
 2. one ALS cycle on the imputed (complete) tensor: per mode, project onto
    the other factors, take leading singular vectors of the unfolding, then
    refresh the core.
 
-Each ALS sub-step solves its subproblem globally, so the masked cost is
+Each ALS sub-step solves its subproblem globally, so the cost is
 monotonically non-increasing; there is no step size to tune.  The loop that
 drives these steps is :func:`hankelfill.ranking.complete_with_rank_increment`;
 a fixed-rank fit is a rank schedule of one-element sequences.  The mask
-enters only the imputation: with z the imputed tensor and x the
-reconstruction, z - x is the masked residual and ||z - x||^2 the masked cost.
-:func:`auxiliary_fill` computes z as a new array; the loop reconstructs x into
-the previous fill and overwrites it with z in place, summing the cost block
-by block on the way, so z is the run's one full-size buffer; the ALS sweep
-and the mode ranking read it through one projection chain.
+enters only the imputation, which runs in one of two places.  The paper's
+fill imputes the embedded tensor: with z the imputed tensor and x the
+reconstruction, z - x is the masked residual and ||z - x||^2 the masked
+cost.  :func:`auxiliary_fill` computes that z as a new array; the loop
+reconstructs x into the previous fill and overwrites it with z in place,
+summing the cost block by block on the way.  The pipeline's fill imputes the
+input y from the model's map-back and sweeps on z = H(y), its embedding;
+the cost is then ||z - x||^2 over every entry, which also counts how far
+the windows disagree on a missing entry.  Either way z is the run's one
+full-size buffer; the ALS sweep and the mode ranking read it through one
+projection chain.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 from .core import check_shape, is_unit_factor, mode_multiply, multilinear_product, unfold
 from .linalg import complete_orthonormal_basis, leading_singular_vectors
 
-# (sweep index, masked squared-Frobenius cost) per outer iteration
+# (sweep index, squared-Frobenius cost) per outer iteration
 CostTrace = list[tuple[int, float]]
 
 

@@ -63,9 +63,8 @@ def duplication_counts(length: int, tau: int) -> np.ndarray:
     if not 1 <= tau <= length:
         raise ValueError(f"window tau={tau} out of range [1, {length}]")
     i = np.arange(1, length + 1, dtype=np.int64)
-    return np.minimum.reduce([i, i[::-1],
-                              np.full(length, tau, dtype=np.int64),
-                              np.full(length, length - tau + 1, dtype=np.int64)])
+    counts = np.minimum(i, i[::-1])
+    return np.minimum(counts, min(tau, length - tau + 1), out=counts)
 
 
 def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:

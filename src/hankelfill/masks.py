@@ -78,3 +78,18 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
             q[(slice(r0, r0 + h), slice(c0, c0 + w)) + (slice(None),) * (len(shape) - 2)] = False
         return q
     raise ValueError(f"unknown pattern {pattern!r}; choose from {PATTERNS}")
+
+
+def longest_missing_runs(q: np.ndarray) -> tuple[int, ...]:
+    """Per mode, the longest run of consecutive slices with no observed entry.
+
+    One reduction of ``q`` per mode (nonzero = observed) and no embedding:
+    a slice is fully missing when no entry of it is observed.
+    """
+    q = np.asarray(q, dtype=bool)
+    runs = []
+    for mode in range(q.ndim):
+        seen = q.any(axis=tuple(n for n in range(q.ndim) if n != mode))
+        edges = np.diff(np.concatenate(([0], (~seen).view(np.int8), [0])))
+        runs.append(int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max(initial=0)))
+    return tuple(runs)

@@ -1,13 +1,21 @@
 """End-to-end recovery: embed, complete in embedded space, invert.
 
-The three steps are (1) multi-way delay embedding of the data and its mask,
-(2) Tucker completion of the embedded tensor by the rank-increment loop
-(fixed ranks are one-element rank sequences), and (3) the inverse embedding
-of the fitted model back to the input shape.  Step 3 maps the Tucker model
+The three steps are (1) multi-way delay embedding of the data, (2) Tucker
+completion of the embedded tensor by the rank-increment loop (fixed ranks
+are one-element rank sequences), and (3) the inverse embedding of the
+fitted model back to the input shape.  Step 3 maps the Tucker model
 back directly (:func:`hankelfill.embedding.inverse_mdt_tucker`), so the
 completed embedded tensor is never built.  Observed entries also pass
 through the model, so the output is everywhere the model's explanation of
 the data rather than a patchwork of input and fill.
+
+Step 2 imputes the input, not the embedded tensor: it fills the missing
+entries from the model's map-back and sweeps on the filled input's
+embedding, so every window agrees on a missing entry.  The paper's fill of
+the embedded tensor stays available as the loop on embedded data,
+``complete_with_rank_increment(mdt(t), mdt_mask(q), ...)``.  Before step 1,
+the mask alone is checked for a run of fully missing slices that no window
+bridges (see :func:`unbridged_gap`); the report names it.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import numpy as np
 
 from .completion import CostTrace
 from .core import as_mask, as_tensor
-from .embedding import embedded_shape, inverse_mdt_tucker, mdt, mdt_mask
+from .embedding import embedded_shape, inverse_mdt_tucker
+from .masks import longest_missing_runs
 from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
                       default_rank_sequences, default_stopping_criteria)
 
@@ -81,12 +90,38 @@ class RecoveryRequest:
 
 @dataclass
 class RecoveryReport:
+    """Outputs of one recovery run.
+
+    ``unbridged_gap`` is (mode, run length) of the longest run of fully
+    missing slices that no window bridges, or None (see
+    :func:`unbridged_gap`); the fit then has nothing to say about those
+    slices, whatever its status.
+    """
+
     estimate: np.ndarray
     ranks: tuple[int, ...]
     cost_trace: CostTrace
     rank_history: list[tuple[int, int, int]]
     status: str
     wall_time_s: float
+    unbridged_gap: tuple[int, int] | None = None
+
+
+def unbridged_gap(mask: np.ndarray, taus: Sequence[int]) -> tuple[int, int] | None:
+    """(mode, run) of the longest run of fully missing slices that no window bridges.
+
+    Read from the mask alone, with no embedding (see
+    :func:`hankelfill.masks.longest_missing_runs`).  A run on a mode with
+    window 1 is never bridged: nothing links the slices of that mode.  The
+    input fill of :func:`recover` bridges any run on a mode with a longer
+    window.  Ties go to the lowest mode; None when every run is bridged.
+    """
+    worst = None
+    for mode, (run, tau) in enumerate(zip(longest_missing_runs(mask), taus)):
+        if run and tau == 1:
+            if worst is None or run > worst[1]:
+                worst = (mode, run)
+    return worst
 
 
 def recover(req: RecoveryRequest) -> RecoveryReport:
@@ -104,19 +139,20 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
     mask = as_mask(req.mask)
     if data.shape != mask.shape:
         raise ValueError(f"data shape {data.shape} differs from mask shape {mask.shape}")
-    taus = checked_embedded_shape(data.shape, req.taus, req.max_embedded_elements,
-                                  cap_setting="max_embedded_elements")[::2]
+    embedded = checked_embedded_shape(data.shape, req.taus, req.max_embedded_elements,
+                                      cap_setting="max_embedded_elements")
+    taus = embedded[::2]
+    gap = unbridged_gap(mask, taus)
 
-    t_h = mdt(np.where(mask, data, 0.0), taus)
-    q_h = mdt_mask(mask, taus)
     criteria = req.criteria or default_stopping_criteria(data, mask, taus)
     if req.schedule is None:
-        schedule = default_rank_sequences(t_h.shape)
+        schedule = default_rank_sequences(embedded)
     elif isinstance(req.schedule, RankSchedule):
         schedule = req.schedule
     else:
         schedule = RankSchedule(tuple((int(r),) for r in req.schedule))
-    result = complete_with_rank_increment(t_h, q_h, schedule, criteria, seed=req.seed)
+    result = complete_with_rank_increment(data, mask, schedule, criteria, seed=req.seed,
+                                          taus=taus)
 
     estimate = inverse_mdt_tucker(result.model.core, result.model.factors)
     if not np.all(np.isfinite(estimate)):
@@ -125,4 +161,4 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
     return RecoveryReport(estimate=estimate, ranks=result.model.ranks,
                           cost_trace=result.cost_trace,
                           rank_history=result.rank_history, status=result.status,
-                          wall_time_s=time.perf_counter() - started)
+                          wall_time_s=time.perf_counter() - started, unbridged_gap=gap)

@@ -1,19 +1,27 @@
 """Rank-increment driver: grows multilinear ranks mode by mode.
 
 Fitting starts every mode at the first entry of its rank sequence (rank one
-under the default doubling sequences).  Whenever the masked cost plateaus,
-the mode whose projected residual is largest grows to the next entry of its
+under the default doubling sequences).  Whenever the cost plateaus, the
+mode whose projected residual is largest grows to the next entry of its
 sequence, the factor is padded with fresh orthonormal columns and the core
 with zeros (so the reconstruction is untouched), and sweeping resumes from
 that warm start.  The schedule is an immutable value: the model's ranks are
 the only record of how far each sequence has advanced.  The run stops when
 the cost drops below the noise threshold, the sequences are exhausted, or
-the sweep budget runs out.  A run holds one full-size buffer, the fill:
-each sweep reconstructs its model into the fill the ALS sweep has just
-read, and one masked pass over cache-sized blocks, the imputation, sums the
-masked cost and fills the reconstruction in place for the next sweep.  A
-plateau ranks the modes from that fill, through the ALS sweep's projection
-chain, and rebuilds nothing.
+the sweep budget runs out.
+
+A run holds one full-size buffer, the fill, and each sweep's imputation
+writes the next fill into the one the ALS sweep has just read.  It imputes
+in one of two places.  In input space (given the windows), it maps the
+model back to the input, fills the input's missing entries with that, and
+copies the filled input's embedding into the fill; the cost
+F = ||H(y) - X||^2 is summed on input-sized arrays, of which the run holds
+two and each sweep makes one, and no masked pass runs
+(:func:`_input_space_imputation`).  In embedded space (the paper's fill,
+given embedded data), it reconstructs the model into the fill, and one
+masked pass over cache-sized blocks sums the masked cost and fills the
+reconstruction in place (:func:`_impute`).  A plateau ranks the modes from
+the fill, through the ALS sweep's projection chain, and rebuilds nothing.
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -22,6 +30,7 @@ status ``schedule_exhausted``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -32,11 +41,12 @@ import numpy as np
 
 from .core import check_shape, mode_multiply
 from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, cost, init_model
-from .embedding import embedded_observed_energy
+from .embedding import (duplication_counts, embedded_observed_energy, embedded_shape,
+                        inverse_mdt_tucker, mdt)
 from .linalg import complete_orthonormal_basis
 
 # Terminal statuses of a rank-increment run.
-CONVERGED = "converged"            # masked cost reached epsilon
+CONVERGED = "converged"            # cost reached epsilon
 SCHEDULE_EXHAUSTED = "schedule_exhausted"  # every sequence at its last entry, epsilon not reached
 SWEEP_BUDGET = "sweep_budget"      # max_total_sweeps spent
 
@@ -74,7 +84,7 @@ class RankSchedule:
 class StoppingCriteria:
     """Thresholds for the rank-increment loop.
 
-    epsilon: terminal masked-cost threshold (squared Frobenius units).
+    epsilon: terminal cost threshold (squared Frobenius units).
     tol: plateau detector |f_after - f_before| <= tol triggers an increment.
     """
 
@@ -133,10 +143,12 @@ def default_rank_sequences(embedded_shape: Sequence[int]) -> RankSchedule:
 
 
 def mode_residuals(z: np.ndarray, model: TuckerModel) -> list[float]:
-    """Masked residual energy visible through every factor except one.
+    """Residual energy visible through every factor except one.
 
-    ``z`` is the fill of ``model``'s reconstruction x, so z - x is the masked
-    residual; value_m = ||(z - x) projected onto all factors but mode m||^2,
+    ``z`` is the fill made from ``model``'s reconstruction x, so z - x is
+    the residual whose squared norm is the cost (the masked residual under
+    the paper's fill, H(y) - x under the input-space fill);
+    value_m = ||(z - x) projected onto all factors but mode m||^2,
     a proxy for how much cost reduction a rank bump on mode m can buy.  With
     orthonormal factors that projection of x is the core times U_m on mode m,
     so x is never built: z runs through the chain of :func:`als_sweep`.  A
@@ -271,47 +283,139 @@ def _impute(t_h: np.ndarray, q_h: np.ndarray, model: TuckerModel, scratch: np.nd
     return x, total
 
 
-def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
+# The input-space fill maps a model of at most this many embedded entries
+# back by reconstructing it into the fill and averaging the duplicates with
+# one np.bincount over a run-long int64 source index.  That index is as
+# large as the fill, so the bound is set by memory: at 2**15 entries it
+# holds 256 KiB, like the masked pass's scratch.  Larger models go through
+# inverse_mdt_tucker, which builds nothing embedded-sized.  Speed alone
+# would allow more: on one x86_64 core (BLAS on 1 thread) the bincount
+# map-back takes 0.13-0.40x inverse_mdt_tucker's time on 1-D signals up to
+# 7e4 entries and 0.46-0.84x on 3-channel images up to 5e4, and crosses it
+# near 1e5 entries on images (1.3x at 1.2e5).
+_BINCOUNT_ELEMENTS = 2**15
+
+
+def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
+    """The input-space fill of one run, as ``impute(model, out=None) -> (z, F)``.
+
+    ``t`` and ``q`` are the input and its mask, ``taus`` the windows.  Each
+    call maps the model's embedded tensor X back, e = H^+ X, fills the input
+    y = where(q, t, e) in one input-sized buffer of the run, copies H(y)
+    into ``out`` (a new embedded-sized array when None) through one
+    :func:`mdt` view of y made here, and returns it with the cost
+    F = ||H(y) - X||^2.  The y step is the least-squares fill of that cost
+    for a fixed X, since H^T H is the diagonal D of duplication counts; so
+    the loop is block-coordinate descent on F, and F never increases.
+
+    F takes no full-size pass: with orthonormal factors ||X||^2 is the
+    core's squared norm, and H^T = D H^+, so
+    F = sum_observed D (t - e)^2 + (||core||^2 - sum D e^2).  The second
+    term is X's squared distance from the Hankel tensors, clamped at zero
+    against rounding.  The map-back follows one rule by size: an embedded
+    tensor of at most _BINCOUNT_ELEMENTS entries is reconstructed into
+    ``out`` and its duplicates averaged by one ``np.bincount`` over its
+    source indices; every larger model goes through
+    :func:`inverse_mdt_tucker`, which does not reconstruct it.  Besides the
+    map-back's own result, a call allocates nothing: the run holds y and D,
+    and the fill, free until H(y) goes into it, is the call's scratch.
+    """
+    shape = embedded_shape(t.shape, taus)
+    weights = np.ones(())
+    for length, tau in zip(t.shape, shape[::2]):
+        weights = np.multiply.outer(weights, duplication_counts(length, tau))
+    weights = weights.ravel()
+    y = np.where(q, t, 0.0)
+    y_h = mdt(y, taus)
+    y = y.reshape(-1)
+    missing = ~q.ravel()
+    source = None
+    if math.prod(shape) <= _BINCOUNT_ELEMENTS:
+        source = mdt(np.arange(y.size).reshape(t.shape), taus).ravel()
+
+    def impute(model: TuckerModel, out: np.ndarray | None = None):
+        if out is None:
+            out = np.empty(shape)
+        # sums = H^T X = D e; the map-back returns one of the two, and the
+        # other goes into the head of the fill (no smaller than the input)
+        head = out.reshape(-1)[:y.size]
+        if source is None:
+            e = inverse_mdt_tucker(model.core, model.factors).reshape(-1)
+            sums = np.multiply(weights, e, out=head)
+        else:
+            sums = np.bincount(source, model.reconstruct(out=out).reshape(-1),
+                               minlength=y.size)
+            e = np.divide(sums, weights, out=head)
+        np.copyto(y, e, where=missing)
+        core = model.core.reshape(-1)
+        off_hankel = max(float(core @ core - e @ sums), 0.0)
+        r = np.subtract(y, e, out=sums)  # t - e where observed, e - e = +0 elsewhere
+        np.square(r, out=r)
+        value = float(r @ weights) + off_hankel
+        np.copyto(out, y_h)
+        return out, value
+
+    return impute
+
+
+def complete_with_rank_increment(t: np.ndarray, q: np.ndarray,
                                  schedule: RankSchedule,
                                  criteria: StoppingCriteria,
-                                 seed=0) -> RankIncrementResult:
-    """Complete t_h by Tucker fitting with automatic rank growth.
+                                 seed=0, taus: Sequence[int] | None = None
+                                 ) -> RankIncrementResult:
+    """Complete a tensor by Tucker fitting in embedded space with automatic rank growth.
+
+    Without ``taus``, ``t`` and ``q`` are the embedded data and mask, and
+    each sweep imputes them in embedded space (the paper's fill, see
+    :func:`_impute`): the cost is the masked cost.  With ``taus``, ``t`` and
+    ``q`` are the input and its mask, the model fits H(t) (``mdt`` with
+    windows ``taus``), and each sweep imputes the input (see
+    :func:`_input_space_imputation`): the cost is F = ||H(y) - X||^2, which
+    also counts the disagreement of the model's windows on the missing
+    entries.  Either way ``schedule`` covers the embedded modes.
 
     Each sweep imputes the missing entries from the current model and runs
     one :func:`als_sweep`; when two consecutive costs differ by at most
     ``criteria.tol``, one mode's rank is advanced (see
     :func:`select_increment_mode`) and the model is padded in place of a cold
-    restart.  Stops as soon as the masked cost is <= ``criteria.epsilon``,
+    restart.  Stops as soon as the cost is <= ``criteria.epsilon``,
     returning status ``converged``; running out of rank headroom or sweeps
     gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
-    q_h with no observed entry, or a random start whose masked cost overflows
-    float64, is a ValueError; an all-zero t_h is fitted exactly by the zero
-    model, returned at sweep 0.
+    q with no observed entry, or a random start whose cost overflows
+    float64, is a ValueError; all-zero observed data are fitted exactly by
+    the zero model, returned at sweep 0.
 
     The cost trace spans the whole run and is monotonically non-increasing,
     including across increments (padding preserves the reconstruction).
     """
-    t_h = np.asarray(t_h, dtype=np.float64)
-    q_h = np.asarray(q_h, dtype=bool)
-    if t_h.shape != q_h.shape:
-        raise ValueError(f"data shape {t_h.shape} differs from mask shape {q_h.shape}")
-    if schedule.order != t_h.ndim:
-        raise ValueError(f"schedule covers {schedule.order} modes, tensor has {t_h.ndim}")
+    t = np.asarray(t, dtype=np.float64)
+    q = np.asarray(q, dtype=bool)
+    if t.shape != q.shape:
+        raise ValueError(f"data shape {t.shape} differs from mask shape {q.shape}")
+    shape = t.shape if taus is None else embedded_shape(t.shape, taus)
+    if schedule.order != len(shape):
+        raise ValueError(f"schedule covers {schedule.order} modes, tensor has {len(shape)}")
     for m, seq in enumerate(schedule.sequences):
-        if seq[-1] > t_h.shape[m]:
+        if seq[-1] > shape[m]:
             raise ValueError(f"mode {m} sequence tops out at {seq[-1]} but the mode "
-                             f"has size {t_h.shape[m]}")
-    if not q_h.any():
+                             f"has size {shape[m]}")
+    if not q.any():
         raise ValueError("the mask observes no entry: there is nothing to fit")
 
-    model = init_model(tuple(seq[0] for seq in schedule.sequences), t_h.shape, seed)
-    if not t_h.any():
+    model = init_model(tuple(seq[0] for seq in schedule.sequences), shape, seed)
+    if taus is None:
+        impute = functools.partial(_impute, t, q,
+                                   scratch=np.empty(min(_BLOCK_ELEMENTS, t.size)))
+        zero = not t.any()
+    else:
+        impute = _input_space_imputation(t, q, taus)
+        zero = not t[q].any()
+    if zero:
         model = TuckerModel(np.zeros_like(model.core), model.factors)
-    scratch = np.empty(min(_BLOCK_ELEMENTS, t_h.size))
-    with np.errstate(over="ignore"):
-        z, f_before = _impute(t_h, q_h, model, scratch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, f_before = impute(model)
     if not math.isfinite(f_before):  # the cost never increases: this covers every sweep
-        raise ValueError("the masked cost of the random start overflows float64; "
+        raise ValueError("the cost of the random start overflows float64; "
                          "rescale the data")
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
@@ -322,10 +426,9 @@ def complete_with_rank_increment(t_h: np.ndarray, q_h: np.ndarray,
     pads = 0
     for sweep in range(1, criteria.max_total_sweeps + 1):
         model = als_sweep(z, model)
-        # The sweep has read the fill for the last time: reconstruct into it,
-        # so it is the run's one full-size buffer (growth order keeps the last
-        # product's input small).
-        z, f_after = _impute(t_h, q_h, model, scratch, out=z)
+        # The sweep has read the fill for the last time: the next fill goes
+        # into it, so it is the run's one full-size buffer.
+        z, f_after = impute(model, out=z)
         trace.append((sweep, f_after))
         if f_after <= criteria.epsilon:
             status = CONVERGED

@@ -193,6 +193,22 @@ class TestRecoverCommand:
         assert "ranks (1, 1, 1, 1, 1, 1)" in text
         assert err == ""  # a converged run has nothing to warn about
 
+    @pytest.mark.parametrize("tau, warning", [
+        ("4,4,1", None),
+        ("4,3,1", None),  # a run as long as the window is bridged too
+        ("4,1,1", "warning: 3 fully missing slices in a row on mode 1; no window bridges "
+                  "a run on a mode with --tau 1"),
+    ])
+    def test_a_gap_no_window_bridges_warns_on_stderr(self, tmp_path, capsys, tau, warning):
+        # the fixture misses columns 10-12: a run of 3 slices on mode 1
+        data, mask = self.fixture_files(tmp_path)
+        code, text, err = run_cli(
+            capsys, "recover", "--input", str(data), "--mask", str(mask), "--tau", tau,
+            "--epsilon", "1e30", "--output", str(tmp_path / "o.hten"))
+        assert code == 0
+        assert "status converged" in text
+        assert err.splitlines() == ([warning] if warning else [])
+
     def test_ranks_obey_epsilon(self, tmp_path, capsys):
         data, mask = self.fixture_files(tmp_path)
         code, text, _ = run_cli(

@@ -2,9 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RecoveryRequest, StoppingCriteria,
-                        damped_sine, make_mask, recover, snr)
+                        complete_with_rank_increment, damped_sine, default_rank_sequences,
+                        default_stopping_criteria, make_mask, mdt, recover, snr)
+from hankelfill.embedding import inverse_mdt_tucker
+from hankelfill.masks import longest_missing_runs
+from hankelfill.pipeline import unbridged_gap
 from helpers import is_non_increasing, texture_image
 
 
@@ -146,3 +152,88 @@ class TestRecover:
         b = recover(req_b)
         assert np.array_equal(a.estimate, b.estimate)
         assert a.cost_trace == b.cost_trace
+
+    def test_the_input_fill_differs_from_the_papers_and_both_recover_the_gap(self):
+        # recover imputes the input; the paper's fill is the loop on mdt(t), mdt(q)
+        truth, req = small_signal_request()
+        report = recover(req)
+        mask = req.mask
+        paper = complete_with_rank_increment(
+            mdt(np.where(mask, truth, 0.0), (30,)), mdt(mask, (30,)),
+            default_rank_sequences((30, 91)), default_stopping_criteria(truth, mask, (30,)),
+            seed=0)
+        estimate = inverse_mdt_tucker(paper.model.core, paper.model.factors)
+        for trace, fit in ((report.cost_trace, report.estimate), (paper.cost_trace, estimate)):
+            assert trace[-1][0] > 0
+            assert is_non_increasing(trace)
+            assert snr(truth, fit) > 20.0
+        assert report.cost_trace != paper.cost_trace
+
+
+def naive_runs(q):
+    """Per mode, the longest run of slices with no observed entry, slice by slice."""
+    runs = []
+    for mode in range(q.ndim):
+        best = current = 0
+        for i in range(q.shape[mode]):
+            current = 0 if np.take(q, i, axis=mode).any() else current + 1
+            best = max(best, current)
+        runs.append(best)
+    return runs
+
+
+@st.composite
+def gap_cases(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    taus = tuple(draw(st.integers(1, j)) for j in shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = rng.random(shape) < draw(st.sampled_from([0.3, 0.7, 0.95, 1.0]))
+    for _ in range(draw(st.integers(0, 2))):  # carve runs of fully missing slices
+        mode = draw(st.integers(0, len(shape) - 1))
+        start = draw(st.integers(0, shape[mode] - 1))
+        width = draw(st.integers(1, shape[mode] - start))
+        index = [slice(None)] * len(shape)
+        index[mode] = slice(start, start + width)
+        q[tuple(index)] = False
+    return q, taus
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=gap_cases())
+def test_a_gap_is_reported_exactly_when_no_window_bridges_it(case):
+    # No window bridges a run on a window-1 mode.  Every mask with such a
+    # run is reported, with its longest run (lowest mode on a tie); no other
+    # is, whatever its runs on the other modes.
+    q, taus = case
+    runs = naive_runs(q)
+    assert longest_missing_runs(q) == tuple(runs)
+    unbridged = [(mode, run) for mode, (run, tau) in enumerate(zip(runs, taus))
+                 if run >= 1 and tau == 1]
+    gap = unbridged_gap(q, taus)
+    if unbridged:
+        longest = max(run for _, run in unbridged)
+        assert gap == min((mode, run) for mode, run in unbridged if run == longest)
+    else:
+        assert gap is None
+
+
+class TestGapReport:
+    def columns_missing(self, count):
+        img = texture_image(24)
+        mask = make_mask(img.shape, "slices", mode=1, start=10, count=count)
+        return img, mask
+
+    @pytest.mark.parametrize("count, tau, gap", [
+        (3, 4, None), (4, 4, None), (6, 4, None), (2, 1, (1, 2)),
+    ])
+    def test_report_names_the_gap(self, count, tau, gap):
+        img, mask = self.columns_missing(count)
+        report = recover(RecoveryRequest(data=img, mask=mask, taus=(4, tau, 1), seed=0,
+                                         criteria=StoppingCriteria(0.0, 0.0, 2)))
+        assert report.unbridged_gap == gap
+
+    def test_a_missing_channel_cannot_be_bridged(self):
+        img = texture_image(16)
+        mask = np.ones(img.shape, bool)
+        mask[..., 1] = False
+        assert unbridged_gap(mask, (4, 4, 1)) == (2, 1)
