@@ -13,17 +13,13 @@ Each ALS sub-step solves its subproblem globally, so the cost is
 monotonically non-increasing; there is no step size to tune.  The loop that
 drives these steps is :func:`hankelfill.ranking.complete_with_rank_increment`;
 a fixed-rank fit is a rank schedule of one-element sequences.  The mask
-enters only the imputation, which runs in one of two places.  The paper's
-fill imputes the embedded tensor: with z the imputed tensor and x the
-reconstruction, z - x is the masked residual and ||z - x||^2 the masked
-cost.  :func:`auxiliary_fill` computes that z as a new array; the loop
-reconstructs x into the previous fill and overwrites it with z in place,
-summing the cost block by block on the way.  The pipeline's fill imputes the
-input y from the model's map-back and sweeps on z = H(y), its embedding;
-the cost is then ||z - x||^2 over every entry, which also counts how far
-the windows disagree on a missing entry.  Either way z is the run's one
-full-size buffer; the ALS sweep and the mode ranking read it through one
-projection chain.
+enters only the imputation, which fills the input y from the model's
+map-back and sweeps on z = H(y), its embedding; the cost is ||z - x||^2
+over every entry, which also counts how far the windows disagree on a
+missing entry.  With windows of 1, z = where(q, t, x), the fill
+:func:`auxiliary_fill` returns, and the cost is the masked cost.  z is the
+run's one full-size buffer; the ALS sweep and the mode ranking read it
+through one projection chain.
 """
 
 from __future__ import annotations
@@ -72,8 +68,8 @@ def cost(r: np.ndarray) -> float:
 def auxiliary_fill(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Observed entries from t, missing entries from the model reconstruction x.
 
-    A new array; the sweep loop makes the same fill in place (see
-    ``ranking._impute``).
+    A new array; the sweep loop fills the input in place, which is this
+    fill when every window is 1 (see ``ranking._input_space_imputation``).
     """
     t = np.asarray(t)
     x = np.asarray(x)

@@ -15,7 +15,7 @@ averages the duplicates, which is exactly the Moore-Penrose pseudo-inverse
 of the duplication map.
 Duplication matrices are never materialized: everything is index arithmetic.
 :func:`mdt` allocates nothing at all, its result is a read-only strided view
-of the source, so an embedded tensor that only gets read (the data and mask
+of the source, so an embedded tensor that only gets read (the filled input
 of a fit) costs no more memory than its source.  A Tucker model of an
 embedded tensor maps back without being reconstructed at all
 (:func:`inverse_mdt_tucker`).

@@ -3,18 +3,16 @@
 The three steps are (1) multi-way delay embedding of the data, (2) Tucker
 completion of the embedded tensor by the rank-increment loop (fixed ranks
 are one-element rank sequences), and (3) the inverse embedding of the
-fitted model back to the input shape.  Step 3 maps the Tucker model
-back directly (:func:`hankelfill.embedding.inverse_mdt_tucker`), so the
-completed embedded tensor is never built.  Observed entries also pass
+fitted model back to the input shape.  Step 2 imputes the input, not the
+embedded tensor: it fills the missing entries from the model's map-back
+and sweeps on the filled input's embedding, so every window agrees on a
+missing entry.  Step 3 is the loop's last map-back of the model, which
+above a small size takes the Tucker model back directly
+(:func:`hankelfill.embedding.inverse_mdt_tucker`), so the completed
+embedded tensor is never built.  Observed entries also pass
 through the model, so the output is everywhere the model's explanation of
-the data rather than a patchwork of input and fill.
-
-Step 2 imputes the input, not the embedded tensor: it fills the missing
-entries from the model's map-back and sweeps on the filled input's
-embedding, so every window agrees on a missing entry.  The paper's fill of
-the embedded tensor stays available as the loop on embedded data,
-``complete_with_rank_increment(mdt(t), mdt_mask(q), ...)``.  Before step 1,
-the mask alone is checked for a run of fully missing slices that no window
+the data rather than a patchwork of input and fill.  Before step 1, the
+mask alone is checked for a run of fully missing slices that no window
 bridges (see :func:`unbridged_gap`); the report names it.
 """
 
@@ -30,7 +28,7 @@ import numpy as np
 
 from .completion import CostTrace
 from .core import as_mask, as_tensor
-from .embedding import embedded_shape, inverse_mdt_tucker
+from .embedding import embedded_shape
 from .masks import longest_missing_runs
 from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
                       default_rank_sequences, default_stopping_criteria)
@@ -151,14 +149,11 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
         schedule = req.schedule
     else:
         schedule = RankSchedule(tuple((int(r),) for r in req.schedule))
-    result = complete_with_rank_increment(data, mask, schedule, criteria, seed=req.seed,
-                                          taus=taus)
-
-    estimate = inverse_mdt_tucker(result.model.core, result.model.factors)
-    if not np.all(np.isfinite(estimate)):
+    result = complete_with_rank_increment(data, mask, taus, schedule, criteria, seed=req.seed)
+    if not np.all(np.isfinite(result.estimate)):
         raise RuntimeError("recovery produced non-finite values")
 
-    return RecoveryReport(estimate=estimate, ranks=result.model.ranks,
+    return RecoveryReport(estimate=result.estimate, ranks=result.model.ranks,
                           cost_trace=result.cost_trace,
                           rank_history=result.rank_history, status=result.status,
                           wall_time_s=time.perf_counter() - started, unbridged_gap=gap)

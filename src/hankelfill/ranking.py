@@ -10,18 +10,18 @@ the only record of how far each sequence has advanced.  The run stops when
 the cost drops below the noise threshold, the sequences are exhausted, or
 the sweep budget runs out.
 
-A run holds one full-size buffer, the fill, and each sweep's imputation
-writes the next fill into the one the ALS sweep has just read.  It imputes
-in one of two places.  In input space (given the windows), it maps the
-model back to the input, fills the input's missing entries with that, and
-copies the filled input's embedding into the fill; the cost
-F = ||H(y) - X||^2 is summed on input-sized arrays, of which the run holds
-two and each sweep makes one, and no masked pass runs
-(:func:`_input_space_imputation`).  In embedded space (the paper's fill,
-given embedded data), it reconstructs the model into the fill, and one
-masked pass over cache-sized blocks sums the masked cost and fills the
-reconstruction in place (:func:`_impute`).  A plateau ranks the modes from
-the fill, through the ALS sweep's projection chain, and rebuilds nothing.
+The loop fits the embedding H(t) of an input t with mask q, given one
+window per input mode, and imputes the input, not the embedded tensor: each
+sweep maps the model X back, e = H^+ X, fills the input's missing entries
+with it, y = where(q, t, e), and copies the filled input's embedding into
+the fill, z = H(y), which the next ALS sweep reads.  The cost is
+F = ||H(y) - X||^2, summed on input-sized arrays, so no pass over the fill
+computes it (:func:`_input_space_imputation`).  A run holds one full-size
+buffer, the fill, and each fill goes into the one the ALS sweep has just
+read.  A plateau ranks the modes from the fill, through the ALS sweep's
+projection chain, and rebuilds nothing.  Plain Tucker completion of a
+tensor is the case of windows of 1, where H is a reshape and the fill is
+where(q, t, X).
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -30,8 +30,6 @@ status ``schedule_exhausted``.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import check_shape, mode_multiply
-from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, cost, init_model
+from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, init_model
 from .embedding import (duplication_counts, embedded_observed_energy, embedded_shape,
                         inverse_mdt_tucker, mdt)
 from .linalg import complete_orthonormal_basis
@@ -145,9 +143,8 @@ def default_rank_sequences(embedded_shape: Sequence[int]) -> RankSchedule:
 def mode_residuals(z: np.ndarray, model: TuckerModel) -> list[float]:
     """Residual energy visible through every factor except one.
 
-    ``z`` is the fill made from ``model``'s reconstruction x, so z - x is
-    the residual whose squared norm is the cost (the masked residual under
-    the paper's fill, H(y) - x under the input-space fill);
+    ``z`` is the fill H(y) made from ``model``'s reconstruction x, so z - x
+    is the residual whose squared norm is the cost;
     value_m = ||(z - x) projected onto all factors but mode m||^2,
     a proxy for how much cost reduction a rank bump on mode m can buy.  With
     orthonormal factors that projection of x is the core times U_m on mode m,
@@ -225,88 +222,36 @@ class RankIncrementResult:
     # (sweep index at which the increment fired, mode, new rank)
     rank_history: list[tuple[int, int, int]]
     status: str
+    # the last fill's map-back H^+ X, in the input's shape (the model's
+    # before a pad that followed that fill, which leaves it unchanged)
+    estimate: np.ndarray
 
 
-# The masked pass walks the tensor in blocks of at most this many elements.
-# A block of the reconstruction, of the data's strided view and of the
-# scratch difference (256 KiB each in float64), plus its mask, stays in a
-# core's L2 cache, so the difference, its cost and the fill reread it from
-# cache and not from memory; and the one scratch array of a run stays small.
-_BLOCK_ELEMENTS = 2**15
-
-
-def _blocks(shape: Sequence[int]):
-    """Index tuples that tile an array of ``shape``, each block at most _BLOCK_ELEMENTS.
-
-    The trailing axes whose sizes multiply to at most the block stay whole;
-    the axis before them is cut into runs, and the axes before that are
-    taken one index at a time, so a block of a C-contiguous array is
-    contiguous.
-    """
-    k, inner = len(shape) - 1, 1
-    while k > 0 and inner * shape[k] <= _BLOCK_ELEMENTS:
-        inner *= shape[k]
-        k -= 1
-    step = _BLOCK_ELEMENTS // inner
-    for lead in itertools.product(*map(range, shape[:k])):
-        for start in range(0, shape[k], step):
-            yield lead + (slice(start, start + step),)
-
-
-def _impute(t_h: np.ndarray, q_h: np.ndarray, model: TuckerModel, scratch: np.ndarray,
-            out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """The sweep's one masked pass: the fill z = where(q_h, t_h, x) and the masked cost.
-
-    The model's reconstruction x is written into ``out`` (a new array when
-    None), then one pass over blocks (see :func:`_blocks`) keeps each block
-    of x in the flat ``scratch`` (as long as the largest block), fills the
-    block in place, so z is x, and turns the scratch into the block's masked
-    difference z - x = where(q_h, t_h - x, 0), whose squared norm it adds to
-    the cost.  The cost is the sum over blocks, which only the summation
-    order tells from the whole tensor's; the arrays read in the pass are all
-    contiguous but the strided t_h and q_h, each once.
-    A reconstruction that is the model's own core (every factor a 1x1
-    identity) is copied first, so the fill never writes into the model.
-    """
-    x = model.reconstruct(out=out)
-    if np.may_share_memory(x, model.core):
-        x = x.copy()
-    total = 0.0
-    for block in _blocks(x.shape):
-        xb = x[block]
-        diff = scratch[:xb.size].reshape(xb.shape)
-        np.copyto(diff, xb)
-        np.copyto(xb, t_h[block], where=q_h[block])
-        # z - x: t - x where observed, x - x = +0 elsewhere
-        np.subtract(xb, diff, out=diff)
-        total += cost(diff)
-    return x, total
-
-
-# The input-space fill maps a model of at most this many embedded entries
-# back by reconstructing it into the fill and averaging the duplicates with
-# one np.bincount over a run-long int64 source index.  That index is as
-# large as the fill, so the bound is set by memory: at 2**15 entries it
-# holds 256 KiB, like the masked pass's scratch.  Larger models go through
-# inverse_mdt_tucker, which builds nothing embedded-sized.  Speed alone
-# would allow more: on one x86_64 core (BLAS on 1 thread) the bincount
-# map-back takes 0.13-0.40x inverse_mdt_tucker's time on 1-D signals up to
-# 7e4 entries and 0.46-0.84x on 3-channel images up to 5e4, and crosses it
-# near 1e5 entries on images (1.3x at 1.2e5).
+# The fill maps a model of at most this many embedded entries back by
+# reconstructing it into the fill and averaging the duplicates with one
+# np.bincount over a run-long int64 source index.  That index is as large as
+# the fill, so the bound is set by memory: at 2**15 entries it holds
+# 256 KiB.  Larger models go through inverse_mdt_tucker, which builds
+# nothing embedded-sized.  Speed alone would allow more: on one x86_64 core
+# (BLAS on 1 thread) the bincount map-back takes 0.13-0.40x
+# inverse_mdt_tucker's time on 1-D signals up to 7e4 entries and 0.46-0.84x
+# on 3-channel images up to 5e4, and crosses it near 1e5 entries on images
+# (1.3x at 1.2e5).
 _BINCOUNT_ELEMENTS = 2**15
 
 
 def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
-    """The input-space fill of one run, as ``impute(model, out=None) -> (z, F)``.
+    """The fill of one run, as ``impute(model, out=None) -> (z, F, e)``.
 
     ``t`` and ``q`` are the input and its mask, ``taus`` the windows.  Each
     call maps the model's embedded tensor X back, e = H^+ X, fills the input
     y = where(q, t, e) in one input-sized buffer of the run, copies H(y)
     into ``out`` (a new embedded-sized array when None) through one
     :func:`mdt` view of y made here, and returns it with the cost
-    F = ||H(y) - X||^2.  The y step is the least-squares fill of that cost
-    for a fixed X, since H^T H is the diagonal D of duplication counts; so
-    the loop is block-coordinate descent on F, and F never increases.
+    F = ||H(y) - X||^2 and e in the input's shape.  The y step is the
+    least-squares fill of that cost for a fixed X, since H^T H is the
+    diagonal D of duplication counts; so the loop is block-coordinate
+    descent on F, and F never increases.
 
     F takes no full-size pass: with orthonormal factors ||X||^2 is the
     core's squared norm, and H^T = D H^+, so
@@ -317,8 +262,8 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     ``out`` and its duplicates averaged by one ``np.bincount`` over its
     source indices; every larger model goes through
     :func:`inverse_mdt_tucker`, which does not reconstruct it.  Besides the
-    map-back's own result, a call allocates nothing: the run holds y and D,
-    and the fill, free until H(y) goes into it, is the call's scratch.
+    map-back's own result, e, a call allocates nothing: the run holds y and
+    D, and the fill, free until H(y) goes into it, is the call's scratch.
     """
     shape = embedded_shape(t.shape, taus)
     weights = np.ones(())
@@ -336,16 +281,17 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     def impute(model: TuckerModel, out: np.ndarray | None = None):
         if out is None:
             out = np.empty(shape)
-        # sums = H^T X = D e; the map-back returns one of the two, and the
-        # other goes into the head of the fill (no smaller than the input)
-        head = out.reshape(-1)[:y.size]
+        # sums = H^T X = D e goes into the head of the fill (no smaller than
+        # the input); e, the map-back's own array, is returned
+        sums = out.reshape(-1)[:y.size]
         if source is None:
             e = inverse_mdt_tucker(model.core, model.factors).reshape(-1)
-            sums = np.multiply(weights, e, out=head)
+            np.multiply(weights, e, out=sums)
         else:
-            sums = np.bincount(source, model.reconstruct(out=out).reshape(-1),
-                               minlength=y.size)
-            e = np.divide(sums, weights, out=head)
+            e = np.bincount(source, model.reconstruct(out=out).reshape(-1),
+                            minlength=y.size)
+            np.copyto(sums, e)
+            np.divide(e, weights, out=e)
         np.copyto(y, e, where=missing)
         core = model.core.reshape(-1)
         off_hankel = max(float(core @ core - e @ sums), 0.0)
@@ -353,26 +299,24 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
         np.square(r, out=r)
         value = float(r @ weights) + off_hankel
         np.copyto(out, y_h)
-        return out, value
+        return out, value, e.reshape(t.shape)
 
     return impute
 
 
-def complete_with_rank_increment(t: np.ndarray, q: np.ndarray,
-                                 schedule: RankSchedule,
-                                 criteria: StoppingCriteria,
-                                 seed=0, taus: Sequence[int] | None = None
-                                 ) -> RankIncrementResult:
+def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[int],
+                                 schedule: RankSchedule, criteria: StoppingCriteria,
+                                 seed=0) -> RankIncrementResult:
     """Complete a tensor by Tucker fitting in embedded space with automatic rank growth.
 
-    Without ``taus``, ``t`` and ``q`` are the embedded data and mask, and
-    each sweep imputes them in embedded space (the paper's fill, see
-    :func:`_impute`): the cost is the masked cost.  With ``taus``, ``t`` and
-    ``q`` are the input and its mask, the model fits H(t) (``mdt`` with
-    windows ``taus``), and each sweep imputes the input (see
-    :func:`_input_space_imputation`): the cost is F = ||H(y) - X||^2, which
-    also counts the disagreement of the model's windows on the missing
-    entries.  Either way ``schedule`` covers the embedded modes.
+    ``t`` and ``q`` are the input and its mask, and ``taus`` one window per
+    input mode: the model X fits H(t), ``mdt`` with windows ``taus``, and
+    ``schedule`` covers its embedded modes.  Each sweep imputes the input
+    (see :func:`_input_space_imputation`), so the cost is
+    F = ||H(y) - X||^2, which also counts the disagreement of the model's
+    windows on the missing entries.  Windows of 1 give plain Tucker
+    completion of ``t``: embedded mode 2n + 1 is input mode n, the even
+    modes have size 1, and F is the masked cost ||q * (t - X)||^2.
 
     Each sweep imputes the missing entries from the current model and runs
     one :func:`als_sweep`; when two consecutive costs differ by at most
@@ -381,9 +325,10 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray,
     restart.  Stops as soon as the cost is <= ``criteria.epsilon``,
     returning status ``converged``; running out of rank headroom or sweeps
     gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
-    q with no observed entry, or a random start whose cost overflows
-    float64, is a ValueError; all-zero observed data are fitted exactly by
-    the zero model, returned at sweep 0.
+    q with no observed entry, a NaN or infinite observed value, or a random
+    start whose cost overflows float64, is a ValueError; all-zero observed
+    data are fitted exactly by the zero model, returned at sweep 0.  The
+    result's ``estimate`` is the last fill's map-back e = H^+ X.
 
     The cost trace spans the whole run and is monotonically non-increasing,
     including across increments (padding preserves the reconstruction).
@@ -392,7 +337,7 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray,
     q = np.asarray(q, dtype=bool)
     if t.shape != q.shape:
         raise ValueError(f"data shape {t.shape} differs from mask shape {q.shape}")
-    shape = t.shape if taus is None else embedded_shape(t.shape, taus)
+    shape = embedded_shape(t.shape, taus)
     if schedule.order != len(shape):
         raise ValueError(f"schedule covers {schedule.order} modes, tensor has {len(shape)}")
     for m, seq in enumerate(schedule.sequences):
@@ -401,34 +346,31 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray,
                              f"has size {shape[m]}")
     if not q.any():
         raise ValueError("the mask observes no entry: there is nothing to fit")
+    if not np.isfinite(t[q]).all():
+        raise ValueError("observed values must be finite (no NaN/Inf)")
 
     model = init_model(tuple(seq[0] for seq in schedule.sequences), shape, seed)
-    if taus is None:
-        impute = functools.partial(_impute, t, q,
-                                   scratch=np.empty(min(_BLOCK_ELEMENTS, t.size)))
-        zero = not t.any()
-    else:
-        impute = _input_space_imputation(t, q, taus)
-        zero = not t[q].any()
-    if zero:
+    if not t[q].any():
         model = TuckerModel(np.zeros_like(model.core), model.factors)
+    impute = _input_space_imputation(t, q, taus)
     with np.errstate(over="ignore", invalid="ignore"):
-        z, f_before = impute(model)
+        z, f_before, estimate = impute(model)
     if not math.isfinite(f_before):  # the cost never increases: this covers every sweep
         raise ValueError("the cost of the random start overflows float64; "
                          "rescale the data")
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
     if f_before <= criteria.epsilon:
-        return RankIncrementResult(model, trace, history, CONVERGED)
+        return RankIncrementResult(model, trace, history, CONVERGED, estimate)
 
     status = SWEEP_BUDGET
     pads = 0
     for sweep in range(1, criteria.max_total_sweeps + 1):
+        del estimate  # the sweep peaks without it; the next fill makes the next one
         model = als_sweep(z, model)
         # The sweep has read the fill for the last time: the next fill goes
         # into it, so it is the run's one full-size buffer.
-        z, f_after = impute(model, out=z)
+        z, f_after, estimate = impute(model, out=z)
         trace.append((sweep, f_after))
         if f_after <= criteria.epsilon:
             status = CONVERGED
@@ -445,4 +387,4 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray,
         # Padding leaves the reconstruction (hence the cost) unchanged, so the
         # post-pad reference cost equals f_after either way.
         f_before = f_after
-    return RankIncrementResult(model, trace, history, status)
+    return RankIncrementResult(model, trace, history, status, estimate)

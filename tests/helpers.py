@@ -1,10 +1,12 @@
 """Shared fixtures builders and oracles used across the test modules."""
 
+import dataclasses
+
 import numpy as np
 
-from hankelfill import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
-                        duplication_counts, embedded_observed_energy, init_model,
-                        multilinear_product)
+from hankelfill import (RankSchedule, StoppingCriteria, TuckerModel,
+                        complete_with_rank_increment, duplication_counts,
+                        embedded_observed_energy, init_model, multilinear_product)
 from hankelfill.metrics import K1, K2, SIGMA, WINDOW
 from hankelfill.ranking import DEFAULT_MAX_TOTAL_SWEEPS
 
@@ -22,10 +24,26 @@ def planted_tucker(shape, ranks, data_seed):
     return multilinear_product(core, factors)
 
 
+def plain_loop(t, q, schedule, criteria, seed=0):
+    """Plain Tucker completion of ``t``: the sweep loop with windows of 1.
+
+    The embedded tensor is then ``t`` with a mode of size 1 before each of
+    its modes, so embedded mode 2n + 1 is mode n of ``t``.  ``schedule``
+    covers the modes of ``t``; the result's model and rank history are
+    mapped back onto them.
+    """
+    embedded = RankSchedule(tuple(s for seq in schedule.sequences for s in ((1,), seq)))
+    result = complete_with_rank_increment(t, q, (1,) * np.ndim(t), embedded, criteria,
+                                          seed=seed)
+    model = TuckerModel(result.model.core.reshape(result.model.ranks[1::2]),
+                        result.model.factors[1::2])
+    history = [(sweep, mode // 2, rank) for sweep, mode, rank in result.rank_history]
+    return dataclasses.replace(result, model=model, rank_history=history)
+
+
 def fixed_rank_fit(t, q, ranks, criteria, seed):
     """Fixed-rank completion: the sweep loop on one-element rank sequences."""
-    schedule = RankSchedule(tuple((r,) for r in ranks))
-    return complete_with_rank_increment(t, q, schedule, criteria, seed=seed)
+    return plain_loop(t, q, RankSchedule(tuple((r,) for r in ranks)), criteria, seed)
 
 
 def relative_criteria(values, mask, taus, epsilon_rel, tol_rel,

@@ -12,12 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from hankelfill import (RecoveryRequest, StoppingCriteria, complete_with_rank_increment,
-                        damped_sine, default_rank_sequences, embedded_shape, inverse_mdt,
-                        linear_interpolate_gaps, make_mask, mdt, psnr, recover, snr, ssim_map)
+from hankelfill import (RecoveryRequest, StoppingCriteria, damped_sine, default_rank_sequences,
+                        embedded_shape, inverse_mdt, linear_interpolate_gaps, make_mask, mdt,
+                        psnr, recover, snr, ssim_map)
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, naive_ssim_map,
-                     orthonormality_defect, planted_tucker, random_mask, relative_criteria,
-                     texture_image)
+                     orthonormality_defect, plain_loop, planted_tucker, random_mask,
+                     relative_criteria, texture_image)
 
 
 def _report(name, ok, detail):
@@ -83,8 +83,7 @@ def test_criterion_4_planted_model():
                  / np.linalg.norm(truth[hidden]))
 
     criteria = relative_criteria(truth, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-10)
-    result = complete_with_rank_increment(truth, q, default_rank_sequences(shape),
-                                          criteria, seed=7)
+    result = plain_loop(truth, q, default_rank_sequences(shape), criteria, seed=7)
     inc_err = (np.linalg.norm((result.model.reconstruct() - truth)[hidden])
                / np.linalg.norm(truth[hidden]))
     covers = all(r >= p for r, p in zip(result.model.ranks, true_ranks))

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (RankSchedule, StoppingCriteria, TuckerModel,
-                        complete_with_rank_increment, default_rank_sequences, embedded_shape,
-                        init_model, inverse_mdt, mdt)
+from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
+                        StoppingCriteria, TuckerModel, complete_with_rank_increment,
+                        default_rank_sequences, embedded_shape, init_model, inverse_mdt, mdt)
 from hankelfill import ranking
 
 
@@ -66,7 +66,7 @@ def run(case):
     saved = ranking.init_model, ranking.als_sweep
     ranking.init_model, ranking.als_sweep = map(recording, saved)
     try:
-        result = complete_with_rank_increment(t, q, schedule, criteria, seed=seed, taus=taus)
+        result = complete_with_rank_increment(t, q, taus, schedule, criteria, seed=seed)
     finally:
         ranking.init_model, ranking.als_sweep = saved
     assert len(models) == len(result.cost_trace)
@@ -89,6 +89,25 @@ def test_cost_never_increases_across_sweeps_and_increments(case):
     slack = 1e-12 * (costs[0] + max(norm2(model.core) for model in models))
     assert all(after <= before + slack for before, after in zip(costs, costs[1:]))
     assert [s for s, _ in result.cost_trace] == list(range(len(costs)))
+    assert result.status in (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=input_cases())
+def test_every_rank_event_lands_on_its_sequence(case):
+    schedule = case[2]
+    *_, result, _ = run(case)
+    cursors = [0] * schedule.order
+    last_sweep = 0
+    for sweep, mode, new_rank in result.rank_history:
+        assert sweep > last_sweep
+        cursors[mode] += 1
+        assert new_rank == schedule.sequences[mode][cursors[mode]]
+        last_sweep = sweep
+    expected = tuple(seq[k] for seq, k in zip(schedule.sequences, cursors))
+    assert result.model.ranks == expected
+    if all(len(seq) == 1 for seq in schedule.sequences):
+        assert result.rank_history == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,6 +125,21 @@ def test_cost_trace_is_the_full_size_cost_of_each_sweeps_model(case):
         assert abs(value - oracle) <= 1e-13 * (norm2(model.core) + norm2(mdt(y, taus)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=input_cases(max_size=6))
+def test_the_estimate_is_the_last_fills_map_back(case):
+    # The run returns the map-back e = H^+ X that its last fill computed,
+    # for the last model a sweep made; a pad after that fill leaves the
+    # model's map-back unchanged up to rounding.
+    t, q, result, models = run(case)
+    assert result.estimate.shape == t.shape
+    last = inverse_mdt(models[-1].reconstruct())
+    scale = max(1.0, np.abs(last).max())
+    np.testing.assert_allclose(result.estimate, last, rtol=0, atol=1e-12 * scale)
+    final = inverse_mdt(result.model.reconstruct())
+    np.testing.assert_allclose(result.estimate, final, rtol=0, atol=1e-12 * scale)
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=input_cases(max_size=6), data_=st.data())
 def test_the_fill_is_the_least_squares_fill_for_a_fixed_model(case, data_):
@@ -117,10 +151,12 @@ def test_the_fill_is_the_least_squares_fill_for_a_fixed_model(case, data_):
     embedded = embedded_shape(shape, taus)
     ranks = tuple(data_.draw(st.integers(1, j)) for j in embedded)
     model = init_model(ranks, embedded, seed)
-    z, value = ranking._input_space_imputation(t, q, taus)(model)
+    z, value, e = ranking._input_space_imputation(t, q, taus)(model)
     x = model.reconstruct()
     y = np.where(q, t, inverse_mdt(x))
-    np.testing.assert_allclose(z, mdt(y, taus), rtol=0, atol=1e-12 * max(1.0, np.abs(x).max()))
+    scale = max(1.0, np.abs(x).max())
+    np.testing.assert_allclose(e, inverse_mdt(x), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(z, mdt(y, taus), rtol=0, atol=1e-12 * scale)
 
     # H as a dense matrix: column i is H of the i-th unit input
     h = np.stack([mdt(np.eye(t.size)[i].reshape(shape), taus).ravel()
@@ -164,9 +200,9 @@ def growing_run(shape, taus):
     t = rng.standard_normal(shape)
     q = rng.random(shape) >= 0.3
     energy = float(t[q] @ t[q])
-    return complete_with_rank_increment(t, q, default_rank_sequences(embedded_shape(shape, taus)),
-                                        StoppingCriteria(0.0, 1e-2 * energy, 12), seed=0,
-                                        taus=taus)
+    return complete_with_rank_increment(t, q, taus,
+                                        default_rank_sequences(embedded_shape(shape, taus)),
+                                        StoppingCriteria(0.0, 1e-2 * energy, 12), seed=0)
 
 
 def test_a_large_fill_never_reconstructs_the_model(monkeypatch):
@@ -212,8 +248,8 @@ def test_all_zero_observed_data_converge_at_sweep_zero():
     t[2:4] = 5.0  # missing, so never read
     q = np.ones(t.shape, bool)
     q[2:4] = False
-    result = complete_with_rank_increment(t, q, default_rank_sequences((4, 7, 3, 4)),
-                                          StoppingCriteria(0.0, 0.0), taus=(4, 3))
+    result = complete_with_rank_increment(t, q, (4, 3), default_rank_sequences((4, 7, 3, 4)),
+                                          StoppingCriteria(0.0, 0.0))
     assert result.cost_trace == [(0, 0.0)]
     assert not result.model.core.any()
 
@@ -221,8 +257,26 @@ def test_all_zero_observed_data_converge_at_sweep_zero():
 def test_schedule_is_checked_against_the_embedded_shape():
     t, q = np.ones((10, 6)), np.ones((10, 6), bool)
     with pytest.raises(ValueError, match="schedule covers 2 modes, tensor has 4"):
-        complete_with_rank_increment(t, q, default_rank_sequences((10, 6)),
-                                     StoppingCriteria(0.0, 0.0), taus=(4, 3))
+        complete_with_rank_increment(t, q, (4, 3), default_rank_sequences((10, 6)),
+                                     StoppingCriteria(0.0, 0.0))
     with pytest.raises(ValueError, match="mode 1 sequence tops out at 8"):
-        complete_with_rank_increment(t, q, RankSchedule(((1,), (8,), (1,), (1,))),
-                                     StoppingCriteria(0.0, 0.0), taus=(4, 3))
+        complete_with_rank_increment(t, q, (4, 3), RankSchedule(((1,), (8,), (1,), (1,))),
+                                     StoppingCriteria(0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_observed_value_is_one_error(bad):
+    # With thresholds of the caller's own no energy is taken before the
+    # loop, so the loop itself names the value before sweep 0; a non-finite
+    # value at a missing entry is never read.
+    t = np.sin(0.3 * np.arange(40.0))
+    q = np.ones(40, bool)
+    q[20:25] = False
+    t[22] = bad
+    result = complete_with_rank_increment(t, q, (8,), default_rank_sequences((8, 33)),
+                                          StoppingCriteria(0.0, 0.0, 5))
+    assert np.isfinite(result.estimate).all()
+    t[3] = bad
+    with pytest.raises(ValueError, match=r"observed values must be finite \(no NaN/Inf\)"):
+        complete_with_rank_increment(t, q, (8,), default_rank_sequences((8, 33)),
+                                     StoppingCriteria(0.0, 0.0, 5))

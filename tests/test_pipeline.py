@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RecoveryRequest, StoppingCriteria,
-                        complete_with_rank_increment, damped_sine, default_rank_sequences,
-                        default_stopping_criteria, make_mask, mdt, recover, snr)
-from hankelfill.embedding import inverse_mdt_tucker
+                        damped_sine, make_mask, recover, snr)
 from hankelfill.masks import longest_missing_runs
 from hankelfill.pipeline import unbridged_gap
 from helpers import is_non_increasing, texture_image
@@ -153,22 +151,6 @@ class TestRecover:
         assert np.array_equal(a.estimate, b.estimate)
         assert a.cost_trace == b.cost_trace
 
-    def test_the_input_fill_differs_from_the_papers_and_both_recover_the_gap(self):
-        # recover imputes the input; the paper's fill is the loop on mdt(t), mdt(q)
-        truth, req = small_signal_request()
-        report = recover(req)
-        mask = req.mask
-        paper = complete_with_rank_increment(
-            mdt(np.where(mask, truth, 0.0), (30,)), mdt(mask, (30,)),
-            default_rank_sequences((30, 91)), default_stopping_criteria(truth, mask, (30,)),
-            seed=0)
-        estimate = inverse_mdt_tucker(paper.model.core, paper.model.factors)
-        for trace, fit in ((report.cost_trace, report.estimate), (paper.cost_trace, estimate)):
-            assert trace[-1][0] > 0
-            assert is_non_increasing(trace)
-            assert snr(truth, fit) > 20.0
-        assert report.cost_trace != paper.cost_trace
-
 
 def naive_runs(q):
     """Per mode, the longest run of slices with no observed entry, slice by slice."""
@@ -237,3 +219,32 @@ class TestGapReport:
         mask = np.ones(img.shape, bool)
         mask[..., 1] = False
         assert unbridged_gap(mask, (4, 4, 1)) == (2, 1)
+
+
+def smooth_volume():
+    """A 32x32x24 sum of two 3-D sinusoids, unit amplitude."""
+    i, j, k = np.meshgrid(np.arange(32), np.arange(32), np.arange(24), indexing="ij")
+    return (np.sin(0.31 * i + 0.17 * j + 0.23 * k + 0.4)
+            + np.sin(0.12 * i - 0.27 * j + 0.35 * k + 1.1)) / 2
+
+
+@pytest.mark.parametrize("taus, bridged", [((4, 4, 4), True), ((1, 1, 1), False)])
+def test_an_order_3_volume_recovers_missing_slices(taus, bridged):
+    # The layout of the paper's fMRI experiment: slices 10-12 of mode 2
+    # missing.  Windows on all three modes embed to order 6 and bridge the
+    # run; windows of 1 leave the slices with nothing observed, and the
+    # report says so.  Measured gap RMSE: 4.5e-4 at tau=(4,4,4) (converged
+    # after 111 sweeps), 0.49 at tau=(1,1,1).
+    vol = smooth_volume()
+    mask = np.ones(vol.shape, bool)
+    mask[:, :, 10:13] = False
+    report = recover(RecoveryRequest(data=vol, mask=mask, taus=taus, seed=0))
+    assert report.status == CONVERGED
+    assert len(report.ranks) == 6
+    rmse = float(np.sqrt(np.mean((report.estimate - vol)[~mask] ** 2)))
+    if bridged:
+        assert report.unbridged_gap is None
+        assert rmse < 5e-3
+    else:
+        assert report.unbridged_gap == (2, 3)
+        assert rmse > 0.25

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel, complete_with_rank_increment,
+                        StoppingCriteria, TuckerModel,
                         default_rank_sequences, default_stopping_criteria, init_model,
                         mode_residuals, pad_model, select_increment_mode)
-from helpers import (is_non_increasing, orthonormality_defect, planted_tucker, random_mask,
-                     relative_criteria)
+from helpers import (is_non_increasing, orthonormality_defect, plain_loop, planted_tucker,
+                     random_mask, relative_criteria)
 
 
 class TestStoppingCriteria:
@@ -175,8 +175,7 @@ class TestCompleteWithRankIncrement:
         t = planted_tucker((8, 8, 8), (1, 3, 2), data_seed=10)
         q = random_mask(t.shape, 0.2, seed=11)
         criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-12, tol_rel=1e-10)
-        result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
-                                              criteria, seed=5)
+        result = plain_loop(t, q, default_rank_sequences(t.shape), criteria, seed=5)
         assert result.status == CONVERGED
         assert all(r >= p for r, p in zip(result.model.ranks, (1, 3, 2)))
         x = result.model.reconstruct()
@@ -189,8 +188,7 @@ class TestCompleteWithRankIncrement:
         q = random_mask(t.shape, 0.1, seed=13)
         observed_energy = float(t[q] @ t[q])
         criteria = StoppingCriteria(epsilon=10 * observed_energy, tol=1e-9)
-        result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
-                                              criteria, seed=0)
+        result = plain_loop(t, q, default_rank_sequences(t.shape), criteria, seed=0)
         assert result.status == CONVERGED
         assert result.model.ranks == (1, 1, 1)
         assert len(result.cost_trace) == 1  # initial cost already below epsilon
@@ -199,8 +197,7 @@ class TestCompleteWithRankIncrement:
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=14)
         q = random_mask(t.shape, 0.3, seed=15)
         criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
-        result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
-                                              criteria, seed=1)
+        result = plain_loop(t, q, default_rank_sequences(t.shape), criteria, seed=1)
         assert result.rank_history  # at least one increment happened
         assert is_non_increasing(result.cost_trace)
 
@@ -209,7 +206,7 @@ class TestCompleteWithRankIncrement:
         q = random_mask(t.shape, 0.3, seed=17)
         schedule = default_rank_sequences(t.shape)
         criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
-        result = complete_with_rank_increment(t, q, schedule, criteria, seed=2)
+        result = plain_loop(t, q, schedule, criteria, seed=2)
         ranks = [1, 1, 1]
         for _, mode, new_rank in result.rank_history:
             assert new_rank > ranks[mode]
@@ -221,8 +218,7 @@ class TestCompleteWithRankIncrement:
         t = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=18)
         q = random_mask(t.shape, 0.3, seed=19)
         criteria = relative_criteria(t, q, (1, 1, 1), epsilon_rel=1e-10, tol_rel=1e-8)
-        result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
-                                              criteria, seed=3)
+        result = plain_loop(t, q, default_rank_sequences(t.shape), criteria, seed=3)
         costs = dict(result.cost_trace)
         for sweep, _, _ in result.rank_history:
             assert abs(costs[sweep] - costs[sweep - 1]) <= criteria.tol
@@ -233,7 +229,7 @@ class TestCompleteWithRankIncrement:
         q = random_mask(t.shape, 0.2, seed=21)
         schedule = RankSchedule(((1, 2), (1, 2), (1, 2)))
         criteria = StoppingCriteria(epsilon=0.0, tol=1e-3, max_total_sweeps=500)
-        result = complete_with_rank_increment(t, q, schedule, criteria, seed=4)
+        result = plain_loop(t, q, schedule, criteria, seed=4)
         assert result.status == SCHEDULE_EXHAUSTED
         assert result.model.ranks == (2, 2, 2)
 
@@ -242,8 +238,7 @@ class TestCompleteWithRankIncrement:
         t = rng.standard_normal((6, 6, 6))
         q = random_mask(t.shape, 0.2, seed=23)
         criteria = StoppingCriteria(epsilon=0.0, tol=0.0, max_total_sweeps=5)
-        result = complete_with_rank_increment(t, q, default_rank_sequences(t.shape),
-                                              criteria, seed=5)
+        result = plain_loop(t, q, default_rank_sequences(t.shape), criteria, seed=5)
         assert result.status == SWEEP_BUDGET
         assert result.cost_trace[-1][0] == 5
 
@@ -253,7 +248,7 @@ class TestCompleteWithRankIncrement:
         schedule = default_rank_sequences(t.shape)
         before = dataclasses.replace(schedule)
         criteria = default_stopping_criteria(t, q, (1, 1, 1), epsilon_rel=1e-8)
-        result = complete_with_rank_increment(t, q, schedule, criteria, seed=6)
+        result = plain_loop(t, q, schedule, criteria, seed=6)
         assert result.rank_history  # the run grew some rank
         assert schedule == before
 
@@ -262,13 +257,12 @@ class TestCompleteWithRankIncrement:
         # return its random start as converged
         t = np.arange(30.0).reshape(5, 6)
         with pytest.raises(ValueError, match="mask observes no entry"):
-            complete_with_rank_increment(t, np.zeros(t.shape, bool),
-                                         default_rank_sequences(t.shape),
-                                         StoppingCriteria(epsilon=0.0, tol=0.0), seed=0)
+            plain_loop(t, np.zeros(t.shape, bool), default_rank_sequences(t.shape),
+                       StoppingCriteria(epsilon=0.0, tol=0.0), seed=0)
 
     def test_sequence_exceeding_mode_size_rejected(self):
         t = np.zeros((4, 4))
         q = np.ones((4, 4), bool)
         with pytest.raises(ValueError, match="tops out"):
-            complete_with_rank_increment(t, q, RankSchedule(((1, 5), (1, 2))),
-                                         StoppingCriteria(epsilon=0.0, tol=0.0), seed=0)
+            plain_loop(t, q, RankSchedule(((1, 5), (1, 2))),
+                       StoppingCriteria(epsilon=0.0, tol=0.0), seed=0)
