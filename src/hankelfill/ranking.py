@@ -257,10 +257,12 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     core's squared norm, and H^T = D H^+, so
     F = sum_observed D (t - e)^2 + (||core||^2 - sum D e^2).  The second
     term is X's squared distance from the Hankel tensors, clamped at zero
-    against rounding.  The map-back follows one rule by size: an embedded
-    tensor of at most _BINCOUNT_ELEMENTS entries is reconstructed into
-    ``out`` and its duplicates averaged by one ``np.bincount`` over its
-    source indices; every larger model goes through
+    against rounding.  At windows of 1, H is a reshape and every X is
+    Hankel, so the term is zero and F is the masked cost, to the rounding of
+    its own sum rather than of ||X||^2.  The map-back follows one rule by
+    size: an embedded tensor of at most _BINCOUNT_ELEMENTS entries is
+    reconstructed into ``out`` and its duplicates averaged by one
+    ``np.bincount`` over its source indices; every larger model goes through
     :func:`inverse_mdt_tucker`, which does not reconstruct it.  Besides the
     map-back's own result, e, a call allocates nothing: the run holds y and
     D, and the fill, free until H(y) goes into it, is the call's scratch.
@@ -274,6 +276,7 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     y_h = mdt(y, taus)
     y = y.reshape(-1)
     missing = ~q.ravel()
+    plain = all(tau == 1 for tau in taus)
     source = None
     if math.prod(shape) <= _BINCOUNT_ELEMENTS:
         source = mdt(np.arange(y.size).reshape(t.shape), taus).ravel()
@@ -293,8 +296,10 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
             np.copyto(sums, e)
             np.divide(e, weights, out=e)
         np.copyto(y, e, where=missing)
-        core = model.core.reshape(-1)
-        off_hankel = max(float(core @ core - e @ sums), 0.0)
+        off_hankel = 0.0
+        if not plain:
+            core = model.core.reshape(-1)
+            off_hankel = max(float(core @ core - e @ sums), 0.0)
         r = np.subtract(y, e, out=sums)  # t - e where observed, e - e = +0 elsewhere
         np.square(r, out=r)
         value = float(r @ weights) + off_hankel

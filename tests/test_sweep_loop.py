@@ -1,4 +1,5 @@
-"""Properties of the single sweep loop: rank padding, memory, and reconstruct counts.
+"""Properties of the single sweep loop on plain tensors (windows of 1), rank
+padding, memory, and reconstruct counts.
 
 Fixed ranks are one-element rank sequences, so every fit in the package runs
 through ``complete_with_rank_increment``; the properties of its cost trace
@@ -11,12 +12,86 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (RecoveryRequest, StoppingCriteria, TuckerModel, default_rank_sequences,
+from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
+                        RecoveryRequest, StoppingCriteria, TuckerModel, default_rank_sequences,
                         embedded_shape, init_model, pad_model, recover)
-from helpers import plain_loop
+from hankelfill import ranking
+from helpers import masked_cost, plain_loop
+
+
+@st.composite
+def loop_cases(draw, max_size=5):
+    order = draw(st.integers(2, 4))
+    shape = tuple(draw(st.lists(st.integers(1, max_size), min_size=order, max_size=order)))
+    kind = draw(st.sampled_from(["fixed", "doubling", "drawn"]))
+    if kind == "fixed":
+        schedule = RankSchedule(tuple((draw(st.integers(1, j)),) for j in shape))
+    elif kind == "doubling":
+        schedule = default_rank_sequences(shape)
+    else:
+        schedule = RankSchedule(tuple(
+            tuple(sorted(draw(st.sets(st.integers(1, j), min_size=1, max_size=j))))
+            for j in shape))
+    missing = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8]))
+    tol_rel = draw(st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]))
+    return shape, schedule, missing, tol_rel, draw(st.integers(0, 2**32 - 1))
+
+
+def run(case):
+    """Plain Tucker completion of the case, with every model the loop made.
+
+    The models are the loop's own, on the embedded modes; at windows of 1
+    each reconstructs to the tensor's shape by a reshape.
+    """
+    shape, schedule, missing, tol_rel, seed = case
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    q = rng.random(shape) >= missing
+    assume(q.any())  # an empty mask is an error (test_ranking.py), not a fit
+    energy = float(t[q] @ t[q])
+    criteria = StoppingCriteria(epsilon=0.0, tol=tol_rel * energy, max_total_sweeps=15)
+    models = []
+
+    def recording(make):
+        def wrapped(*args, **kwargs):
+            models.append(make(*args, **kwargs))
+            return models[-1]
+        return wrapped
+
+    saved = ranking.init_model, ranking.als_sweep
+    ranking.init_model, ranking.als_sweep = map(recording, saved)
+    try:
+        result = plain_loop(t, q, schedule, criteria, seed=seed)
+    finally:
+        ranking.init_model, ranking.als_sweep = saved
+    return t, q, result, models
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=loop_cases())
+def test_cost_never_increases_across_sweeps_and_increments(case):
+    *_, result, _ = run(case)
+    costs = [f for _, f in result.cost_trace]
+    slack = 1e-12 * costs[0]
+    assert all(after <= before + slack for before, after in zip(costs, costs[1:]))
+    assert [s for s, _ in result.cost_trace] == list(range(len(costs)))
+    assert result.status in (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=loop_cases(max_size=4))
+def test_cost_trace_is_the_masked_sum_of_each_sweeps_model(case):
+    # At windows of 1 the loop's cost F is the masked cost; the oracle sums
+    # the observed entries only, for the model that sweep made (before any
+    # padding).
+    t, q, result, models = run(case)
+    assert len(models) == len(result.cost_trace)
+    for model, (_, value) in zip(models, result.cost_trace):
+        oracle = masked_cost(t, q, model.reconstruct().reshape(t.shape))
+        assert abs(value - oracle) <= 1e-13 * oracle
 
 
 @settings(max_examples=80, deadline=None)
