@@ -25,6 +25,8 @@ Shape = tuple[int, ...]
 # safely inside int64.
 _MAX_ELEMENTS = 2**62
 
+_FLOAT64 = np.dtype(np.float64)
+
 
 def check_shape(dims: Iterable[int]) -> Shape:
     """Validate a tensor shape: order >= 1, all dims >= 1, no index overflow."""
@@ -72,8 +74,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return np.reshape(t.transpose(axes), (t.shape[mode], -1), order="F")
 
 
-def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     """Mode-k product: contracts a R x I_k matrix against the k-th mode.
 
     Satisfies unfold(result, k) = a @ unfold(t, k), with the package's
@@ -82,41 +83,30 @@ def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int,
     (left, I_k, right), left = prod(I_n, n < k), right = prod(I_n, n > k), so
     the product is the batched matmul ``a @ view``, whose output already has
     the layout of the result.  Neither operand is transposed or copied (a
-    non-contiguous ``t`` is made contiguous once); a mode with nothing on one
-    side (left == 1 or right == 1) is a single 2-D GEMM.  ``out``, a
-    C-contiguous float64 array of the result's shape, receives the product
-    and is returned in place of a new array; the values are the same to the
-    bit.
+    non-contiguous or non-float64 ``t`` is converted once, and operands that
+    need no conversion skip it); a mode with nothing on one side
+    (left == 1 or right == 1) is a single 2-D GEMM.
     """
-    t = np.asarray(t, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    if not 0 <= mode < t.ndim:
+    if not (type(t) is np.ndarray and t.dtype == _FLOAT64 and t.flags.c_contiguous):
+        t = np.ascontiguousarray(t, dtype=np.float64)
+    if not (type(a) is np.ndarray and a.dtype == _FLOAT64):
+        a = np.asarray(a, dtype=np.float64)
+    shape = t.shape
+    if not 0 <= mode < len(shape):
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    if a.ndim != 2 or a.shape[1] != t.shape[mode]:
+    size = shape[mode]
+    if a.ndim != 2 or a.shape[1] != size:
         raise ValueError(f"mode_multiply: matrix {a.shape} does not match mode-{mode} size "
-                         f"{t.shape[mode]} of tensor {t.shape}")
-    t = np.ascontiguousarray(t)
-    size = t.shape[mode]
-    left = math.prod(t.shape[:mode])
-    right = math.prod(t.shape[mode + 1:])
-    shape = t.shape[:mode] + (a.shape[0],) + t.shape[mode + 1:]
+                         f"{size} of tensor {shape}")
+    left = math.prod(shape[:mode])
+    right = math.prod(shape[mode + 1:])
     if left == 1:
-        x, y, dims = a, t.reshape(size, right), (a.shape[0], right)
+        out = a @ t.reshape(size, right)
     elif right == 1:
-        x, y, dims = t.reshape(left, size), a.T, (left, a.shape[0])
+        out = t.reshape(left, size) @ a.T
     else:
-        x, y, dims = a, t.reshape(left, size, right), (left, a.shape[0], right)
-    if out is None:
-        return (x @ y).reshape(shape)
-    _check_out(out, shape)
-    np.matmul(x, y, out=out.reshape(dims))
-    return out
-
-
-def _check_out(out: np.ndarray, shape: Shape) -> None:
-    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}, got "
-                         f"{out.dtype} {out.shape}")
+        out = a @ t.reshape(left, size, right)
+    return out.reshape(shape[:mode] + (a.shape[0],) + shape[mode + 1:])
 
 
 def is_unit_factor(u: np.ndarray) -> bool:
@@ -133,8 +123,7 @@ def _check_factors(g: np.ndarray, factors: Sequence[np.ndarray]) -> None:
             raise ValueError(f"factor {n} has shape {u.shape}, needs {g.shape[n]} columns")
 
 
-def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray],
-                        out: np.ndarray | None = None) -> np.ndarray:
+def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
     """Apply one factor matrix per mode: g x_0 U0 x_1 U1 ... (order-independent).
 
     The modes are applied in growth order, increasing I_n / R_n for a factor
@@ -142,21 +131,13 @@ def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray],
     products that shrink or barely grow the tensor run while it is small, and
     the last, largest product gets the widest trailing block, so its batched
     matmul is a few large GEMMs.  The result equals the mode-order chain up to
-    rounding.  1x1 identity factors (singleton modes) are skipped.  ``out``
-    (see :func:`mode_multiply`) receives the last product, or a copy of ``g``
-    when every factor is skipped, and is returned.
+    rounding.  1x1 identity factors (singleton modes) are skipped.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_factors(g, factors)
     factors = [np.asarray(u, dtype=np.float64) for u in factors]
     order = sorted(range(g.ndim), key=lambda n: (factors[n].shape[0] / factors[n].shape[1], -n))
-    steps = [n for n in order if not is_unit_factor(factors[n])]
-    if not steps:
-        if out is None:
-            return g
-        _check_out(out, g.shape)
-        np.copyto(out, g)
-        return out
-    for n in steps[:-1]:
-        g = mode_multiply(g, factors[n], n)
-    return mode_multiply(g, factors[steps[-1]], steps[-1], out=out)
+    for n in order:
+        if not is_unit_factor(factors[n]):
+            g = mode_multiply(g, factors[n], n)
+    return g

@@ -15,10 +15,10 @@ averages the duplicates, which is exactly the Moore-Penrose pseudo-inverse
 of the duplication map.
 Duplication matrices are never materialized: everything is index arithmetic.
 :func:`mdt` allocates nothing at all, its result is a read-only strided view
-of the source, so an embedded tensor that only gets read (the filled input
-of a fit) costs no more memory than its source.  A Tucker model of an
-embedded tensor maps back without being reconstructed at all
-(:func:`inverse_mdt_tucker`).
+of the source.  A fit never builds the embedded tensor either: its ALS
+sweep reads the filled input and embeds one mode pair at a time
+(``completion._leave_one_out``), and a Tucker model of an embedded tensor
+maps back without being reconstructed at all (:func:`inverse_mdt_tucker`).
 
 tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 """

@@ -13,15 +13,13 @@ the sweep budget runs out.
 The loop fits the embedding H(t) of an input t with mask q, given one
 window per input mode, and imputes the input, not the embedded tensor: each
 sweep maps the model X back, e = H^+ X, fills the input's missing entries
-with it, y = where(q, t, e), and copies the filled input's embedding into
-the fill, z = H(y), which the next ALS sweep reads.  The cost is
-F = ||H(y) - X||^2, summed on input-sized arrays, so no pass over the fill
-computes it (:func:`_input_space_imputation`).  A run holds one full-size
-buffer, the fill, and each fill goes into the one the ALS sweep has just
-read.  A plateau ranks the modes from the fill, through the ALS sweep's
-projection chain, and rebuilds nothing.  Plain Tucker completion of a
-tensor is the case of windows of 1, where H is a reshape and the fill is
-where(q, t, X).
+with it, y = where(q, t, e), and the next ALS sweep fits X to H(y) reading
+y itself.  The cost is F = ||H(y) - X||^2, summed on input-sized arrays
+(:func:`_input_space_imputation`).  The fill is input-sized, the ALS sweep
+and a plateau's mode ranking embed one mode pair at a time, and above a
+small size the map-back builds nothing embedded either, so a run holds no
+embedded-sized buffer.  Plain Tucker completion of a tensor is the case of
+windows of 1, where H is a reshape and the fill is where(q, t, X).
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
@@ -140,28 +138,28 @@ def default_rank_sequences(embedded_shape: Sequence[int]) -> RankSchedule:
     return RankSchedule(tuple(sequences))
 
 
-def mode_residuals(z: np.ndarray, model: TuckerModel) -> list[float]:
+def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     """Residual energy visible through every factor except one.
 
-    ``z`` is the fill H(y) made from ``model``'s reconstruction x, so z - x
-    is the residual whose squared norm is the cost;
-    value_m = ||(z - x) projected onto all factors but mode m||^2,
+    ``y`` is the input filled from ``model``'s map-back and ``model`` fits
+    its embedding H(y), so H(y) - x, x the model's reconstruction, is the
+    residual whose squared norm is the cost;
+    value_m = ||(H(y) - x) projected onto all factors but mode m||^2,
     a proxy for how much cost reduction a rank bump on mode m can buy.  With
     orthonormal factors that projection of x is the core times U_m on mode m,
-    so x is never built: z runs through the chain of :func:`als_sweep`.  A
-    mode of size 1 sees the whole projection, the chain's last prefix less
-    the core.
+    so x is never built: y runs through the chain of :func:`als_sweep`, which
+    builds no H(y) either.  A mode of size 1 sees the whole projection, the
+    chain's last product less the core.
     """
-    z = np.asarray(z, dtype=np.float64)
-    values = [0.0] * z.ndim
+    values = [0.0] * model.core.ndim
 
-    def score(m, y):
-        d = (y - mode_multiply(model.core, model.factors[m], m)).ravel()
+    def score(m, p):
+        d = (p - mode_multiply(model.core, model.factors[m], m)).ravel()
         values[m] = float(d @ d)
 
-    d = (_leave_one_out(z, model.factors, score) - model.core).ravel()
+    d = (_leave_one_out(np.asarray(y), model.factors, score) - model.core).ravel()
     whole = float(d @ d)
-    return [whole if j == 1 else v for j, v in zip(z.shape, values)]
+    return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
 
 
 def _growable(schedule: RankSchedule, ranks: Sequence[int]) -> list[int]:
@@ -241,19 +239,17 @@ _BINCOUNT_ELEMENTS = 2**15
 
 
 def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
-    """The fill of one run, as ``impute(model, out=None) -> (z, F, e)``.
+    """The fill of one run, as ``impute(model) -> (y, F, e)``.
 
     ``t`` and ``q`` are the input and its mask, ``taus`` the windows.  Each
     call maps the model's embedded tensor X back, e = H^+ X, fills the input
-    y = where(q, t, e) in one input-sized buffer of the run, copies H(y)
-    into ``out`` (a new embedded-sized array when None) through one
-    :func:`mdt` view of y made here, and returns it with the cost
-    F = ||H(y) - X||^2 and e in the input's shape.  The y step is the
-    least-squares fill of that cost for a fixed X, since H^T H is the
-    diagonal D of duplication counts; so the loop is block-coordinate
-    descent on F, and F never increases.
+    y = where(q, t, e) in one input-sized buffer of the run and returns it,
+    with the cost F = ||H(y) - X||^2 and e in the input's shape; the ALS
+    sweep reads y, not H(y).  The y step is the least-squares fill of that
+    cost for a fixed X, since H^T H is the diagonal D of duplication counts;
+    so the loop is block-coordinate descent on F, and F never increases.
 
-    F takes no full-size pass: with orthonormal factors ||X||^2 is the
+    F takes no embedded-sized pass: with orthonormal factors ||X||^2 is the
     core's squared norm, and H^T = D H^+, so
     F = sum_observed D (t - e)^2 + (||core||^2 - sum D e^2).  The second
     term is X's squared distance from the Hankel tensors, clamped at zero
@@ -261,11 +257,12 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     Hankel, so the term is zero and F is the masked cost, to the rounding of
     its own sum rather than of ||X||^2.  The map-back follows one rule by
     size: an embedded tensor of at most _BINCOUNT_ELEMENTS entries is
-    reconstructed into ``out`` and its duplicates averaged by one
-    ``np.bincount`` over its source indices; every larger model goes through
+    reconstructed and its duplicates averaged by one ``np.bincount`` over
+    its source indices; every larger model goes through
     :func:`inverse_mdt_tucker`, which does not reconstruct it.  Besides the
-    map-back's own result, e, a call allocates nothing: the run holds y and
-    D, and the fill, free until H(y) goes into it, is the call's scratch.
+    map-back's own arrays (e, and below that size the reconstruction), a
+    call allocates nothing: the run holds y, D and one input-sized scratch
+    array.
     """
     shape = embedded_shape(t.shape, taus)
     weights = np.ones(())
@@ -273,38 +270,32 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
         weights = np.multiply.outer(weights, duplication_counts(length, tau))
     weights = weights.ravel()
     y = np.where(q, t, 0.0)
-    y_h = mdt(y, taus)
-    y = y.reshape(-1)
+    flat = y.reshape(-1)
+    sums = np.empty(y.size)
     missing = ~q.ravel()
     plain = all(tau == 1 for tau in taus)
     source = None
     if math.prod(shape) <= _BINCOUNT_ELEMENTS:
         source = mdt(np.arange(y.size).reshape(t.shape), taus).ravel()
 
-    def impute(model: TuckerModel, out: np.ndarray | None = None):
-        if out is None:
-            out = np.empty(shape)
-        # sums = H^T X = D e goes into the head of the fill (no smaller than
-        # the input); e, the map-back's own array, is returned
-        sums = out.reshape(-1)[:y.size]
+    def impute(model: TuckerModel):
+        # e is the map-back's own array; sums = H^T X = D e
         if source is None:
             e = inverse_mdt_tucker(model.core, model.factors).reshape(-1)
             np.multiply(weights, e, out=sums)
         else:
-            e = np.bincount(source, model.reconstruct(out=out).reshape(-1),
-                            minlength=y.size)
+            e = np.bincount(source, model.reconstruct().reshape(-1), minlength=y.size)
             np.copyto(sums, e)
             np.divide(e, weights, out=e)
-        np.copyto(y, e, where=missing)
+        np.copyto(flat, e, where=missing)
         off_hankel = 0.0
         if not plain:
             core = model.core.reshape(-1)
             off_hankel = max(float(core @ core - e @ sums), 0.0)
-        r = np.subtract(y, e, out=sums)  # t - e where observed, e - e = +0 elsewhere
+        r = np.subtract(flat, e, out=sums)  # t - e where observed, e - e = +0 elsewhere
         np.square(r, out=r)
         value = float(r @ weights) + off_hankel
-        np.copyto(out, y_h)
-        return out, value, e.reshape(t.shape)
+        return y, value, e.reshape(t.shape)
 
     return impute
 
@@ -359,7 +350,7 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
         model = TuckerModel(np.zeros_like(model.core), model.factors)
     impute = _input_space_imputation(t, q, taus)
     with np.errstate(over="ignore", invalid="ignore"):
-        z, f_before, estimate = impute(model)
+        y, f_before, estimate = impute(model)
     if not math.isfinite(f_before):  # the cost never increases: this covers every sweep
         raise ValueError("the cost of the random start overflows float64; "
                          "rescale the data")
@@ -372,10 +363,8 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
     pads = 0
     for sweep in range(1, criteria.max_total_sweeps + 1):
         del estimate  # the sweep peaks without it; the next fill makes the next one
-        model = als_sweep(z, model)
-        # The sweep has read the fill for the last time: the next fill goes
-        # into it, so it is the run's one full-size buffer.
-        z, f_after, estimate = impute(model, out=z)
+        model = als_sweep(y, model)
+        y, f_after, estimate = impute(model)
         trace.append((sweep, f_after))
         if f_after <= criteria.epsilon:
             status = CONVERGED
@@ -384,7 +373,7 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
             if not _growable(schedule, model.ranks):
                 status = SCHEDULE_EXHAUSTED
                 break
-            mode = select_increment_mode(mode_residuals(z, model), schedule, model.ranks)
+            mode = select_increment_mode(mode_residuals(y, model), schedule, model.ranks)
             new_rank = next(k for k in schedule.sequences[mode] if k > model.ranks[mode])
             pads += 1
             model = pad_model(model, mode, new_rank, seed=(seed, pads))

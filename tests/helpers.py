@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 
-from hankelfill import (RankSchedule, StoppingCriteria, TuckerModel,
+from hankelfill import (RankSchedule, StoppingCriteria, TuckerModel, als_sweep,
                         complete_with_rank_increment, duplication_counts,
-                        embedded_observed_energy, init_model, multilinear_product)
+                        embedded_observed_energy, init_model, mode_multiply, mode_residuals,
+                        multilinear_product, unfold)
+from hankelfill.core import is_unit_factor
+from hankelfill.linalg import complete_orthonormal_basis, leading_singular_vectors
 from hankelfill.metrics import K1, K2, SIGMA, WINDOW
 from hankelfill.ranking import DEFAULT_MAX_TOTAL_SWEEPS
 
@@ -35,15 +38,101 @@ def plain_loop(t, q, schedule, criteria, seed=0):
     embedded = RankSchedule(tuple(s for seq in schedule.sequences for s in ((1,), seq)))
     result = complete_with_rank_increment(t, q, (1,) * np.ndim(t), embedded, criteria,
                                           seed=seed)
-    model = TuckerModel(result.model.core.reshape(result.model.ranks[1::2]),
-                        result.model.factors[1::2])
     history = [(sweep, mode // 2, rank) for sweep, mode, rank in result.rank_history]
-    return dataclasses.replace(result, model=model, rank_history=history)
+    return dataclasses.replace(result, model=plain_model(result.model), rank_history=history)
 
 
 def fixed_rank_fit(t, q, ranks, criteria, seed):
     """Fixed-rank completion: the sweep loop on one-element rank sequences."""
     return plain_loop(t, q, RankSchedule(tuple((r,) for r in ranks)), criteria, seed)
+
+
+def embedded_leave_one_out(z, factors, visit):
+    """The projection chain over the embedded tensor z itself, the oracle of the package's.
+
+    For each mode m of size above 1, ``visit(m, prefix x_{n>m} U_n^T)`` sees
+    the projection onto every factor but mode m's, where
+    ``prefix = z x_{n<m} U_n^T`` with the factors as earlier visits left
+    them; then the prefix takes in ``factors[m]``.  Returns the last
+    prefix.  1x1 identity factors are skipped.
+    """
+    if z.shape != tuple(u.shape[0] for u in factors):
+        raise ValueError(f"tensor shape {z.shape} does not match model's "
+                         f"factor rows {tuple(u.shape[0] for u in factors)}")
+    prefix = z
+    for m in range(z.ndim):
+        if z.shape[m] != 1:
+            y = prefix
+            for n in range(m + 1, z.ndim):
+                if not is_unit_factor(factors[n]):
+                    y = mode_multiply(y, factors[n].T, n)
+            visit(m, y)
+        if not is_unit_factor(factors[m]):
+            prefix = mode_multiply(prefix, factors[m].T, m)
+    return prefix
+
+
+def embedded_als_sweep(z, model, spectra=None):
+    """One ALS cycle on a complete tensor z through :func:`embedded_leave_one_out`.
+
+    The oracle of ``als_sweep(y, model)``, with z = H(y) built.  ``spectra``,
+    if a list, receives (singular values, kept count) of each update's
+    unfolding.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    factors = list(model.factors)
+
+    def update(m, y):
+        flat = unfold(y, m)
+        rank = model.ranks[m]
+        r_eff = min(rank, flat.shape[1])
+        if spectra is not None:
+            spectra.append((np.linalg.svd(flat, compute_uv=False), r_eff))
+        factors[m] = complete_orthonormal_basis(leading_singular_vectors(flat, r_eff),
+                                                np.eye(flat.shape[0], rank - r_eff))
+
+    core = embedded_leave_one_out(z, factors, update)
+    return TuckerModel(core, factors)
+
+
+def embedded_mode_residuals(z, model):
+    """``mode_residuals`` over the embedded tensor z through :func:`embedded_leave_one_out`."""
+    z = np.asarray(z, dtype=np.float64)
+    values = [0.0] * z.ndim
+
+    def score(m, y):
+        d = (y - mode_multiply(model.core, model.factors[m], m)).ravel()
+        values[m] = float(d @ d)
+
+    d = (embedded_leave_one_out(z, model.factors, score) - model.core).ravel()
+    whole = float(d @ d)
+    return [whole if j == 1 else v for j, v in zip(z.shape, values)]
+
+
+def windows_of_one(model):
+    """A model of a plain tensor as the model of its embedding at windows of 1.
+
+    Each mode n becomes the pair (1, I_n), with a 1x1 identity factor on the
+    window mode; :func:`plain_model` undoes it.
+    """
+    factors = [u for v in model.factors for u in (np.ones((1, 1)), v)]
+    return TuckerModel(model.core.reshape(tuple(r for v in model.ranks for r in (1, v))),
+                       factors)
+
+
+def plain_model(model):
+    """The plain-tensor model of a windows-of-1 embedded model."""
+    return TuckerModel(model.core.reshape(model.ranks[1::2]), model.factors[1::2])
+
+
+def plain_als_sweep(t, model):
+    """``als_sweep`` of a plain tensor ``t`` and its model, run at windows of 1."""
+    return plain_model(als_sweep(t, windows_of_one(model)))
+
+
+def plain_mode_residuals(t, model):
+    """``mode_residuals`` of a plain tensor ``t`` and its model, one per mode of ``t``."""
+    return mode_residuals(t, windows_of_one(model))[1::2]
 
 
 def relative_criteria(values, mask, taus, epsilon_rel, tol_rel,

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from hankelfill import (SWEEP_BUDGET, StoppingCriteria, TuckerModel, als_sweep,
-                        apply_sign_convention, auxiliary_fill, init_model, mode_multiply)
+from hankelfill import (SWEEP_BUDGET, StoppingCriteria, TuckerModel, apply_sign_convention,
+                        auxiliary_fill, init_model, mode_multiply)
 from hankelfill.completion import cost
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, masked_cost,
-                     orthonormality_defect, planted_tucker, random_mask, random_orthonormal)
+                     orthonormality_defect, plain_als_sweep, planted_tucker, random_mask,
+                     random_orthonormal)
 
 
 class TestCost:
@@ -65,7 +66,7 @@ class TestAuxiliaryFill:
         for _ in range(4):
             z = auxiliary_fill(t, q, model.reconstruct())
             np.testing.assert_array_equal(z[q], t[q])
-            model = als_sweep(z, model)
+            model = plain_als_sweep(z, model)
 
 
 class TestInitModel:
@@ -114,14 +115,14 @@ class TestAlsSweep:
     def test_fixed_point_keeps_zero_residual(self):
         model = init_model((2, 2), (5, 6), seed=4)
         z = model.reconstruct()
-        swept = als_sweep(z, model)
+        swept = plain_als_sweep(z, model)
         assert self.residual(z, swept) < 1e-20
 
     def test_exact_tucker_target_reached(self):
         z = planted_tucker((7, 6, 5), (2, 2, 2), data_seed=8)
         model = init_model((2, 2, 2), z.shape, seed=9)
         for _ in range(50):
-            model = als_sweep(z, model)
+            model = plain_als_sweep(z, model)
             if self.residual(z, model) < 1e-16:
                 break
         assert self.residual(z, model) < 1e-8
@@ -133,7 +134,7 @@ class TestAlsSweep:
             z /= np.linalg.norm(z)
             model = init_model((2, 3, 2), z.shape, seed=seed + 1000)
             before = self.residual(z, model)
-            after = self.residual(z, als_sweep(z, model))
+            after = self.residual(z, plain_als_sweep(z, model))
             assert after <= before + 1e-12
 
     def test_factors_stay_orthonormal(self):
@@ -141,7 +142,7 @@ class TestAlsSweep:
         z = rng.standard_normal((6, 5, 4))
         model = init_model((3, 2, 2), z.shape, seed=0)
         for _ in range(5):
-            model = als_sweep(z, model)
+            model = plain_als_sweep(z, model)
             for u in model.factors:
                 assert orthonormality_defect(u) < 1e-10
 
@@ -151,14 +152,14 @@ class TestAlsSweep:
         rng = np.random.default_rng(11)
         z = rng.standard_normal((6, 5, 4))
         model = init_model((3, 1, 1), z.shape, seed=1)
-        swept = als_sweep(z, model)
+        swept = plain_als_sweep(z, model)
         assert swept.factors[0].shape == (6, 3)
         assert orthonormality_defect(swept.factors[0]) < 1e-10
 
     def test_dimension_mismatch(self):
         model = init_model((2, 2), (5, 6), seed=0)
         with pytest.raises(ValueError, match="does not match"):
-            als_sweep(np.zeros((5, 7)), model)
+            plain_als_sweep(np.zeros((5, 7)), model)
 
 
 class TestTuckerComplete:
@@ -183,7 +184,7 @@ class TestTuckerComplete:
         manual = init_model((2, 2, 2), t.shape, seed=3)
         for _ in range(7):
             np.testing.assert_array_equal(auxiliary_fill(t, q, manual.reconstruct()), t)
-            manual = als_sweep(t, manual)
+            manual = plain_als_sweep(t, manual)
         assert np.array_equal(result.model.core, manual.core)
         for a, b in zip(result.model.factors, manual.factors):
             assert np.array_equal(a, b)

@@ -151,12 +151,12 @@ def test_the_fill_is_the_least_squares_fill_for_a_fixed_model(case, data_):
     embedded = embedded_shape(shape, taus)
     ranks = tuple(data_.draw(st.integers(1, j)) for j in embedded)
     model = init_model(ranks, embedded, seed)
-    z, value, e = ranking._input_space_imputation(t, q, taus)(model)
+    filled, value, e = ranking._input_space_imputation(t, q, taus)(model)
     x = model.reconstruct()
     y = np.where(q, t, inverse_mdt(x))
     scale = max(1.0, np.abs(x).max())
     np.testing.assert_allclose(e, inverse_mdt(x), rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(z, mdt(y, taus), rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(filled, y, rtol=0, atol=1e-12 * scale)
 
     # H as a dense matrix: column i is H of the i-th unit input
     h = np.stack([mdt(np.eye(t.size)[i].reshape(shape), taus).ravel()
@@ -187,9 +187,9 @@ def count_reconstructs(monkeypatch):
     calls = []
     reconstruct = TuckerModel.reconstruct
 
-    def counting(model, out=None):
+    def counting(model):
         calls.append(model.ranks)
-        return reconstruct(model, out=out)
+        return reconstruct(model)
 
     monkeypatch.setattr(TuckerModel, "reconstruct", counting)
     return calls
@@ -218,8 +218,8 @@ def test_a_large_fill_never_reconstructs_the_model(monkeypatch):
 
 
 def test_a_small_fill_reconstructs_once_per_fill(monkeypatch):
-    # At or below _BINCOUNT_ELEMENTS the reconstruction, written into the fill,
-    # is averaged back by one bincount: one reconstruct per fill, none at a
+    # At or below _BINCOUNT_ELEMENTS the reconstruction is averaged back by
+    # one bincount: one reconstruct per fill, none at a
     # plateau.
     shape, taus = (12, 9), (4, 3)
     assert np.prod(embedded_shape(shape, taus)) <= ranking._BINCOUNT_ELEMENTS
