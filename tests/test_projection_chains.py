@@ -310,6 +310,38 @@ def test_mode_residuals_of_the_fill_match_the_masked_residuals_chains(case, obse
 # --------------------------------------------------------- structural guard
 
 @pytest.mark.parametrize("layer", ["als_sweep", "mode_residuals"])
+def test_sweep_reads_the_full_tensor_at_most_twice(monkeypatch, layer):
+    # A plain tensor (windows of 1), order 6 with one singleton mode; a
+    # per-mode chain from the full tensor (plus the core chain) reads it 6
+    # times.  The chain reads it for input mode 0's projection and for the
+    # prefix that the later modes share, and embeds only what is left.
+    shape, ranks = (4, 5, 1, 6, 3, 4), (2, 3, 1, 2, 2, 3)
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal(shape)
+    model = init_model(ranks, shape, 3)
+    full_reads = []
+
+    def counting(t, a, mode):
+        full_reads.append(np.size(t) == z.size)
+        return mode_multiply(t, a, mode)
+
+    def embedding(t, *args):
+        full_reads.append(np.size(t) == z.size)
+        return completion_embed(t, *args)
+
+    completion_embed = completion._embed_mode
+    monkeypatch.setattr(completion, "_embed_mode", embedding)
+    monkeypatch.setattr(completion, "mode_multiply", counting)
+    monkeypatch.setattr(ranking, "mode_multiply", counting)
+    if layer == "als_sweep":
+        plain_als_sweep(z, model)
+    else:
+        plain_mode_residuals(z, TuckerModel(np.zeros(ranks), model.factors))
+    assert full_reads
+    assert sum(full_reads) <= 2
+
+
+@pytest.mark.parametrize("layer", ["als_sweep", "mode_residuals"])
 def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice(monkeypatch,
                                                                                 layer):
     # Order 4 with one singleton mode and one window of the whole mode.  The

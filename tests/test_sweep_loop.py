@@ -112,7 +112,7 @@ def test_pad_model_leaves_reconstruction_unchanged(shape, data, seed):
 
 
 # A 64x64x3 image with half its pixels missing, windows (16, 16, 1): the
-# embedded tensor has 16*49*16*49*1*3 elements, 4.4 MiB.
+# embedded tensor has 16*49*16*49*1*3 elements, 14.1 MiB.
 TAUS, RANKS = (16, 16, 1), (4, 8, 4, 8, 1, 3)
 
 
@@ -129,12 +129,24 @@ def in_copies(nbytes, shape, taus):
 
 
 def traced_peak(run):
-    tracemalloc.start()
-    try:
-        result = run()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """The first run's result and the least traced peak of two runs.
+
+    A run allocates the same arrays every time, but tracemalloc also counts
+    the interpreter's own tables, and now and then one doubles inside the
+    window: a string-keyed dict growing to 2**17 slots allocates 1.92 MB,
+    the excess one run of a test here showed in a few dozen suite runs.  A
+    table that has just doubled does not double again in the next run, so
+    the least peak is the run's own.
+    """
+    results, peaks = [], []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            results.append(run())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return results[0], min(peaks)
 
 
 def test_recover_holds_under_one_and_a_half_embedded_copies():
