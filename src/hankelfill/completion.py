@@ -1,26 +1,20 @@
 """Tucker completion building blocks: model, masked cost, imputation, ALS sweep.
 
-A fit alternates two steps until its cost stops moving:
+A fit alternates two steps until its cost F = ||H(y) - X||^2 stops moving:
 
-1. impute: overwrite the missing entries with the current model's values,
-   which majorizes the cost by a surrogate that touches it at the current
-   iterate;
-2. one ALS cycle on the imputed (complete) tensor: per mode, project onto
-   the other factors, take leading singular vectors of the unfolding, then
-   refresh the core.
+1. impute: fill the input's missing entries from the model's map-back,
+   y = where(q, t, H^+ X), the least-squares fill of F for a fixed model;
+2. one ALS cycle on H(y): per mode, project onto the other factors, take
+   leading singular vectors of the unfolding, then refresh the core.
 
-Each ALS sub-step solves its subproblem globally, so the cost is
-monotonically non-increasing; there is no step size to tune.  The loop that
-drives these steps is :func:`hankelfill.ranking.complete_with_rank_increment`;
-a fixed-rank fit is a rank schedule of one-element sequences.  The mask
-enters only the imputation, which fills the input y from the model's
-map-back and sweeps on H(y), its embedding; the cost is ||H(y) - x||^2
-over every entry, which also counts how far the windows disagree on a
-missing entry.  With windows of 1, H(y) = where(q, t, x), the fill
-:func:`auxiliary_fill` returns, and the cost is the masked cost.  The ALS
-sweep and the mode ranking read y itself through one projection chain
-that embeds one mode pair at a time (:func:`_leave_one_out`), so no
-embedded-sized array is ever built.
+Each step solves its subproblem globally, so F never increases; there is
+no step size to tune.  :func:`hankelfill.ranking.complete_with_rank_increment`
+drives these steps.  The mask enters only the fill, and F, summed over
+every entry, also counts how far the windows disagree on a missing entry;
+with windows of 1 it is the masked cost.  The ALS sweep and the mode
+ranking read y itself through one projection chain that embeds one mode
+pair at a time (:func:`_leave_one_out`), so no embedded-sized array is
+ever built.
 """
 
 from __future__ import annotations
@@ -59,7 +53,10 @@ class TuckerModel:
 
 
 def cost(r: np.ndarray) -> float:
-    """Masked cost ||Q*(T - X)||^2 from the masked residual r (zero where unobserved)."""
+    """Masked cost ||Q*(T - X)||^2 from the masked residual r (zero where unobserved).
+
+    Unused in the package; kept while ``perfbench/tracing.py`` traces it by name.
+    """
     flat = np.ravel(r)
     return float(flat @ flat)
 
@@ -69,6 +66,7 @@ def auxiliary_fill(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     A new array; the sweep loop fills the input in place, which is this
     fill when every window is 1 (see ``ranking._input_space_imputation``).
+    Unused in the package; kept while ``perfbench/tracing.py`` traces it by name.
     """
     t = np.asarray(t)
     x = np.asarray(x)

@@ -26,6 +26,7 @@ tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -37,12 +38,15 @@ from .core import Shape, check_shape, mode_multiply
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
     """The order-2N shape (tau_0, I_0 - tau_0 + 1, ...) that :func:`mdt` produces.
 
-    Checks one window per mode, each in [1, I_n].  The windows are the even
+    Checks one integer window per mode, each in [1, I_n].  The windows are the even
     entries of the result and I_n = tau_n + (I_n - tau_n + 1) - 1, so the
     embedded shape alone fixes the inverse transform.
     """
     shape = check_shape(shape)
-    taus = tuple(int(t) for t in taus)
+    try:
+        taus = tuple(operator.index(t) for t in taus)
+    except TypeError:
+        raise ValueError(f"windows must be integers, got {taus!r}") from None
     if len(taus) != len(shape):
         raise ValueError(f"need one window per mode: got {len(taus)} windows "
                          f"for order-{len(shape)} shape {shape}")
@@ -91,7 +95,8 @@ def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:
 def mdt_mask(q: np.ndarray, taus: Sequence[int]) -> np.ndarray:
     """Delay embedding of an observation mask; flags are duplicated verbatim.
 
-    A read-only view, as from :func:`mdt`, of ``q`` or of ``q != 0``.
+    A read-only view, as from :func:`mdt`, of ``q`` or of ``q != 0``.  Unused
+    in the package; kept while ``perfbench/tracing.py`` traces it by name.
     """
     q = np.asarray(q)
     if q.dtype != np.bool_:

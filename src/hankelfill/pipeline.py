@@ -19,8 +19,6 @@ bridges (see :func:`unbridged_gap`); the report names it.
 
 from __future__ import annotations
 
-import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,39 +29,14 @@ from .completion import CostTrace
 from .core import as_mask, as_tensor
 from .embedding import embedded_shape
 from .masks import longest_missing_runs
-from .ranking import (RankSchedule, StoppingCriteria, complete_with_rank_increment,
-                      default_rank_sequences, default_stopping_criteria)
+from .ranking import (RankSchedule, StoppingCriteria, _checked_largest_array,
+                      complete_with_rank_increment, default_rank_sequences,
+                      default_stopping_criteria)
 
-# Default ceiling on the embedded element count; delay embedding expands the
-# data volume by roughly prod(tau_n), which gets out of hand quickly.
-DEFAULT_EMBEDDED_CAP = 200_000_000
-
-
-def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int],
-                           cap: int = DEFAULT_EMBEDDED_CAP,
-                           cap_setting: str | None = None) -> tuple[int, ...]:
-    """The embedded shape of ``shape`` under windows ``taus``, checked against ``cap``.
-
-    A ValueError, before anything is allocated, when the embedded tensor
-    would hold more than ``cap`` elements or ``cap`` is not an integer >= 1.
-    ``cap_setting`` names the setting that raises the cap, for a caller that
-    has one; the error then offers it.
-    """
-    try:
-        valid = operator.index(cap) >= 1
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"{cap_setting or 'cap'} must be an integer >= 1, got {cap!r}")
+def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> tuple[int, ...]:
+    """The embedded shape under windows ``taus``, refused as a fit at full ranks would be."""
     embedded = embedded_shape(shape, taus)
-    count = math.prod(embedded)
-    if count > cap:
-        windows = embedded[::2]
-        raise_it = f" or raise {cap_setting}" if cap_setting else ""
-        raise ValueError(
-            f"embedded tensor would hold {count} elements (a roughly {math.prod(windows)}x "
-            f"expansion of the input via windows {windows}); the cap is {cap}. Reduce the "
-            f"windows{raise_it}.")
+    _checked_largest_array(embedded, embedded)
     return embedded
 
 
@@ -84,7 +57,6 @@ class RecoveryRequest:
     schedule: RankSchedule | Sequence[int] | None = None
     criteria: StoppingCriteria | None = None
     seed: int = 0
-    max_embedded_elements: int = DEFAULT_EMBEDDED_CAP
 
 
 @dataclass
@@ -128,9 +100,8 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
 
     The estimate has the input shape and is guaranteed finite; score it
     with :mod:`hankelfill.metrics`.  The report's ranks are the final
-    model's.  The embedded element count is checked against
-    ``max_embedded_elements`` before anything is embedded.  A mask with no
-    observed entry is rejected (by the sweep loop); observed data that are all
+    model's.  A run whose largest array would be too large, or whose mask
+    observes no entry, is rejected by the sweep loop; observed data that are all
     zero give an all-zero estimate, ``converged`` at sweep 0.
     """
     started = time.perf_counter()
@@ -138,8 +109,7 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
     mask = as_mask(req.mask)
     if data.shape != mask.shape:
         raise ValueError(f"data shape {data.shape} differs from mask shape {mask.shape}")
-    embedded = checked_embedded_shape(data.shape, req.taus, req.max_embedded_elements,
-                                      cap_setting="max_embedded_elements")
+    embedded = embedded_shape(data.shape, req.taus)
     taus = embedded[::2]
     gap = unbridged_gap(mask, taus)
 
@@ -149,7 +119,7 @@ def recover(req: RecoveryRequest) -> RecoveryReport:
     elif isinstance(req.schedule, RankSchedule):
         schedule = req.schedule
     else:
-        schedule = RankSchedule(tuple((int(r),) for r in req.schedule))
+        schedule = RankSchedule(tuple((r,) for r in req.schedule))
     result = complete_with_rank_increment(data, mask, taus, schedule, criteria, seed=req.seed)
     if not np.all(np.isfinite(result.estimate)):
         raise RuntimeError("recovery produced non-finite values")

@@ -52,6 +52,9 @@ DEFAULT_EPSILON_REL = 1e-4
 DEFAULT_TOL_REL = 1e-6
 DEFAULT_MAX_TOTAL_SWEEPS = 10_000
 
+# The most elements the largest array of a run may hold (1.5 GiB of float64).
+_ELEMENT_CAP = 200_000_000
+
 
 @dataclass(frozen=True)
 class RankSchedule:
@@ -63,7 +66,10 @@ class RankSchedule:
     sequences: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        sequences = tuple(tuple(int(r) for r in seq) for seq in self.sequences)
+        try:
+            sequences = tuple(tuple(operator.index(r) for r in seq) for seq in self.sequences)
+        except TypeError:
+            raise ValueError(f"ranks must be integer sequences, got {self.sequences!r}") from None
         for m, seq in enumerate(sequences):
             if not seq:
                 raise ValueError(f"mode {m} has an empty rank sequence")
@@ -160,6 +166,26 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     d = (_leave_one_out(np.asarray(y), model.factors, score) - model.core).ravel()
     whole = float(d @ d)
     return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
+
+
+def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
+    """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
+
+    That array is a pair embedding of the sweep's chain (``completion._embed_mode``)
+    with every other input mode contracted: max_n tau_n W_n prod_{j != n} R_2j R_2j+1
+    on the embedded ``shape``, which at full ranks is the embedded tensor's count.
+    """
+    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+    count = max(shape[2 * n] * shape[2 * n + 1] * math.prod(pairs[:n] + pairs[n + 1:])
+                for n in range(len(pairs)))
+    if count <= _ELEMENT_CAP:
+        return count
+    if tuple(ranks) == tuple(shape):
+        raise ValueError(f"embedded tensor would hold {count} elements (a roughly "
+                         f"{math.prod(shape[::2])}x expansion of the input via windows "
+                         f"{shape[::2]}); the cap is {_ELEMENT_CAP}. Reduce the windows.")
+    raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair embedding of {count} "
+                     f"elements; the cap is {_ELEMENT_CAP}. Reduce the windows or the ranks.")
 
 
 def _growable(schedule: RankSchedule, ranks: Sequence[int]) -> list[int]:
@@ -324,7 +350,8 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
     q with no observed entry, a NaN or infinite observed value, or a random
     start whose cost overflows float64, is a ValueError; all-zero observed
     data are fitted exactly by the zero model, returned at sweep 0.  The
-    result's ``estimate`` is the last fill's map-back e = H^+ X.
+    result's ``estimate`` is the last fill's map-back e = H^+ X.  A fit whose
+    largest array at the final ranks is too large is refused first.
 
     The cost trace spans the whole run and is monotonically non-increasing,
     including across increments (padding preserves the reconstruction).
@@ -340,6 +367,7 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
         if seq[-1] > shape[m]:
             raise ValueError(f"mode {m} sequence tops out at {seq[-1]} but the mode "
                              f"has size {shape[m]}")
+    _checked_largest_array(shape, [seq[-1] for seq in schedule.sequences])
     if not q.any():
         raise ValueError("the mask observes no entry: there is nothing to fit")
     if not np.isfinite(t[q]).all():

@@ -1,6 +1,7 @@
 """Shared fixtures builders and oracles used across the test modules."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 
@@ -133,6 +134,27 @@ def plain_als_sweep(t, model):
 def plain_mode_residuals(t, model):
     """``mode_residuals`` of a plain tensor ``t`` and its model, one per mode of ``t``."""
     return mode_residuals(t, windows_of_one(model))[1::2]
+
+
+def traced_peak(run):
+    """The first run's result and the least traced peak of two runs.
+
+    A run allocates the same arrays every time, but tracemalloc also counts
+    the interpreter's own tables, and now and then one doubles inside the
+    window: a string-keyed dict growing to 2**17 slots allocates 1.92 MB,
+    the excess one run of a memory test showed in a few dozen suite runs.  A
+    table that has just doubled does not double again in the next run, so
+    the least peak is the run's own.
+    """
+    results, peaks = [], []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            results.append(run())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return results[0], min(peaks)
 
 
 def relative_criteria(values, mask, taus, epsilon_rel, tol_rel,

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from hankelfill import (duplication_counts, embedded_observed_energy, embedded_shape,
                         inverse_mdt, mdt, multilinear_product)
 from hankelfill.embedding import inverse_mdt_tucker, mdt_mask
-from helpers import delay_embed_vector, inverse_delay_embed_vector
+from helpers import delay_embed_vector, inverse_delay_embed_vector, traced_peak
 
 
 class TestDelayEmbedVector:
@@ -304,12 +303,7 @@ def test_tucker_model_maps_back_within_about_one_embedded_copy(ranks):
     rng = np.random.default_rng(0)
     core = rng.standard_normal(ranks)
     factors = [rng.standard_normal((j, r)) for j, r in zip((50, 151), ranks)]
-    tracemalloc.start()
-    try:
-        out = inverse_mdt_tucker(core, factors)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: inverse_mdt_tucker(core, factors))
     assert out.shape == (200,)
     assert peak <= 1.35 * 8 * 50 * 151
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RecoveryRequest, StoppingCriteria,
-                        damped_sine, make_mask, recover, snr)
+from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RankSchedule, RecoveryRequest,
+                        StoppingCriteria, complete_with_rank_increment, damped_sine,
+                        embedded_shape, make_mask, recover, snr)
 from hankelfill.masks import longest_missing_runs
 from hankelfill.pipeline import unbridged_gap
-from helpers import is_non_increasing, texture_image
+from helpers import is_non_increasing, texture_image, traced_peak
 
 
 def small_signal_request(**overrides):
@@ -85,17 +86,70 @@ class TestRecover:
         assert np.abs(report.estimate[mask] - data[mask]).max() > 1e-3
 
     def test_embedded_size_guard(self):
-        data = np.zeros((64, 64))
-        req = RecoveryRequest(data=data, mask=np.ones_like(data, bool), taus=(32, 32),
-                              max_embedded_elements=10_000)
+        # one guard, on the largest array a fit builds: at the default
+        # schedule's full ranks the embedded tensor (20000 x 20001 here), at
+        # fixed ranks the pair embedding with the other mode contracted
+        data = np.zeros((40000, 3))
+        mask = np.ones_like(data, bool)
         with pytest.raises(ValueError, match="expansion") as info:
-            recover(req)
-        assert str(info.value).endswith("Reduce the windows or raise max_embedded_elements.")
-        # a NaN cap compares false and would let every size through
-        for cap in (float("nan"), 1e9, 2.5, 0, -1, None):
-            req.max_embedded_elements = cap
-            with pytest.raises(ValueError, match="max_embedded_elements must be an integer >= 1"):
-                recover(req)
+            recover(RecoveryRequest(data=data[:, 0], mask=mask[:, 0], taus=(20000,)))
+        assert str(info.value).startswith("embedded tensor would hold 400020000 elements")
+        assert str(info.value).endswith("the cap is 200000000. Reduce the windows.")
+        with pytest.raises(ValueError) as info:
+            recover(RecoveryRequest(data=data, mask=mask, taus=(20000, 1),
+                                    schedule=(5, 5, 1, 2)))
+        assert str(info.value) == (
+            "a fit at ranks (5, 5, 1, 2) would build a pair embedding of 800040000 "
+            "elements; the cap is 200000000. Reduce the windows or the ranks.")
+        # the loop itself refuses, so a direct call gets the guard too
+        schedule = RankSchedule(((5,), (5,), (1,), (2,)))
+        with pytest.raises(ValueError, match="pair embedding of 800040000 elements"):
+            complete_with_rank_increment(data, mask, (20000, 1), schedule,
+                                         StoppingCriteria(0.0, 0.0, 1))
+
+    def test_a_refused_request_allocates_nothing_embedded(self):
+        # 400M embedded elements, 10000 copies of the input; the refusal
+        # comes after the default thresholds' energy sum and the gap check,
+        # which are input-sized.  Measured: 3.56 copies of data and mask.
+        data, mask = np.zeros(40000), np.ones(40000, bool)
+
+        def refused():
+            with pytest.raises(ValueError, match="would hold 400020000 elements"):
+                recover(RecoveryRequest(data=data, mask=mask, taus=(20000,)))
+
+        _, peak = traced_peak(refused)
+        assert peak < 4 * (data.nbytes + mask.nbytes)
+
+    def test_fixed_ranks_over_two_hundred_million_embedded_elements_run(self):
+        # 100 x 101 x 100 x 101 x 1 x 2 = 204M embedded elements, above the
+        # cap; at these ranks the largest array is 100 x 101 x (4 * 4 * 2)
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((200, 200, 2))
+        mask = rng.random(data.shape) >= 0.5
+        report = recover(RecoveryRequest(data=data, mask=mask, taus=(100, 100, 1),
+                                         schedule=(4, 4, 4, 4, 1, 2),
+                                         criteria=StoppingCriteria(0.0, 0.0, 1)))
+        assert report.cost_trace[-1][0] == 1
+        assert report.estimate.shape == data.shape
+
+    @pytest.mark.parametrize("call", [
+        lambda: embedded_shape((10,), (2.7,)),
+        lambda: RankSchedule(((2,), (2.0,))),
+        lambda: recover(RecoveryRequest(np.ones(60), np.ones(60, bool), (20.9,))),
+        lambda: recover(RecoveryRequest(np.ones(60), np.ones(60, bool), (20,),
+                                        schedule=(2.9, 2.2))),
+    ], ids=["embedded_shape", "RankSchedule", "recover-windows", "recover-ranks"])
+    def test_non_integer_windows_and_ranks_are_errors(self, call):
+        # an error, never a silent truncation (window 2.7 to 2, ranks 2.9 to 2)
+        with pytest.raises(ValueError, match="must be integer"):
+            call()
+
+    def test_numpy_integer_windows_and_ranks_pass(self):
+        assert embedded_shape((10,), (np.int64(3),)) == (3, 8)
+        assert RankSchedule(((np.int32(2), np.uint8(3)),)).sequences == ((2, 3),)
+        report = recover(RecoveryRequest(np.ones(60), np.ones(60, bool), (np.int64(20),),
+                                         schedule=(np.int64(1), np.int32(1))))
+        assert report.ranks == (1, 1)
 
     def test_empty_mask_rejected(self):
         truth = damped_sine(60, decay=0.01, omega=0.5)

@@ -1,12 +1,17 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel,
-                        default_rank_sequences, default_stopping_criteria, init_model,
-                        pad_model, select_increment_mode)
+                        StoppingCriteria, TuckerModel, complete_with_rank_increment,
+                        default_rank_sequences, default_stopping_criteria, embedded_shape,
+                        init_model, pad_model, select_increment_mode)
+from hankelfill import completion
+from hankelfill.ranking import _checked_largest_array
 from helpers import (is_non_increasing, orthonormality_defect, plain_loop,
                      plain_mode_residuals, planted_tucker, random_mask, relative_criteria)
 
@@ -266,3 +271,55 @@ class TestCompleteWithRankIncrement:
         with pytest.raises(ValueError, match="tops out"):
             plain_loop(t, q, RankSchedule(((1, 5), (1, 2))),
                        StoppingCriteria(epsilon=0.0, tol=0.0), seed=0)
+
+
+@st.composite
+def fixed_rank_cases(draw):
+    order = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 7), min_size=order, max_size=order)))
+    taus = tuple(draw(st.integers(1, i)) for i in shape)
+    ranks = tuple(draw(st.integers(1, j)) for j in embedded_shape(shape, taus))
+    return shape, taus, ranks, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fixed_rank_cases())
+def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
+    shape, taus, ranks, seed = case
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    q = rng.random(shape) >= 0.3
+    assume(q.any())
+    sizes = []
+    embed = completion._embed_mode
+
+    def recording(*args):
+        z = embed(*args)
+        sizes.append(z.size)
+        return z
+
+    completion._embed_mode = recording
+    try:
+        # a model seed apart from the data's: on one entry the same draws fit exactly
+        result = complete_with_rank_increment(t, q, taus, RankSchedule(tuple((r,) for r in ranks)),
+                                              StoppingCriteria(0.0, 0.0, 1), seed=seed + 1)
+    finally:
+        completion._embed_mode = embed
+    assert result.cost_trace[-1][0] == 1
+    assert max(sizes) == _checked_largest_array(embedded_shape(shape, taus), ranks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.lists(st.integers(1, 400), min_size=1, max_size=4), data=st.data())
+def test_at_default_schedules_the_guard_is_the_embedded_count(shape, data):
+    # the doubling sequences end at the mode sizes, so a request without
+    # explicit ranks is accepted or refused on its embedded element count
+    taus = tuple(data.draw(st.integers(1, i)) for i in shape)
+    embedded = embedded_shape(shape, taus)
+    final = [seq[-1] for seq in default_rank_sequences(embedded).sequences]
+    count = math.prod(embedded)
+    if count <= 200_000_000:
+        assert _checked_largest_array(embedded, final) == count
+    else:
+        with pytest.raises(ValueError, match=f"embedded tensor would hold {count} elements"):
+            _checked_largest_array(embedded, final)

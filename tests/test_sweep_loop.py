@@ -8,7 +8,6 @@ and rank events over random inputs, windows and schedules are in
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedul
                         RecoveryRequest, StoppingCriteria, TuckerModel, default_rank_sequences,
                         embedded_shape, init_model, pad_model, recover)
 from hankelfill import ranking
-from helpers import masked_cost, plain_loop, texture_image
+from helpers import masked_cost, plain_loop, texture_image, traced_peak
 
 
 @st.composite
@@ -126,27 +125,6 @@ def image_case():
 def in_copies(nbytes, shape, taus):
     """A byte count in copies of the float64 embedded tensor."""
     return nbytes / (8 * math.prod(embedded_shape(shape, taus)))
-
-
-def traced_peak(run):
-    """The first run's result and the least traced peak of two runs.
-
-    A run allocates the same arrays every time, but tracemalloc also counts
-    the interpreter's own tables, and now and then one doubles inside the
-    window: a string-keyed dict growing to 2**17 slots allocates 1.92 MB,
-    the excess one run of a test here showed in a few dozen suite runs.  A
-    table that has just doubled does not double again in the next run, so
-    the least peak is the run's own.
-    """
-    results, peaks = [], []
-    for _ in range(2):
-        tracemalloc.start()
-        try:
-            results.append(run())
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return results[0], min(peaks)
 
 
 def test_recover_holds_under_one_and_a_half_embedded_copies():
