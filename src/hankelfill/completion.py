@@ -19,13 +19,14 @@ ever built.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import check_shape, is_unit_factor, mode_multiply, multilinear_product, unfold
+from .embedding import _pair_matrix
 from .linalg import complete_orthonormal_basis, leading_singular_vectors
 
 # (sweep index, squared-Frobenius cost) per outer iteration
@@ -81,10 +82,14 @@ def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
 
     Each factor is :func:`complete_orthonormal_basis` of an empty basis by a
     Gaussian block.  Singleton modes get a fixed 1x1 identity factor (they
-    are never updated by the sweep either) and draw nothing.
+    are never updated by the sweep either) and draw nothing.  A rank that
+    is not an integer is a ValueError, not truncated.
     """
     shape = check_shape(shape)
-    ranks = tuple(int(r) for r in ranks)
+    try:
+        ranks = tuple(operator.index(r) for r in ranks)
+    except TypeError:
+        raise ValueError(f"ranks must be integers, got {ranks!r}") from None
     if len(ranks) != len(shape):
         raise ValueError(f"need one rank per mode: {len(ranks)} ranks for shape {shape}")
     for m, (r, j) in enumerate(zip(ranks, shape)):
@@ -100,27 +105,6 @@ def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
                                                   rng.standard_normal((j, r))))
     core = rng.standard_normal(ranks)
     return TuckerModel(core, factors)
-
-
-def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
-    """K[i, (r, s)] = sum_{a + b = i} u_tau[a, r] u_window[b, s], (r, s) in C order.
-
-    Contracting an input mode with K^T is contracting its delay embedding's
-    mode pair with both factors.  With a 1x1 identity on either side, K is
-    the other factor itself, so a window of 1 changes no product.  Else one
-    matmul over the sliding windows of u_window padded by tau - 1 zeros on
-    each side, where window i, offset c holds u_window[i + c - tau + 1].
-    """
-    if is_unit_factor(u_tau):
-        return u_window
-    if is_unit_factor(u_window):
-        return u_tau
-    tau, r_tau = u_tau.shape
-    width, r_window = u_window.shape
-    padded = np.zeros((width + 2 * (tau - 1), r_window))
-    padded[tau - 1:tau - 1 + width] = u_window
-    k = sliding_window_view(padded, tau, axis=0) @ u_tau[::-1]
-    return k.transpose(0, 2, 1).reshape(tau + width - 1, r_tau * r_window)
 
 
 def _embed_mode(t: np.ndarray, left: int, tau: int, width: int) -> np.ndarray:

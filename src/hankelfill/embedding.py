@@ -19,6 +19,10 @@ of the source.  A fit never builds the embedded tensor either: its ALS
 sweep reads the filled input and embeds one mode pair at a time
 (``completion._leave_one_out``), and a Tucker model of an embedded tensor
 maps back without being reconstructed at all (:func:`inverse_mdt_tucker`).
+Both contract a mode pair's two factors at once through its pair matrix
+K[i, (r, s)] = sum_{a + b = i} U_tau[a, r] U_window[b, s]
+(:func:`_pair_matrix`): the sweep with K^T, the map-back with K over the
+duplication counts, except on an order-1 model, which sums its windows.
 
 tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 """
@@ -32,7 +36,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Shape, check_shape, mode_multiply
+from .core import Shape, check_shape, is_unit_factor, mode_multiply
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -104,26 +108,35 @@ def mdt_mask(q: np.ndarray, taus: Sequence[int]) -> np.ndarray:
     return mdt(q, taus)
 
 
+def duplication_weights(shape: Sequence[int], taus: Sequence[int]) -> np.ndarray:
+    """How many windows of the delay embedding cover each source entry, as float64.
+
+    The product of the per-mode :func:`duplication_counts`, in the input's
+    ``shape``: the diagonal of H^T H for H = :func:`mdt` with windows
+    ``taus``.  Exact integers.
+    """
+    windows = embedded_shape(shape, taus)[::2]
+    weights = np.ones(())
+    for length, tau in zip(shape, windows):
+        weights = np.multiply.outer(weights, duplication_counts(length, tau))
+    return weights
+
+
 def embedded_observed_energy(values: np.ndarray, mask: np.ndarray,
                              taus: Sequence[int]) -> float:
     """Squared Frobenius norm of the observed part of the embedded tensor.
 
     Computed without embedding: each source entry shows up once per covering
-    window, so its energy is weighted by the product of per-mode duplication
-    counts.  Used to scale stopping thresholds to the data.  Finite data
+    window, so its energy is weighted by :func:`duplication_weights`.  Used
+    to scale stopping thresholds to the data.  Finite data
     whose energy overflows float64 (magnitudes near 1e154 and up) are a
     ValueError that asks for rescaled data.
     """
-    lengths = np.shape(values)
-    windows = embedded_shape(lengths, taus)[::2]
+    weights = duplication_weights(np.shape(values), taus)
     observed = np.where(np.asarray(mask, dtype=bool), np.asarray(values, dtype=np.float64), 0.0)
     with np.errstate(over="ignore"):
-        w = observed ** 2
-        for mode, (length, tau) in enumerate(zip(lengths, windows)):
-            counts = duplication_counts(length, tau).astype(np.float64)
-            shape = [1] * w.ndim
-            shape[mode] = -1
-            w = w * counts.reshape(shape)
+        w = np.square(observed)
+        w *= weights
         energy = float(w.sum())
     if not math.isfinite(energy):
         if not np.isfinite(observed).all():
@@ -167,33 +180,48 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_sum(t: np.ndarray, mode: int, u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
-    """Collapse mode ``mode`` of ``t``, a merged (r, s) rank pair, onto its source mode.
+def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
+    """K[i, (r, s)] = sum_{a + b = i} u_tau[a, r] u_window[b, s], (r, s) in C order.
 
-    Mode ``mode`` runs over (r, s) in C order.  The result is ``t`` with the
-    pair's embedded modes expanded by ``u_tau`` and ``u_window`` and then
-    averaged back as :func:`inverse_mdt` averages them, without the
-    expansion: u_window is contracted into s first, giving
-    y[.., r, b, ..]; then each window offset a adds
-    sum_r u_tau[a, r] y[.., r, b, ..] at source index a + b, one GEMM per
-    a, and the sums are divided by the duplication counts.  Besides the
-    source-sized result this holds y and one GEMM's output.
+    Contracting an input mode with K^T is contracting its delay embedding's
+    mode pair with both factors, and K, its rows divided by the duplication
+    counts, maps the pair back.  With a 1x1 identity on either side, K is
+    the other factor itself, so a window of 1 changes no product.  Else one
+    matmul over the sliding windows of u_window padded by tau - 1 zeros on
+    each side, where window i, offset c holds u_window[i + c - tau + 1].
     """
+    if is_unit_factor(u_tau):
+        return u_window
+    if is_unit_factor(u_window):
+        return u_tau
     tau, r_tau = u_tau.shape
     width, r_window = u_window.shape
+    padded = np.zeros((width + 2 * (tau - 1), r_window))
+    padded[tau - 1:tau - 1 + width] = u_window
+    k = sliding_window_view(padded, tau, axis=0) @ u_tau[::-1]
+    return k.transpose(0, 2, 1).reshape(tau + width - 1, r_tau * r_window)
+
+
+def _window_sum(core: np.ndarray, u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
+    """The map-back of an order-1 model: its core (r, s) times the factor pair, averaged.
+
+    ``core`` is the (r_tau, r_window) core of a tau x W embedded matrix.
+    u_window is contracted into s first, giving y[r, b]; then each window
+    offset a adds sum_r u_tau[a, r] y[r, b] at source index a + b, and the
+    sums are divided by the duplication counts.  Besides the source-sized
+    result this holds y, r_tau x W, and one offset's term; the pair matrix
+    K would be L x r_tau r_window, up to L embedded copies.
+    """
+    tau, width = u_tau.shape[0], u_window.shape[0]
     length = tau + width - 1
-    head, tail = t.shape[:mode], t.shape[mode + 1:]
-    left, right = math.prod(head), math.prod(tail)
-    y = mode_multiply(t.reshape(left, r_tau, r_window, right), u_window, 2)
-    y = y.reshape(left, r_tau, width * right)
-    acc = np.zeros((left, length * right))
-    term = np.empty((left, width * right))
+    y = mode_multiply(core, u_window, 1)
+    acc = np.zeros(length)
+    term = np.empty(width)
     for a in range(tau):
         np.matmul(u_tau[a], y, out=term)
-        acc[:, a * right:(a + width) * right] += term
-    acc = acc.reshape(left, length, right)
-    acc /= duplication_counts(length, tau).astype(np.float64)[:, None]
-    return acc.reshape(head + (length,) + tail)
+        acc[a:a + width] += term
+    acc /= duplication_counts(length, tau)
+    return acc
 
 
 def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -201,11 +229,16 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
 
     Averaging the duplicates of a mode pair is linear in each factor pair, so
     the map-back acts on the core with each (r_2n, r_2n+1) pair of modes
-    merged (a C-order reshape), one source mode at a time
-    (:func:`_window_sum`); the embedded tensor never exists.  The pairs are
-    applied in growth order, as :func:`multilinear_product` applies factors.
-    Each array a step holds is no larger than the embedded tensor; the
-    largest is the partial result with U_2n+1 contracted in.  Equal to
+    merged (a C-order reshape), one source mode at a time; the embedded
+    tensor never exists.  Order 1 keeps the window sum
+    (:func:`_window_sum`); every other order uses the pair matrices: source
+    mode n is ``mode_multiply`` by K_n / D_n (:func:`_pair_matrix`, D_n the
+    :func:`duplication_counts`), the matrix the ALS sweep's chain builds at
+    the same ranks (``completion._leave_one_out``), so the map-back adds no
+    larger array to a run.  On order 1, K_0 would be L x r_0 r_1, up to L
+    copies of the embedded matrix.  The pairs are applied in growth order,
+    as :func:`multilinear_product` applies factors, so each partial result
+    is no larger than the merged core or the source.  Equal to
     ``inverse_mdt`` of the reconstruction up to rounding.
     """
     core = np.asarray(core, dtype=np.float64)
@@ -213,10 +246,15 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
         raise ValueError(f"an embedded Tucker model has one factor per mode of an even-order "
                          f"core; got a core of shape {core.shape} and {len(factors)} factors")
     factors = [np.asarray(u, dtype=np.float64) for u in factors]
+    if core.ndim == 2:
+        return _window_sum(core, *factors)
     pairs = list(zip(factors[::2], factors[1::2]))
     out = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
                              for n in range(0, core.ndim, 2)))
     lengths = [u_tau.shape[0] + u_window.shape[0] - 1 for u_tau, u_window in pairs]
     for n in sorted(range(out.ndim), key=lambda n: (lengths[n] / out.shape[n], -n)):
-        out = _window_sum(out, n, *pairs[n])
+        kernel = _pair_matrix(*pairs[n])
+        if not is_unit_factor(kernel):
+            counts = duplication_counts(lengths[n], pairs[n][0].shape[0])
+            out = mode_multiply(out, kernel / counts[:, None], n)
     return out

@@ -34,9 +34,9 @@ from .ranking import (RankSchedule, StoppingCriteria, _checked_largest_array,
                       default_stopping_criteria)
 
 def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> tuple[int, ...]:
-    """The embedded shape under windows ``taus``, refused as a fit at full ranks would be."""
+    """The embedded shape under windows ``taus``, refused if that tensor exceeds the size cap."""
     embedded = embedded_shape(shape, taus)
-    _checked_largest_array(embedded, embedded)
+    _checked_largest_array(embedded, embedded, pair_matrices=False)
     return embedded
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import check_shape, mode_multiply
 from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, init_model
-from .embedding import (duplication_counts, embedded_observed_energy, embedded_shape,
+from .embedding import (duplication_weights, embedded_observed_energy, embedded_shape,
                         inverse_mdt_tucker, mdt)
 from .linalg import complete_orthonormal_basis
 
@@ -168,24 +168,40 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
 
 
-def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
+def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int],
+                           pair_matrices: bool = True) -> int:
     """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
 
-    That array is a pair embedding of the sweep's chain (``completion._embed_mode``)
+    The sweep's chain builds pair embeddings (``completion._embed_mode``)
     with every other input mode contracted: max_n tau_n W_n prod_{j != n} R_2j R_2j+1
-    on the embedded ``shape``, which at full ranks is the embedded tensor's count.
+    on the embedded ``shape``, which at full ranks is the embedded tensor's
+    count.  On order >= 2 it also builds every pair matrix K_n
+    (``embedding._pair_matrix``), L_n x R_2n R_2n+1 with L_n = tau_n + W_n - 1,
+    and the map-back builds the same: at full ranks L_n times the pair's
+    embedded size, which can exceed the embedded tensor.  ``pair_matrices=False``
+    counts the pair embeddings alone, which at full ranks is the embedded
+    tensor that CLI ``embed`` writes.
     """
     pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
     count = max(shape[2 * n] * shape[2 * n + 1] * math.prod(pairs[:n] + pairs[n + 1:])
                 for n in range(len(pairs)))
-    if count <= _ELEMENT_CAP:
-        return count
-    if tuple(ranks) == tuple(shape):
+    if count > _ELEMENT_CAP and tuple(ranks) == tuple(shape):
         raise ValueError(f"embedded tensor would hold {count} elements (a roughly "
                          f"{math.prod(shape[::2])}x expansion of the input via windows "
                          f"{shape[::2]}); the cap is {_ELEMENT_CAP}. Reduce the windows.")
-    raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair embedding of {count} "
-                     f"elements; the cap is {_ELEMENT_CAP}. Reduce the windows or the ranks.")
+    if count > _ELEMENT_CAP:
+        raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair embedding of "
+                         f"{count} elements; the cap is {_ELEMENT_CAP}. Reduce the windows "
+                         f"or the ranks.")
+    if not pair_matrices or len(pairs) == 1:
+        return count
+    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
+    kernel, n = max((length * pair, n) for n, (length, pair) in enumerate(zip(lengths, pairs)))
+    if kernel > _ELEMENT_CAP:
+        raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair matrix of {kernel} "
+                         f"elements ({lengths[n]} x {pairs[n]} on input mode {n}); the cap is "
+                         f"{_ELEMENT_CAP}. Reduce the windows or the ranks.")
+    return max(count, kernel)
 
 
 def _growable(schedule: RankSchedule, ranks: Sequence[int]) -> list[int]:
@@ -254,13 +270,15 @@ class RankIncrementResult:
 # The fill maps a model of at most this many embedded entries back by
 # reconstructing it into the fill and averaging the duplicates with one
 # np.bincount over a run-long int64 source index.  That index is as large as
-# the fill, so the bound is set by memory: at 2**15 entries it holds
-# 256 KiB.  Larger models go through inverse_mdt_tucker, which builds
-# nothing embedded-sized.  Speed alone would allow more: on one x86_64 core
-# (BLAS on 1 thread) the bincount map-back takes 0.13-0.40x
-# inverse_mdt_tucker's time on 1-D signals up to 7e4 entries and 0.46-0.84x
-# on 3-channel images up to 5e4, and crosses it near 1e5 entries on images
-# (1.3x at 1.2e5).
+# the fill, so memory alone bounds it: at 2**15 entries it holds 256 KiB.
+# Larger models go through inverse_mdt_tucker, which does not build the
+# embedded tensor.  Speed puts the switch in the same place.  Per call on one
+# x86_64 core (BLAS on 1 thread), reconstruct and bincount against
+# inverse_mdt_tucker's pair matrices, on 3-channel images, each range from
+# ranks (4, 8, 4, 8, 1, 3) to full ranks: 78-113 vs 121-129 us at 8,112
+# entries, 105-175 vs 117-155 us at 19,200, 148-375 vs 94-167 us at 38,988
+# and 539-4033 vs 113-1118 us at 209,088.  On 1-D signals, whose map-back
+# sums windows instead, bincount took 0.13-0.40x the time up to 7e4 entries.
 _BINCOUNT_ELEMENTS = 2**15
 
 
@@ -291,10 +309,7 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     array.
     """
     shape = embedded_shape(t.shape, taus)
-    weights = np.ones(())
-    for length, tau in zip(t.shape, shape[::2]):
-        weights = np.multiply.outer(weights, duplication_counts(length, tau))
-    weights = weights.ravel()
+    weights = duplication_weights(t.shape, taus).ravel()
     y = np.where(q, t, 0.0)
     flat = y.reshape(-1)
     sums = np.empty(y.size)

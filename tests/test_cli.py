@@ -289,6 +289,20 @@ class TestRecoverCommand:
         assert err.startswith("error: embedded tensor would hold 400020000 elements")
         assert err.rstrip().endswith("Reduce the windows.")
 
+    def test_recover_over_the_pair_matrix_cap_is_one_error_line(self, tmp_path, capsys):
+        # 1.5M embedded elements, but the chain's K_0 would be 2000 x 750500
+        data, mask = tmp_path / "v.hten", tmp_path / "q.hten"
+        write_tensor(data, np.zeros((2000, 2)))
+        write_mask(mask, np.ones((2000, 2), bool))
+        code, _, err = run_cli(capsys, "recover", "--input", str(data), "--mask", str(mask),
+                               "--tau", "500,1", "--output", str(tmp_path / "o.hten"))
+        assert code == 1
+        assert err.startswith("error: a fit at ranks (500, 1501, 1, 2) would build a pair "
+                              "matrix of 1501000000 elements")
+        assert "the cap is 200000000" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o.hten").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "recover", "--input", str(tmp_path / "nope.ppm"),
                                "--mask", str(tmp_path / "nope.pgm"), "--tau", "2,2,1",

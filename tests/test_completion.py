@@ -107,6 +107,11 @@ class TestInitModel:
         with pytest.raises(ValueError, match="out of range"):
             init_model((5,), (4,), seed=0)
 
+    def test_non_integer_rank_is_an_error_not_truncated(self):
+        # int(2.7) made this a rank-2 model
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            init_model((2.7, 3), (5, 5), 0)
+
 
 class TestAlsSweep:
     def residual(self, z, model):

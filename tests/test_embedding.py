@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from hankelfill import (duplication_counts, embedded_observed_energy, embedded_shape,
                         inverse_mdt, mdt, multilinear_product)
-from hankelfill.embedding import inverse_mdt_tucker, mdt_mask
+from hankelfill.embedding import duplication_weights, inverse_mdt_tucker, mdt_mask
+from hankelfill.ranking import _checked_largest_array
 from helpers import delay_embed_vector, inverse_delay_embed_vector, traced_peak
 
 
@@ -184,6 +185,17 @@ class TestMdtMask:
             assert (~qh).sum() == expected
 
 
+@settings(max_examples=50, deadline=None)
+@given(shape=st.lists(st.integers(1, 9), min_size=1, max_size=3), data=st.data())
+def test_duplication_weights_count_the_windows_over_each_entry(shape, data):
+    taus = tuple(data.draw(st.integers(1, i)) for i in shape)
+    sources = mdt(np.arange(math.prod(shape)).reshape(shape), taus).ravel()
+    expected = np.bincount(sources, minlength=math.prod(shape)).reshape(shape)
+    weights = duplication_weights(shape, taus)
+    assert weights.dtype == np.float64
+    assert np.array_equal(weights, expected)
+
+
 class TestEmbeddedObservedEnergy:
     def test_matches_actual_embedding(self):
         rng = np.random.default_rng(40)
@@ -306,6 +318,27 @@ def test_tucker_model_maps_back_within_about_one_embedded_copy(ranks):
     out, peak = traced_peak(lambda: inverse_mdt_tucker(core, factors))
     assert out.shape == (200,)
     assert peak <= 1.35 * 8 * 50 * 151
+
+
+@pytest.mark.parametrize("shape, taus, ranks", [
+    ((128, 128, 3), (16, 16, 1), (8, 16, 8, 16, 1, 3)),  # pixel-128's model
+    ((64, 64, 3), (8, 8, 1), (8, 57, 8, 57, 1, 3)),  # slice-inpaint's at full ranks
+    ((200, 3), (50, 1), (50, 151, 1, 3)),  # K_0 is 200 copies of the embedded tensor
+    ((32, 32, 24), (4, 4, 4), (2, 3, 2, 3, 2, 3)),  # the source outweighs the count
+])
+def test_an_order_2_or_3_model_maps_back_within_the_size_guards_count(shape, taus, ranks):
+    # Through K_n / D_n the map-back holds a pair matrix and the product it
+    # is copied from, then partial results no larger than the merged core or
+    # the source.  Measured peaks, per (guard count + source) elements:
+    # 0.18, 0.28, 2.02 and 1.04 float64s.
+    embedded = embedded_shape(shape, taus)
+    count = _checked_largest_array(embedded, ranks)
+    rng = np.random.default_rng(1)
+    core = rng.standard_normal(ranks)
+    factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(embedded, ranks)]
+    out, peak = traced_peak(lambda: inverse_mdt_tucker(core, factors))
+    assert out.shape == shape
+    assert peak <= 2.1 * 8 * (count + math.prod(shape))
 
 
 class TestInverseMdt:

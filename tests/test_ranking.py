@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel, complete_with_rank_increment,
+                        StoppingCriteria, TuckerModel, als_sweep, complete_with_rank_increment,
                         default_rank_sequences, default_stopping_criteria, embedded_shape,
                         init_model, pad_model, select_increment_mode)
 from hankelfill import completion
 from hankelfill.ranking import _checked_largest_array
 from helpers import (is_non_increasing, orthonormality_defect, plain_loop,
-                     plain_mode_residuals, planted_tucker, random_mask, relative_criteria)
+                     plain_mode_residuals, planted_tucker, random_mask, relative_criteria,
+                     traced_peak)
 
 
 class TestStoppingCriteria:
@@ -290,36 +291,82 @@ def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
     t = rng.standard_normal(shape)
     q = rng.random(shape) >= 0.3
     assume(q.any())
+    # the pair embeddings and, on order >= 2, the pair matrices the chain builds
     sizes = []
-    embed = completion._embed_mode
+    saved = completion._embed_mode, completion._pair_matrix
 
-    def recording(*args):
-        z = embed(*args)
-        sizes.append(z.size)
-        return z
+    def recording(build):
+        def wrapper(*args):
+            z = build(*args)
+            sizes.append(z.size)
+            return z
+        return wrapper
 
-    completion._embed_mode = recording
+    completion._embed_mode, completion._pair_matrix = map(recording, saved)
     try:
         # a model seed apart from the data's: on one entry the same draws fit exactly
         result = complete_with_rank_increment(t, q, taus, RankSchedule(tuple((r,) for r in ranks)),
                                               StoppingCriteria(0.0, 0.0, 1), seed=seed + 1)
     finally:
-        completion._embed_mode = embed
+        completion._embed_mode, completion._pair_matrix = saved
     assert result.cost_trace[-1][0] == 1
     assert max(sizes) == _checked_largest_array(embedded_shape(shape, taus), ranks)
 
 
 @settings(max_examples=200, deadline=None)
 @given(shape=st.lists(st.integers(1, 400), min_size=1, max_size=4), data=st.data())
-def test_at_default_schedules_the_guard_is_the_embedded_count(shape, data):
+def test_at_default_schedules_the_guard_counts_the_embedded_tensor_and_the_pair_matrices(
+        shape, data):
     # the doubling sequences end at the mode sizes, so a request without
-    # explicit ranks is accepted or refused on its embedded element count
+    # explicit ranks is judged on its embedded element count and, on order
+    # >= 2, on its largest pair matrix, L_n x tau_n W_n at full ranks
     taus = tuple(data.draw(st.integers(1, i)) for i in shape)
     embedded = embedded_shape(shape, taus)
     final = [seq[-1] for seq in default_rank_sequences(embedded).sequences]
     count = math.prod(embedded)
-    if count <= 200_000_000:
-        assert _checked_largest_array(embedded, final) == count
-    else:
+    kernel = 0 if len(shape) == 1 else max(
+        i * tau * (i - tau + 1) for i, tau in zip(shape, taus))
+    if max(count, kernel) <= 200_000_000:
+        assert _checked_largest_array(embedded, final) == max(count, kernel)
+    elif count > 200_000_000:
         with pytest.raises(ValueError, match=f"embedded tensor would hold {count} elements"):
             _checked_largest_array(embedded, final)
+    else:
+        with pytest.raises(ValueError, match=f"pair matrix of {kernel} elements"):
+            _checked_largest_array(embedded, final)
+    # CLI embed writes the embedded tensor alone and counts nothing else
+    if count <= 200_000_000:
+        assert _checked_largest_array(embedded, final, pair_matrices=False) == count
+
+
+def test_the_guard_counts_the_pair_matrices_and_allocates_nothing():
+    # (2000, 2) at tau=(500, 1) embeds to 1.5M elements, but the chain's K_0
+    # is 2000 x 500 * 1501, 1.5e9 elements (12 GB); the pair embeddings alone
+    # would pass
+    embedded = embedded_shape((2000, 2), (500, 1))
+    assert math.prod(embedded) == 1_501_000
+
+    def refused():
+        with pytest.raises(ValueError, match="pair matrix of 1501000000 elements "
+                                             r"\(2000 x 750500 on input mode 0\)"):
+            _checked_largest_array(embedded, embedded)
+
+    _, peak = traced_peak(refused)
+    assert peak < 100_000
+    assert _checked_largest_array(embedded, embedded, pair_matrices=False) == 1_501_000
+
+
+def test_a_sweep_at_full_ranks_peaks_near_the_guard_count():
+    # (400, 2) at tau=(100, 1): the pair embeddings hold 60,200 elements,
+    # K_0 12.04M.  A traced sweep peaks at 24.4M elements (measured: 2.03x
+    # the count, 405x the pair embeddings): K_0 and the product over the
+    # padded windows that it is copied from.
+    shape, taus = (400, 2), (100, 1)
+    embedded = embedded_shape(shape, taus)
+    count = _checked_largest_array(embedded, embedded)
+    assert count == 400 * 100 * 301
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(shape)
+    model = init_model(embedded, embedded, 0)
+    _, peak = traced_peak(lambda: als_sweep(y, model))
+    assert peak <= 2.1 * 8 * count
