@@ -137,7 +137,8 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarra
     j < n as a prefix shared by the later modes, with the factors the visits
     made, modes j > n with the given ones.  Only then is mode n embedded
     (:func:`_embed_mode`), and its two embedded modes are visited, 2n then
-    2n + 1, on that copy: the largest array the chain holds.  The update
+    2n + 1, on that copy, usually the largest array the chain holds (the
+    size guard, ``ranking._chain_arrays``, counts the others).  The update
     order and the C-order layout are those of the same chain over H(y);
     the sums run in another order.  1x1 identity factors are skipped, so at
     windows of 1, and on an order-1 input, every product is the one that

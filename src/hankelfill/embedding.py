@@ -186,9 +186,13 @@ def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
     Contracting an input mode with K^T is contracting its delay embedding's
     mode pair with both factors, and K, its rows divided by the duplication
     counts, maps the pair back.  With a 1x1 identity on either side, K is
-    the other factor itself, so a window of 1 changes no product.  Else one
-    matmul over the sliding windows of u_window padded by tau - 1 zeros on
-    each side, where window i, offset c holds u_window[i + c - tau + 1].
+    the other factor itself, so a window of 1 changes no product.  Else K is
+    a new C-contiguous (tau + W - 1) x r_tau r_window array, sharing memory
+    with neither factor: one batched matmul of u_tau reversed, transposed,
+    by the sliding windows of u_window padded by tau - 1 zeros on each side,
+    where window i, offset c holds u_window[i + c - tau + 1].  Its
+    (L, r_tau, r_window) product is K in its final layout, so K is the only
+    array of its size the call holds.
     """
     if is_unit_factor(u_tau):
         return u_window
@@ -196,10 +200,14 @@ def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
         return u_tau
     tau, r_tau = u_tau.shape
     width, r_window = u_window.shape
+    length = tau + width - 1
     padded = np.zeros((width + 2 * (tau - 1), r_window))
     padded[tau - 1:tau - 1 + width] = u_window
-    k = sliding_window_view(padded, tau, axis=0) @ u_tau[::-1]
-    return k.transpose(0, 2, 1).reshape(tau + width - 1, r_tau * r_window)
+    step = r_window * padded.itemsize
+    windows = np.ndarray((length, tau, r_window), padded.dtype, padded, 0,
+                         (step, step, padded.itemsize))
+    k = np.ascontiguousarray(u_tau[::-1].T) @ windows
+    return k.reshape(length, r_tau * r_window)
 
 
 def _window_sum(core: np.ndarray, u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
@@ -234,8 +242,9 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     (:func:`_window_sum`); every other order uses the pair matrices: source
     mode n is ``mode_multiply`` by K_n / D_n (:func:`_pair_matrix`, D_n the
     :func:`duplication_counts`), the matrix the ALS sweep's chain builds at
-    the same ranks (``completion._leave_one_out``), so the map-back adds no
-    larger array to a run.  On order 1, K_0 would be L x r_0 r_1, up to L
+    the same ranks (``completion._leave_one_out``), divided in place, so
+    the map-back holds one K_n at a time and adds no larger array to a
+    run.  On order 1, K_0 would be L x r_0 r_1, up to L
     copies of the embedded matrix.  The pairs are applied in growth order,
     as :func:`multilinear_product` applies factors, so each partial result
     is no larger than the merged core or the source.  Equal to
@@ -254,7 +263,10 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     lengths = [u_tau.shape[0] + u_window.shape[0] - 1 for u_tau, u_window in pairs]
     for n in sorted(range(out.ndim), key=lambda n: (lengths[n] / out.shape[n], -n)):
         kernel = _pair_matrix(*pairs[n])
-        if not is_unit_factor(kernel):
-            counts = duplication_counts(lengths[n], pairs[n][0].shape[0])
-            out = mode_multiply(out, kernel / counts[:, None], n)
+        if is_unit_factor(kernel):
+            continue
+        # a factor itself is K at a window of 1, where every count is 1
+        if not any(kernel is u for u in pairs[n]):
+            kernel /= duplication_counts(lengths[n], pairs[n][0].shape[0])[:, None]
+        out = mode_multiply(out, kernel, n)
     return out

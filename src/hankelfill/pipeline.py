@@ -36,7 +36,7 @@ from .ranking import (RankSchedule, StoppingCriteria, _checked_largest_array,
 def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> tuple[int, ...]:
     """The embedded shape under windows ``taus``, refused if that tensor exceeds the size cap."""
     embedded = embedded_shape(shape, taus)
-    _checked_largest_array(embedded, embedded, pair_matrices=False)
+    _checked_largest_array(embedded, embedded, fit=False)
     return embedded
 
 

@@ -168,19 +168,57 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
 
 
-def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int],
-                           pair_matrices: bool = True) -> int:
+def _chain_arrays(shape: Sequence[int], ranks: Sequence[int]):
+    """(elements, name, detail) of each array a fit's chain builds besides its pair embeddings.
+
+    In the order of ``completion._leave_one_out`` on the embedded ``shape``,
+    with L_n = tau_n + W_n - 1 and P_n = R_2n R_2n+1.  For each input mode n
+    but the last, the products that contract the later input modes j > n
+    with their pair matrices K_j, L_j x P_j, each product from the previous
+    one, the first from the prefix, and every K_j made as mode 0 first uses
+    it; then K_n and the next prefix, with modes 0..n contracted.  A mode
+    of length 1 takes no product.  The chain's other arrays (the products by
+    mode n's factors, the core) are no larger than mode n's pair embedding.
+    """
+    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
+    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+
+    def kernel(n):
+        return (lengths[n] * pairs[n], "a pair matrix",
+                f"{lengths[n]} x {pairs[n]} on input mode {n}")
+
+    prefix = list(lengths)
+    for n in range(len(pairs) - 1):
+        dims = list(prefix)
+        for j in range(n + 1, len(pairs)):
+            if n == 0:
+                yield kernel(j)
+            if lengths[j] > 1:
+                dims[j] = pairs[j]
+                yield (math.prod(dims), "an intermediate product",
+                       f"shape {tuple(dims)}, projecting onto input mode {n}")
+        yield kernel(n)
+        if lengths[n] > 1:
+            prefix[n] = pairs[n]
+            yield (math.prod(prefix), "an intermediate product",
+                   f"shape {tuple(prefix)}, the prefix of input modes 0..{n}")
+
+
+def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool = True) -> int:
     """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
 
     The sweep's chain builds pair embeddings (``completion._embed_mode``)
     with every other input mode contracted: max_n tau_n W_n prod_{j != n} R_2j R_2j+1
     on the embedded ``shape``, which at full ranks is the embedded tensor's
-    count.  On order >= 2 it also builds every pair matrix K_n
-    (``embedding._pair_matrix``), L_n x R_2n R_2n+1 with L_n = tau_n + W_n - 1,
-    and the map-back builds the same: at full ranks L_n times the pair's
-    embedded size, which can exceed the embedded tensor.  ``pair_matrices=False``
-    counts the pair embeddings alone, which at full ranks is the embedded
-    tensor that CLI ``embed`` writes.
+    count.  ``fit=False`` counts these alone, which at full ranks is the
+    embedded tensor that CLI ``embed`` writes.  A fit also builds its factor
+    matrices, J_m x R_m (a random start's Gaussian block and the QR that
+    pads a factor), and the rest of the chain, counted array by array in
+    its own order (:func:`_chain_arrays`): on order >= 2 every pair matrix
+    K_n (``embedding._pair_matrix``), L_n x R_2n R_2n+1 with
+    L_n = tau_n + W_n - 1, which the map-back builds too, and the products
+    that contract the other input modes, which grow where a rank pair
+    exceeds its mode's length.  Each can exceed the embedded tensor.
     """
     pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
     count = max(shape[2 * n] * shape[2 * n + 1] * math.prod(pairs[:n] + pairs[n + 1:])
@@ -193,15 +231,17 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int],
         raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair embedding of "
                          f"{count} elements; the cap is {_ELEMENT_CAP}. Reduce the windows "
                          f"or the ranks.")
-    if not pair_matrices or len(pairs) == 1:
+    if not fit:
         return count
-    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
-    kernel, n = max((length * pair, n) for n, (length, pair) in enumerate(zip(lengths, pairs)))
-    if kernel > _ELEMENT_CAP:
-        raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair matrix of {kernel} "
-                         f"elements ({lengths[n]} x {pairs[n]} on input mode {n}); the cap is "
-                         f"{_ELEMENT_CAP}. Reduce the windows or the ranks.")
-    return max(count, kernel)
+    factor, m = max((j * r, m) for m, (j, r) in enumerate(zip(shape, ranks)))
+    arrays = [(factor, "a factor matrix", f"{shape[m]} x {ranks[m]} on mode {m}")]
+    for size, name, detail in arrays + list(_chain_arrays(shape, ranks)):
+        if size > _ELEMENT_CAP:
+            raise ValueError(f"a fit at ranks {tuple(ranks)} would build {name} of {size} "
+                             f"elements ({detail}); the cap is {_ELEMENT_CAP}. Reduce the "
+                             f"windows or the ranks.")
+        count = max(count, size)
+    return count
 
 
 def _growable(schedule: RankSchedule, ranks: Sequence[int]) -> list[int]:
@@ -272,13 +312,16 @@ class RankIncrementResult:
 # np.bincount over a run-long int64 source index.  That index is as large as
 # the fill, so memory alone bounds it: at 2**15 entries it holds 256 KiB.
 # Larger models go through inverse_mdt_tucker, which does not build the
-# embedded tensor.  Speed puts the switch in the same place.  Per call on one
-# x86_64 core (BLAS on 1 thread), reconstruct and bincount against
-# inverse_mdt_tucker's pair matrices, on 3-channel images, each range from
-# ranks (4, 8, 4, 8, 1, 3) to full ranks: 78-113 vs 121-129 us at 8,112
-# entries, 105-175 vs 117-155 us at 19,200, 148-375 vs 94-167 us at 38,988
-# and 539-4033 vs 113-1118 us at 209,088.  On 1-D signals, whose map-back
-# sums windows instead, bincount took 0.13-0.40x the time up to 7e4 entries.
+# embedded tensor.  Speed does not agree across orders, so memory sets the
+# switch.  Per call on one x86_64 core (BLAS on 1 thread), reconstruct and
+# bincount against inverse_mdt_tucker's pair matrices, on 3-channel images,
+# each range over two runs from ranks (4, 8, 4, 8, 1, 3), capped at the
+# mode sizes, to full ranks:
+# 61-89 vs 49-75 us at 2,700 entries, 71-101 vs 55-108 us at 8,112,
+# 107-435 vs 57-151 us at 19,200, 223-869 vs 90-234 us at 38,988 and
+# 764-5213 vs 112-1513 us at 209,088; so on images the switch could sit
+# lower.  On 1-D signals, whose map-back sums windows instead, bincount took
+# 0.13-0.40x the time up to 7e4 entries, so there it could sit higher.
 _BINCOUNT_ELEMENTS = 2**15
 
 

@@ -303,6 +303,21 @@ class TestRecoverCommand:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o.hten").exists()
 
+    def test_recover_over_the_factor_matrix_cap_is_one_error_line(self, tmp_path, capsys):
+        # 80k embedded elements, but the random start's U_1 would be 39999 x 39999
+        data, mask = tmp_path / "v.hten", tmp_path / "q.hten"
+        write_tensor(data, np.zeros(40000))
+        write_mask(mask, np.ones(40000, bool))
+        code, _, err = run_cli(capsys, "recover", "--input", str(data), "--mask", str(mask),
+                               "--tau", "2", "--ranks", "2,39999",
+                               "--output", str(tmp_path / "o.hten"))
+        assert code == 1
+        assert err.startswith("error: a fit at ranks (2, 39999) would build a factor "
+                              "matrix of 1599920001 elements (39999 x 39999 on mode 1)")
+        assert "the cap is 200000000" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o.hten").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "recover", "--input", str(tmp_path / "nope.ppm"),
                                "--mask", str(tmp_path / "nope.pgm"), "--tau", "2,2,1",

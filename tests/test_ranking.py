@@ -10,7 +10,7 @@ from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedul
                         StoppingCriteria, TuckerModel, als_sweep, complete_with_rank_increment,
                         default_rank_sequences, default_stopping_criteria, embedded_shape,
                         init_model, pad_model, select_increment_mode)
-from hankelfill import completion
+from hankelfill import completion, ranking
 from hankelfill.ranking import _checked_largest_array
 from helpers import (is_non_increasing, orthonormality_defect, plain_loop,
                      plain_mode_residuals, planted_tucker, random_mask, relative_criteria,
@@ -283,17 +283,17 @@ def fixed_rank_cases(draw):
     return shape, taus, ranks, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=fixed_rank_cases())
-def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
-    shape, taus, ranks, seed = case
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal(shape)
-    q = rng.random(shape) >= 0.3
-    assume(q.any())
-    # the pair embeddings and, on order >= 2, the pair matrices the chain builds
+_BUILDERS = ("_embed_mode", "_pair_matrix", "mode_multiply", "complete_orthonormal_basis")
+
+
+def recorded_sizes(run):
+    """``run()``'s result and the sizes of the arrays ``completion`` builds meanwhile.
+
+    Records the pair embeddings, the pair matrices, every mode product of
+    the chain and every factor matrix.
+    """
     sizes = []
-    saved = completion._embed_mode, completion._pair_matrix
+    saved = [getattr(completion, name) for name in _BUILDERS]
 
     def recording(build):
         def wrapper(*args):
@@ -302,15 +302,54 @@ def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
             return z
         return wrapper
 
-    completion._embed_mode, completion._pair_matrix = map(recording, saved)
+    for name, build in zip(_BUILDERS, saved):
+        setattr(completion, name, recording(build))
     try:
-        # a model seed apart from the data's: on one entry the same draws fit exactly
-        result = complete_with_rank_increment(t, q, taus, RankSchedule(tuple((r,) for r in ranks)),
-                                              StoppingCriteria(0.0, 0.0, 1), seed=seed + 1)
+        result = run()
     finally:
-        completion._embed_mode, completion._pair_matrix = saved
+        for name, build in zip(_BUILDERS, saved):
+            setattr(completion, name, build)
+    return result, sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fixed_rank_cases())
+def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
+    shape, taus, ranks, seed = case
+    rng = np.random.default_rng(seed)
+    t = rng.standard_normal(shape)
+    q = rng.random(shape) >= 0.3
+    assume(q.any())
+    # a model seed apart from the data's: on one entry the same draws fit exactly
+    result, sizes = recorded_sizes(lambda: complete_with_rank_increment(
+        t, q, taus, RankSchedule(tuple((r,) for r in ranks)), StoppingCriteria(0.0, 0.0, 1),
+        seed=seed + 1))
     assert result.cost_trace[-1][0] == 1
     assert max(sizes) == _checked_largest_array(embedded_shape(shape, taus), ranks)
+
+
+@pytest.mark.parametrize("taus, ranks, where", [
+    # K_1 contracts input mode 1 of the input into 420 rows before mode 2 is contracted
+    ((1, 20, 1), (1, 1, 20, 21, 1, 1), r"shape \(40, 420, 40\), projecting onto input mode 0"),
+    # the prefix contracts input mode 0 into 420 rows; modes 1 and 2 are still full
+    ((20, 1, 1), (20, 21, 1, 1, 1, 1), r"shape \(420, 40, 40\), the prefix of input modes 0..0"),
+], ids=["a later mode", "the prefix"])
+def test_the_guard_counts_a_chain_product_that_outgrows_the_pair_embeddings(
+        taus, ranks, where, monkeypatch):
+    # (40, 40, 40): the pair embeddings hold 16,800 elements and the input
+    # 64,000, but one rank pair of 420 exceeds its mode's length of 40, and
+    # the chain contracts it while the other modes are still full
+    shape = (40, 40, 40)
+    embedded = embedded_shape(shape, taus)
+    assert _checked_largest_array(embedded, ranks, fit=False) == 16_800
+    assert _checked_largest_array(embedded, ranks) == 672_000
+    y = np.random.default_rng(2).standard_normal(shape)
+    model = init_model(ranks, embedded, 0)
+    _, sizes = recorded_sizes(lambda: als_sweep(y, model))
+    assert max(sizes) == 672_000
+    monkeypatch.setattr(ranking, "_ELEMENT_CAP", 671_999)
+    with pytest.raises(ValueError, match=f"intermediate product of 672000 elements \\({where}"):
+        _checked_largest_array(embedded, ranks)
 
 
 @settings(max_examples=200, deadline=None)
@@ -318,25 +357,51 @@ def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
 def test_at_default_schedules_the_guard_counts_the_embedded_tensor_and_the_pair_matrices(
         shape, data):
     # the doubling sequences end at the mode sizes, so a request without
-    # explicit ranks is judged on its embedded element count and, on order
-    # >= 2, on its largest pair matrix, L_n x tau_n W_n at full ranks
+    # explicit ranks is judged on its embedded element count, its largest
+    # factor matrix, J_m x J_m at full ranks, and, on order >= 2, its
+    # largest pair matrix, L_n x tau_n W_n; the chain's products are no
+    # larger than the embedded tensor at full ranks
     taus = tuple(data.draw(st.integers(1, i)) for i in shape)
     embedded = embedded_shape(shape, taus)
     final = [seq[-1] for seq in default_rank_sequences(embedded).sequences]
     count = math.prod(embedded)
+    factor = max(j * j for j in embedded)
     kernel = 0 if len(shape) == 1 else max(
         i * tau * (i - tau + 1) for i, tau in zip(shape, taus))
-    if max(count, kernel) <= 200_000_000:
-        assert _checked_largest_array(embedded, final) == max(count, kernel)
+    if max(count, factor, kernel) <= 200_000_000:
+        assert _checked_largest_array(embedded, final) == max(count, factor, kernel)
     elif count > 200_000_000:
         with pytest.raises(ValueError, match=f"embedded tensor would hold {count} elements"):
+            _checked_largest_array(embedded, final)
+    elif factor > 200_000_000:
+        with pytest.raises(ValueError, match=f"factor matrix of {factor} elements"):
             _checked_largest_array(embedded, final)
     else:
         with pytest.raises(ValueError, match=f"pair matrix of {kernel} elements"):
             _checked_largest_array(embedded, final)
     # CLI embed writes the embedded tensor alone and counts nothing else
     if count <= 200_000_000:
-        assert _checked_largest_array(embedded, final, pair_matrices=False) == count
+        assert _checked_largest_array(embedded, final, fit=False) == count
+
+
+def test_the_guard_counts_the_factor_matrices_and_allocates_nothing():
+    # (40000,) at tau=2 embeds to 80k elements, but at ranks (2, 39999), where
+    # the default doubling sequences end, the random start alone draws a
+    # 39999 x 39999 Gaussian block (12.8 GB)
+    t = np.sin(np.arange(40000.0) / 7)
+    q = np.ones(40000, bool)
+    embedded = embedded_shape((40000,), (2,))
+    schedule = default_rank_sequences(embedded)
+    assert [seq[-1] for seq in schedule.sequences] == [2, 39999]
+    assert _checked_largest_array(embedded, (2, 39999), fit=False) == 79_998
+
+    def refused():
+        with pytest.raises(ValueError, match="factor matrix of 1599920001 elements "
+                                             r"\(39999 x 39999 on mode 1\)"):
+            complete_with_rank_increment(t, q, (2,), schedule, StoppingCriteria(0.0, 0.0))
+
+    _, peak = traced_peak(refused)
+    assert peak < 100_000
 
 
 def test_the_guard_counts_the_pair_matrices_and_allocates_nothing():
@@ -353,14 +418,14 @@ def test_the_guard_counts_the_pair_matrices_and_allocates_nothing():
 
     _, peak = traced_peak(refused)
     assert peak < 100_000
-    assert _checked_largest_array(embedded, embedded, pair_matrices=False) == 1_501_000
+    assert _checked_largest_array(embedded, embedded, fit=False) == 1_501_000
 
 
 def test_a_sweep_at_full_ranks_peaks_near_the_guard_count():
     # (400, 2) at tau=(100, 1): the pair embeddings hold 60,200 elements,
-    # K_0 12.04M.  A traced sweep peaks at 24.4M elements (measured: 2.03x
-    # the count, 405x the pair embeddings): K_0 and the product over the
-    # padded windows that it is copied from.
+    # K_0 12.04M.  K_0 is built in its final layout, so a traced sweep holds
+    # it once and peaks just above the count (measured: 1.03x, 405x the
+    # pair embeddings).
     shape, taus = (400, 2), (100, 1)
     embedded = embedded_shape(shape, taus)
     count = _checked_largest_array(embedded, embedded)
@@ -369,4 +434,4 @@ def test_a_sweep_at_full_ranks_peaks_near_the_guard_count():
     y = rng.standard_normal(shape)
     model = init_model(embedded, embedded, 0)
     _, peak = traced_peak(lambda: als_sweep(y, model))
-    assert peak <= 2.1 * 8 * count
+    assert peak <= 1.1 * 8 * count
