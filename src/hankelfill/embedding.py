@@ -22,7 +22,8 @@ maps back without being reconstructed at all (:func:`inverse_mdt_tucker`).
 Both contract a mode pair's two factors at once through its pair matrix
 K[i, (r, s)] = sum_{a + b = i} U_tau[a, r] U_window[b, s]
 (:func:`_pair_matrix`): the sweep with K^T, the map-back with K over the
-duplication counts, except on an order-1 model, which sums its windows.
+duplication counts, except on an order-1 model, which convolves its factor
+columns.
 
 tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 """
@@ -214,21 +215,23 @@ def _window_sum(core: np.ndarray, u_tau: np.ndarray, u_window: np.ndarray) -> np
     """The map-back of an order-1 model: its core (r, s) times the factor pair, averaged.
 
     ``core`` is the (r_tau, r_window) core of a tau x W embedded matrix.
-    u_window is contracted into s first, giving y[r, b]; then each window
-    offset a adds sum_r u_tau[a, r] y[r, b] at source index a + b, and the
-    sums are divided by the duplication counts.  Besides the source-sized
-    result this holds y, r_tau x W, and one offset's term; the pair matrix
-    K would be L x r_tau r_window, up to L embedded copies.
+    Averaging its duplicates sums each antidiagonal a + b = i, so with the
+    core contracted into the factor of the larger rank the model is
+    min(r_tau, r_window) outer products, and each one's antidiagonal sums
+    are one ``np.convolve`` of its two columns; the sums are divided by the
+    duplication counts.  Besides the source-sized result this holds the
+    contracted factor, at most one embedded copy; the pair matrix K would be
+    L x r_tau r_window, up to L embedded copies.
     """
     tau, width = u_tau.shape[0], u_window.shape[0]
-    length = tau + width - 1
-    y = mode_multiply(core, u_window, 1)
-    acc = np.zeros(length)
-    term = np.empty(width)
-    for a in range(tau):
-        np.matmul(u_tau[a], y, out=term)
-        acc[a:a + width] += term
-    acc /= duplication_counts(length, tau)
+    if core.shape[0] <= core.shape[1]:
+        columns = zip(u_tau.T, core @ u_window.T)
+    else:
+        columns = zip((u_tau @ core).T, u_window.T)
+    acc = np.convolve(*next(columns))
+    for a, b in columns:
+        acc += np.convolve(a, b)
+    acc /= duplication_counts(tau + width - 1, tau)
     return acc
 
 
@@ -238,7 +241,7 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     Averaging the duplicates of a mode pair is linear in each factor pair, so
     the map-back acts on the core with each (r_2n, r_2n+1) pair of modes
     merged (a C-order reshape), one source mode at a time; the embedded
-    tensor never exists.  Order 1 keeps the window sum
+    tensor never exists.  Order 1 sums its antidiagonals by convolution
     (:func:`_window_sum`); every other order uses the pair matrices: source
     mode n is ``mode_multiply`` by K_n / D_n (:func:`_pair_matrix`, D_n the
     :func:`duplication_counts`), the matrix the ALS sweep's chain builds at

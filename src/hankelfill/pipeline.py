@@ -8,9 +8,9 @@ embedded tensor: it fills the missing entries from the model's map-back
 and sweeps on the filled input's embedding, so every window agrees on a
 missing entry; the sweep reads the filled input and embeds one mode pair
 at a time, so steps 1 and 2 never build the embedded tensor.  Step 3 is
-the loop's last map-back of the model, which above a small size takes the
-Tucker model back directly (:func:`hankelfill.embedding.inverse_mdt_tucker`),
-so the completed embedded tensor is never built either.  Observed entries also pass
+the loop's last map-back of the model, which takes the Tucker model back
+directly (:func:`hankelfill.embedding.inverse_mdt_tucker`), so the
+completed embedded tensor is never built either.  Observed entries also pass
 through the model, so the output is everywhere the model's explanation of
 the data rather than a patchwork of input and fill.  Before step 1, the
 mask alone is checked for a run of fully missing slices that no window

@@ -16,9 +16,9 @@ sweep maps the model X back, e = H^+ X, fills the input's missing entries
 with it, y = where(q, t, e), and the next ALS sweep fits X to H(y) reading
 y itself.  The cost is F = ||H(y) - X||^2, summed on input-sized arrays
 (:func:`_input_space_imputation`).  The fill is input-sized, the ALS sweep
-and a plateau's mode ranking embed one mode pair at a time, and above a
-small size the map-back builds nothing embedded either, so a run holds no
-embedded-sized buffer.  Plain Tucker completion of a tensor is the case of
+and a plateau's mode ranking embed one mode pair at a time, and the
+map-back builds nothing embedded either, so a run holds no embedded-sized
+buffer.  Plain Tucker completion of a tensor is the case of
 windows of 1, where H is a reshape and the fill is where(q, t, X).
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
@@ -38,7 +38,7 @@ import numpy as np
 from .core import check_shape, mode_multiply
 from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, init_model
 from .embedding import (duplication_weights, embedded_observed_energy, embedded_shape,
-                        inverse_mdt_tucker, mdt)
+                        inverse_mdt_tucker)
 from .linalg import complete_orthonormal_basis
 
 # Terminal statuses of a rank-increment run.
@@ -307,24 +307,6 @@ class RankIncrementResult:
     estimate: np.ndarray
 
 
-# The fill maps a model of at most this many embedded entries back by
-# reconstructing it into the fill and averaging the duplicates with one
-# np.bincount over a run-long int64 source index.  That index is as large as
-# the fill, so memory alone bounds it: at 2**15 entries it holds 256 KiB.
-# Larger models go through inverse_mdt_tucker, which does not build the
-# embedded tensor.  Speed does not agree across orders, so memory sets the
-# switch.  Per call on one x86_64 core (BLAS on 1 thread), reconstruct and
-# bincount against inverse_mdt_tucker's pair matrices, on 3-channel images,
-# each range over two runs from ranks (4, 8, 4, 8, 1, 3), capped at the
-# mode sizes, to full ranks:
-# 61-89 vs 49-75 us at 2,700 entries, 71-101 vs 55-108 us at 8,112,
-# 107-435 vs 57-151 us at 19,200, 223-869 vs 90-234 us at 38,988 and
-# 764-5213 vs 112-1513 us at 209,088; so on images the switch could sit
-# lower.  On 1-D signals, whose map-back sums windows instead, bincount took
-# 0.13-0.40x the time up to 7e4 entries, so there it could sit higher.
-_BINCOUNT_ELEMENTS = 2**15
-
-
 def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     """The fill of one run, as ``impute(model) -> (y, F, e)``.
 
@@ -342,35 +324,22 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     term is X's squared distance from the Hankel tensors, clamped at zero
     against rounding.  At windows of 1, H is a reshape and every X is
     Hankel, so the term is zero and F is the masked cost, to the rounding of
-    its own sum rather than of ||X||^2.  The map-back follows one rule by
-    size: an embedded tensor of at most _BINCOUNT_ELEMENTS entries is
-    reconstructed and its duplicates averaged by one ``np.bincount`` over
-    its source indices; every larger model goes through
-    :func:`inverse_mdt_tucker`, which does not reconstruct it.  Besides the
-    map-back's own arrays (e, and below that size the reconstruction), a
-    call allocates nothing: the run holds y, D and one input-sized scratch
-    array.
+    its own sum rather than of ||X||^2.  The map-back is
+    :func:`inverse_mdt_tucker`, which does not reconstruct the model.
+    Besides the map-back's own arrays, e among them, a call allocates
+    nothing: the run holds y, D and one input-sized scratch array.
     """
-    shape = embedded_shape(t.shape, taus)
     weights = duplication_weights(t.shape, taus).ravel()
     y = np.where(q, t, 0.0)
     flat = y.reshape(-1)
     sums = np.empty(y.size)
     missing = ~q.ravel()
     plain = all(tau == 1 for tau in taus)
-    source = None
-    if math.prod(shape) <= _BINCOUNT_ELEMENTS:
-        source = mdt(np.arange(y.size).reshape(t.shape), taus).ravel()
 
     def impute(model: TuckerModel):
         # e is the map-back's own array; sums = H^T X = D e
-        if source is None:
-            e = inverse_mdt_tucker(model.core, model.factors).reshape(-1)
-            np.multiply(weights, e, out=sums)
-        else:
-            e = np.bincount(source, model.reconstruct().reshape(-1), minlength=y.size)
-            np.copyto(sums, e)
-            np.divide(e, weights, out=e)
+        e = inverse_mdt_tucker(model.core, model.factors).reshape(-1)
+        np.multiply(weights, e, out=sums)
         np.copyto(flat, e, where=missing)
         off_hankel = 0.0
         if not plain:

@@ -1,14 +1,15 @@
 """Shared fixtures builders and oracles used across the test modules."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 
 from hankelfill import (RankSchedule, StoppingCriteria, TuckerModel, als_sweep,
                         complete_with_rank_increment, duplication_counts,
-                        embedded_observed_energy, init_model, mode_multiply, mode_residuals,
-                        multilinear_product, unfold)
+                        embedded_observed_energy, embedded_shape, init_model, mode_multiply,
+                        mode_residuals, multilinear_product, unfold)
 from hankelfill.core import is_unit_factor
 from hankelfill.linalg import complete_orthonormal_basis, leading_singular_vectors
 from hankelfill.metrics import K1, K2, SIGMA, WINDOW
@@ -155,6 +156,11 @@ def traced_peak(run):
         finally:
             tracemalloc.stop()
     return results[0], min(peaks)
+
+
+def in_copies(nbytes, shape, taus):
+    """A byte count in copies of the float64 embedded tensor."""
+    return nbytes / (8 * math.prod(embedded_shape(shape, taus)))
 
 
 def relative_criteria(values, mask, taus, epsilon_rel, tol_rel,

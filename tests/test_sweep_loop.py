@@ -7,8 +7,6 @@ and rank events over random inputs, windows and schedules are in
 ``test_input_fill.py``.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,9 +14,9 @@ from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
                         RecoveryRequest, StoppingCriteria, TuckerModel, default_rank_sequences,
-                        embedded_shape, init_model, pad_model, recover)
+                        init_model, pad_model, recover)
 from hankelfill import ranking
-from helpers import masked_cost, plain_loop, texture_image, traced_peak
+from helpers import in_copies, masked_cost, plain_loop, texture_image, traced_peak
 
 
 @st.composite
@@ -122,11 +120,6 @@ def image_case():
     return x, q, StoppingCriteria(0.0, 0.0, 3)
 
 
-def in_copies(nbytes, shape, taus):
-    """A byte count in copies of the float64 embedded tensor."""
-    return nbytes / (8 * math.prod(embedded_shape(shape, taus)))
-
-
 def test_recover_holds_under_one_and_a_half_embedded_copies():
     # No full-size buffer: the fill is input-sized, and the ALS sweep reads
     # it, embedding one mode pair at a time.  The largest array is a pair
@@ -192,8 +185,9 @@ def test_the_papers_setting_holds_a_tenth_of_an_embedded_copy():
 
 
 def test_reconstruct_runs_once_per_sweep_and_never_at_a_plateau(monkeypatch):
-    # One reconstruct for the start and one per sweep, each into the fill; the
-    # plateaus (eight rank events here) rank the modes without rebuilding x.
+    # No fill reconstructs the model: each maps it back through
+    # inverse_mdt_tucker, and the plateaus (eight rank events here) rank the
+    # modes through the sweep's chain, without building x either.
     calls = []
     reconstruct = TuckerModel.reconstruct
 
@@ -209,4 +203,4 @@ def test_reconstruct_runs_once_per_sweep_and_never_at_a_plateau(monkeypatch):
     result = plain_loop(t, q, default_rank_sequences(t.shape),
                         StoppingCriteria(0.0, 1e-2 * energy, 40), seed=0)
     assert len(result.rank_history) == 8
-    assert len(calls) == len(result.cost_trace)
+    assert calls == []
