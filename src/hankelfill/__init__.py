@@ -7,7 +7,7 @@ entries (monotone imputation + ALS, with automatic rank growth), and the fit
 is mapped back by the least-squares inverse embedding.
 """
 
-from .completion import CostTrace, TuckerModel, als_sweep, auxiliary_fill, init_model
+from .completion import CostTrace, TuckerModel, als_sweep, init_model
 from .core import (Shape, as_mask, as_tensor, check_shape, mode_multiply, multilinear_product,
                    unfold)
 from .embedding import (duplication_counts, embedded_observed_energy, embedded_shape,
@@ -16,9 +16,9 @@ from .fileio import read_image, read_mask, read_tensor, write_image, write_mask,
 from .linalg import apply_sign_convention, leading_singular_vectors
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr, ssim_map
-from .pipeline import RecoveryReport, RecoveryRequest, recover
-from .ranking import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankIncrementResult,
-                      RankSchedule, StoppingCriteria,
+from .pipeline import recover
+from .ranking import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
+                      RecoveryReport, StoppingCriteria,
                       complete_with_rank_increment, default_rank_sequences,
                       default_stopping_criteria, mode_residuals, pad_model,
                       select_increment_mode)
@@ -28,10 +28,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONVERGED", "SCHEDULE_EXHAUSTED", "SWEEP_BUDGET",
-    "CostTrace", "RankIncrementResult", "RankSchedule",
-    "RecoveryReport", "RecoveryRequest", "Shape",
+    "CostTrace", "RankSchedule", "RecoveryReport", "Shape",
     "StoppingCriteria", "TuckerModel",
-    "als_sweep", "apply_sign_convention", "as_mask", "as_tensor", "auxiliary_fill",
+    "als_sweep", "apply_sign_convention", "as_mask", "as_tensor",
     "check_shape", "complete_with_rank_increment", "damped_sine", "default_rank_sequences",
     "default_stopping_criteria", "duplication_counts",
     "embedded_observed_energy", "embedded_shape", "init_model",

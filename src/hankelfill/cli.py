@@ -32,7 +32,7 @@ from .embedding import embedded_shape, inverse_mdt, mdt
 from .fileio import _read_any, _write_any, read_mask, read_tensor, write_mask, write_tensor
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr
-from .pipeline import RecoveryRequest, checked_embedded_shape, recover
+from .pipeline import checked_embedded_shape, recover
 from .ranking import (SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
                       default_stopping_criteria)
 from .signals import damped_sine, linear_interpolate_gaps
@@ -74,9 +74,8 @@ def _cmd_recover(args) -> int:
     criteria = replace(default_stopping_criteria(data, mask, args.tau),
                        **{k: v for k, v in overrides.items() if v is not None})
 
-    report = recover(RecoveryRequest(data=data, mask=mask, taus=args.tau,
-                                     schedule=schedule, criteria=criteria,
-                                     seed=args.seed))
+    report = recover(data, mask, args.tau, schedule=schedule, criteria=criteria,
+                     seed=args.seed)
     for out in args.output:
         _write_any(out, report.estimate)
     if args.trace_csv:
@@ -155,8 +154,7 @@ def _cmd_demo_signal(args) -> int:
 
     criteria = default_stopping_criteria(truth, observed, (args.tau,),
                                          epsilon_rel=args.epsilon_rel)
-    report = recover(RecoveryRequest(data=truth, mask=observed, taus=(args.tau,),
-                                     criteria=criteria, seed=args.seed))
+    report = recover(truth, observed, (args.tau,), criteria=criteria, seed=args.seed)
     linear = linear_interpolate_gaps(np.where(observed, truth, 0.0), observed)
 
     with open(args.output, "w", newline="") as fh:

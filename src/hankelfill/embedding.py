@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Shape, check_shape, is_unit_factor, mode_multiply
+from .core import Shape, check_shape, is_unit_factor, multilinear_product
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -245,13 +245,12 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     (:func:`_window_sum`); every other order uses the pair matrices: source
     mode n is ``mode_multiply`` by K_n / D_n (:func:`_pair_matrix`, D_n the
     :func:`duplication_counts`), the matrix the ALS sweep's chain builds at
-    the same ranks (``completion._leave_one_out``), divided in place, so
-    the map-back holds one K_n at a time and adds no larger array to a
-    run.  On order 1, K_0 would be L x r_0 r_1, up to L
-    copies of the embedded matrix.  The pairs are applied in growth order,
-    as :func:`multilinear_product` applies factors, so each partial result
-    is no larger than the merged core or the source.  Equal to
-    ``inverse_mdt`` of the reconstruction up to rounding.
+    the same ranks (``completion._leave_one_out``), divided in place.  The
+    map-back holds every K_n at once, as the chain does, and applies them
+    with :func:`multilinear_product`, in its growth order, so each partial
+    result is no larger than the merged core or the source.  On order 1,
+    K_0 would be L x r_0 r_1, up to L copies of the embedded matrix.  Equal
+    to ``inverse_mdt`` of the reconstruction up to rounding.
     """
     core = np.asarray(core, dtype=np.float64)
     if core.ndim % 2 or len(factors) != core.ndim:
@@ -260,16 +259,13 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     factors = [np.asarray(u, dtype=np.float64) for u in factors]
     if core.ndim == 2:
         return _window_sum(core, *factors)
-    pairs = list(zip(factors[::2], factors[1::2]))
-    out = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
-                             for n in range(0, core.ndim, 2)))
-    lengths = [u_tau.shape[0] + u_window.shape[0] - 1 for u_tau, u_window in pairs]
-    for n in sorted(range(out.ndim), key=lambda n: (lengths[n] / out.shape[n], -n)):
-        kernel = _pair_matrix(*pairs[n])
-        if is_unit_factor(kernel):
-            continue
+    kernels = []
+    for u_tau, u_window in zip(factors[::2], factors[1::2]):
+        kernel = _pair_matrix(u_tau, u_window)
         # a factor itself is K at a window of 1, where every count is 1
-        if not any(kernel is u for u in pairs[n]):
-            kernel /= duplication_counts(lengths[n], pairs[n][0].shape[0])[:, None]
-        out = mode_multiply(out, kernel, n)
-    return out
+        if kernel is not u_tau and kernel is not u_window:
+            kernel /= duplication_counts(kernel.shape[0], u_tau.shape[0])[:, None]
+        kernels.append(kernel)
+    merged = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
+                                for n in range(0, core.ndim, 2)))
+    return multilinear_product(merged, kernels)

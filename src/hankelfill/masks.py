@@ -1,4 +1,4 @@
-"""Synthetic observation masks: random voxels, missing slices, occlusions."""
+"""Observation masks: synthetic patterns, and the runs of fully missing slices in a mask."""
 
 from __future__ import annotations
 
@@ -93,3 +93,21 @@ def longest_missing_runs(q: np.ndarray) -> tuple[int, ...]:
         edges = np.diff(np.concatenate(([0], (~seen).view(np.int8), [0])))
         runs.append(int((np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)).max(initial=0)))
     return tuple(runs)
+
+
+def unbridged_gap(mask: np.ndarray, taus: Sequence[int]) -> tuple[int, int] | None:
+    """(mode, run) of the longest run of fully missing slices that no window bridges.
+
+    Read from the mask alone (see :func:`longest_missing_runs`).  A run on a
+    mode with window 1 is never bridged: nothing links the slices of that
+    mode.  The input fill of the sweep loop
+    (:func:`hankelfill.ranking.complete_with_rank_increment`) bridges any
+    run on a mode with a longer window.  Ties go to the lowest mode; None
+    when every run is bridged.
+    """
+    worst = None
+    for mode, (run, tau) in enumerate(zip(longest_missing_runs(mask), taus)):
+        if run and tau == 1:
+            if worst is None or run > worst[1]:
+                worst = (mode, run)
+    return worst

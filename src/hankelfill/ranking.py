@@ -23,13 +23,16 @@ windows of 1, where H is a reshape and the fill is where(q, t, X).
 
 This is the package's only sweep loop.  A fixed-rank fit is a schedule of
 one-element sequences: it has nothing to grow, so a plateau ends it with
-status ``schedule_exhausted``.
+status ``schedule_exhausted``.  Every run, direct or through
+:func:`hankelfill.pipeline.recover`, returns one :class:`RecoveryReport`,
+which also names a run of fully missing slices that no window bridges.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +43,7 @@ from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, init_
 from .embedding import (duplication_weights, embedded_observed_energy, embedded_shape,
                         inverse_mdt_tucker)
 from .linalg import complete_orthonormal_basis
+from .masks import unbridged_gap
 
 # Terminal statuses of a rank-increment run.
 CONVERGED = "converged"            # cost reached epsilon
@@ -296,15 +300,31 @@ def pad_model(model: TuckerModel, mode: int, new_rank: int, seed) -> TuckerModel
 
 
 @dataclass
-class RankIncrementResult:
+class RecoveryReport:
+    """Outputs of one run of the sweep loop.
+
+    ``estimate`` is the last fill's map-back H^+ X, in the input's shape
+    (the model's before a pad that followed that fill, which leaves it
+    unchanged).  ``rank_history`` lists (sweep index at which an increment
+    fired, mode, new rank).  ``wall_time_s`` spans the loop from entry to
+    exit.  ``unbridged_gap`` is (mode, run length) of the longest run of
+    fully missing slices that no window bridges, or None (see
+    :func:`hankelfill.masks.unbridged_gap`); the fit then has nothing to say
+    about those slices, whatever its status.
+    """
+
     model: TuckerModel
+    estimate: np.ndarray
     cost_trace: CostTrace
-    # (sweep index at which the increment fired, mode, new rank)
     rank_history: list[tuple[int, int, int]]
     status: str
-    # the last fill's map-back H^+ X, in the input's shape (the model's
-    # before a pad that followed that fill, which leaves it unchanged)
-    estimate: np.ndarray
+    wall_time_s: float
+    unbridged_gap: tuple[int, int] | None
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The final model's ranks."""
+        return self.model.ranks
 
 
 def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
@@ -355,7 +375,7 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
 
 def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[int],
                                  schedule: RankSchedule, criteria: StoppingCriteria,
-                                 seed=0) -> RankIncrementResult:
+                                 seed=0) -> RecoveryReport:
     """Complete a tensor by Tucker fitting in embedded space with automatic rank growth.
 
     ``t`` and ``q`` are the input and its mask, and ``taus`` one window per
@@ -377,12 +397,16 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
     q with no observed entry, a NaN or infinite observed value, or a random
     start whose cost overflows float64, is a ValueError; all-zero observed
     data are fitted exactly by the zero model, returned at sweep 0.  The
-    result's ``estimate`` is the last fill's map-back e = H^+ X.  A fit whose
-    largest array at the final ranks is too large is refused first.
+    report's ``estimate`` is the last fill's map-back e = H^+ X.  A fit whose
+    largest array at the final ranks is too large is refused first.  After
+    these checks the mask is read for a run of fully missing slices that no
+    window bridges (:func:`hankelfill.masks.unbridged_gap`), which the
+    report names.
 
     The cost trace spans the whole run and is monotonically non-increasing,
     including across increments (padding preserves the reconstruction).
     """
+    started = time.perf_counter()
     t = np.asarray(t, dtype=np.float64)
     q = np.asarray(q, dtype=bool)
     if t.shape != q.shape:
@@ -399,6 +423,7 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
         raise ValueError("the mask observes no entry: there is nothing to fit")
     if not np.isfinite(t[q]).all():
         raise ValueError("observed values must be finite (no NaN/Inf)")
+    gap = unbridged_gap(q, taus)
 
     model = init_model(tuple(seq[0] for seq in schedule.sequences), shape, seed)
     if not t[q].any():
@@ -412,7 +437,8 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
     if f_before <= criteria.epsilon:
-        return RankIncrementResult(model, trace, history, CONVERGED, estimate)
+        return RecoveryReport(model, estimate, trace, history, CONVERGED,
+                              time.perf_counter() - started, gap)
 
     status = SWEEP_BUDGET
     pads = 0
@@ -436,4 +462,5 @@ def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[in
         # Padding leaves the reconstruction (hence the cost) unchanged, so the
         # post-pad reference cost equals f_after either way.
         f_before = f_after
-    return RankIncrementResult(model, trace, history, status, estimate)
+    return RecoveryReport(model, estimate, trace, history, status,
+                          time.perf_counter() - started, gap)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hankelfill import (RecoveryRequest, StoppingCriteria, damped_sine, default_rank_sequences,
+from hankelfill import (StoppingCriteria, damped_sine, default_rank_sequences,
                         embedded_shape, inverse_mdt, linear_interpolate_gaps, make_mask, mdt,
                         psnr, recover, snr, ssim_map)
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, naive_ssim_map,
@@ -103,8 +103,7 @@ def test_criterion_5_signal_gap():
 
     criteria = relative_criteria(truth, observed, (tau,), epsilon_rel=1e-8, tol_rel=1e-9,
                                  max_total_sweeps=2000)
-    report = recover(RecoveryRequest(data=truth, mask=observed, taus=(tau,),
-                                     criteria=criteria, seed=0))
+    report = recover(truth, observed, (tau,), criteria=criteria, seed=0)
     gap = ~observed
     rmse = float(np.sqrt(np.mean((report.estimate - truth)[gap] ** 2)))
     linear = linear_interpolate_gaps(np.where(observed, truth, 0.0), observed)
@@ -124,8 +123,7 @@ def test_criterion_6_slice_inpainting():
 
     criteria = relative_criteria(img, mask, (8, 8, 1), epsilon_rel=1e-7, tol_rel=1e-5,
                                  max_total_sweeps=3000)
-    report = recover(RecoveryRequest(data=img, mask=mask, taus=(8, 8, 1),
-                                     criteria=criteria, seed=0))
+    report = recover(img, mask, (8, 8, 1), criteria=criteria, seed=0)
     recovered_psnr = psnr(img, report.estimate, 255.0)
     baseline_psnr = psnr(img, np.where(mask, img, 0.0), 255.0)
     elapsed = time.perf_counter() - started

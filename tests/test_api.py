@@ -12,7 +12,7 @@ import hankelfill
 REMOVED = ("tucker_complete", "FitConfig", "FIXED_RANK", "hadamard", "frobenius_norm",
            "squeeze_modes", "cost", "mdt_mask", "EmbeddingSpec", "ScheduleExhaustedError",
            "delay_embed_vector", "inverse_delay_embed_vector", "fold", "SsimParams",
-           "generate_signal")
+           "generate_signal", "RecoveryRequest", "RankIncrementResult", "auxiliary_fill")
 
 # Settings that no caller outside the tests used.
 REMOVED_PARAMETERS = {
@@ -43,8 +43,8 @@ def test_removed_settings_stay_gone():
     for func, names in REMOVED_PARAMETERS.items():
         assert set(names).isdisjoint(inspect.signature(func).parameters), func.__name__
     assert "metrics" not in {f.name for f in dataclasses.fields(hankelfill.RecoveryReport)}
-    assert not hasattr(hankelfill.RankIncrementResult, "terminal_ranks")
+    assert not hasattr(hankelfill.RecoveryReport, "terminal_ranks")
 
 
 def test_size():
-    assert len(hankelfill.__all__) == 47
+    assert len(hankelfill.__all__) == 44

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hankelfill import (SWEEP_BUDGET, StoppingCriteria, TuckerModel, apply_sign_convention,
-                        auxiliary_fill, init_model, mode_multiply)
-from hankelfill.completion import cost
+                        init_model, mode_multiply)
+from hankelfill.completion import auxiliary_fill, cost
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, masked_cost,
                      orthonormality_defect, plain_als_sweep, planted_tucker, random_mask,
                      random_orthonormal)

@@ -369,10 +369,10 @@ def test_tucker_model_maps_back_within_about_one_embedded_copy(ranks):
     ((32, 32, 24), (4, 4, 4), (2, 3, 2, 3, 2, 3)),  # the source outweighs the count
 ])
 def test_an_order_2_or_3_model_maps_back_within_the_size_guards_count(shape, taus, ranks):
-    # Through K_n / D_n the map-back holds one pair matrix, divided in
-    # place, then partial results no larger than the merged core or the
-    # source.  Measured peaks, per (guard count + source) elements: 0.15,
-    # 0.24, 1.03 and 1.03 float64s.
+    # Through K_n / D_n the map-back holds every pair matrix, each divided
+    # in place, as the sweep's chain does, then partial results no larger
+    # than the merged core or the source.  Measured peaks, per (guard count
+    # + source) elements: 0.18, 0.25, 1.03 and 1.03 float64s.
     embedded = embedded_shape(shape, taus)
     count = _checked_largest_array(embedded, ranks)
     rng = np.random.default_rng(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,29 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RankSchedule, RecoveryRequest,
+from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RankSchedule, RecoveryReport,
                         StoppingCriteria, complete_with_rank_increment, damped_sine,
-                        embedded_shape, make_mask, recover, snr)
-from hankelfill.masks import longest_missing_runs
-from hankelfill.pipeline import unbridged_gap
+                        default_rank_sequences, default_stopping_criteria, embedded_shape,
+                        make_mask, recover, snr)
+from hankelfill.masks import longest_missing_runs, unbridged_gap
 from helpers import is_non_increasing, texture_image, traced_peak
 
 
 def small_signal_request(**overrides):
+    """The truth and ``recover``'s keyword arguments for a 120-sample signal gap."""
     truth = damped_sine(120, decay=0.005, omega=0.55, phase=0.3)
     mask = np.ones(120, bool)
     mask[50:70] = False
     defaults = dict(data=truth, mask=mask, taus=(30,), seed=0)
     defaults.update(overrides)
-    return truth, RecoveryRequest(**defaults)
+    return truth, defaults
 
 
 class TestRecover:
     def test_fully_observed_low_rank_input_passes_through(self):
         truth = damped_sine(100, decay=0.01, omega=0.5)
-        req = RecoveryRequest(data=truth, mask=np.ones(100, bool), taus=(20,),
-                              schedule=(2, 2), seed=0)
-        report = recover(req)
+        report = recover(truth, np.ones(100, bool), (20,), schedule=(2, 2), seed=0)
         assert report.status == CONVERGED
         assert np.linalg.norm(report.estimate - truth) <= 1e-6 * np.linalg.norm(truth)
 
@@ -35,7 +35,7 @@ class TestRecover:
         # the rank-(2, 2) start already meets a huge epsilon: no sweep runs
         truth, req = small_signal_request(
             schedule=(2, 2), criteria=StoppingCriteria(epsilon=1e30, tol=1e30))
-        report = recover(req)
+        report = recover(**req)
         assert report.status == CONVERGED
         assert report.cost_trace[-1][0] == 0
         assert report.ranks == (2, 2)
@@ -44,14 +44,14 @@ class TestRecover:
         # nothing to grow: the first plateau ends the run at the given ranks
         truth, req = small_signal_request(
             schedule=(1, 1), criteria=StoppingCriteria(epsilon=0.0, tol=1e30))
-        report = recover(req)
+        report = recover(**req)
         assert report.status == SCHEDULE_EXHAUSTED
         assert report.cost_trace[-1][0] == 1
         assert report.rank_history == []
 
     def test_gap_recovery_beats_flat_fill(self):
         truth, req = small_signal_request()
-        report = recover(req)
+        report = recover(**req)
         gap = slice(50, 70)
         rmse = np.sqrt(np.mean((report.estimate[gap] - truth[gap]) ** 2))
         assert rmse < 0.05
@@ -60,16 +60,14 @@ class TestRecover:
     def test_estimate_shape_and_finiteness(self):
         img = texture_image(24)
         mask = make_mask(img.shape, "slices", mode=1, start=10, count=3)
-        report = recover(RecoveryRequest(data=img, mask=mask, taus=(4, 4, 1),
-                                         schedule=(4, 8, 4, 8, 1, 3), seed=1))
+        report = recover(img, mask, (4, 4, 1), schedule=(4, 8, 4, 8, 1, 3), seed=1)
         assert report.estimate.shape == img.shape
         assert np.all(np.isfinite(report.estimate))
 
     def test_embedded_shape_of_image_request(self):
         img = texture_image(64)
         mask = np.ones(img.shape, bool)
-        report = recover(RecoveryRequest(data=img, mask=mask, taus=(8, 8, 1),
-                                         schedule=(2, 2, 2, 2, 1, 2), seed=0))
+        report = recover(img, mask, (8, 8, 1), schedule=(2, 2, 2, 2, 1, 2), seed=0)
         # embedded space is (8, 57, 8, 57, 1, 3); terminal ranks live there
         assert len(report.ranks) == 6
         assert report.estimate.shape == (64, 64, 3)
@@ -81,8 +79,7 @@ class TestRecover:
         data = rng.standard_normal((40,))
         mask = np.ones(40, bool)
         mask[10:14] = False
-        req = RecoveryRequest(data=data, mask=mask, taus=(8,), schedule=(1, 1), seed=0)
-        report = recover(req)
+        report = recover(data, mask, (8,), schedule=(1, 1), seed=0)
         assert np.abs(report.estimate[mask] - data[mask]).max() > 1e-3
 
     def test_embedded_size_guard(self):
@@ -92,12 +89,11 @@ class TestRecover:
         data = np.zeros((40000, 3))
         mask = np.ones_like(data, bool)
         with pytest.raises(ValueError, match="expansion") as info:
-            recover(RecoveryRequest(data=data[:, 0], mask=mask[:, 0], taus=(20000,)))
+            recover(data[:, 0], mask[:, 0], (20000,))
         assert str(info.value).startswith("embedded tensor would hold 400020000 elements")
         assert str(info.value).endswith("the cap is 200000000. Reduce the windows.")
         with pytest.raises(ValueError) as info:
-            recover(RecoveryRequest(data=data, mask=mask, taus=(20000, 1),
-                                    schedule=(5, 5, 1, 2)))
+            recover(data, mask, (20000, 1), schedule=(5, 5, 1, 2))
         assert str(info.value) == (
             "a fit at ranks (5, 5, 1, 2) would build a pair embedding of 800040000 "
             "elements; the cap is 200000000. Reduce the windows or the ranks.")
@@ -109,13 +105,14 @@ class TestRecover:
 
     def test_a_refused_request_allocates_nothing_embedded(self):
         # 400M embedded elements, 10000 copies of the input; the refusal
-        # comes after the default thresholds' energy sum and the gap check,
-        # which are input-sized.  Measured: 2.67 copies of data and mask.
+        # comes after the default thresholds' energy sum, which is
+        # input-sized, and before the gap check.  Measured: 2.67 copies of
+        # data and mask.
         data, mask = np.zeros(40000), np.ones(40000, bool)
 
         def refused():
             with pytest.raises(ValueError, match="would hold 400020000 elements"):
-                recover(RecoveryRequest(data=data, mask=mask, taus=(20000,)))
+                recover(data, mask, (20000,))
 
         _, peak = traced_peak(refused)
         assert peak < 3 * (data.nbytes + mask.nbytes)
@@ -126,18 +123,16 @@ class TestRecover:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((200, 200, 2))
         mask = rng.random(data.shape) >= 0.5
-        report = recover(RecoveryRequest(data=data, mask=mask, taus=(100, 100, 1),
-                                         schedule=(4, 4, 4, 4, 1, 2),
-                                         criteria=StoppingCriteria(0.0, 0.0, 1)))
+        report = recover(data, mask, (100, 100, 1), schedule=(4, 4, 4, 4, 1, 2),
+                         criteria=StoppingCriteria(0.0, 0.0, 1))
         assert report.cost_trace[-1][0] == 1
         assert report.estimate.shape == data.shape
 
     @pytest.mark.parametrize("call", [
         lambda: embedded_shape((10,), (2.7,)),
         lambda: RankSchedule(((2,), (2.0,))),
-        lambda: recover(RecoveryRequest(np.ones(60), np.ones(60, bool), (20.9,))),
-        lambda: recover(RecoveryRequest(np.ones(60), np.ones(60, bool), (20,),
-                                        schedule=(2.9, 2.2))),
+        lambda: recover(np.ones(60), np.ones(60, bool), (20.9,)),
+        lambda: recover(np.ones(60), np.ones(60, bool), (20,), schedule=(2.9, 2.2)),
     ], ids=["embedded_shape", "RankSchedule", "recover-windows", "recover-ranks"])
     def test_non_integer_windows_and_ranks_are_errors(self, call):
         # an error, never a silent truncation (window 2.7 to 2, ranks 2.9 to 2)
@@ -147,14 +142,14 @@ class TestRecover:
     def test_numpy_integer_windows_and_ranks_pass(self):
         assert embedded_shape((10,), (np.int64(3),)) == (3, 8)
         assert RankSchedule(((np.int32(2), np.uint8(3)),)).sequences == ((2, 3),)
-        report = recover(RecoveryRequest(np.ones(60), np.ones(60, bool), (np.int64(20),),
-                                         schedule=(np.int64(1), np.int32(1))))
+        report = recover(np.ones(60), np.ones(60, bool), (np.int64(20),),
+                         schedule=(np.int64(1), np.int32(1)))
         assert report.ranks == (1, 1)
 
     def test_empty_mask_rejected(self):
         truth = damped_sine(60, decay=0.01, omega=0.5)
         with pytest.raises(ValueError, match="mask observes no entry"):
-            recover(RecoveryRequest(data=truth, mask=np.zeros(60, bool), taus=(20,)))
+            recover(truth, np.zeros(60, bool), (20,))
 
     def test_all_zero_observed_data_give_zeros_at_sweep_zero(self):
         # the zero model fits zero data exactly; the missing entries are not
@@ -163,7 +158,7 @@ class TestRecover:
         data[20:30] = 7.0  # missing, so never read
         mask = np.ones(60, bool)
         mask[20:30] = False
-        report = recover(RecoveryRequest(data=data, mask=mask, taus=(20,)))
+        report = recover(data, mask, (20,))
         assert report.status == CONVERGED
         assert report.cost_trace == [(0, 0.0)]
         assert not report.estimate.any()
@@ -172,27 +167,26 @@ class TestRecover:
         # thresholds of the caller's own skip the observed energy; the masked
         # cost of the start overflows instead, and never recovers
         truth, req = small_signal_request(criteria=StoppingCriteria(0, 0, 50))
-        req.data = 1e160 * truth
+        req["data"] = 1e160 * truth
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(ValueError, match="overflows float64; rescale the data"):
-                recover(req)
+                recover(**req)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differs"):
-            recover(RecoveryRequest(data=np.zeros((4, 4)), mask=np.ones((4, 5), bool),
-                                    taus=(2, 2)))
+            recover(np.zeros((4, 4)), np.ones((4, 5), bool), (2, 2))
 
     def test_non_finite_data_rejected(self):
         data = np.zeros(10)
         data[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            recover(RecoveryRequest(data=data, mask=np.ones(10, bool), taus=(2,)))
+            recover(data, np.ones(10, bool), (2,))
 
     def test_report_carries_trace_and_history(self):
         truth, req = small_signal_request(
             criteria=StoppingCriteria(epsilon=1e-10, tol=1e-8, max_total_sweeps=400))
-        report = recover(req)
+        report = recover(**req)
         assert is_non_increasing(report.cost_trace)
         assert report.rank_history  # gap forces at least one increment
         assert report.wall_time_s > 0.0
@@ -200,10 +194,41 @@ class TestRecover:
     def test_deterministic_across_runs(self):
         truth, req_a = small_signal_request()
         _, req_b = small_signal_request()
-        a = recover(req_a)
-        b = recover(req_b)
+        a = recover(**req_a)
+        b = recover(**req_b)
         assert np.array_equal(a.estimate, b.estimate)
         assert a.cost_trace == b.cost_trace
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["doubling", "fixed"])
+    def test_recover_returns_the_loops_own_report(self, fixed):
+        # recover fills in the defaults and hands back the loop's report:
+        # the same run, bit for bit, as a direct call given what recover
+        # derived (a fixed-rank tuple is one-element sequences)
+        img = texture_image(16)
+        mask = np.random.default_rng(3).random(img.shape) >= 0.3
+        mask[..., 1] = False  # a channel no window bridges
+        taus = (4, 4, 1)
+        criteria = dataclasses.replace(default_stopping_criteria(img, mask, taus),
+                                       max_total_sweeps=40)
+        if fixed:
+            ranks = (2, 4, 2, 4, 1, 2)
+            schedule, given = RankSchedule(tuple((r,) for r in ranks)), ranks
+        else:
+            schedule = default_rank_sequences(embedded_shape(img.shape, taus))
+            given = None
+        report = recover(img, mask, taus, schedule=given, criteria=criteria, seed=4)
+        direct = complete_with_rank_increment(img, mask, taus, schedule, criteria, seed=4)
+        assert type(report) is type(direct) is RecoveryReport
+        assert np.array_equal(report.estimate, direct.estimate)
+        assert np.array_equal(report.model.core, direct.model.core)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(report.model.factors, direct.model.factors, strict=True))
+        assert report.cost_trace == direct.cost_trace
+        assert report.rank_history == direct.rank_history
+        assert report.status == direct.status
+        assert report.ranks == direct.ranks == direct.model.ranks
+        assert report.unbridged_gap == direct.unbridged_gap == (2, 1)
+        assert fixed or report.rank_history  # the doubling run grows a rank
 
 
 def naive_runs(q):
@@ -264,8 +289,19 @@ class TestGapReport:
     ])
     def test_report_names_the_gap(self, count, tau, gap):
         img, mask = self.columns_missing(count)
-        report = recover(RecoveryRequest(data=img, mask=mask, taus=(4, tau, 1), seed=0,
-                                         criteria=StoppingCriteria(0.0, 0.0, 2)))
+        report = recover(img, mask, (4, tau, 1), seed=0,
+                         criteria=StoppingCriteria(0.0, 0.0, 2))
+        assert report.unbridged_gap == gap
+
+    @pytest.mark.parametrize("taus, gap", [((4, 1, 1), (1, 2)), ((4, 4, 1), None)],
+                             ids=["window-1", "bridged"])
+    def test_a_direct_loop_call_names_the_gap(self, taus, gap):
+        # the loop itself reads the mask, so a caller that skips recover
+        # still learns of the gap
+        img, mask = self.columns_missing(2)
+        schedule = default_rank_sequences(embedded_shape(img.shape, taus))
+        report = complete_with_rank_increment(img, mask, taus, schedule,
+                                              StoppingCriteria(0.0, 0.0, 2))
         assert report.unbridged_gap == gap
 
     def test_a_missing_channel_cannot_be_bridged(self):
@@ -292,7 +328,7 @@ def test_an_order_3_volume_recovers_missing_slices(taus, bridged):
     vol = smooth_volume()
     mask = np.ones(vol.shape, bool)
     mask[:, :, 10:13] = False
-    report = recover(RecoveryRequest(data=vol, mask=mask, taus=taus, seed=0))
+    report = recover(vol, mask, taus, seed=0)
     assert report.status == CONVERGED
     assert len(report.ranks) == 6
     rmse = float(np.sqrt(np.mean((report.estimate - vol)[~mask] ** 2)))

@@ -13,8 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        RecoveryRequest, StoppingCriteria, TuckerModel, default_rank_sequences,
-                        init_model, pad_model, recover)
+                        StoppingCriteria, TuckerModel, default_rank_sequences, init_model,
+                        pad_model, recover)
 from hankelfill import ranking
 from helpers import in_copies, masked_cost, plain_loop, texture_image, traced_peak
 
@@ -126,8 +126,8 @@ def test_recover_holds_under_one_and_a_half_embedded_copies():
     # embedding with every other input mode contracted, 16x49x(4*8*3) here.
     # Measured: 0.088 copies.
     x, q, criteria = image_case()
-    request = RecoveryRequest(x, q, TAUS, schedule=RANKS, criteria=criteria, seed=0)
-    report, peak = traced_peak(lambda: recover(request))
+    report, peak = traced_peak(lambda: recover(x, q, TAUS, schedule=RANKS, criteria=criteria,
+                                               seed=0))
     assert report.cost_trace[-1][0] == 3
     assert in_copies(peak, x.shape, TAUS) <= 0.11
 
@@ -139,9 +139,8 @@ def test_an_input_space_plateau_holds_no_more_than_a_sweep():
     # the next sweep.  Measured: 0.043 copies.
     x, q, _ = image_case()
     energy = float(x[q] @ x[q])
-    request = RecoveryRequest(x, q, TAUS, criteria=StoppingCriteria(0.0, 1e-2 * energy, 6),
-                              seed=0)
-    report, peak = traced_peak(lambda: recover(request))
+    criteria = StoppingCriteria(0.0, 1e-2 * energy, 6)
+    report, peak = traced_peak(lambda: recover(x, q, TAUS, criteria=criteria, seed=0))
     assert report.rank_history == [(5, 2, 2), (6, 3, 2)]
     assert in_copies(peak, x.shape, TAUS) <= 0.06
 
@@ -161,9 +160,9 @@ def test_the_input_fill_at_small_windows_holds_little_beyond_the_papers(shape, t
     rng = np.random.default_rng(0)
     x = rng.standard_normal(shape)
     q = rng.random(shape) >= 0.5
-    request = RecoveryRequest(x, q, taus, schedule=ranks,
-                              criteria=StoppingCriteria(0.0, 0.0, 3), seed=0)
-    report, peak = traced_peak(lambda: recover(request))
+    criteria = StoppingCriteria(0.0, 0.0, 3)
+    report, peak = traced_peak(lambda: recover(x, q, taus, schedule=ranks, criteria=criteria,
+                                               seed=0))
     assert report.cost_trace[-1][0] == 3
     assert in_copies(peak, shape, taus) <= copies + 0.02
 
@@ -177,14 +176,14 @@ def test_the_papers_setting_holds_a_tenth_of_an_embedded_copy():
     x = texture_image(256)
     q = np.broadcast_to(np.random.default_rng(0).random((256, 256, 1)) >= 0.5, x.shape)
     taus = (32, 32, 1)
-    request = RecoveryRequest(x, q, taus, schedule=(8, 16, 8, 16, 1, 3),
-                              criteria=StoppingCriteria(0.0, 0.0, 2), seed=0)
-    report, peak = traced_peak(lambda: recover(request))
+    criteria = StoppingCriteria(0.0, 0.0, 2)
+    report, peak = traced_peak(lambda: recover(x, q, taus, schedule=(8, 16, 8, 16, 1, 3),
+                                               criteria=criteria, seed=0))
     assert report.cost_trace[-1][0] == 2
     assert in_copies(peak, x.shape, taus) <= 0.1
 
 
-def test_reconstruct_runs_once_per_sweep_and_never_at_a_plateau(monkeypatch):
+def test_no_sweep_fill_or_plateau_reconstructs_the_model(monkeypatch):
     # No fill reconstructs the model: each maps it back through
     # inverse_mdt_tucker, and the plateaus (eight rank events here) rank the
     # modes through the sweep's chain, without building x either.
