@@ -13,16 +13,20 @@ Images travel as binary PPM/PGM, everything else as HTEN tensors; the
 format is detected from the file contents on read and from the extension
 (.ppm/.pgm/.hten) on write.  All randomness is seeded: identical flags give
 bit-identical outputs.  Errors print a single ``error: ...`` line on stderr
-and exit nonzero.  A ``recover`` run prints one ``warning: ...`` line on
-stderr for each of two things: a run of fully missing slices that no
-window bridges, and a stop above its cost threshold, naming the threshold
-that stopped it.
+and exit nonzero; a missing directory for an output file is such an error,
+raised before any input is read.  A ``recover`` run prints one
+``warning: ...`` line on stderr for each of two things: a run of fully
+missing slices that no window bridges, and a stop above its cost threshold,
+naming the threshold that stopped it.  In-process callers of :func:`main`
+share one parser, built by the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import os
 import sys
 from dataclasses import replace
 
@@ -43,6 +47,16 @@ def _ints(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
 def _rank_sequences(text: str) -> tuple[tuple[int, ...], ...]:
@@ -194,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="absolute plateau threshold (default: 1e-6 x observed energy)")
     p.add_argument("--max-sweeps", type=int, default=None, help="total sweep budget")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", action="append", required=True,
                    help="output file; repeat to write several formats "
                         "(.ppm/.pgm clamped image, otherwise lossless HTEN)")
@@ -225,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None, help="number of missing slices")
     p.add_argument("--rect", action="append", type=_ints, default=None,
                    metavar="R0,C0,H,W", help="occlusion rectangle; repeatable")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", required=True, help=".pgm for 0/255 image masks, else HTEN")
     p.set_defaults(func=_cmd_mask)
 
@@ -252,16 +266,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--epsilon-rel", type=float, default=1e-8,
                    help="terminal threshold relative to observed energy")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", required=True, help="CSV of truth/observed/fills")
     p.set_defaults(func=_cmd_demo_signal)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call in a process, built by the first one."""
+    return build_parser()
+
+
+def _check_output_directories(args) -> None:
+    """Refuse an output path whose directory does not exist, before any input is read."""
+    outputs = getattr(args, "output", None)
+    paths = [("--output", path) for path in (outputs if isinstance(outputs, list) else [outputs])]
+    paths.append(("--trace-csv", getattr(args, "trace_csv", None)))
+    for flag, path in paths:
+        if path is not None:
+            directory = os.path.dirname(path) or "."
+            if not os.path.isdir(directory):
+                raise ValueError(f"{flag} {path}: directory {directory} does not exist")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        _check_output_directories(args)
         return args.func(args)
     except Exception as exc:  # one parsable line, nonzero exit
         print(f"error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Sequence
@@ -74,6 +75,17 @@ def duplication_counts(length: int, tau: int) -> np.ndarray:
     i = np.arange(1, length + 1, dtype=np.int64)
     counts = np.minimum(i, i[::-1])
     return np.minimum(counts, min(tau, length - tau + 1), out=counts)
+
+
+@functools.lru_cache
+def _counts(length: int, tau: int) -> np.ndarray:
+    """:func:`duplication_counts` as float64, made once per (length, tau), read-only.
+
+    Every fill of a run divides its map-back by the same counts.
+    """
+    counts = duplication_counts(length, tau).astype(np.float64)
+    counts.flags.writeable = False
+    return counts
 
 
 def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:
@@ -173,7 +185,7 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
             acc = np.zeros((pairs.shape[0], length, pairs.shape[3]))
             for a in range(tau):
                 acc[:, a:a + width] += pairs[:, a]
-            acc /= duplication_counts(length, tau).astype(np.float64)[:, None]
+            acc /= _counts(length, tau)[:, None]
             out = acc
         out = out.reshape(head + (length,) + tail)
     if np.may_share_memory(out, xh):
@@ -231,7 +243,7 @@ def _window_sum(core: np.ndarray, u_tau: np.ndarray, u_window: np.ndarray) -> np
     acc = np.convolve(*next(columns))
     for a, b in columns:
         acc += np.convolve(a, b)
-    acc /= duplication_counts(tau + width - 1, tau)
+    acc /= _counts(tau + width - 1, tau)
     return acc
 
 
@@ -264,7 +276,7 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
         kernel = _pair_matrix(u_tau, u_window)
         # a factor itself is K at a window of 1, where every count is 1
         if kernel is not u_tau and kernel is not u_window:
-            kernel /= duplication_counts(kernel.shape[0], u_tau.shape[0])[:, None]
+            kernel /= _counts(kernel.shape[0], u_tau.shape[0])[:, None]
         kernels.append(kernel)
     merged = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
                                 for n in range(0, core.ndim, 2)))

@@ -19,10 +19,16 @@ def apply_sign_convention(u: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is nonnegative.
 
     First occurrence wins on ties, which makes the output deterministic.
+    Returns a new float64 array; ``u`` is not changed.
     """
-    u = np.asarray(u, dtype=np.float64)
-    idx = np.abs(u).argmax(axis=0)
-    return u * np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    return _flip_signs(np.array(u, dtype=np.float64))
+
+
+def _flip_signs(u: np.ndarray) -> np.ndarray:
+    """:func:`apply_sign_convention` in place, on a float64 matrix the caller owns."""
+    peaks = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    u *= np.where(peaks < 0, -1.0, 1.0)
+    return u
 
 
 def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
@@ -66,4 +72,5 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
         u = vecs[:, ::-1][:, :r]
     else:
         u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
-    return apply_sign_convention(np.ascontiguousarray(u))
+    # both solvers return new arrays: flip the signs of ours, C-contiguous, in place
+    return _flip_signs(np.ascontiguousarray(u))

@@ -1,7 +1,16 @@
+import hashlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hankelfill import read_image, read_tensor, ssim_map, write_image, write_mask, write_tensor
+import hankelfill
+from hankelfill import (cli, read_image, read_tensor, ssim_map, write_image, write_mask,
+                        write_tensor)
 from hankelfill.cli import main
 from helpers import texture_image
 
@@ -325,6 +334,29 @@ class TestRecoverCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("flag", ["--trace-csv", "--output"])
+    def test_a_missing_output_directory_fails_before_any_work(self, tmp_path, capsys, flag):
+        data, mask = self.fixture_files(tmp_path)
+        out, trace = tmp_path / "o.hten", tmp_path / "t.csv"
+        missing = tmp_path / "nodir" / ("t.csv" if flag == "--trace-csv" else "o2.hten")
+        code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask",
+                                  str(mask), "--tau", "4,4,1", "--output", str(out),
+                                  "--trace-csv", str(trace), flag, str(missing))
+        assert code == 1
+        assert text == ""
+        assert err == (f"error: {flag} {missing}: directory {missing.parent} "
+                       f"does not exist\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "mask.pgm"]
+
+    def test_the_output_directory_is_checked_before_the_inputs_are_read(self, tmp_path,
+                                                                        capsys):
+        missing = tmp_path / "nodir" / "o.hten"
+        code, _, err = run_cli(capsys, "recover", "--input", str(tmp_path / "nope.ppm"),
+                               "--mask", str(tmp_path / "nope.pgm"), "--tau", "2,2,1",
+                               "--output", str(missing))
+        assert code == 1
+        assert err == f"error: --output {missing}: directory {missing.parent} does not exist\n"
+
 
 class TestDemoSignal:
     def test_csv_and_thresholds_at_defaults(self, tmp_path, capsys):
@@ -371,3 +403,122 @@ def test_unknown_flag_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["recover", "--bogus"])
     assert exc.value.code != 0
+
+
+@pytest.mark.parametrize("command", [
+    ["embed", "--input", "x.hten", "--tau", "2"],
+    ["mask", "--shape", "8,8", "--pattern", "random-voxel", "--fraction", "0.5"],
+    ["demo-signal"],
+])
+def test_every_command_checks_its_output_directory_first(tmp_path, capsys, command):
+    missing = tmp_path / "nodir" / "out"
+    code, text, err = run_cli(capsys, *command, "--output", str(missing))
+    assert code == 1
+    assert text == ""
+    assert err == f"error: --output {missing}: directory {missing.parent} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["recover", "--input", "x.hten", "--mask", "q.hten", "--tau", "4", "--output", "o.hten"],
+    ["mask", "--shape", "8,8", "--pattern", "random-voxel", "--fraction", "0.5",
+     "--output", "m.pgm"],
+    ["demo-signal", "--output", "demo.csv"],
+])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_a_parse_error(capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", seed])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument --seed: expected a nonnegative integer, got '{seed}'")
+
+
+class TestParserReuse:
+    """main() builds its parser on the first call and reuses it in every later one."""
+
+    def calls(self, d: Path) -> list[list[str]]:
+        data, mask = str(d / "s.hten"), str(d / "q.hten")
+        recover = ["recover", "--input", data, "--mask", mask, "--tau", "10"]
+        return [
+            recover + ["--ranks", "2,2", "--output", str(d / "a.hten")],
+            recover + ["--max-sweeps", "40", "--output", str(d / "b.hten")],
+            recover + ["--ranks", "2,3", "--output", str(d / "c.hten"),
+                       "--output", str(d / "c2.hten"), "--trace-csv", str(d / "c.csv")],
+            # were --output still [c.hten, c2.hten], both would be rewritten
+            recover + ["--ranks", "1,1", "--output", str(d / "d.hten")],
+            recover + ["--ranks", "2,2", "--bogus"],
+            recover + ["--output", str(d / "e.hten"), "--seed", "-1"],
+            ["recover", "--input", str(d / "nope.hten"), "--mask", mask, "--tau", "10",
+             "--output", str(d / "f.hten")],
+            recover + ["--ranks", "2,2", "--output", str(d / "g.hten")],
+            ["mask", "--shape", "12,12", "--pattern", "random-voxel", "--fraction", "0.5",
+             "--seed", "3", "--output", str(d / "m.pgm")],
+            ["mask", "--shape", "60", "--pattern", "slices", "--mode", "0", "--start", "5",
+             "--count", "4", "--output", str(d / "m.hten")],
+            ["metrics", "--ref", data, "--est", str(d / "a.hten"), "--psnr", "--snr",
+             "--peak", "1"],
+            ["metrics", "--ref", data, "--est", str(d / "a.hten"), "--snr"],
+        ]
+
+    def run_sequence(self, d: Path, capsys, fresh: bool) -> list:
+        """Per call: exit code, stdout less its wall time, stderr, digests of d's files."""
+        for path in d.iterdir():
+            if path.name not in ("s.hten", "q.hten"):
+                path.unlink()
+        results = []
+        for argv in self.calls(d):
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's way out
+                code = exc.code
+            captured = capsys.readouterr()
+            files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in sorted(d.iterdir())}
+            results.append((argv, code, re.sub(r"wall [0-9.]+s", "wall", captured.out),
+                            captured.err, files))
+        return results
+
+    def test_a_reused_parser_acts_as_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        q = np.ones(60, bool)
+        q[20:30] = False
+        write_tensor(tmp_path / "s.hten", np.sin(np.arange(60) / 4.0))
+        write_mask(tmp_path / "q.hten", q)
+        fresh = self.run_sequence(tmp_path, capsys, fresh=True)
+
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        reused = self.run_sequence(tmp_path, capsys, fresh=False)
+        assert len(builds) == 1
+        assert [r[1] for r in fresh] == [0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 0]
+        for want, got in zip(fresh, reused):
+            assert got == want
+        # the two-output call wrote two files that the one-output call left alone
+        files = fresh[3][4]
+        assert files["c.hten"] == files["c2.hten"] != files["d.hten"]
+        assert "c.hten" in fresh[2][4] and "d.hten" not in fresh[2][4]
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # a fresh interpreter, so that no earlier test has built the parser
+        probe = ("import argparse\n"
+                 "built = []\n"
+                 "init = argparse.ArgumentParser.__init__\n"
+                 "def counting(self, *a, **k):\n"
+                 "    built.append(1)\n"
+                 "    init(self, *a, **k)\n"
+                 "argparse.ArgumentParser.__init__ = counting\n"
+                 "import hankelfill.cli\n"
+                 "print(len(built), hankelfill.cli._parser.cache_info().currsize)\n")
+        src = str(Path(hankelfill.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from hankelfill import (duplication_counts, embedded_observed_energy, embedded_shape,
                         inverse_mdt, mdt, multilinear_product)
-from hankelfill.embedding import (_pair_matrix, duplication_weights, inverse_mdt_tucker,
-                                  mdt_mask)
+from hankelfill.embedding import (_counts, _pair_matrix, duplication_weights,
+                                  inverse_mdt_tucker, mdt_mask)
 from hankelfill.ranking import _checked_largest_array
 from helpers import delay_embed_vector, inverse_delay_embed_vector, traced_peak
 
@@ -65,6 +65,25 @@ class TestDuplicationCounts:
     def test_total_equals_embedded_size(self):
         for length, tau in [(7, 3), (10, 10), (6, 1)]:
             assert duplication_counts(length, tau).sum() == tau * (length - tau + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(length=st.integers(1, 60), data=st.data())
+    def test_every_call_returns_a_fresh_writable_array(self, length, data):
+        # the map-back divides by a memoised, read-only copy (_counts); the
+        # exported function must not hand that copy out
+        tau = data.draw(st.integers(1, length))
+        i = np.arange(1, length + 1)
+        expected = np.minimum(np.minimum(i, i[::-1]), min(tau, length - tau + 1))
+        first = duplication_counts(length, tau)
+        assert first.dtype == np.int64 and first.flags.writeable
+        first[:] = -1
+        second = duplication_counts(length, tau)
+        np.testing.assert_array_equal(second, expected)
+        shared = _counts(length, tau)
+        assert not shared.flags.writeable
+        assert shared.dtype == np.float64
+        np.testing.assert_array_equal(shared, expected)
+        assert not np.shares_memory(second, shared) and not np.shares_memory(first, second)
 
 
 class TestInverseDelayEmbedVector:

@@ -266,3 +266,81 @@ def test_tall_basis_is_orthonormal_and_captures_the_top_energy(case):
     sigma = np.linalg.svd(scaled, compute_uv=False)
     total = float(np.sum(sigma**2))
     assert abs(captured_energy(u, scaled) - float(np.sum(sigma[:r] ** 2))) <= 1e-12 * total
+
+
+# The formulas of the sign convention and of the dominant-subspace solve as
+# they stood before their wrappers were trimmed (one copy, the flips made in
+# place): the functions must still match them to the bit.
+def sign_convention_oracle(u):
+    u = np.asarray(u, dtype=np.float64)
+    idx = np.abs(u).argmax(axis=0)
+    return u * np.where(u[idx, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+
+
+def leading_singular_vectors_oracle(a, r):
+    a = np.asarray(a, dtype=np.float64)
+    rows, cols = a.shape
+    if rows <= cols:
+        _, vecs = np.linalg.eigh(a @ a.T)
+        u = vecs[:, ::-1][:, :r]
+    else:
+        u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
+    return sign_convention_oracle(np.ascontiguousarray(u))
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # tobytes() tells +0.0 from -0.0, which array_equal does not
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@st.composite
+def oddly_shaped_matrices(draw):
+    """Wide, tall or square; free, rank-deficient or tied in magnitude; C, F or strided.
+
+    Entries come from a small set with both signed zeros and equal magnitudes
+    of both signs, or from a Gaussian; a rank-deficient matrix copies or
+    zeroes columns; the layout is C-contiguous, Fortran (a transposed view)
+    or every other column of a wider array.
+    """
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["ties", "gaussian", "rank-deficient"]))
+    if kind == "ties":
+        picks = draw(st.lists(st.integers(0, 5), min_size=rows * cols, max_size=rows * cols))
+        a = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0])[picks].reshape(rows, cols)
+    else:
+        a = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, cols))
+    if kind == "rank-deficient":
+        for k in range(cols):
+            source = draw(st.integers(-1, k - 1))  # -1: zero the column
+            a[:, k] = a[:, source] if source >= 0 else -0.0
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        a = np.ascontiguousarray(a.T).T
+    elif layout == "strided":
+        wide = np.full((rows, 2 * cols), np.nan)
+        wide[:, ::2] = a
+        a = wide[:, ::2]
+    return a
+
+
+@settings(max_examples=400, deadline=None)
+@given(u=oddly_shaped_matrices())
+def test_sign_convention_matches_its_formula_to_the_bit(u):
+    before = u.copy()
+    got = apply_sign_convention(u)
+    assert_same_bits(got, sign_convention_oracle(u))
+    assert not np.shares_memory(got, u)
+    assert_same_bits(u, before)  # the input is left alone
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=oddly_shaped_matrices(), data=st.data())
+def test_leading_singular_vectors_match_their_formula_to_the_bit(a, data):
+    r = data.draw(st.integers(1, min(a.shape)))
+    before = a.copy()
+    got = leading_singular_vectors(a, r)
+    assert got.flags.c_contiguous
+    assert_same_bits(got, leading_singular_vectors_oracle(a, r))
+    assert_same_bits(a, before)
