@@ -36,9 +36,8 @@ from .embedding import embedded_shape, inverse_mdt, mdt
 from .fileio import _read_any, _write_any, read_mask, read_tensor, write_mask, write_tensor
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr
-from .pipeline import checked_embedded_shape, recover
-from .ranking import (SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                      default_stopping_criteria)
+from .pipeline import SCHEDULE_EXHAUSTED, SWEEP_BUDGET, checked_embedded_shape, recover
+from .ranking import RankSchedule, default_stopping_criteria
 from .signals import damped_sine, linear_interpolate_gaps
 
 
@@ -49,14 +48,21 @@ def _ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-        if seed >= 0:
-            return seed
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+def _integer_from(lowest: int, what: str):
+    """An argparse type: an integer of at least ``lowest``, else a usage error naming ``what``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= lowest:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_seed = _integer_from(0, "a nonnegative integer")
+_sweeps = _integer_from(1, "a positive integer")
 
 
 def _rank_sequences(text: str) -> tuple[tuple[int, ...], ...]:
@@ -73,10 +79,10 @@ def _write_trace_csv(path, trace, rank_history) -> None:
 
 
 def _cmd_recover(args) -> int:
-    data = _read_any(args.input)
-    mask = read_mask(args.mask, data_shape=data.shape)
     if args.ranks is not None and args.rank_seq is not None:
         raise ValueError("--ranks and --rank-seq are mutually exclusive")
+    data = _read_any(args.input)
+    mask = read_mask(args.mask, data_shape=data.shape)
     schedule = None
     if args.ranks is not None:
         schedule = args.ranks
@@ -207,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute terminal cost threshold (default: 1e-4 x observed energy)")
     p.add_argument("--tol", type=float, default=None,
                    help="absolute plateau threshold (default: 1e-6 x observed energy)")
-    p.add_argument("--max-sweeps", type=int, default=None, help="total sweep budget")
+    p.add_argument("--max-sweeps", type=_sweeps, default=None, help="total sweep budget")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", action="append", required=True,
                    help="output file; repeat to write several formats "

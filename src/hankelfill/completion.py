@@ -8,7 +8,7 @@ A fit alternates two steps until its cost F = ||H(y) - X||^2 stops moving:
    leading singular vectors of the unfolding, then refresh the core.
 
 Each step solves its subproblem globally, so F never increases; there is
-no step size to tune.  :func:`hankelfill.ranking.complete_with_rank_increment`
+no step size to tune.  :func:`hankelfill.pipeline.recover`
 drives these steps.  The mask enters only the fill, and F, summed over
 every entry, also counts how far the windows disagree on a missing entry;
 with windows of 1 it is the masked cost.  The ALS sweep and the mode
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import check_shape, is_unit_factor, mode_multiply, multilinear_product, unfold
-from .embedding import _pair_matrix
+from .embedding import _pair_matrix, duplication_weights, inverse_mdt_tucker
 from .linalg import complete_orthonormal_basis, leading_singular_vectors
 
 # (sweep index, squared-Frobenius cost) per outer iteration
@@ -66,7 +66,7 @@ def auxiliary_fill(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Observed entries from t, missing entries from the model reconstruction x.
 
     A new array; the sweep loop fills the input in place, which is this
-    fill when every window is 1 (see ``ranking._input_space_imputation``).
+    fill when every window is 1 (see :func:`_input_space_imputation`).
     Unused in the package; kept while ``perfbench/tracing.py`` traces it by name.
     """
     t = np.asarray(t)
@@ -208,3 +208,49 @@ def als_sweep(y: np.ndarray, model: TuckerModel) -> TuckerModel:
 
     core = _leave_one_out(np.asarray(y), factors, update)
     return TuckerModel(core, factors)
+
+
+def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
+    """The fill of one run, as ``impute(model) -> (y, F, e)``.
+
+    ``t`` and ``q`` are the input and its mask, ``taus`` the windows.  Each
+    call maps the model's embedded tensor X back, e = H^+ X, fills the input
+    y = where(q, t, e) in one input-sized buffer of the run and returns it,
+    with the cost F = ||H(y) - X||^2 and e in the input's shape; the ALS
+    sweep reads y, not H(y).  The y step is the least-squares fill of that
+    cost for a fixed X, since H^T H is the diagonal D of duplication counts;
+    so the loop is block-coordinate descent on F, and F never increases.
+
+    F takes no embedded-sized pass: with orthonormal factors ||X||^2 is the
+    core's squared norm, and H^T = D H^+, so
+    F = sum_observed D (t - e)^2 + (||core||^2 - sum D e^2).  The second
+    term is X's squared distance from the Hankel tensors, clamped at zero
+    against rounding.  At windows of 1, H is a reshape and every X is
+    Hankel, so the term is zero and F is the masked cost, to the rounding of
+    its own sum rather than of ||X||^2.  The map-back is
+    :func:`inverse_mdt_tucker`, which does not reconstruct the model.
+    Besides the map-back's own arrays, e among them, a call allocates
+    nothing: the run holds y, D and one input-sized scratch array.
+    """
+    weights = duplication_weights(t.shape, taus).ravel()
+    y = np.where(q, t, 0.0)
+    flat = y.reshape(-1)
+    sums = np.empty(y.size)
+    missing = ~q.ravel()
+    plain = all(tau == 1 for tau in taus)
+
+    def impute(model: TuckerModel):
+        # e is the map-back's own array; sums = H^T X = D e
+        e = inverse_mdt_tucker(model.core, model.factors).reshape(-1)
+        np.multiply(weights, e, out=sums)
+        np.copyto(flat, e, where=missing)
+        off_hankel = 0.0
+        if not plain:
+            core = model.core.reshape(-1)
+            off_hankel = max(float(core @ core - e @ sums), 0.0)
+        r = np.subtract(flat, e, out=sums)  # t - e where observed, e - e = +0 elsewhere
+        np.square(r, out=r)
+        value = float(r @ weights) + off_hankel
+        return y, value, e.reshape(t.shape)
+
+    return impute

@@ -43,15 +43,6 @@ def check_shape(dims: Iterable[int]) -> Shape:
     return shape
 
 
-def as_tensor(values) -> np.ndarray:
-    """Coerce input to a float64 dense tensor, rejecting NaN/Inf entries."""
-    t = np.asarray(values, dtype=np.float64)
-    check_shape(t.shape)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("tensor values must be finite (no NaN/Inf)")
-    return t
-
-
 def as_mask(flags) -> np.ndarray:
     """Coerce input to a boolean observation mask (True = observed)."""
     q = np.asarray(flags)

@@ -64,26 +64,20 @@ def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
     return tuple(embedded)
 
 
+@functools.lru_cache
 def duplication_counts(length: int, tau: int) -> np.ndarray:
-    """How many sliding windows cover each of the L positions.
+    """How many sliding windows cover each of the L positions, as read-only float64.
 
     Equals tau away from the margins and ramps down to 1 at both ends;
-    these are the diagonal entries of the duplication map's Gram matrix.
+    these are the diagonal entries of the duplication map's Gram matrix,
+    exact integers.  Made once per (length, tau): every fill of a run
+    divides its map-back by the same counts.
     """
     if not 1 <= tau <= length:
         raise ValueError(f"window tau={tau} out of range [1, {length}]")
-    i = np.arange(1, length + 1, dtype=np.int64)
+    i = np.arange(1, length + 1, dtype=np.float64)
     counts = np.minimum(i, i[::-1])
-    return np.minimum(counts, min(tau, length - tau + 1), out=counts)
-
-
-@functools.lru_cache
-def _counts(length: int, tau: int) -> np.ndarray:
-    """:func:`duplication_counts` as float64, made once per (length, tau), read-only.
-
-    Every fill of a run divides its map-back by the same counts.
-    """
-    counts = duplication_counts(length, tau).astype(np.float64)
+    np.minimum(counts, min(tau, length - tau + 1), out=counts)
     counts.flags.writeable = False
     return counts
 
@@ -185,7 +179,7 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
             acc = np.zeros((pairs.shape[0], length, pairs.shape[3]))
             for a in range(tau):
                 acc[:, a:a + width] += pairs[:, a]
-            acc /= _counts(length, tau)[:, None]
+            acc /= duplication_counts(length, tau)[:, None]
             out = acc
         out = out.reshape(head + (length,) + tail)
     if np.may_share_memory(out, xh):
@@ -243,7 +237,7 @@ def _window_sum(core: np.ndarray, u_tau: np.ndarray, u_window: np.ndarray) -> np
     acc = np.convolve(*next(columns))
     for a, b in columns:
         acc += np.convolve(a, b)
-    acc /= _counts(tau + width - 1, tau)
+    acc /= duplication_counts(tau + width - 1, tau)
     return acc
 
 
@@ -276,7 +270,7 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
         kernel = _pair_matrix(u_tau, u_window)
         # a factor itself is K at a window of 1, where every count is 1
         if kernel is not u_tau and kernel is not u_window:
-            kernel /= _counts(kernel.shape[0], u_tau.shape[0])[:, None]
+            kernel /= duplication_counts(kernel.shape[0], u_tau.shape[0])[:, None]
         kernels.append(kernel)
     merged = core.reshape(tuple(core.shape[n] * core.shape[n + 1]
                                 for n in range(0, core.ndim, 2)))

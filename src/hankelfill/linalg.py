@@ -16,16 +16,12 @@ import numpy as np
 
 
 def apply_sign_convention(u: np.ndarray) -> np.ndarray:
-    """Flip column signs so each column's largest-magnitude entry is nonnegative.
+    """Flip column signs in place so each column's largest-magnitude entry is nonnegative.
 
     First occurrence wins on ties, which makes the output deterministic.
-    Returns a new float64 array; ``u`` is not changed.
+    ``u`` is a float64 matrix the caller owns, changed and returned; a flip
+    multiplies by -1, so every magnitude keeps its bits.
     """
-    return _flip_signs(np.array(u, dtype=np.float64))
-
-
-def _flip_signs(u: np.ndarray) -> np.ndarray:
-    """:func:`apply_sign_convention` in place, on a float64 matrix the caller owns."""
     peaks = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
     u *= np.where(peaks < 0, -1.0, 1.0)
     return u
@@ -44,7 +40,7 @@ def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
         raise ValueError(f"cannot extend {u.shape} basis by {extra.shape} columns")
     if extra.shape[1] == 0:
         return u
-    q, _ = np.linalg.qr(np.hstack([u, extra]))
+    q, _ = np.linalg.qr(np.hstack([u, extra]))  # a new array: flip its columns in place
     return np.hstack([u, apply_sign_convention(q[:, have:])])
 
 
@@ -73,4 +69,4 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     else:
         u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
     # both solvers return new arrays: flip the signs of ours, C-contiguous, in place
-    return _flip_signs(np.ascontiguousarray(u))
+    return apply_sign_convention(np.ascontiguousarray(u))

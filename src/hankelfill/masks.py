@@ -101,7 +101,7 @@ def unbridged_gap(mask: np.ndarray, taus: Sequence[int]) -> tuple[int, int] | No
     Read from the mask alone (see :func:`longest_missing_runs`).  A run on a
     mode with window 1 is never bridged: nothing links the slices of that
     mode.  The input fill of the sweep loop
-    (:func:`hankelfill.ranking.complete_with_rank_increment`) bridges any
+    (:func:`hankelfill.pipeline.recover`) bridges any
     run on a mode with a longer window.  Ties go to the lowest mode; None
     when every run is bridged.
     """

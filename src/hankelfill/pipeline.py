@@ -4,32 +4,78 @@ The three steps are (1) multi-way delay embedding of the data, (2) Tucker
 completion of the embedded tensor by the rank-increment loop (fixed ranks
 are one-element rank sequences), and (3) the inverse embedding of the
 fitted model back to the input shape.  Step 2 imputes the input, not the
-embedded tensor: it fills the missing entries from the model's map-back
-and sweeps on the filled input's embedding, so every window agrees on a
-missing entry; the sweep reads the filled input and embeds one mode pair
-at a time, so steps 1 and 2 never build the embedded tensor.  Step 3 is
-the loop's last map-back of the model, which takes the Tucker model back
-directly (:func:`hankelfill.embedding.inverse_mdt_tucker`), so the
-completed embedded tensor is never built either.  Observed entries also pass
-through the model, so the output is everywhere the model's explanation of
-the data rather than a patchwork of input and fill.  :func:`recover` fills
-in the defaults and returns the loop's own
-:class:`~hankelfill.ranking.RecoveryReport`, which also names a run of
-fully missing slices that no window bridges
+embedded tensor: each sweep maps the model X back, e = H^+ X, fills the
+input's missing entries with it, y = where(q, t, e), and the next ALS sweep
+fits X to H(y) reading y itself (:func:`hankelfill.completion.als_sweep`).
+The cost is F = ||H(y) - X||^2, summed on input-sized arrays
+(:func:`hankelfill.completion._input_space_imputation`), so every window
+agrees on a missing entry and steps 1 and 2 never build the embedded
+tensor.  Step 3 is the loop's last map-back of the model, which takes the
+Tucker model back directly (:func:`hankelfill.embedding.inverse_mdt_tucker`),
+so the completed embedded tensor is never built either.  Observed entries
+also pass through the model, so the output is everywhere the model's
+explanation of the data rather than a patchwork of input and fill.  Plain
+Tucker completion of a tensor is the case of windows of 1, where H is a
+reshape and the fill is where(q, t, X).
+
+:func:`recover` is the package's only sweep loop.  When the cost plateaus
+it grows one mode's rank by the policy of :mod:`hankelfill.ranking`; a
+fixed-rank fit is a schedule of one-element sequences, which has nothing to
+grow, so a plateau ends it with status ``schedule_exhausted``.  Every run
+returns one :class:`RecoveryReport`, which also names a run of fully
+missing slices that no window bridges
 (:func:`hankelfill.masks.unbridged_gap`).
 """
 
 from __future__ import annotations
 
+import math
+import time
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import as_mask, as_tensor
+from .completion import CostTrace, TuckerModel, _input_space_imputation, als_sweep, init_model
 from .embedding import embedded_shape
-from .ranking import (RankSchedule, RecoveryReport, StoppingCriteria, _checked_largest_array,
-                      complete_with_rank_increment, default_rank_sequences,
-                      default_stopping_criteria)
+from .masks import unbridged_gap
+from .ranking import (RankSchedule, StoppingCriteria, _checked_largest_array, _growable,
+                      default_rank_sequences, default_stopping_criteria, mode_residuals,
+                      pad_model, select_increment_mode)
+
+# Terminal statuses of a run.
+CONVERGED = "converged"            # cost reached epsilon
+SCHEDULE_EXHAUSTED = "schedule_exhausted"  # every sequence at its last entry, epsilon not reached
+SWEEP_BUDGET = "sweep_budget"      # max_total_sweeps spent
+
+
+@dataclass
+class RecoveryReport:
+    """Outputs of one run of the sweep loop.
+
+    ``estimate`` is the last fill's map-back H^+ X, in the input's shape
+    (the model's before a pad that followed that fill, which leaves it
+    unchanged).  ``rank_history`` lists (sweep index at which an increment
+    fired, mode, new rank).  ``wall_time_s`` spans the whole call, from
+    entry to exit.  ``unbridged_gap`` is (mode, run length) of the longest
+    run of fully missing slices that no window bridges, or None (see
+    :func:`hankelfill.masks.unbridged_gap`); the fit then has nothing to say
+    about those slices, whatever its status.
+    """
+
+    model: TuckerModel
+    estimate: np.ndarray
+    cost_trace: CostTrace
+    rank_history: list[tuple[int, int, int]]
+    status: str
+    wall_time_s: float
+    unbridged_gap: tuple[int, int] | None
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The final model's ranks."""
+        return self.model.ranks
+
 
 def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> tuple[int, ...]:
     """The embedded shape under windows ``taus``, refused if that tensor exceeds the size cap."""
@@ -41,33 +87,102 @@ def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> tuple[i
 def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
             schedule: RankSchedule | Sequence[int] | None = None,
             criteria: StoppingCriteria | None = None, seed: int = 0) -> RecoveryReport:
-    """Run the full pipeline and return the estimate plus run diagnostics.
+    """Complete a tensor by Tucker fitting in embedded space with automatic rank growth.
 
-    ``taus`` holds one window per mode of ``data``.  ``schedule`` is a
-    :class:`RankSchedule` of embedded-space rank sequences, None for the
-    default doubling sequences, or a plain tuple of ints: fixed embedded
-    ranks, run as one-element sequences.  ``criteria`` defaults to
-    thresholds relative to the observed energy.  The report is the sweep
-    loop's (:func:`complete_with_rank_increment`); its wall time covers the
-    loop alone.  The estimate has the input shape and is guaranteed finite;
-    score it with :mod:`hankelfill.metrics`.  A run whose largest array
-    would be too large, or whose mask observes no entry, is rejected by the
-    sweep loop; observed data that are all zero give an all-zero estimate,
-    ``converged`` at sweep 0.
+    ``data`` and ``mask`` are the input t and its mask q, and ``taus`` one
+    window per input mode: the model X fits H(t), ``mdt`` with windows
+    ``taus``.  ``schedule`` covers the embedded modes: a
+    :class:`RankSchedule`, None for the default doubling sequences, or a
+    plain tuple of ints, fixed embedded ranks run as one-element sequences.
+    ``criteria`` defaults to thresholds relative to the observed energy
+    (:func:`default_stopping_criteria`).  Windows of 1 give plain Tucker
+    completion of t: embedded mode 2n + 1 is input mode n, the even modes
+    have size 1, and F is the masked cost ||q * (t - X)||^2.
+
+    Each sweep imputes the missing entries from the current model and runs
+    one :func:`als_sweep`; when two consecutive costs differ by at most
+    ``criteria.tol``, one mode's rank is advanced (see
+    :func:`select_increment_mode`) and the model is padded in place of a cold
+    restart.  Stops as soon as the cost is <= ``criteria.epsilon``,
+    returning status ``converged``; running out of rank headroom or sweeps
+    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
+    fit whose largest array at the final ranks is too large is refused
+    first.  A mask with no observed entry, a NaN or infinite observed value,
+    or a random start whose cost overflows float64, is a ValueError; a value
+    at a missing entry is never read.  All-zero observed data are fitted
+    exactly by the zero model, returned at sweep 0.  After these checks the
+    mask is read for a run of fully missing slices that no window bridges,
+    which the report names.
+
+    The report's ``estimate`` is the last fill's map-back e = H^+ X, in the
+    input's shape and guaranteed finite; score it with
+    :mod:`hankelfill.metrics`.  The cost trace spans the whole run and is
+    monotonically non-increasing, including across increments (padding
+    preserves the reconstruction).
     """
-    data = as_tensor(data)
-    mask = as_mask(mask)
-    if data.shape != mask.shape:
-        raise ValueError(f"data shape {data.shape} differs from mask shape {mask.shape}")
-    embedded = embedded_shape(data.shape, taus)
-    taus = embedded[::2]
-
-    criteria = criteria or default_stopping_criteria(data, mask, taus)
+    started = time.perf_counter()
+    t = np.asarray(data, dtype=np.float64)
+    q = np.asarray(mask, dtype=bool)
+    if t.shape != q.shape:
+        raise ValueError(f"data shape {t.shape} differs from mask shape {q.shape}")
+    shape = embedded_shape(t.shape, taus)
+    taus = shape[::2]
     if schedule is None:
-        schedule = default_rank_sequences(embedded)
+        schedule = default_rank_sequences(shape)
     elif not isinstance(schedule, RankSchedule):
         schedule = RankSchedule(tuple((r,) for r in schedule))
-    report = complete_with_rank_increment(data, mask, taus, schedule, criteria, seed=seed)
-    if not np.all(np.isfinite(report.estimate)):
+    if schedule.order != len(shape):
+        raise ValueError(f"schedule covers {schedule.order} modes, tensor has {len(shape)}")
+    for m, seq in enumerate(schedule.sequences):
+        if seq[-1] > shape[m]:
+            raise ValueError(f"mode {m} sequence tops out at {seq[-1]} but the mode "
+                             f"has size {shape[m]}")
+    _checked_largest_array(shape, [seq[-1] for seq in schedule.sequences])
+    if not q.any():
+        raise ValueError("the mask observes no entry: there is nothing to fit")
+    if not np.isfinite(t[q]).all():
+        raise ValueError("observed values must be finite (no NaN/Inf)")
+    if criteria is None:
+        criteria = default_stopping_criteria(t, q, taus)
+    gap = unbridged_gap(q, taus)
+
+    model = init_model(tuple(seq[0] for seq in schedule.sequences), shape, seed)
+    if not t[q].any():
+        model = TuckerModel(np.zeros_like(model.core), model.factors)
+    impute = _input_space_imputation(t, q, taus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, f_before, estimate = impute(model)
+    if not math.isfinite(f_before):  # the cost never increases: this covers every sweep
+        raise ValueError("the cost of the random start overflows float64; "
+                         "rescale the data")
+    trace: CostTrace = [(0, f_before)]
+    history: list[tuple[int, int, int]] = []
+    status = SWEEP_BUDGET
+    sweeps = range(1, criteria.max_total_sweeps + 1)
+    if f_before <= criteria.epsilon:
+        status, sweeps = CONVERGED, ()
+    pads = 0
+    for sweep in sweeps:
+        del estimate  # the sweep peaks without it; the next fill makes the next one
+        model = als_sweep(y, model)
+        y, f_after, estimate = impute(model)
+        trace.append((sweep, f_after))
+        if f_after <= criteria.epsilon:
+            status = CONVERGED
+            break
+        if abs(f_after - f_before) <= criteria.tol:
+            if not _growable(schedule, model.ranks):
+                status = SCHEDULE_EXHAUSTED
+                break
+            mode = select_increment_mode(mode_residuals(y, model), schedule, model.ranks)
+            new_rank = next(k for k in schedule.sequences[mode] if k > model.ranks[mode])
+            pads += 1
+            model = pad_model(model, mode, new_rank, seed=(seed, pads))
+            history.append((sweep, mode, new_rank))
+        # Padding leaves the reconstruction (hence the cost) unchanged, so the
+        # post-pad reference cost equals f_after either way.
+        f_before = f_after
+    if not np.all(np.isfinite(estimate)):
         raise RuntimeError("recovery produced non-finite values")
-    return report
+    return RecoveryReport(model, estimate, trace, history, status,
+                          time.perf_counter() - started, gap)

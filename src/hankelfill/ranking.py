@@ -1,54 +1,34 @@
-"""Rank-increment driver: grows multilinear ranks mode by mode.
+"""Rank-growth policy: schedules, stopping thresholds, and which mode grows.
 
 Fitting starts every mode at the first entry of its rank sequence (rank one
 under the default doubling sequences).  Whenever the cost plateaus, the
 mode whose projected residual is largest grows to the next entry of its
-sequence, the factor is padded with fresh orthonormal columns and the core
-with zeros (so the reconstruction is untouched), and sweeping resumes from
-that warm start.  The schedule is an immutable value: the model's ranks are
-the only record of how far each sequence has advanced.  The run stops when
-the cost drops below the noise threshold, the sequences are exhausted, or
-the sweep budget runs out.
-
-The loop fits the embedding H(t) of an input t with mask q, given one
-window per input mode, and imputes the input, not the embedded tensor: each
-sweep maps the model X back, e = H^+ X, fills the input's missing entries
-with it, y = where(q, t, e), and the next ALS sweep fits X to H(y) reading
-y itself.  The cost is F = ||H(y) - X||^2, summed on input-sized arrays
-(:func:`_input_space_imputation`).  The fill is input-sized, the ALS sweep
-and a plateau's mode ranking embed one mode pair at a time, and the
-map-back builds nothing embedded either, so a run holds no embedded-sized
-buffer.  Plain Tucker completion of a tensor is the case of
-windows of 1, where H is a reshape and the fill is where(q, t, X).
-
-This is the package's only sweep loop.  A fixed-rank fit is a schedule of
-one-element sequences: it has nothing to grow, so a plateau ends it with
-status ``schedule_exhausted``.  Every run, direct or through
-:func:`hankelfill.pipeline.recover`, returns one :class:`RecoveryReport`,
-which also names a run of fully missing slices that no window bridges.
+sequence (:func:`mode_residuals`, :func:`select_increment_mode`), the
+factor is padded with fresh orthonormal columns and the core with zeros
+(:func:`pad_model`, so the reconstruction is untouched), and sweeping
+resumes from that warm start.  The schedule is an immutable value: the
+model's ranks are the only record of how far each sequence has advanced.
+The run stops when the cost drops below the noise threshold, the sequences
+are exhausted, or the sweep budget runs out (:class:`StoppingCriteria`).
+The sweep loop that applies this policy is
+:func:`hankelfill.pipeline.recover`; the size guard that refuses a fit
+whose largest array is too large lives here too
+(:func:`_checked_largest_array`).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import check_shape, mode_multiply
-from .completion import CostTrace, TuckerModel, _leave_one_out, als_sweep, init_model
-from .embedding import (duplication_weights, embedded_observed_energy, embedded_shape,
-                        inverse_mdt_tucker)
+from .completion import TuckerModel, _leave_one_out
+from .embedding import embedded_observed_energy
 from .linalg import complete_orthonormal_basis
-from .masks import unbridged_gap
-
-# Terminal statuses of a rank-increment run.
-CONVERGED = "converged"            # cost reached epsilon
-SCHEDULE_EXHAUSTED = "schedule_exhausted"  # every sequence at its last entry, epsilon not reached
-SWEEP_BUDGET = "sweep_budget"      # max_total_sweeps spent
 
 # Stopping thresholds as fractions of the observed energy, used when the
 # caller does not supply absolute values.
@@ -297,170 +277,3 @@ def pad_model(model: TuckerModel, mode: int, new_rank: int, seed) -> TuckerModel
     pad_shape[mode] = new_rank - r_old
     core = np.concatenate([model.core, np.zeros(pad_shape)], axis=mode)
     return TuckerModel(core, factors)
-
-
-@dataclass
-class RecoveryReport:
-    """Outputs of one run of the sweep loop.
-
-    ``estimate`` is the last fill's map-back H^+ X, in the input's shape
-    (the model's before a pad that followed that fill, which leaves it
-    unchanged).  ``rank_history`` lists (sweep index at which an increment
-    fired, mode, new rank).  ``wall_time_s`` spans the loop from entry to
-    exit.  ``unbridged_gap`` is (mode, run length) of the longest run of
-    fully missing slices that no window bridges, or None (see
-    :func:`hankelfill.masks.unbridged_gap`); the fit then has nothing to say
-    about those slices, whatever its status.
-    """
-
-    model: TuckerModel
-    estimate: np.ndarray
-    cost_trace: CostTrace
-    rank_history: list[tuple[int, int, int]]
-    status: str
-    wall_time_s: float
-    unbridged_gap: tuple[int, int] | None
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        """The final model's ranks."""
-        return self.model.ranks
-
-
-def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
-    """The fill of one run, as ``impute(model) -> (y, F, e)``.
-
-    ``t`` and ``q`` are the input and its mask, ``taus`` the windows.  Each
-    call maps the model's embedded tensor X back, e = H^+ X, fills the input
-    y = where(q, t, e) in one input-sized buffer of the run and returns it,
-    with the cost F = ||H(y) - X||^2 and e in the input's shape; the ALS
-    sweep reads y, not H(y).  The y step is the least-squares fill of that
-    cost for a fixed X, since H^T H is the diagonal D of duplication counts;
-    so the loop is block-coordinate descent on F, and F never increases.
-
-    F takes no embedded-sized pass: with orthonormal factors ||X||^2 is the
-    core's squared norm, and H^T = D H^+, so
-    F = sum_observed D (t - e)^2 + (||core||^2 - sum D e^2).  The second
-    term is X's squared distance from the Hankel tensors, clamped at zero
-    against rounding.  At windows of 1, H is a reshape and every X is
-    Hankel, so the term is zero and F is the masked cost, to the rounding of
-    its own sum rather than of ||X||^2.  The map-back is
-    :func:`inverse_mdt_tucker`, which does not reconstruct the model.
-    Besides the map-back's own arrays, e among them, a call allocates
-    nothing: the run holds y, D and one input-sized scratch array.
-    """
-    weights = duplication_weights(t.shape, taus).ravel()
-    y = np.where(q, t, 0.0)
-    flat = y.reshape(-1)
-    sums = np.empty(y.size)
-    missing = ~q.ravel()
-    plain = all(tau == 1 for tau in taus)
-
-    def impute(model: TuckerModel):
-        # e is the map-back's own array; sums = H^T X = D e
-        e = inverse_mdt_tucker(model.core, model.factors).reshape(-1)
-        np.multiply(weights, e, out=sums)
-        np.copyto(flat, e, where=missing)
-        off_hankel = 0.0
-        if not plain:
-            core = model.core.reshape(-1)
-            off_hankel = max(float(core @ core - e @ sums), 0.0)
-        r = np.subtract(flat, e, out=sums)  # t - e where observed, e - e = +0 elsewhere
-        np.square(r, out=r)
-        value = float(r @ weights) + off_hankel
-        return y, value, e.reshape(t.shape)
-
-    return impute
-
-
-def complete_with_rank_increment(t: np.ndarray, q: np.ndarray, taus: Sequence[int],
-                                 schedule: RankSchedule, criteria: StoppingCriteria,
-                                 seed=0) -> RecoveryReport:
-    """Complete a tensor by Tucker fitting in embedded space with automatic rank growth.
-
-    ``t`` and ``q`` are the input and its mask, and ``taus`` one window per
-    input mode: the model X fits H(t), ``mdt`` with windows ``taus``, and
-    ``schedule`` covers its embedded modes.  Each sweep imputes the input
-    (see :func:`_input_space_imputation`), so the cost is
-    F = ||H(y) - X||^2, which also counts the disagreement of the model's
-    windows on the missing entries.  Windows of 1 give plain Tucker
-    completion of ``t``: embedded mode 2n + 1 is input mode n, the even
-    modes have size 1, and F is the masked cost ||q * (t - X)||^2.
-
-    Each sweep imputes the missing entries from the current model and runs
-    one :func:`als_sweep`; when two consecutive costs differ by at most
-    ``criteria.tol``, one mode's rank is advanced (see
-    :func:`select_increment_mode`) and the model is padded in place of a cold
-    restart.  Stops as soon as the cost is <= ``criteria.epsilon``,
-    returning status ``converged``; running out of rank headroom or sweeps
-    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
-    q with no observed entry, a NaN or infinite observed value, or a random
-    start whose cost overflows float64, is a ValueError; all-zero observed
-    data are fitted exactly by the zero model, returned at sweep 0.  The
-    report's ``estimate`` is the last fill's map-back e = H^+ X.  A fit whose
-    largest array at the final ranks is too large is refused first.  After
-    these checks the mask is read for a run of fully missing slices that no
-    window bridges (:func:`hankelfill.masks.unbridged_gap`), which the
-    report names.
-
-    The cost trace spans the whole run and is monotonically non-increasing,
-    including across increments (padding preserves the reconstruction).
-    """
-    started = time.perf_counter()
-    t = np.asarray(t, dtype=np.float64)
-    q = np.asarray(q, dtype=bool)
-    if t.shape != q.shape:
-        raise ValueError(f"data shape {t.shape} differs from mask shape {q.shape}")
-    shape = embedded_shape(t.shape, taus)
-    if schedule.order != len(shape):
-        raise ValueError(f"schedule covers {schedule.order} modes, tensor has {len(shape)}")
-    for m, seq in enumerate(schedule.sequences):
-        if seq[-1] > shape[m]:
-            raise ValueError(f"mode {m} sequence tops out at {seq[-1]} but the mode "
-                             f"has size {shape[m]}")
-    _checked_largest_array(shape, [seq[-1] for seq in schedule.sequences])
-    if not q.any():
-        raise ValueError("the mask observes no entry: there is nothing to fit")
-    if not np.isfinite(t[q]).all():
-        raise ValueError("observed values must be finite (no NaN/Inf)")
-    gap = unbridged_gap(q, taus)
-
-    model = init_model(tuple(seq[0] for seq in schedule.sequences), shape, seed)
-    if not t[q].any():
-        model = TuckerModel(np.zeros_like(model.core), model.factors)
-    impute = _input_space_imputation(t, q, taus)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, f_before, estimate = impute(model)
-    if not math.isfinite(f_before):  # the cost never increases: this covers every sweep
-        raise ValueError("the cost of the random start overflows float64; "
-                         "rescale the data")
-    trace: CostTrace = [(0, f_before)]
-    history: list[tuple[int, int, int]] = []
-    if f_before <= criteria.epsilon:
-        return RecoveryReport(model, estimate, trace, history, CONVERGED,
-                              time.perf_counter() - started, gap)
-
-    status = SWEEP_BUDGET
-    pads = 0
-    for sweep in range(1, criteria.max_total_sweeps + 1):
-        del estimate  # the sweep peaks without it; the next fill makes the next one
-        model = als_sweep(y, model)
-        y, f_after, estimate = impute(model)
-        trace.append((sweep, f_after))
-        if f_after <= criteria.epsilon:
-            status = CONVERGED
-            break
-        if abs(f_after - f_before) <= criteria.tol:
-            if not _growable(schedule, model.ranks):
-                status = SCHEDULE_EXHAUSTED
-                break
-            mode = select_increment_mode(mode_residuals(y, model), schedule, model.ranks)
-            new_rank = next(k for k in schedule.sequences[mode] if k > model.ranks[mode])
-            pads += 1
-            model = pad_model(model, mode, new_rank, seed=(seed, pads))
-            history.append((sweep, mode, new_rank))
-        # Padding leaves the reconstruction (hence the cost) unchanged, so the
-        # post-pad reference cost equals f_after either way.
-        f_before = f_after
-    return RecoveryReport(model, estimate, trace, history, status,
-                          time.perf_counter() - started, gap)

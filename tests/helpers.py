@@ -6,14 +6,13 @@ import tracemalloc
 
 import numpy as np
 
-from hankelfill import (RankSchedule, StoppingCriteria, TuckerModel, als_sweep,
-                        complete_with_rank_increment, duplication_counts,
-                        embedded_observed_energy, embedded_shape, init_model, mode_multiply,
-                        mode_residuals, multilinear_product, unfold)
-from hankelfill.core import is_unit_factor
+from hankelfill import RankSchedule, StoppingCriteria, TuckerModel, embedded_shape, recover
+from hankelfill.completion import als_sweep, init_model
+from hankelfill.core import is_unit_factor, mode_multiply, multilinear_product, unfold
+from hankelfill.embedding import duplication_counts, embedded_observed_energy
 from hankelfill.linalg import complete_orthonormal_basis, leading_singular_vectors
 from hankelfill.metrics import K1, K2, SIGMA, WINDOW
-from hankelfill.ranking import DEFAULT_MAX_TOTAL_SWEEPS
+from hankelfill.ranking import DEFAULT_MAX_TOTAL_SWEEPS, mode_residuals
 
 
 def random_orthonormal(rng, rows, cols):
@@ -38,8 +37,7 @@ def plain_loop(t, q, schedule, criteria, seed=0):
     mapped back onto them.
     """
     embedded = RankSchedule(tuple(s for seq in schedule.sequences for s in ((1,), seq)))
-    result = complete_with_rank_increment(t, q, (1,) * np.ndim(t), embedded, criteria,
-                                          seed=seed)
+    result = recover(t, q, (1,) * np.ndim(t), embedded, criteria, seed=seed)
     history = [(sweep, mode // 2, rank) for sweep, mode, rank in result.rank_history]
     return dataclasses.replace(result, model=plain_model(result.model), rank_history=history)
 

@@ -190,6 +190,61 @@ class TestRecoverCommand:
         assert code == 1
         assert "mutually exclusive" in err
 
+    def test_ranks_and_rank_seq_conflict_is_found_before_the_inputs_are_read(self, tmp_path,
+                                                                              capsys):
+        code, text, err = run_cli(
+            capsys, "recover", "--input", str(tmp_path / "nope.hten"),
+            "--mask", str(tmp_path / "nope.hten"), "--tau", "4",
+            "--ranks", "1,1", "--rank-seq", "1;1", "--output", str(tmp_path / "o.hten"))
+        assert code == 1
+        assert text == ""
+        assert err == "error: --ranks and --rank-seq are mutually exclusive\n"
+
+    @pytest.mark.parametrize("sweeps", ["0", "-3", "1.5"])
+    def test_a_sweep_budget_below_one_is_a_parse_error(self, tmp_path, capsys, sweeps):
+        # checked before any file is read: the input here does not exist
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--input", str(tmp_path / "nope.hten"), "--mask",
+                  str(tmp_path / "nope.hten"), "--tau", "4", "--max-sweeps", sweeps,
+                  "--output", str(tmp_path / "o.hten")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            f"error: argument --max-sweeps: expected a positive integer, got '{sweeps}'")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_value_at_a_missing_entry_is_never_read(self, tmp_path, capsys, bad):
+        # an HTEN input may hold NaN or Inf where the mask is 0: the run,
+        # its estimate and its trace are those with 0 there
+        signal = np.sin(0.3 * np.arange(60.0))
+        observed = np.ones(60, bool)
+        observed[25:31] = False
+        write_mask(tmp_path / "q.hten", observed)
+        runs = []
+        for fill in (0.0, bad, "observed"):
+            data = np.where(observed, signal, 0.0 if fill == "observed" else fill)
+            if fill == "observed":
+                data[3] = bad
+            write_tensor(tmp_path / "v.hten", data)
+            out, trace = tmp_path / f"o{len(runs)}.hten", tmp_path / f"t{len(runs)}.csv"
+            code, text, err = run_cli(capsys, "recover", "--input", str(tmp_path / "v.hten"),
+                                      "--mask", str(tmp_path / "q.hten"), "--tau", "12",
+                                      "--output", str(out), "--trace-csv", str(trace))
+            runs.append((code, re.sub(r"wall \S+", "", text), err, out, trace))
+        (code0, text0, err0, out0, trace0), (code1, text1, err1, out1, trace1) = runs[:2]
+        assert code0 == code1 == 0
+        assert text1 == text0 and "status converged" in text0
+        assert err1 == err0
+        assert out1.read_bytes() == out0.read_bytes()
+        assert trace1.read_text() == trace0.read_text()
+        code, text, err, out, _ = runs[2]
+        assert code == 1
+        assert text == ""
+        assert err == "error: observed values must be finite (no NaN/Inf)\n"
+        assert not out.exists()
+
     def test_absolute_epsilon_override(self, tmp_path, capsys):
         # a huge absolute threshold is met by the rank-one initialization
         data, mask = self.fixture_files(tmp_path)

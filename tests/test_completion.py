@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hankelfill import (SWEEP_BUDGET, StoppingCriteria, TuckerModel, apply_sign_convention,
-                        init_model, mode_multiply)
-from hankelfill.completion import auxiliary_fill, cost
+from hankelfill import SWEEP_BUDGET, StoppingCriteria, TuckerModel
+from hankelfill.completion import auxiliary_fill, cost, init_model
+from hankelfill.core import mode_multiply
+from hankelfill.linalg import apply_sign_convention
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, masked_cost,
                      orthonormality_defect, plain_als_sweep, planted_tucker, random_mask,
                      random_orthonormal)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hankelfill import (as_mask, as_tensor, check_shape, mode_multiply, multilinear_product,
-                        unfold)
+from hankelfill.core import as_mask, check_shape, mode_multiply, multilinear_product, unfold
 from helpers import fold, planted_tucker, random_orthonormal
 
 
@@ -21,10 +20,6 @@ class TestShapeAndConstruction:
     def test_check_shape_rejects_overflow(self):
         with pytest.raises(ValueError, match="overflow"):
             check_shape((2**31, 2**31, 2**31))
-
-    def test_as_tensor_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            as_tensor([1.0, np.nan, 3.0])
 
     def test_as_mask_from_zero_one(self):
         q = as_mask([[0, 1], [1, 0]])

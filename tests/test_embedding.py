@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (duplication_counts, embedded_observed_energy, embedded_shape,
-                        inverse_mdt, mdt, multilinear_product)
-from hankelfill.embedding import (_counts, _pair_matrix, duplication_weights,
-                                  inverse_mdt_tucker, mdt_mask)
+from hankelfill import embedded_shape, inverse_mdt, mdt
+from hankelfill.core import multilinear_product
+from hankelfill.embedding import (_pair_matrix, duplication_counts, duplication_weights,
+                                  embedded_observed_energy, inverse_mdt_tucker, mdt_mask)
 from hankelfill.ranking import _checked_largest_array
 from helpers import delay_embed_vector, inverse_delay_embed_vector, traced_peak
 
@@ -68,22 +68,18 @@ class TestDuplicationCounts:
 
     @settings(max_examples=200, deadline=None)
     @given(length=st.integers(1, 60), data=st.data())
-    def test_every_call_returns_a_fresh_writable_array(self, length, data):
-        # the map-back divides by a memoised, read-only copy (_counts); the
-        # exported function must not hand that copy out
+    def test_counts_are_made_once_as_read_only_exact_floats(self, length, data):
+        # every fill divides its map-back by the same counts: one memoised
+        # float64 array per (length, tau), which no caller may change
         tau = data.draw(st.integers(1, length))
         i = np.arange(1, length + 1)
         expected = np.minimum(np.minimum(i, i[::-1]), min(tau, length - tau + 1))
-        first = duplication_counts(length, tau)
-        assert first.dtype == np.int64 and first.flags.writeable
-        first[:] = -1
-        second = duplication_counts(length, tau)
-        np.testing.assert_array_equal(second, expected)
-        shared = _counts(length, tau)
-        assert not shared.flags.writeable
-        assert shared.dtype == np.float64
-        np.testing.assert_array_equal(shared, expected)
-        assert not np.shares_memory(second, shared) and not np.shares_memory(first, second)
+        counts = duplication_counts(length, tau)
+        assert counts.dtype == np.float64 and not counts.flags.writeable
+        np.testing.assert_array_equal(counts, expected)
+        assert duplication_counts(length, tau) is counts
+        with pytest.raises(ValueError, match="read-only"):
+            counts[0] = -1
 
 
 class TestInverseDelayEmbedVector:

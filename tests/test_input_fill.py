@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel, complete_with_rank_increment,
-                        default_rank_sequences, embedded_shape, init_model, inverse_mdt, mdt)
-from hankelfill import ranking
+                        StoppingCriteria, TuckerModel, default_rank_sequences, embedded_shape,
+                        inverse_mdt, mdt, recover)
+from hankelfill import completion, pipeline
+from hankelfill.completion import init_model
 from helpers import in_copies, traced_peak
 
 
@@ -64,12 +65,12 @@ def run(case):
             return models[-1]
         return wrapped
 
-    saved = ranking.init_model, ranking.als_sweep
-    ranking.init_model, ranking.als_sweep = map(recording, saved)
+    saved = pipeline.init_model, pipeline.als_sweep
+    pipeline.init_model, pipeline.als_sweep = map(recording, saved)
     try:
-        result = complete_with_rank_increment(t, q, taus, schedule, criteria, seed=seed)
+        result = recover(t, q, taus, schedule, criteria, seed=seed)
     finally:
-        ranking.init_model, ranking.als_sweep = saved
+        pipeline.init_model, pipeline.als_sweep = saved
     assert len(models) == len(result.cost_trace)
     return t, q, result, models
 
@@ -152,7 +153,7 @@ def test_the_fill_is_the_least_squares_fill_for_a_fixed_model(case, data_):
     embedded = embedded_shape(shape, taus)
     ranks = tuple(data_.draw(st.integers(1, j)) for j in embedded)
     model = init_model(ranks, embedded, seed)
-    filled, value, e = ranking._input_space_imputation(t, q, taus)(model)
+    filled, value, e = completion._input_space_imputation(t, q, taus)(model)
     x = model.reconstruct()
     y = np.where(q, t, inverse_mdt(x))
     scale = max(1.0, np.abs(x).max())
@@ -201,9 +202,9 @@ def growing_run(shape, taus):
     t = rng.standard_normal(shape)
     q = rng.random(shape) >= 0.3
     energy = float(t[q] @ t[q])
-    return complete_with_rank_increment(t, q, taus,
-                                        default_rank_sequences(embedded_shape(shape, taus)),
-                                        StoppingCriteria(0.0, 1e-2 * energy, 12), seed=0)
+    return recover(t, q, taus,
+                   default_rank_sequences(embedded_shape(shape, taus)),
+                   StoppingCriteria(0.0, 1e-2 * energy, 12), seed=0)
 
 
 @pytest.mark.parametrize("shape, taus", [((12, 9), (4, 3)), ((40, 40), (10, 10))],
@@ -230,7 +231,7 @@ def test_a_signal_fill_holds_a_small_part_of_an_embedded_copy(ranks):
     rng = np.random.default_rng(4)
     t = rng.standard_normal(shape)
     q = rng.random(shape) >= 0.2
-    impute, setup = traced_peak(lambda: ranking._input_space_imputation(t, q, taus))
+    impute, setup = traced_peak(lambda: completion._input_space_imputation(t, q, taus))
     assert in_copies(setup, shape, taus) < 0.25
     model = init_model(ranks, embedded_shape(shape, taus), seed=0)
     _, call = traced_peak(lambda: impute(model))
@@ -242,8 +243,8 @@ def test_all_zero_observed_data_converge_at_sweep_zero():
     t[2:4] = 5.0  # missing, so never read
     q = np.ones(t.shape, bool)
     q[2:4] = False
-    result = complete_with_rank_increment(t, q, (4, 3), default_rank_sequences((4, 7, 3, 4)),
-                                          StoppingCriteria(0.0, 0.0))
+    result = recover(t, q, (4, 3), default_rank_sequences((4, 7, 3, 4)),
+                     StoppingCriteria(0.0, 0.0))
     assert result.cost_trace == [(0, 0.0)]
     assert not result.model.core.any()
 
@@ -251,11 +252,11 @@ def test_all_zero_observed_data_converge_at_sweep_zero():
 def test_schedule_is_checked_against_the_embedded_shape():
     t, q = np.ones((10, 6)), np.ones((10, 6), bool)
     with pytest.raises(ValueError, match="schedule covers 2 modes, tensor has 4"):
-        complete_with_rank_increment(t, q, (4, 3), default_rank_sequences((10, 6)),
-                                     StoppingCriteria(0.0, 0.0))
+        recover(t, q, (4, 3), default_rank_sequences((10, 6)),
+                StoppingCriteria(0.0, 0.0))
     with pytest.raises(ValueError, match="mode 1 sequence tops out at 8"):
-        complete_with_rank_increment(t, q, (4, 3), RankSchedule(((1,), (8,), (1,), (1,))),
-                                     StoppingCriteria(0.0, 0.0))
+        recover(t, q, (4, 3), RankSchedule(((1,), (8,), (1,), (1,))),
+                StoppingCriteria(0.0, 0.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -267,10 +268,10 @@ def test_a_non_finite_observed_value_is_one_error(bad):
     q = np.ones(40, bool)
     q[20:25] = False
     t[22] = bad
-    result = complete_with_rank_increment(t, q, (8,), default_rank_sequences((8, 33)),
-                                          StoppingCriteria(0.0, 0.0, 5))
+    result = recover(t, q, (8,), default_rank_sequences((8, 33)),
+                     StoppingCriteria(0.0, 0.0, 5))
     assert np.isfinite(result.estimate).all()
     t[3] = bad
     with pytest.raises(ValueError, match=r"observed values must be finite \(no NaN/Inf\)"):
-        complete_with_rank_increment(t, q, (8,), default_rank_sequences((8, 33)),
-                                     StoppingCriteria(0.0, 0.0, 5))
+        recover(t, q, (8,), default_rank_sequences((8, 33)),
+                StoppingCriteria(0.0, 0.0, 5))

@@ -122,7 +122,7 @@ class TestApplySignConvention:
         rng = np.random.default_rng(6)
         u = random_orthonormal(rng, 5, 3)
         once = apply_sign_convention(u)
-        np.testing.assert_array_equal(apply_sign_convention(once), once)
+        np.testing.assert_array_equal(apply_sign_convention(once.copy()), once)
 
 
 class TestCompleteOrthonormalBasis:
@@ -328,11 +328,10 @@ def oddly_shaped_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(u=oddly_shaped_matrices())
 def test_sign_convention_matches_its_formula_to_the_bit(u):
-    before = u.copy()
+    want = sign_convention_oracle(u)
     got = apply_sign_convention(u)
-    assert_same_bits(got, sign_convention_oracle(u))
-    assert not np.shares_memory(got, u)
-    assert_same_bits(u, before)  # the input is left alone
+    assert got is u  # flipped in place, whatever the layout
+    assert_same_bits(got, want)
 
 
 @settings(max_examples=400, deadline=None)

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hankelfill import (TuckerModel, als_sweep, embedded_shape, init_model, mdt,
-                        mode_multiply, mode_residuals, multilinear_product, unfold)
+from hankelfill import TuckerModel, embedded_shape, mdt
 from hankelfill import completion, core, ranking
+from hankelfill.completion import als_sweep, init_model
+from hankelfill.core import mode_multiply, multilinear_product, unfold
+from hankelfill.ranking import mode_residuals
 from hankelfill.linalg import complete_orthonormal_basis, leading_singular_vectors
 from helpers import (embedded_als_sweep, embedded_mode_residuals, fold, plain_als_sweep,
                      plain_mode_residuals)

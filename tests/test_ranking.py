@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel, als_sweep, complete_with_rank_increment,
-                        default_rank_sequences, default_stopping_criteria, embedded_shape,
-                        init_model, pad_model, select_increment_mode)
+                        StoppingCriteria, TuckerModel, default_rank_sequences,
+                        default_stopping_criteria, embedded_shape, recover)
 from hankelfill import completion, ranking
-from hankelfill.ranking import _checked_largest_array
+from hankelfill.completion import als_sweep, init_model
+from hankelfill.ranking import _checked_largest_array, pad_model, select_increment_mode
 from helpers import (is_non_increasing, orthonormality_defect, plain_loop,
                      plain_mode_residuals, planted_tucker, random_mask, relative_criteria,
                      traced_peak)
@@ -321,7 +321,7 @@ def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
     q = rng.random(shape) >= 0.3
     assume(q.any())
     # a model seed apart from the data's: on one entry the same draws fit exactly
-    result, sizes = recorded_sizes(lambda: complete_with_rank_increment(
+    result, sizes = recorded_sizes(lambda: recover(
         t, q, taus, RankSchedule(tuple((r,) for r in ranks)), StoppingCriteria(0.0, 0.0, 1),
         seed=seed + 1))
     assert result.cost_trace[-1][0] == 1
@@ -398,7 +398,7 @@ def test_the_guard_counts_the_factor_matrices_and_allocates_nothing():
     def refused():
         with pytest.raises(ValueError, match="factor matrix of 1599920001 elements "
                                              r"\(39999 x 39999 on mode 1\)"):
-            complete_with_rank_increment(t, q, (2,), schedule, StoppingCriteria(0.0, 0.0))
+            recover(t, q, (2,), schedule, StoppingCriteria(0.0, 0.0))
 
     _, peak = traced_peak(refused)
     assert peak < 100_000

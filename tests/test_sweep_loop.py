@@ -2,7 +2,7 @@
 padding, memory, and reconstruct counts.
 
 Fixed ranks are one-element rank sequences, so every fit in the package runs
-through ``complete_with_rank_increment``; the properties of its cost trace
+through ``recover``; the properties of its cost trace
 and rank events over random inputs, windows and schedules are in
 ``test_input_fill.py``.
 """
@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel, default_rank_sequences, init_model,
-                        pad_model, recover)
-from hankelfill import ranking
+                        StoppingCriteria, TuckerModel, default_rank_sequences, recover)
+from hankelfill import pipeline
+from hankelfill.completion import init_model
+from hankelfill.ranking import pad_model
 from helpers import in_copies, masked_cost, plain_loop, texture_image, traced_peak
 
 
@@ -58,12 +59,12 @@ def run(case):
             return models[-1]
         return wrapped
 
-    saved = ranking.init_model, ranking.als_sweep
-    ranking.init_model, ranking.als_sweep = map(recording, saved)
+    saved = pipeline.init_model, pipeline.als_sweep
+    pipeline.init_model, pipeline.als_sweep = map(recording, saved)
     try:
         result = plain_loop(t, q, schedule, criteria, seed=seed)
     finally:
-        ranking.init_model, ranking.als_sweep = saved
+        pipeline.init_model, pipeline.als_sweep = saved
     return t, q, result, models
 
 
