@@ -1,16 +1,20 @@
 """Orthonormal bases, deterministic by construction: dominant subspaces and new columns.
 
-:func:`leading_singular_vectors` takes one decomposition per call.  A wide
-matrix (J <= K) takes the eigendecomposition of its J x J Gram matrix A A^T:
-mode sizes in this package are window lengths, so J stays small while K can
-be the product of every other mode.  A tall matrix (J > K), what the updates
-of a delay-embedded vector or a heavily projected mode see, takes one thin
-SVD, orthonormal as LAPACK returns it, also where A is rank-deficient.
+:func:`leading_singular_vectors` takes at most one decomposition per call.
+A single column, what every update of a rank-one model sees, is divided by
+its norm without one.  A wide matrix (J <= K) takes the eigendecomposition
+of its J x J Gram matrix A A^T: mode sizes in this package are window
+lengths, so J stays small while K can be the product of every other mode.
+A tall matrix (J > K), what the updates of a delay-embedded vector or a
+heavily projected mode see, takes one thin SVD, orthonormal as LAPACK
+returns it, also where A is rank-deficient.
 :func:`complete_orthonormal_basis` makes every new factor column (random
 start, rank padding, rank above an update's width) with one QR.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,11 +52,18 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal J x r basis of the dominant left singular subspace of a J x K matrix.
 
     Maximizes the captured energy ||U^T A||_F^2 over all rank-r orthonormal
-    bases.  Wide and square inputs take the top eigenvectors of A A^T; tall
-    ones the first r left singular vectors of a thin SVD, which span the
-    rank-deficient directions too.  Near-degenerate singular values are taken
-    as the solver returns them; the caller gets a valid dominant subspace
-    either way.  Columns follow :func:`apply_sign_convention`.
+    bases.  A single column (K = 1) is its own direction: it is divided by
+    its signed largest-magnitude entry, which makes that entry exactly 1 so
+    nothing overflows or underflows, then by the norm of the result, then
+    flipped if its first largest-magnitude entry is negative; a zero column
+    gives e_0, as LAPACK's SVD does.  Wide and square inputs take the
+    top eigenvectors of A A^T, formed again from A divided by a power of two
+    near its largest magnitude where the Gram's diagonal leaves float64's
+    normal range or its eigensolve does not converge; tall ones the first r left singular vectors of a thin
+    SVD, which span the rank-deficient directions too.  Near-degenerate
+    singular values are taken as the solver returns them; the caller gets a
+    valid dominant subspace either way.  Columns follow
+    :func:`apply_sign_convention`.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -63,8 +74,33 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
 
+    if cols == 1:
+        column = a[:, 0]
+        peak = column[np.abs(column).argmax()]
+        if peak == 0:  # +0.0 or -0.0 throughout
+            return np.eye(rows, 1)
+        u = column / peak
+        u /= math.sqrt(u @ u)
+        # the division can round an earlier entry of just below the peak's
+        # magnitude up to a tie with it: the sign convention on one column
+        if u[np.abs(u).argmax()] < 0:
+            np.negative(u, out=u)
+        return u.reshape(rows, 1)
     if rows <= cols:
-        _, vecs = np.linalg.eigh(a @ a.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = a @ a.T
+        vecs = None
+        # The largest squared row norm may be tiny or overflowed (an inf - inf
+        # off the diagonal needs an overflowed square on it); and where LAPACK
+        # rescales a Gram of far-apart magnitudes itself, it may not converge.
+        if 2.0**-1000 <= gram.diagonal().max() < math.inf:
+            try:
+                _, vecs = np.linalg.eigh(gram)
+            except np.linalg.LinAlgError:
+                pass
+        if vecs is None:  # scale A by 2^-e, exactly, with its largest magnitude in [2^(e-1), 2^e)
+            a = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
+            _, vecs = np.linalg.eigh(a @ a.T)
         u = vecs[:, ::-1][:, :r]
     else:
         u = np.linalg.svd(a, full_matrices=False)[0][:, :r]

@@ -108,8 +108,10 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
     fit whose largest array at the final ranks is too large is refused
     first.  A mask with no observed entry, a NaN or infinite observed value,
-    or a random start whose cost overflows float64, is a ValueError; a value
-    at a missing entry is never read.  All-zero observed data are fitted
+    nonzero observed data whose largest magnitude is below 2^-511 (about
+    1.5e-154, whose square is not a normal float64), or a random start whose
+    cost overflows float64, is a ValueError; a value at a missing entry is
+    never read.  All-zero observed data are fitted
     exactly by the zero model, returned at sweep 0.  After these checks the
     mask is read for a run of fully missing slices that no window bridges,
     which the report names.
@@ -140,14 +142,20 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     _checked_largest_array(shape, [seq[-1] for seq in schedule.sequences])
     if not q.any():
         raise ValueError("the mask observes no entry: there is nothing to fit")
-    if not np.isfinite(t[q]).all():
+    peak = float(np.abs(t[q]).max())  # NaN if any observed value is NaN
+    if not math.isfinite(peak):
         raise ValueError("observed values must be finite (no NaN/Inf)")
+    if 0 < peak < 2.0**-511:
+        # its square is not a normal float64: the energy, the thresholds and
+        # the cost would all read 0, and any estimate would pass as converged
+        raise ValueError(f"the observed energy of the data underflows float64 (largest "
+                         f"observed magnitude {peak:.3g}, below 2^-511); rescale the data")
     if criteria is None:
         criteria = default_stopping_criteria(t, q, taus)
     gap = unbridged_gap(q, taus)
 
     model = init_model(tuple(seq[0] for seq in schedule.sequences), shape, seed)
-    if not t[q].any():
+    if not peak:
         model = TuckerModel(np.zeros_like(model.core), model.factors)
     impute = _input_space_imputation(t, q, taus)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -334,6 +334,25 @@ class TestRecoverCommand:
         assert err.rstrip().endswith("rescale the data")
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_energy_underflow_is_one_error_line(self, tmp_path, capsys, scale):
+        # the estimate of a sine at 1e-170 once came back about 2e6 times
+        # the data's peak, with status converged and every threshold at 0.0
+        data, mask = tmp_path / "v.hten", tmp_path / "q.hten"
+        observed = np.ones(200, bool)
+        observed[80:110] = False
+        write_tensor(data, scale * np.sin(np.arange(200) / 5.0))
+        write_mask(mask, observed)
+        out = tmp_path / "o.hten"
+        code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask",
+                                  str(mask), "--tau", "50", "--output", str(out))
+        assert code == 1
+        assert text == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the observed energy of the data underflows float64")
+        assert err.rstrip().endswith("rescale the data")
+        assert not out.exists()
+
     def test_empty_mask_is_an_error(self, tmp_path, capsys):
         data, _ = self.fixture_files(tmp_path)
         mask = tmp_path / "none.pgm"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hankelfill import SWEEP_BUDGET, StoppingCriteria, TuckerModel
-from hankelfill.completion import auxiliary_fill, cost, init_model
+from hankelfill import SWEEP_BUDGET, StoppingCriteria, TuckerModel, mdt
+from hankelfill.completion import als_sweep, auxiliary_fill, cost, init_model
 from hankelfill.core import mode_multiply
 from hankelfill.linalg import apply_sign_convention
 from helpers import (fixed_rank_fit, initial_cost, is_non_increasing, masked_cost,
@@ -245,3 +245,27 @@ def test_reconstruction_invariant_under_orthogonal_rotation():
     rotated = TuckerModel(mode_multiply(model.core, rot, 1),
                           [model.factors[0], model.factors[1] @ rot.T, model.factors[2]])
     np.testing.assert_allclose(rotated.reconstruct(), model.reconstruct(), atol=1e-10)
+
+
+@pytest.mark.parametrize("shape, taus", [((60,), (20,)), ((12, 10), (4, 3))])
+def test_a_rank_one_sweep_is_one_power_step(shape, taus):
+    # At ranks (1, ..., 1) each factor update is one step of the higher-order
+    # power method on Z = H(y): u_m is Z contracted with every other factor,
+    # those before m already updated, over its norm; the core is, up to sign,
+    # the norm of the last contraction. On an order-1 input, u0 ~ Z u1 (the
+    # start's u1), u1 ~ Z^T u0 and |core| = ||Z^T u0||.
+    y = np.random.default_rng(26).standard_normal(shape)
+    z = mdt(y, taus)
+    model = init_model((1,) * z.ndim, z.shape, seed=27)
+    swept = als_sweep(y, model)
+    factors = [u[:, 0] for u in model.factors]
+    for m in range(z.ndim):
+        v = z
+        for k in reversed(range(z.ndim)):  # from the last mode, so the indexes hold
+            if k != m:
+                v = np.tensordot(v, factors[k], axes=([k], [0]))
+        u = swept.factors[m][:, 0]
+        direction = v / np.linalg.norm(v)
+        assert np.abs(u - np.sign(u @ v) * direction).max() <= 1e-13
+        factors[m] = u
+    assert abs(abs(swept.core.item()) - np.linalg.norm(v)) <= 1e-13 * np.linalg.norm(v)

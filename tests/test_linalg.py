@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hankelfill.linalg import (apply_sign_convention, complete_orthonormal_basis,
@@ -97,6 +99,24 @@ class TestLeadingSingularVectors:
         a = np.random.default_rng(8).standard_normal(shape)
         leading_singular_vectors(a, 2)
         assert calls == [solver]
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    def test_a_single_column_calls_no_solver(self, monkeypatch, rows):
+        calls = []
+        for name in ("svd", "eigh", "qr"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name, **kw: calls.append(name))
+        u = leading_singular_vectors(np.random.default_rng(8).standard_normal((rows, 1)), 1)
+        assert calls == []
+        assert u.shape == (rows, 1)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 1e-300, 1e300])
+    def test_a_wide_matrix_at_an_extreme_scale_gives_the_unscaled_basis(self, scale):
+        # A A^T of these entries under- or overflows float64
+        a = np.random.default_rng(12).standard_normal((3, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = leading_singular_vectors(scale * a, 2)
+        np.testing.assert_allclose(u, leading_singular_vectors(a, 2), rtol=0, atol=1e-12)
 
     def test_r_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -268,9 +288,105 @@ def test_tall_basis_is_orthonormal_and_captures_the_top_energy(case):
     assert abs(captured_energy(u, scaled) - float(np.sum(sigma[:r] ** 2))) <= 1e-12 * total
 
 
+@st.composite
+def wide_matrices(draw):
+    """J x K with J <= K, as the sweep's updates on window modes see them.
+
+    Rows may be zero or copies of earlier ones (rank-deficient), and each is
+    scaled by a power of ten in [1e-300, 1e300], so A A^T may under- or
+    overflow float64.
+    """
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(max(rows, 2), 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((rows, cols))
+    for k in range(rows):
+        kind = draw(st.sampled_from(["random", "zero", "copy"]))
+        if kind == "zero":
+            a[k] = 0.0
+        elif kind == "copy" and k:
+            a[k] = a[draw(st.integers(0, k - 1))]
+    a *= 10.0 ** np.array(draw(st.lists(st.integers(-300, 300), min_size=rows,
+                                        max_size=rows)), dtype=np.float64)[:, None]
+    return a, draw(st.integers(1, rows))
+
+
+def far_apart_rows():
+    """A Gram with entries from about 1e236 down to subnormal: LAPACK's own
+    rescaling of it does not converge."""
+    a = np.random.default_rng(0).standard_normal((7, 7))
+    a[0] *= 1e-183
+    a[6] *= 1e118
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=wide_matrices())
+@example(case=(far_apart_rows(), 1))
+def test_wide_basis_is_orthonormal_and_captures_the_top_energy(case):
+    a, r = case
+    u = leading_singular_vectors(a, r)
+    assert u.shape == (a.shape[0], r)
+    assert orthonormality_defect(u) <= 1e-12
+    # energies of a / max|a|, so squares of 1e300 entries do not overflow
+    scaled = a / max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
+    sigma = np.linalg.svd(scaled, compute_uv=False)
+    total = float(np.sum(sigma**2))
+    assert abs(captured_energy(u, scaled) - float(np.sum(sigma[:r] ** 2))) <= 1e-12 * total
+
+
+@st.composite
+def single_columns(draw):
+    """A J x 1 matrix: Gaussian, tied in magnitude or zero of either sign; C or strided.
+
+    The column is scaled by 10^k, k in [-300, 300].
+    """
+    rows = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["gaussian", "ties", "zero", "negative-zero"]))
+    if kind == "gaussian":
+        column = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(rows)
+    elif kind == "ties":
+        picks = draw(st.lists(st.integers(0, 4), min_size=rows, max_size=rows))
+        column = np.array([0.0, -0.0, 1.0, -1.0, 0.5])[picks]
+    else:
+        column = np.full(rows, 0.0 if kind == "zero" else -0.0)
+    column *= 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):  # every other column of a wider array
+        wide = np.full((rows, 2), np.nan)
+        wide[:, 0] = column
+        return wide[:, ::2]
+    return column.reshape(rows, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=single_columns())
+# dividing by the norm rounds the first entry up to a tie with the peak
+@example(a=np.array([[-np.nextafter(1.0, 0.0)], [1.0], [0.5]]))
+def test_a_single_column_is_the_svds_unit_column(a):
+    before = a.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = leading_singular_vectors(a, 1)
+        svd = apply_sign_convention(np.linalg.svd(a, full_matrices=False)[0].copy())
+    assert u.shape == a.shape and u.flags.c_contiguous
+    assert_same_bits(a, before)
+    if not a.any():  # 0.0 or -0.0 throughout
+        assert_same_bits(u, np.eye(a.shape[0], 1))
+    magnitudes = np.abs(u[:, 0])
+    assert u[magnitudes.argmax(), 0] >= 0
+    if np.count_nonzero(magnitudes >= (1 - 1e-15) * magnitudes.max()) > 1:
+        # a peak tied to rounding: the SVD's rounding decides which entry its
+        # sign convention reads, so its column may come out negated
+        svd *= np.sign(svd[magnitudes.argmax()])
+    assert np.abs(u - svd).max() <= 1e-15
+    assert abs(float(np.linalg.norm(u)) - 1.0) <= 1e-15
+
+
 # The formulas of the sign convention and of the dominant-subspace solve as
 # they stood before their wrappers were trimmed (one copy, the flips made in
-# place): the functions must still match them to the bit.
+# place), with a single column's closed form (divided by its signed peak, then
+# by its norm, then the sign convention; e_0 for a zero column) in place of
+# its SVD: the functions must still match them to the bit.
 def sign_convention_oracle(u):
     u = np.asarray(u, dtype=np.float64)
     idx = np.abs(u).argmax(axis=0)
@@ -280,6 +396,13 @@ def sign_convention_oracle(u):
 def leading_singular_vectors_oracle(a, r):
     a = np.asarray(a, dtype=np.float64)
     rows, cols = a.shape
+    if cols == 1:
+        column = a[:, 0]
+        peak = column[np.abs(column).argmax()]
+        if peak == 0:
+            return np.eye(rows, 1)
+        u = column / peak
+        return sign_convention_oracle((u / np.linalg.norm(u)).reshape(rows, 1))
     if rows <= cols:
         _, vecs = np.linalg.eigh(a @ a.T)
         u = vecs[:, ::-1][:, :r]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -171,6 +172,31 @@ class TestRecover:
             warnings.simplefilter("error")  # no RuntimeWarning on the way
             with pytest.raises(ValueError, match="overflows float64; rescale the data"):
                 recover(**req)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    @pytest.mark.parametrize("criteria", [None, StoppingCriteria(0, 0, 2000)],
+                             ids=["default", "explicit"])
+    def test_data_whose_squares_underflow_are_one_error(self, scale, criteria):
+        # every square underflows, so the energy, both thresholds and the cost
+        # would read 0 and any estimate would pass as converged
+        truth, req = small_signal_request(criteria=criteria)
+        req["data"] = scale * truth
+        peak = np.abs(req["data"][req["mask"]]).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"underflows float64 (largest observed magnitude {peak:.3g}, "
+                    f"below 2^-511); rescale the data")):
+                recover(**req)
+
+    def test_small_data_above_the_underflow_bound_still_run(self):
+        truth, req = small_signal_request()
+        req["data"] = 1e-150 * truth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = recover(**req)
+        assert report.status == CONVERGED
+        assert np.abs(report.estimate - req["data"]).max() <= 0.05 * 1e-150
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differs"):
