@@ -14,7 +14,8 @@ format is detected from the file contents on read and from the extension
 (.ppm/.pgm/.hten) on write.  All randomness is seeded: identical flags give
 bit-identical outputs.  Errors print a single ``error: ...`` line on stderr
 and exit nonzero; a missing directory for an output file is such an error,
-raised before any input is read.  A ``recover`` run prints one
+raised before any input is read, as is an image output for a shape no image
+holds, raised as soon as the shape is known.  A ``recover`` run prints one
 ``warning: ...`` line on stderr for each of two things: a run of fully
 missing slices that no window bridges, and a stop above its cost threshold,
 naming the threshold that stopped it.  In-process callers of :func:`main`
@@ -33,7 +34,8 @@ from dataclasses import replace
 import numpy as np
 
 from .embedding import embedded_shape, inverse_mdt, mdt
-from .fileio import _read_any, _write_any, read_mask, read_tensor, write_mask, write_tensor
+from .fileio import (_image_magic, _is_image_path, _read_any, _write_any, read_mask,
+                     read_tensor, write_mask, write_tensor)
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr
 from .pipeline import SCHEDULE_EXHAUSTED, SWEEP_BUDGET, checked_embedded_shape, recover
@@ -82,6 +84,8 @@ def _cmd_recover(args) -> int:
     if args.ranks is not None and args.rank_seq is not None:
         raise ValueError("--ranks and --rank-seq are mutually exclusive")
     data = _read_any(args.input)
+    if any(map(_is_image_path, args.output)):  # before the fit, not after it
+        _image_magic(data.shape)
     mask = read_mask(args.mask, data_shape=data.shape)
     schedule = None
     if args.ranks is not None:
@@ -126,6 +130,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    if _is_image_path(args.output):
+        _image_magic(args.shape)
     xh = read_tensor(args.input)
     expected = embedded_shape(args.shape, args.tau)
     if xh.shape != expected:

@@ -188,23 +188,17 @@ def als_sweep(y: np.ndarray, model: TuckerModel) -> TuckerModel:
     ``model`` fits H(y); its factor rows give the windows.  Every factor is
     updated once, then the core.  Mode m's update projects H(y) onto all
     other (already updated) factors and keeps the top-R_m left singular
-    vectors of the mode-m unfolding, completed by identity columns where R_m
-    exceeds the projected width; modes of size 1 keep their identity
-    factor.  The residual ||H(y) - reconstruction||^2 never increases.  The
-    projections come from y through one chain (:func:`_leave_one_out`),
-    whose last product is the core; the embedded tensor is never built.
+    vectors of the mode-m unfolding (:func:`leading_singular_vectors`, which
+    completes them where R_m exceeds the projected width); modes of size 1
+    keep their identity factor.  The residual ||H(y) - reconstruction||^2
+    never increases.  The projections come from y through one chain
+    (:func:`_leave_one_out`), whose last product is the core; the embedded
+    tensor is never built.
     """
     factors = list(model.factors)
 
     def update(m, p):
-        flat = unfold(p, m)
-        # A rank above the projected width (possible right after an increment,
-        # while the other modes are still small) adds columns orthogonal to the
-        # data; complete the basis deterministically, the energy is unchanged.
-        rank = model.ranks[m]
-        r_eff = min(rank, flat.shape[1])
-        factors[m] = complete_orthonormal_basis(leading_singular_vectors(flat, r_eff),
-                                                np.eye(flat.shape[0], rank - r_eff))
+        factors[m] = leading_singular_vectors(unfold(p, m), model.ranks[m])
 
     core = _leave_one_out(np.asarray(y), factors, update)
     return TuckerModel(core, factors)

@@ -9,8 +9,8 @@ HTEN layout (all integers little-endian):
     rest        prod(dims) float64 values, first index varying fastest
 
 Images are 8-bit binary P5 (grayscale, HxW) or P6 (color, HxWx3); pixel
-values are promoted to float64 on read and clamped-rounded to [0, 255] on
-write.  Masks ride either format: nonzero means observed.
+values v are read as float64 v * 255 / maxval and written clamped-rounded to
+[0, 255] under maxval 255.  Masks ride either format: nonzero means observed.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 def read_image(path) -> np.ndarray:
     """Read a binary PGM (P5) or PPM (P6) file into a float64 tensor.
 
-    P5 yields shape (H, W); P6 yields (H, W, 3).
+    P5 yields shape (H, W); P6 yields (H, W, 3).  A pixel value v reads as
+    v * 255 / maxval (white is 255 at any maxval); one above maxval is an error.
     """
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0)
@@ -79,9 +80,20 @@ def read_image(path) -> np.ndarray:
         raise ValueError(f"truncated payload: expected {width * height * channels} bytes, "
                          f"got {len(payload)}")
     data = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+    if maxval != _IMAGE_MAXVAL:
+        if data.max() > maxval:
+            raise ValueError(f"pixel value {data.max():.0f} exceeds maxval {maxval}")
+        data = data * _IMAGE_MAXVAL / maxval
     if channels == 1:
         return data.reshape(height, width)
     return data.reshape(height, width, 3)
+
+
+def _image_magic(shape) -> bytes:
+    """P5 for an HxW shape tuple, P6 for HxWx3, else a ValueError (the CLI checks early)."""
+    if len(shape) == 2 or shape[2:] == (3,):
+        return b"P5" if len(shape) == 2 else b"P6"
+    raise ValueError(f"cannot write shape {shape} as an image (want HxW or HxWx3)")
 
 
 def write_image(path, t: np.ndarray) -> None:
@@ -90,15 +102,8 @@ def write_image(path, t: np.ndarray) -> None:
     Values are rounded to the nearest integer and clamped to [0, 255].
     """
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim == 2:
-        magic = b"P5"
-        height, width = t.shape
-    elif t.ndim == 3 and t.shape[2] == 3:
-        magic = b"P6"
-        height, width = t.shape[:2]
-    else:
-        raise ValueError(f"cannot write shape {t.shape} as an image "
-                         "(want HxW or HxWx3)")
+    magic = _image_magic(t.shape)
+    height, width = t.shape[:2]
     pixels = np.clip(np.rint(t), 0, _IMAGE_MAXVAL).astype(np.uint8)
     header = magic + b"\n" + f"{width} {height}\n{_IMAGE_MAXVAL}\n".encode("ascii")
     Path(path).write_bytes(header + pixels.tobytes())

@@ -1,13 +1,14 @@
 """Orthonormal bases, deterministic by construction: dominant subspaces and new columns.
 
-:func:`leading_singular_vectors` takes at most one decomposition per call.
-A single column, what every update of a rank-one model sees, is divided by
-its norm without one.  A wide matrix (J <= K) takes the eigendecomposition
-of its J x J Gram matrix A A^T: mode sizes in this package are window
-lengths, so J stays small while K can be the product of every other mode.
-A tall matrix (J > K), what the updates of a delay-embedded vector or a
-heavily projected mode see, takes one thin SVD, orthonormal as LAPACK
-returns it, also where A is rank-deficient.
+:func:`leading_singular_vectors` is the whole factor update of the ALS
+sweep: one range rule (a power-of-two prescale of a matrix whose largest
+magnitude is outside [2^-100, 2^100]), then at most one
+decomposition.  A single column, what every update of a rank-one model
+sees, is divided by its norm without one.  A wide matrix (J <= K) takes
+the eigendecomposition of its J x J Gram matrix A A^T: mode sizes in this
+package are window lengths, so J stays small while K can be the product of
+every other mode.  A tall matrix (J > K) takes one thin SVD, orthonormal
+as LAPACK returns it, also where A is rank-deficient.
 :func:`complete_orthonormal_basis` makes every new factor column (random
 start, rank padding, rank above an update's width) with one QR.
 """
@@ -38,6 +39,7 @@ def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
     :func:`apply_sign_convention`, follow u unchanged.  They are orthonormal
     and orthogonal to u even where ``extra`` is rank-deficient or lies in
     u's span, and depend only on the inputs.  Zero extra columns return u.
+    Callers: ``init_model``, ``pad_model`` and :func:`leading_singular_vectors`.
     """
     rows, have = u.shape
     if extra.shape[0] != rows or have + extra.shape[1] > rows:
@@ -51,58 +53,48 @@ def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
 def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal J x r basis of the dominant left singular subspace of a J x K matrix.
 
-    Maximizes the captured energy ||U^T A||_F^2 over all rank-r orthonormal
-    bases.  A single column (K = 1) is its own direction: it is divided by
-    its signed largest-magnitude entry, which makes that entry exactly 1 so
-    nothing overflows or underflows, then by the norm of the result, then
-    flipped if its first largest-magnitude entry is negative; a zero column
-    gives e_0, as LAPACK's SVD does.  Wide and square inputs take the
-    top eigenvectors of A A^T, formed again from A divided by a power of two
-    near its largest magnitude where the Gram's diagonal leaves float64's
-    normal range or its eigensolve does not converge; tall ones the first r left singular vectors of a thin
-    SVD, which span the rank-deficient directions too.  Near-degenerate
-    singular values are taken as the solver returns them; the caller gets a
-    valid dominant subspace either way.  Columns follow
-    :func:`apply_sign_convention`.
+    Maximizes ||U^T A||_F^2 over orthonormal J x r bases, r in [1, J].  One
+    range rule: A whose largest magnitude is nonzero and outside
+    [2^-100, 2^100] is divided by a power of two near it (exact but where an
+    entry turns subnormal), so no solve under- or overflows and LAPACK never
+    rescales; A inside keeps its bits.  A single column (K = 1) is divided by its signed largest-magnitude
+    entry, then by the norm of the result, then flipped if its first
+    largest-magnitude entry is negative; a zero column gives e_0, as LAPACK's
+    SVD does.  Wide and square A take the top eigenvectors of A A^T, tall A
+    a thin SVD, which spans its rank-deficient directions too; near-degenerate
+    singular values are taken as the solver returns them.  Columns follow
+    :func:`apply_sign_convention`.  A rank above K adds columns orthogonal to
+    A's: :func:`complete_orthonormal_basis` of identity columns.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    if a.ndim != 2 or 0 in a.shape:
+        raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     rows, cols = a.shape
-    if not 1 <= r <= min(rows, cols):
-        raise ValueError(f"r={r} out of range [1, {min(rows, cols)}] for shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not 1 <= r <= rows:
+        raise ValueError(f"r={r} out of range [1, {rows}] for shape {a.shape}")
+    largest = max(float(a.max()), -float(a.min()))  # NaN if any entry is; no |a| temporary
+    if not largest < math.inf:
         raise ValueError("matrix has non-finite entries")
-
+    if largest and not 2.0**-100 <= largest <= 2.0**100:  # largest into [1/2, 1)
+        a = np.ldexp(a, -math.frexp(largest)[1])
     if cols == 1:
         column = a[:, 0]
         peak = column[np.abs(column).argmax()]
         if peak == 0:  # +0.0 or -0.0 throughout
-            return np.eye(rows, 1)
-        u = column / peak
-        u /= math.sqrt(u @ u)
-        # the division can round an earlier entry of just below the peak's
-        # magnitude up to a tie with it: the sign convention on one column
-        if u[np.abs(u).argmax()] < 0:
-            np.negative(u, out=u)
-        return u.reshape(rows, 1)
-    if rows <= cols:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = a @ a.T
-        vecs = None
-        # The largest squared row norm may be tiny or overflowed (an inf - inf
-        # off the diagonal needs an overflowed square on it); and where LAPACK
-        # rescales a Gram of far-apart magnitudes itself, it may not converge.
-        if 2.0**-1000 <= gram.diagonal().max() < math.inf:
-            try:
-                _, vecs = np.linalg.eigh(gram)
-            except np.linalg.LinAlgError:
-                pass
-        if vecs is None:  # scale A by 2^-e, exactly, with its largest magnitude in [2^(e-1), 2^e)
-            a = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
-            _, vecs = np.linalg.eigh(a @ a.T)
-        u = vecs[:, ::-1][:, :r]
+            u = np.eye(rows, 1)
+        else:
+            u = column / peak
+            u /= math.sqrt(u @ u)
+            # the division can round an earlier entry of just below the peak's
+            # magnitude up to a tie with it: the sign convention on one column
+            if u[np.abs(u).argmax()] < 0:
+                np.negative(u, out=u)
+            u = u.reshape(rows, 1)
     else:
-        u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
-    # both solvers return new arrays: flip the signs of ours, C-contiguous, in place
-    return apply_sign_convention(np.ascontiguousarray(u))
+        if rows <= cols:
+            u = np.linalg.eigh(a @ a.T)[1][:, ::-1][:, :r]
+        else:
+            u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
+        # both solvers return new arrays: flip the signs of ours, C-contiguous, in place
+        u = apply_sign_convention(np.ascontiguousarray(u))
+    return u if r <= cols else complete_orthonormal_basis(u, np.eye(rows, r - cols))

@@ -98,6 +98,17 @@ class TestEmbedInvert:
             assert err.startswith("error:")
             assert not (tmp_path / "b.hten").exists()
 
+    def test_invert_checks_an_image_output_against_shape_before_reading(self, tmp_path,
+                                                                        capsys):
+        # the input does not exist: the shape alone decides
+        code, text, err = run_cli(capsys, "invert", "--input", str(tmp_path / "none.hten"),
+                                  "--shape", "9,7,2", "--tau", "4,3,1",
+                                  "--output", str(tmp_path / "b.ppm"))
+        assert code == 1
+        assert text == ""
+        assert err == "error: cannot write shape (9, 7, 2) as an image (want HxW or HxWx3)\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_embed_over_the_embedded_cap_is_an_error(self, tmp_path, capsys):
         # 20000 x 20001 = 400M embedded elements, twice the cap recover uses
         src = tmp_path / "v.hten"
@@ -421,6 +432,22 @@ class TestRecoverCommand:
         assert err == (f"error: {flag} {missing}: directory {missing.parent} "
                        f"does not exist\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["img.ppm", "mask.pgm"]
+
+    def test_an_image_output_of_a_shape_no_image_holds_fails_before_the_fit(
+            self, tmp_path, capsys, monkeypatch):
+        data, mask = tmp_path / "s.hten", tmp_path / "q.hten"
+        write_tensor(data, np.sin(np.arange(200) / 7.0))
+        write_mask(mask, np.arange(200) % 9 != 4)
+        fits = []
+        monkeypatch.setattr(cli, "recover", lambda *args, **kwargs: fits.append(args))
+        code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask",
+                                  str(mask), "--tau", "50", "--output",
+                                  str(tmp_path / "a.hten"), "--output", str(tmp_path / "b.pgm"))
+        assert code == 1
+        assert text == ""
+        assert err == "error: cannot write shape (200,) as an image (want HxW or HxWx3)\n"
+        assert fits == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["q.hten", "s.hten"]
 
     def test_the_output_directory_is_checked_before_the_inputs_are_read(self, tmp_path,
                                                                         capsys):

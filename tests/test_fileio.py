@@ -65,6 +65,25 @@ class TestImages:
         with pytest.raises(ValueError, match="maxval"):
             read_image(path)
 
+    @pytest.mark.parametrize("maxval", [1, 7, 15, 100])
+    def test_a_low_maxval_is_mapped_onto_0_to_255(self, tmp_path, maxval):
+        # white reads 255 at any maxval, and a written copy keeps its brightness
+        v = np.random.default_rng(maxval).integers(0, maxval + 1, (32, 32, 3))
+        v[0, 0, 0] = maxval
+        path = tmp_path / "low.ppm"
+        path.write_bytes(b"P6\n32 32\n%d\n" % maxval + v.astype(np.uint8).tobytes())
+        t = read_image(path)
+        np.testing.assert_array_equal(t, v * 255.0 / maxval)
+        assert t.max() == 255.0
+        write_image(tmp_path / "out.ppm", t)
+        np.testing.assert_array_equal(read_image(tmp_path / "out.ppm"), np.rint(t))
+
+    def test_a_value_above_maxval_is_an_error(self, tmp_path):
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n" + bytes([15, 16]))
+        with pytest.raises(ValueError, match="exceeds maxval 15"):
+            read_image(path)
+
     def test_write_rejects_odd_shapes(self, tmp_path):
         with pytest.raises(ValueError, match="image"):
             write_image(tmp_path / "x.ppm", np.zeros((2, 2, 4)))
@@ -141,6 +160,12 @@ class TestMaskFiles:
         assert full.shape == (2, 2, 3)
         for c in range(3):
             np.testing.assert_array_equal(full[:, :, c], q)
+
+    def test_a_maxval_1_pgm_mask_masks_the_same_entries(self, tmp_path):
+        q = np.random.default_rng(5).random((5, 7)) > 0.5
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n7 5\n1\n" + q.astype(np.uint8).tobytes())
+        np.testing.assert_array_equal(read_mask(path), q)
 
     def test_hten_mask_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)

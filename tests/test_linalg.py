@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -82,10 +83,13 @@ class TestLeadingSingularVectors:
             assert col[np.argmax(np.abs(col))] >= 0
 
     @pytest.mark.parametrize("shape, solver", [((9, 4), "svd"), ((4, 9), "eigh"),
-                                               ((5, 5), "eigh")])
+                                               ((5, 5), "eigh"), ("far-apart-rows", "eigh"),
+                                               ((9, 3), "svd qr")])
     def test_one_decomposition_per_call(self, monkeypatch, shape, solver):
         # tall: one thin SVD, orthonormal by construction, no fix-up QR;
-        # wide or square: one eigensolve of the small Gram matrix
+        # wide or square: one eigensolve of the small Gram matrix, also where
+        # LAPACK's own rescaling of an unscaled Gram would not converge; a
+        # rank above the width: one QR more completes the basis
         calls = []
 
         def counted(name, real):
@@ -96,9 +100,14 @@ class TestLeadingSingularVectors:
 
         for name in ("svd", "eigh", "qr"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        a = np.random.default_rng(8).standard_normal(shape)
-        leading_singular_vectors(a, 2)
-        assert calls == [solver]
+        if shape == "far-apart-rows":
+            a, r = far_apart_rows(), 1
+        else:
+            a, r = np.random.default_rng(8).standard_normal(shape), 5 if "qr" in solver else 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            leading_singular_vectors(a, r)
+        assert calls == solver.split()
 
     @pytest.mark.parametrize("rows", [1, 9])
     def test_a_single_column_calls_no_solver(self, monkeypatch, rows):
@@ -118,7 +127,32 @@ class TestLeadingSingularVectors:
             u = leading_singular_vectors(scale * a, 2)
         np.testing.assert_allclose(u, leading_singular_vectors(a, 2), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("largest, scaled", [
+        (0.0, False), (2.0**-100, False), (2.0**100, False), (1.0, False),
+        (np.nextafter(2.0**-100, 0), True), (np.nextafter(2.0**100, np.inf), True),
+        (1e-310, True), (1e308, True)])
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 5), (5, 3)])
+    def test_the_range_rule_prescales_only_outside_its_window(self, monkeypatch, largest,
+                                                             scaled, shape):
+        calls = []
+        real = np.ldexp
+
+        def counted(a, e):
+            calls.append(e)
+            return real(a, e)
+
+        monkeypatch.setattr(np, "ldexp", counted)
+        a = np.zeros(shape)
+        a.flat[::2] = np.linspace(-0.5, 0.5, a.flat[::2].size) * largest
+        a[-1, -1] = -largest
+        leading_singular_vectors(a, 1)
+        assert len(calls) == scaled
+        if scaled:  # to the largest magnitude's binade, [1/2, 1)
+            assert 0.5 <= real(largest, calls[0]) < 1.0
+
     def test_r_out_of_range(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            leading_singular_vectors(np.ones((3, 0)), 1)
         with pytest.raises(ValueError, match="out of range"):
             leading_singular_vectors(np.ones((3, 4)), 4)
         with pytest.raises(ValueError, match="out of range"):
@@ -257,7 +291,7 @@ def tall_matrices(draw):
     """J x K with J > K, as the sweep's updates on delay embeddings see them.
 
     Columns may be zero or copies of earlier ones (rank-deficient), and each
-    is scaled by a power of ten in [1e-150, 1e150].
+    is scaled by a power of ten in [1e-300, 1e300].
     """
     rows = draw(st.integers(2, 200))
     cols = draw(st.integers(1, min(8, rows - 1)))
@@ -269,19 +303,28 @@ def tall_matrices(draw):
             a[:, k] = 0.0
         elif kind == "copy" and k:
             a[:, k] = a[:, draw(st.integers(0, k - 1))]
-    a *= 10.0 ** np.array(draw(st.lists(st.integers(-150, 150), min_size=cols,
+    a *= 10.0 ** np.array(draw(st.lists(st.integers(-300, 300), min_size=cols,
                                         max_size=cols)), dtype=np.float64)
     return a, draw(st.integers(1, cols))
 
 
+def far_apart_columns():
+    """The tall twin of :func:`far_apart_rows`: columns from about 1e-183 to 1e118."""
+    a = np.random.default_rng(0).standard_normal((9, 4))
+    a[:, 0] *= 1e-183
+    a[:, 3] *= 1e118
+    return a
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=tall_matrices())
+@example(case=(far_apart_columns(), 2))
 def test_tall_basis_is_orthonormal_and_captures_the_top_energy(case):
     a, r = case
     u = leading_singular_vectors(a, r)
     assert u.shape == (a.shape[0], r)
     assert orthonormality_defect(u) <= 1e-12
-    # energies of a / max|a|, so squares of 1e150 entries do not overflow
+    # energies of a / max|a|, so squares of 1e300 entries do not overflow
     scaled = a / max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
     sigma = np.linalg.svd(scaled, compute_uv=False)
     total = float(np.sum(sigma**2))
@@ -335,6 +378,23 @@ def test_wide_basis_is_orthonormal_and_captures_the_top_energy(case):
     assert abs(captured_energy(u, scaled) - float(np.sum(sigma[:r] ** 2))) <= 1e-12 * total
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=tall_matrices(), data=st.data())
+@example(case=(far_apart_columns(), 4), data=None)
+def test_a_rank_above_the_width_completes_the_width_basis(case, data):
+    a, _ = case
+    rows, cols = a.shape
+    # the explicit example takes every row
+    r = rows if data is None else data.draw(st.integers(cols + 1, rows))
+    u = leading_singular_vectors(a, r)
+    assert u.shape == (rows, r) and u.flags.c_contiguous
+    assert_same_bits(u[:, :cols], leading_singular_vectors(a, cols))
+    assert orthonormality_defect(u) <= 1e-12
+    # orthogonal to every column of a, relative to a's largest magnitude
+    scaled = a / max(float(np.abs(a).max()), np.finfo(np.float64).tiny)
+    assert np.abs(u[:, cols:].T @ scaled).max() <= 1e-13
+
+
 @st.composite
 def single_columns(draw):
     """A J x 1 matrix: Gaussian, tied in magnitude or zero of either sign; C or strided.
@@ -386,7 +446,10 @@ def test_a_single_column_is_the_svds_unit_column(a):
 # they stood before their wrappers were trimmed (one copy, the flips made in
 # place), with a single column's closed form (divided by its signed peak, then
 # by its norm, then the sign convention; e_0 for a zero column) in place of
-# its SVD: the functions must still match them to the bit.
+# its SVD, after the one range rule (a matrix whose largest magnitude is
+# nonzero and outside [2^-100, 2^100] divided by 2^e, that magnitude in
+# [2^(e-1), 2^e)), and completed by identity columns where r exceeds the
+# width: the functions must still match them to the bit.
 def sign_convention_oracle(u):
     u = np.asarray(u, dtype=np.float64)
     idx = np.abs(u).argmax(axis=0)
@@ -396,19 +459,26 @@ def sign_convention_oracle(u):
 def leading_singular_vectors_oracle(a, r):
     a = np.asarray(a, dtype=np.float64)
     rows, cols = a.shape
+    largest = float(np.abs(a).max())
+    if largest and not 2.0**-100 <= largest <= 2.0**100:
+        a = np.ldexp(a, -math.frexp(largest)[1])
     if cols == 1:
         column = a[:, 0]
         peak = column[np.abs(column).argmax()]
         if peak == 0:
-            return np.eye(rows, 1)
-        u = column / peak
-        return sign_convention_oracle((u / np.linalg.norm(u)).reshape(rows, 1))
-    if rows <= cols:
+            u = np.eye(rows, 1)
+        else:
+            u = column / peak
+            u = sign_convention_oracle((u / np.linalg.norm(u)).reshape(rows, 1))
+    elif rows <= cols:
         _, vecs = np.linalg.eigh(a @ a.T)
-        u = vecs[:, ::-1][:, :r]
+        u = sign_convention_oracle(np.ascontiguousarray(vecs[:, ::-1][:, :r]))
     else:
         u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
-    return sign_convention_oracle(np.ascontiguousarray(u))
+        u = sign_convention_oracle(np.ascontiguousarray(u))
+    if r > u.shape[1]:
+        u = complete_orthonormal_basis(u, np.eye(rows, r - u.shape[1]))
+    return u
 
 
 def assert_same_bits(got, want):
@@ -423,8 +493,9 @@ def oddly_shaped_matrices(draw):
 
     Entries come from a small set with both signed zeros and equal magnitudes
     of both signs, or from a Gaussian; a rank-deficient matrix copies or
-    zeroes columns; the layout is C-contiguous, Fortran (a transposed view)
-    or every other column of a wider array.
+    zeroes columns; the whole matrix is sometimes scaled by a power of ten
+    far outside the range rule's window; the layout is C-contiguous, Fortran
+    (a transposed view) or every other column of a wider array.
     """
     rows = draw(st.integers(1, 9))
     cols = draw(st.integers(1, 9))
@@ -438,6 +509,7 @@ def oddly_shaped_matrices(draw):
         for k in range(cols):
             source = draw(st.integers(-1, k - 1))  # -1: zero the column
             a[:, k] = a[:, source] if source >= 0 else -0.0
+    a *= 10.0 ** draw(st.sampled_from([0, 0, 0, 0, -320, -150, -40, 40, 150, 300]))
     layout = draw(st.sampled_from(["C", "F", "strided"]))
     if layout == "F":
         a = np.ascontiguousarray(a.T).T
@@ -460,7 +532,7 @@ def test_sign_convention_matches_its_formula_to_the_bit(u):
 @settings(max_examples=400, deadline=None)
 @given(a=oddly_shaped_matrices(), data=st.data())
 def test_leading_singular_vectors_match_their_formula_to_the_bit(a, data):
-    r = data.draw(st.integers(1, min(a.shape)))
+    r = data.draw(st.integers(1, a.shape[0]))
     before = a.copy()
     got = leading_singular_vectors(a, r)
     assert got.flags.c_contiguous
