@@ -35,7 +35,7 @@ import numpy as np
 
 from .embedding import embedded_shape, inverse_mdt, mdt
 from .fileio import (_image_magic, _is_image_path, _read_any, _write_any, read_mask,
-                     read_tensor, write_mask, write_tensor)
+                     read_tensor, write_mask)
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr
 from .pipeline import SCHEDULE_EXHAUSTED, SWEEP_BUDGET, checked_embedded_shape, recover
@@ -84,8 +84,8 @@ def _cmd_recover(args) -> int:
     if args.ranks is not None and args.rank_seq is not None:
         raise ValueError("--ranks and --rank-seq are mutually exclusive")
     data = _read_any(args.input)
-    if any(map(_is_image_path, args.output)):  # before the fit, not after it
-        _image_magic(data.shape)
+    for out in filter(_is_image_path, args.output):  # before the fit, not after it
+        _image_magic(out, data.shape)
     mask = read_mask(args.mask, data_shape=data.shape)
     schedule = None
     if args.ranks is not None:
@@ -122,16 +122,18 @@ def _cmd_recover(args) -> int:
 
 def _cmd_embed(args) -> int:
     x = _read_any(args.input)
-    checked_embedded_shape(x.shape, args.tau)
+    shape = checked_embedded_shape(x.shape, args.tau)
+    if _is_image_path(args.output):
+        _image_magic(args.output, shape)
     xh = mdt(x, args.tau)
-    write_tensor(args.output, xh)
+    _write_any(args.output, xh)
     print(f"embedded shape {xh.shape}")
     return 0
 
 
 def _cmd_invert(args) -> int:
     if _is_image_path(args.output):
-        _image_magic(args.shape)
+        _image_magic(args.output, args.shape)
     xh = read_tensor(args.input)
     expected = embedded_shape(args.shape, args.tau)
     if xh.shape != expected:
@@ -231,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="delay-embed a tensor file")
     p.add_argument("--input", required=True)
     p.add_argument("--tau", required=True, type=_ints)
-    p.add_argument("--output", required=True, help="embedded tensor (HTEN)")
+    p.add_argument("--output", required=True,
+                   help="embedded tensor (.ppm/.pgm clamped image, otherwise lossless HTEN)")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("invert", help="invert a delay-embedded tensor file")

@@ -19,6 +19,7 @@ ever built.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -107,14 +108,14 @@ def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
     return TuckerModel(core, factors)
 
 
-def _embed_mode(t: np.ndarray, left: int, tau: int, width: int) -> np.ndarray:
+def _embed_mode(t: np.ndarray, mode: int, tau: int, width: int) -> np.ndarray:
     """C-order copy of the C-contiguous t with one mode delay-embedded: (left, tau, width, right).
 
-    t is viewed as (left, L, right) with L = tau + width - 1; entry
-    (l, a, b, r) of the result is t[l, a + b, r], as
-    :func:`hankelfill.embedding.mdt` embeds a mode.
+    t is viewed through its shape as (left, L, right), L = tau + width - 1
+    its length on ``mode``; entry (l, a, b, r) of the result is
+    t[l, a + b, r], as :func:`hankelfill.embedding.mdt` embeds a mode.
     """
-    right = t.size // (left * (tau + width - 1))
+    left, right = math.prod(t.shape[:mode]), math.prod(t.shape[mode + 1:])
     step = right * t.itemsize
     windows = np.ndarray((left, tau, width, right), t.dtype, t, 0,
                          ((tau + width - 1) * step, step, step, t.itemsize))
@@ -132,24 +133,27 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarra
     then the chain takes in ``factors[m]``.  Returns H(y) projected onto
     every factor, the last pair's last product.
 
-    H(y) is never built.  Input mode n's projection contracts every other
-    input mode j with its pair matrix K_j (:func:`_pair_matrix`): modes
-    j < n as a prefix shared by the later modes, with the factors the visits
-    made, modes j > n with the given ones.  Only then is mode n embedded
-    (:func:`_embed_mode`), and its two embedded modes are visited, 2n then
-    2n + 1, on that copy, usually the largest array the chain holds (the
-    size guard, ``ranking._chain_arrays``, counts the others).  The update
-    order and the C-order layout are those of the same chain over H(y);
-    the sums run in another order.  1x1 identity factors are skipped, so at
-    windows of 1, and on an order-1 input, every product is the one that
-    chain makes, to the bit.
+    H(y) is never built.  Input mode n's run contracts every other input
+    mode j with its pair matrix K_j (:func:`_pair_matrix`), with the factors
+    the visits made for j < n and the given ones for j > n.  A K_j keeps or
+    shrinks its mode when R_2j R_2j+1 <= I_j: those run first, in mode
+    order, the ones of modes j < n as a prefix shared by the later runs.
+    The K_j that grow their mode run last, in every run, so each run's
+    products shrink, then grow, and none outgrows the input or the copy
+    that follows them: mode n embedded (:func:`_embed_mode`), the pair
+    embedding, on which its two embedded modes are visited, 2n then 2n + 1.
+    The update order and the C-order layout are those of the same chain
+    over H(y); the sums run in another order.  1x1 identity factors are
+    skipped, so at windows of 1, and on an order-1 input, every product is
+    the one that chain makes, to the bit.
     """
     order = y.ndim
     if len(factors) != 2 * order:
         raise ValueError(f"an order-{order} input needs 2 x {order} factors, got {len(factors)}")
     prefix = np.ascontiguousarray(y, dtype=np.float64)
-    kernels = [None] * order  # the pair matrices of the given factors, made on first use
-    left = 1
+    kernels = [None] * order  # pair matrices, of the given factors until a run updates them
+    growing = [j for j in range(order)
+               if factors[2 * j].shape[1] * factors[2 * j + 1].shape[1] > y.shape[j]]
     for n in range(order):
         u_tau, u_window = factors[2 * n], factors[2 * n + 1]
         tau, width = u_tau.shape[0], u_window.shape[0]
@@ -157,12 +161,13 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarra
             raise ValueError(f"input shape {y.shape} does not match the model's windows: "
                              f"factor rows {tuple(u.shape[0] for u in factors)}")
         t = prefix
-        for j in range(n + 1, order):
+        shrinking = [j for j in range(n + 1, order) if j not in growing]
+        for j in shrinking + [j for j in growing if j != n]:
             if kernels[j] is None:
                 kernels[j] = _pair_matrix(factors[2 * j], factors[2 * j + 1])
             if not is_unit_factor(kernels[j]):
                 t = mode_multiply(t, kernels[j].T, j)
-        z = _embed_mode(t, left, tau, width).reshape(
+        z = _embed_mode(t, n, tau, width).reshape(
             [u.shape[1] for u in factors[:2 * n]] + [tau, width]
             + [u.shape[1] for u in factors[2 * n + 2:]])
         if tau != 1:
@@ -173,10 +178,9 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarra
         if width != 1:
             visit(2 * n + 1, z)
         if n + 1 < order:
-            kernel = _pair_matrix(factors[2 * n], factors[2 * n + 1])
-            if not is_unit_factor(kernel):
-                prefix = mode_multiply(prefix, kernel.T, n)
-            left *= prefix.shape[n]
+            kernels[n] = _pair_matrix(factors[2 * n], factors[2 * n + 1])
+            if n not in growing and not is_unit_factor(kernels[n]):
+                prefix = mode_multiply(prefix, kernels[n].T, n)
         elif not is_unit_factor(factors[2 * n + 1]):
             z = mode_multiply(z, factors[2 * n + 1].T, 2 * n + 1)
     return z

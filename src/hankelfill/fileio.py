@@ -89,20 +89,29 @@ def read_image(path) -> np.ndarray:
     return data.reshape(height, width, 3)
 
 
-def _image_magic(shape) -> bytes:
-    """P5 for an HxW shape tuple, P6 for HxWx3, else a ValueError (the CLI checks early)."""
-    if len(shape) == 2 or shape[2:] == (3,):
-        return b"P5" if len(shape) == 2 else b"P6"
-    raise ValueError(f"cannot write shape {shape} as an image (want HxW or HxWx3)")
+def _image_magic(path, shape) -> bytes:
+    """P5 for an HxW shape tuple, P6 for HxWx3, else a ValueError (the CLI checks early).
+
+    The path's extension picks the format: a .pgm path takes HxW only, a
+    .ppm path HxWx3 only.
+    """
+    if not (len(shape) == 2 or shape[2:] == (3,)):
+        raise ValueError(f"cannot write shape {shape} as an image (want HxW or HxWx3)")
+    magic, suffix, other = (b"P5", ".pgm", ".ppm") if len(shape) == 2 else (b"P6", ".ppm", ".pgm")
+    if str(path).endswith(other):
+        raise ValueError(f"cannot write shape {shape} to {path}: an image of that shape "
+                         f"is written as {suffix}")
+    return magic
 
 
 def write_image(path, t: np.ndarray) -> None:
     """Write a tensor as binary PGM (2-D input) or PPM (HxWx3 input).
 
-    Values are rounded to the nearest integer and clamped to [0, 255].
+    Values are rounded to the nearest integer and clamped to [0, 255].  A
+    .pgm path refuses HxWx3 input and a .ppm path HxW input.
     """
     t = np.asarray(t, dtype=np.float64)
-    magic = _image_magic(t.shape)
+    magic = _image_magic(path, t.shape)
     height, width = t.shape[:2]
     pixels = np.clip(np.rint(t), 0, _IMAGE_MAXVAL).astype(np.uint8)
     header = magic + b"\n" + f"{width} {height}\n{_IMAGE_MAXVAL}\n".encode("ascii")

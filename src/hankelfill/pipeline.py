@@ -169,7 +169,6 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     sweeps = range(1, criteria.max_total_sweeps + 1)
     if f_before <= criteria.epsilon:
         status, sweeps = CONVERGED, ()
-    pads = 0
     for sweep in sweeps:
         del estimate  # the sweep peaks without it; the next fill makes the next one
         model = als_sweep(y, model)
@@ -184,8 +183,7 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
                 break
             mode = select_increment_mode(mode_residuals(y, model), schedule, model.ranks)
             new_rank = next(k for k in schedule.sequences[mode] if k > model.ranks[mode])
-            pads += 1
-            model = pad_model(model, mode, new_rank, seed=(seed, pads))
+            model = pad_model(model, mode, new_rank, seed=(seed, len(history) + 1))
             history.append((sweep, mode, new_rank))
         # Padding leaves the reconstruction (hence the cost) unchanged, so the
         # post-pad reference cost equals f_after either way.

@@ -13,7 +13,10 @@ are exhausted, or the sweep budget runs out (:class:`StoppingCriteria`).
 The sweep loop that applies this policy is
 :func:`hankelfill.pipeline.recover`; the size guard that refuses a fit
 whose largest array is too large lives here too
-(:func:`_checked_largest_array`).
+(:func:`_checked_largest_array`).  It counts four closed forms (the pair
+embeddings, the pair matrices, the factor matrices and the input), which
+bound every array of the sweep's chain because the chain contracts the
+modes that grow last.
 """
 
 from __future__ import annotations
@@ -152,57 +155,32 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
 
 
-def _chain_arrays(shape: Sequence[int], ranks: Sequence[int]):
-    """(elements, name, detail) of each array a fit's chain builds besides its pair embeddings.
-
-    In the order of ``completion._leave_one_out`` on the embedded ``shape``,
-    with L_n = tau_n + W_n - 1 and P_n = R_2n R_2n+1.  For each input mode n
-    but the last, the products that contract the later input modes j > n
-    with their pair matrices K_j, L_j x P_j, each product from the previous
-    one, the first from the prefix, and every K_j made as mode 0 first uses
-    it; then K_n and the next prefix, with modes 0..n contracted.  A mode
-    of length 1 takes no product.  The chain's other arrays (the products by
-    mode n's factors, the core) are no larger than mode n's pair embedding.
-    """
-    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
-    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
-
-    def kernel(n):
-        return (lengths[n] * pairs[n], "a pair matrix",
-                f"{lengths[n]} x {pairs[n]} on input mode {n}")
-
-    prefix = list(lengths)
-    for n in range(len(pairs) - 1):
-        dims = list(prefix)
-        for j in range(n + 1, len(pairs)):
-            if n == 0:
-                yield kernel(j)
-            if lengths[j] > 1:
-                dims[j] = pairs[j]
-                yield (math.prod(dims), "an intermediate product",
-                       f"shape {tuple(dims)}, projecting onto input mode {n}")
-        yield kernel(n)
-        if lengths[n] > 1:
-            prefix[n] = pairs[n]
-            yield (math.prod(prefix), "an intermediate product",
-                   f"shape {tuple(prefix)}, the prefix of input modes 0..{n}")
-
-
 def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool = True) -> int:
     """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
 
-    The sweep's chain builds pair embeddings (``completion._embed_mode``)
-    with every other input mode contracted: max_n tau_n W_n prod_{j != n} R_2j R_2j+1
-    on the embedded ``shape``, which at full ranks is the embedded tensor's
-    count.  ``fit=False`` counts these alone, which at full ranks is the
-    embedded tensor that CLI ``embed`` writes.  A fit also builds its factor
-    matrices, J_m x R_m (a random start's Gaussian block and the QR that
-    pads a factor), and the rest of the chain, counted array by array in
-    its own order (:func:`_chain_arrays`): on order >= 2 every pair matrix
-    K_n (``embedding._pair_matrix``), L_n x R_2n R_2n+1 with
-    L_n = tau_n + W_n - 1, which the map-back builds too, and the products
-    that contract the other input modes, which grow where a rank pair
-    exceeds its mode's length.  Each can exceed the embedded tensor.
+    Four closed forms on the embedded ``shape``, with L_n = tau_n + W_n - 1
+    and P_n = R_2n R_2n+1:
+
+    - the pair embeddings the sweep's chain builds
+      (``completion._embed_mode``), max_n tau_n W_n prod_{j != n} P_j,
+      which at full ranks is the embedded tensor's count.  ``fit=False``
+      counts these alone, which at full ranks is the embedded tensor that
+      CLI ``embed`` writes;
+    - on order >= 2, the pair matrices K_n (``embedding._pair_matrix``),
+      L_n x P_n, which the chain and the map-back build;
+    - the factor matrices, J_m x R_m (a random start's Gaussian block and
+      the QR that pads a factor);
+    - the input, prod L_n: the fill's y, e and scratch array.
+
+    Every other array of a fit is no larger than one of these: the chain
+    contracts the pair matrices that grow their mode last
+    (``completion._leave_one_out``), so its products are bounded by the
+    input or a pair embedding.  The one array left uncounted is
+    ``_pair_matrix``'s zero-padded window factor, (L_n + tau_n - 1) x R_2n+1:
+    it exceeds K_n only where R_2n = 1, and then by less than 2x (at
+    (2000, 2), tau=(500, 1), ranks (1, 1501, 1, 2): K_0 holds 3.00M
+    elements, the padded factor 3.75M).  A pair matrix or a factor matrix
+    can exceed the embedded tensor.
     """
     pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
     count = max(shape[2 * n] * shape[2 * n + 1] * math.prod(pairs[:n] + pairs[n + 1:])
@@ -217,9 +195,14 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool
                          f"or the ranks.")
     if not fit:
         return count
+    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
     factor, m = max((j * r, m) for m, (j, r) in enumerate(zip(shape, ranks)))
     arrays = [(factor, "a factor matrix", f"{shape[m]} x {ranks[m]} on mode {m}")]
-    for size, name, detail in arrays + list(_chain_arrays(shape, ranks)):
+    if len(pairs) > 1:
+        kernel, n = max((i * p, n) for n, (i, p) in enumerate(zip(lengths, pairs)))
+        arrays.append((kernel, "a pair matrix", f"{lengths[n]} x {pairs[n]} on input mode {n}"))
+    arrays.append((math.prod(lengths), "an input-sized array", f"the input, {tuple(lengths)}"))
+    for size, name, detail in arrays:
         if size > _ELEMENT_CAP:
             raise ValueError(f"a fit at ranks {tuple(ranks)} would build {name} of {size} "
                              f"elements ({detail}); the cap is {_ELEMENT_CAP}. Reduce the "

@@ -109,6 +109,29 @@ class TestEmbedInvert:
         assert err == "error: cannot write shape (9, 7, 2) as an image (want HxW or HxWx3)\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_embed_writes_an_image_for_an_image_path(self, tmp_path, capsys):
+        # a signal embeds to a tau x W matrix, which a .pgm file holds
+        src, out = tmp_path / "v.hten", tmp_path / "e.pgm"
+        write_tensor(src, np.arange(6.0) * 40)
+        code, text, _ = run_cli(capsys, "embed", "--input", str(src), "--tau", "2",
+                                "--output", str(out))
+        assert code == 0
+        assert text == "embedded shape (2, 5)\n"
+        assert out.read_bytes().startswith(b"P5")
+        np.testing.assert_array_equal(read_image(out), [[0, 40, 80, 120, 160],
+                                                        [40, 80, 120, 160, 200]])
+
+    def test_embed_checks_an_image_output_against_the_embedded_shape(self, tmp_path, capsys):
+        # a 9 x 7 input embeds to order 4, which no image holds; nothing is written
+        src, out = tmp_path / "t.hten", tmp_path / "e.pgm"
+        write_tensor(src, np.zeros((9, 7)))
+        code, text, err = run_cli(capsys, "embed", "--input", str(src), "--tau", "4,3",
+                                  "--output", str(out))
+        assert code == 1
+        assert text == ""
+        assert err == "error: cannot write shape (4, 6, 3, 5) as an image (want HxW or HxWx3)\n"
+        assert not out.exists()
+
     def test_embed_over_the_embedded_cap_is_an_error(self, tmp_path, capsys):
         # 20000 x 20001 = 400M embedded elements, twice the cap recover uses
         src = tmp_path / "v.hten"
@@ -448,6 +471,21 @@ class TestRecoverCommand:
         assert err == "error: cannot write shape (200,) as an image (want HxW or HxWx3)\n"
         assert fits == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["q.hten", "s.hten"]
+
+    def test_a_pgm_output_of_a_colour_input_fails_before_the_fit(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        data, mask = self.fixture_files(tmp_path)
+        out = tmp_path / "out.pgm"
+        fits = []
+        monkeypatch.setattr(cli, "recover", lambda *args, **kwargs: fits.append(args))
+        code, text, err = run_cli(capsys, "recover", "--input", str(data), "--mask",
+                                  str(mask), "--tau", "4,4,1", "--output", str(out))
+        assert code == 1
+        assert text == ""
+        assert err == (f"error: cannot write shape (24, 24, 3) to {out}: an image of that "
+                       f"shape is written as .ppm\n")
+        assert fits == []
+        assert not out.exists()
 
     def test_the_output_directory_is_checked_before_the_inputs_are_read(self, tmp_path,
                                                                         capsys):

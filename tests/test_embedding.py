@@ -10,7 +10,6 @@ from hankelfill import embedded_shape, inverse_mdt, mdt
 from hankelfill.core import multilinear_product
 from hankelfill.embedding import (_pair_matrix, duplication_counts, duplication_weights,
                                   embedded_observed_energy, inverse_mdt_tucker, mdt_mask)
-from hankelfill.ranking import _checked_largest_array
 from helpers import delay_embed_vector, inverse_delay_embed_vector, traced_peak
 
 
@@ -386,10 +385,14 @@ def test_tucker_model_maps_back_within_about_one_embedded_copy(ranks):
 def test_an_order_2_or_3_model_maps_back_within_the_size_guards_count(shape, taus, ranks):
     # Through K_n / D_n the map-back holds every pair matrix, each divided
     # in place, as the sweep's chain does, then partial results no larger
-    # than the merged core or the source.  Measured peaks, per (guard count
-    # + source) elements: 0.18, 0.25, 1.03 and 1.03 float64s.
+    # than the merged core or the source.  The count is the largest pair
+    # embedding plus the largest pair matrix, two of the guard's closed
+    # forms; the guard's own count includes the source.  Measured peaks,
+    # per (count + source) elements: 0.17, 0.24, 1.01 and 1.04 float64s.
     embedded = embedded_shape(shape, taus)
-    count = _checked_largest_array(embedded, ranks)
+    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+    count = max(embedded[2 * n] * embedded[2 * n + 1] * math.prod(pairs[:n] + pairs[n + 1:])
+                for n in range(len(shape))) + max(i * p for i, p in zip(shape, pairs))
     rng = np.random.default_rng(1)
     core = rng.standard_normal(ranks)
     factors = [np.linalg.qr(rng.standard_normal((j, r)))[0] for j, r in zip(embedded, ranks)]

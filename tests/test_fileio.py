@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -87,6 +88,18 @@ class TestImages:
     def test_write_rejects_odd_shapes(self, tmp_path):
         with pytest.raises(ValueError, match="image"):
             write_image(tmp_path / "x.ppm", np.zeros((2, 2, 4)))
+
+    @pytest.mark.parametrize("name, shape, suffix", [("x.pgm", (2, 3, 3), ".ppm"),
+                                                     ("x.ppm", (2, 3), ".pgm")],
+                             ids=["colour to pgm", "gray to ppm"])
+    def test_the_extension_picks_the_image_format(self, tmp_path, name, shape, suffix):
+        # a .pgm file holds gray HxW images only, a .ppm file colour HxWx3 only
+        path = tmp_path / name
+        message = (f"cannot write shape {shape} to {path}: an image of that shape is "
+                   f"written as {suffix}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_image(path, np.zeros(shape))
+        assert not path.exists()
 
 
 class TestHten:
@@ -186,6 +199,13 @@ class TestMaskFiles:
         q[0, 0, 1] = False
         with pytest.raises(ValueError, match="channels"):
             write_mask(tmp_path / "m.pgm", q)
+
+    def test_a_2d_mask_to_a_ppm_path_is_an_error(self, tmp_path):
+        # a .ppm file holds three channels; a 2-D mask is written as .pgm
+        path = tmp_path / "m.ppm"
+        with pytest.raises(ValueError, match="is written as .pgm"):
+            write_mask(path, np.ones((2, 2), bool))
+        assert not path.exists()
 
     def test_mismatched_mask_shape_rejected(self, tmp_path):
         path = tmp_path / "m.pgm"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
@@ -11,7 +11,8 @@ from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedul
                         default_stopping_criteria, embedded_shape, recover)
 from hankelfill import completion, ranking
 from hankelfill.completion import als_sweep, init_model
-from hankelfill.ranking import _checked_largest_array, pad_model, select_increment_mode
+from hankelfill.ranking import (_checked_largest_array, mode_residuals, pad_model,
+                               select_increment_mode)
 from helpers import (is_non_increasing, orthonormality_defect, plain_loop,
                      plain_mode_residuals, planted_tucker, random_mask, relative_criteria,
                      traced_peak)
@@ -275,8 +276,8 @@ class TestCompleteWithRankIncrement:
 
 
 @st.composite
-def fixed_rank_cases(draw):
-    order = draw(st.integers(1, 3))
+def fixed_rank_cases(draw, max_order=3):
+    order = draw(st.integers(1, max_order))
     shape = tuple(draw(st.lists(st.integers(1, 7), min_size=order, max_size=order)))
     taus = tuple(draw(st.integers(1, i)) for i in shape)
     ranks = tuple(draw(st.integers(1, j)) for j in embedded_shape(shape, taus))
@@ -286,14 +287,15 @@ def fixed_rank_cases(draw):
 _BUILDERS = ("_embed_mode", "_pair_matrix", "mode_multiply", "complete_orthonormal_basis")
 
 
-def recorded_sizes(run):
-    """``run()``'s result and the sizes of the arrays ``completion`` builds meanwhile.
+def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
+    """``run()``'s result and the sizes of the arrays ``names`` build in ``modules`` meanwhile.
 
-    Records the pair embeddings, the pair matrices, every mode product of
+    By default the pair embeddings, the pair matrices, every mode product of
     the chain and every factor matrix.
     """
     sizes = []
-    saved = [getattr(completion, name) for name in _BUILDERS]
+    saved = [(module, name, getattr(module, name))
+             for module in modules for name in names if hasattr(module, name)]
 
     def recording(build):
         def wrapper(*args):
@@ -302,13 +304,13 @@ def recorded_sizes(run):
             return z
         return wrapper
 
-    for name, build in zip(_BUILDERS, saved):
-        setattr(completion, name, recording(build))
+    for module, name, build in saved:
+        setattr(module, name, recording(build))
     try:
         result = run()
     finally:
-        for name, build in zip(_BUILDERS, saved):
-            setattr(completion, name, build)
+        for module, name, build in saved:
+            setattr(module, name, build)
     return result, sizes
 
 
@@ -325,31 +327,58 @@ def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
         t, q, taus, RankSchedule(tuple((r,) for r in ranks)), StoppingCriteria(0.0, 0.0, 1),
         seed=seed + 1))
     assert result.cost_trace[-1][0] == 1
-    assert max(sizes) == _checked_largest_array(embedded_shape(shape, taus), ranks)
+    # the fill's y, e and scratch array are the input's size
+    assert max(sizes + [t.size]) == _checked_largest_array(embedded_shape(shape, taus), ranks)
 
 
-@pytest.mark.parametrize("taus, ranks, where", [
-    # K_1 contracts input mode 1 of the input into 420 rows before mode 2 is contracted
-    ((1, 20, 1), (1, 1, 20, 21, 1, 1), r"shape \(40, 420, 40\), projecting onto input mode 0"),
-    # the prefix contracts input mode 0 into 420 rows; modes 1 and 2 are still full
-    ((20, 1, 1), (20, 21, 1, 1, 1, 1), r"shape \(420, 40, 40\), the prefix of input modes 0..0"),
-], ids=["a later mode", "the prefix"])
-def test_the_guard_counts_a_chain_product_that_outgrows_the_pair_embeddings(
-        taus, ranks, where, monkeypatch):
-    # (40, 40, 40): the pair embeddings hold 16,800 elements and the input
-    # 64,000, but one rank pair of 420 exceeds its mode's length of 40, and
-    # the chain contracts it while the other modes are still full
+# (40, 40, 40) with one rank pair of 420 on a mode of length 40: its pair
+# matrix grows that mode, so contracted while the other modes are still
+# full it would build a product of 672,000 elements
+_GROWING_PAIRS = [
+    ((1, 20, 1), (1, 1, 20, 21, 1, 1)),  # a later mode's
+    ((20, 1, 1), (20, 21, 1, 1, 1, 1)),  # the prefix's
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=fixed_rank_cases(max_order=4))
+@example(case=((40, 40, 40), *_GROWING_PAIRS[0], 0))
+@example(case=((40, 40, 40), *_GROWING_PAIRS[1], 0))
+def test_no_chain_product_outgrows_the_input_and_the_pair_embeddings(case):
+    # the chain contracts the pair matrices that grow their mode last, so its
+    # products shrink from the input, then grow up to a pair embedding
+    shape, taus, ranks, seed = case
+    embedded = embedded_shape(shape, taus)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(shape)
+    model = init_model(ranks, embedded, seed)
+    bound = max(y.size, _checked_largest_array(embedded, ranks, fit=False))
+    for run in (lambda: als_sweep(y, model), lambda: mode_residuals(y, model)):
+        _, sizes = recorded_sizes(run, ("_embed_mode", "mode_multiply"), (completion, ranking))
+        assert max(sizes) <= bound
+
+
+@pytest.mark.parametrize("taus, ranks", _GROWING_PAIRS, ids=["a later mode", "the prefix"])
+def test_a_pair_matrix_that_grows_its_mode_is_contracted_last(taus, ranks):
+    # the pair embeddings and that pair matrix hold 16,800 elements, the
+    # input 64,000, and no array of the sweep holds more than 16,800
     shape = (40, 40, 40)
     embedded = embedded_shape(shape, taus)
     assert _checked_largest_array(embedded, ranks, fit=False) == 16_800
-    assert _checked_largest_array(embedded, ranks) == 672_000
+    assert _checked_largest_array(embedded, ranks) == 64_000
     y = np.random.default_rng(2).standard_normal(shape)
     model = init_model(ranks, embedded, 0)
     _, sizes = recorded_sizes(lambda: als_sweep(y, model))
-    assert max(sizes) == 672_000
-    monkeypatch.setattr(ranking, "_ELEMENT_CAP", 671_999)
-    with pytest.raises(ValueError, match=f"intermediate product of 672000 elements \\({where}"):
-        _checked_largest_array(embedded, ranks)
+    assert max(sizes) == 16_800
+
+
+def test_the_guard_counts_the_input(monkeypatch):
+    # every array but the fill's is within a cap between 16,800 and 64,000
+    taus, ranks = _GROWING_PAIRS[0]
+    monkeypatch.setattr(ranking, "_ELEMENT_CAP", 20_000)
+    with pytest.raises(ValueError, match=r"input-sized array of 64000 elements "
+                                         r"\(the input, \(40, 40, 40\)\)"):
+        _checked_largest_array(embedded_shape((40, 40, 40), taus), ranks)
 
 
 @settings(max_examples=200, deadline=None)
