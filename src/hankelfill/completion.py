@@ -14,7 +14,10 @@ every entry, also counts how far the windows disagree on a missing entry;
 with windows of 1 it is the masked cost.  The ALS sweep and the mode
 ranking read y itself through one projection chain that embeds one mode
 pair at a time (:func:`_leave_one_out`), so no embedded-sized array is
-ever built.
+ever built.  The sweep embeds fewer still: a windowed pair whose other
+modes' rank pairs hold at least its mode's length L takes its two factor
+updates from that mode's L x L Gram (the chain's Gram route), the way
+Hankel-structured SSA codes take the trajectory matrix's Gram.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import numpy as np
 
 from .core import check_shape, is_unit_factor, mode_multiply, multilinear_product, unfold
 from .embedding import _pair_matrix, duplication_weights, inverse_mdt_tucker
-from .linalg import complete_orthonormal_basis, leading_singular_vectors
+from .linalg import (_in_range, _top_eigenvectors, complete_orthonormal_basis,
+                     leading_singular_vectors)
 
 # (sweep index, squared-Frobenius cost) per outer iteration
 CostTrace = list[tuple[int, float]]
@@ -122,7 +126,27 @@ def _embed_mode(t: np.ndarray, mode: int, tau: int, width: int) -> np.ndarray:
     return windows.copy()
 
 
-def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarray:
+def _windowed_gram(s: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
+    """G[a, a'] = sum_{b, b'} (u u^T)[b, b'] s[a + b, a' + b'], for a, a' < ``count``.
+
+    ``s`` is the C-contiguous L x L Gram T T^T of an input mode's chain
+    matrix T, and ``u`` the k x r factor of one mode of its pair, with
+    L = count + k - 1.  G is the Gram A A^T of the other mode's unfolding A
+    of the pair embedding projected onto u.  u u^T is never formed:
+    N = u (u^T V), V the strided (count, k, L) view V[a, b] = s[a + b], then
+    G[a, a'] sums N[a, b', a' + b'] over b' through a strided view; each
+    product takes count k L r multiply-adds.
+    """
+    rows = np.ndarray((count, u.shape[0], s.shape[0]), s.dtype, s, 0,
+                      (s.strides[0], *s.strides))
+    n = u @ (u.T @ rows)
+    step, width, item = n.strides
+    return np.ndarray((count, count, u.shape[0]), n.dtype, n, 0,
+                      (step, item, width + item)).sum(axis=2)
+
+
+def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit,
+                   visit_gram=None) -> np.ndarray:
     """Project H(y) onto every factor but mode m's, for each embedded mode m of size above 1.
 
     ``y`` is the input and ``factors`` the 2N factors of a model of its
@@ -146,14 +170,27 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarra
     over H(y); the sums run in another order.  1x1 identity factors are
     skipped, so at windows of 1, and on an order-1 input, every product is
     the one that chain makes, to the bit.
+
+    The Gram route: given ``visit_gram``, a pair whose run ends in an
+    L_n x O_n matrix T (mode n by the other modes' rank pairs) with
+    tau_n > 1, W_n > 1 and O_n >= L_n builds no pair embedding.  T, under
+    the range rule (``linalg._in_range``), gives S = T T^T, and
+    ``visit_gram(m, g)`` sees, for m = 2n then 2n + 1, the Gram g of the
+    projection's mode-m unfolding, to rounding and a power-of-two scale
+    (:func:`_windowed_gram` of S by the other mode's factor, 2n's as its
+    visit left it).  Its new arrays are T's copy, S (L_n^2) and the Gram's
+    tau_n W_n L_n product, none larger than the pair embedding,
+    tau_n W_n O_n.  On the last input mode, the return is T contracted with
+    the pair matrix of the visited factors.  Other pairs (windows of 1, a
+    window of the whole mode, O_n < L_n) go as above.
     """
     order = y.ndim
     if len(factors) != 2 * order:
         raise ValueError(f"an order-{order} input needs 2 x {order} factors, got {len(factors)}")
     prefix = np.ascontiguousarray(y, dtype=np.float64)
     kernels = [None] * order  # pair matrices, of the given factors until a run updates them
-    growing = [j for j in range(order)
-               if factors[2 * j].shape[1] * factors[2 * j + 1].shape[1] > y.shape[j]]
+    pairs = [factors[2 * j].shape[1] * factors[2 * j + 1].shape[1] for j in range(order)]
+    growing = [j for j in range(order) if pairs[j] > y.shape[j]]
     for n in range(order):
         u_tau, u_window = factors[2 * n], factors[2 * n + 1]
         tau, width = u_tau.shape[0], u_window.shape[0]
@@ -167,20 +204,34 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit) -> np.ndarra
                 kernels[j] = _pair_matrix(factors[2 * j], factors[2 * j + 1])
             if not is_unit_factor(kernels[j]):
                 t = mode_multiply(t, kernels[j].T, j)
-        z = _embed_mode(t, n, tau, width).reshape(
-            [u.shape[1] for u in factors[:2 * n]] + [tau, width]
-            + [u.shape[1] for u in factors[2 * n + 2:]])
-        if tau != 1:
-            visit(2 * n, z if is_unit_factor(u_window)
-                  else mode_multiply(z, u_window.T, 2 * n + 1))
-        if not is_unit_factor(factors[2 * n]):
-            z = mode_multiply(z, factors[2 * n].T, 2 * n)
-        if width != 1:
-            visit(2 * n + 1, z)
+        length = y.shape[n]
+        gram = (visit_gram is not None and tau > 1 and width > 1
+                and math.prod(pairs[:n] + pairs[n + 1:]) >= length)
+        if gram:
+            matrix = np.moveaxis(t.reshape(math.prod(t.shape[:n]), length, -1), 1, 0)
+            matrix = _in_range(matrix.reshape(length, -1))
+            s = matrix @ matrix.T
+            del matrix  # T's copy goes before the Gram products are made
+            visit_gram(2 * n, _windowed_gram(s, u_window, tau))
+            visit_gram(2 * n + 1, _windowed_gram(s, factors[2 * n], width))
+        else:
+            z = _embed_mode(t, n, tau, width).reshape(
+                [u.shape[1] for u in factors[:2 * n]] + [tau, width]
+                + [u.shape[1] for u in factors[2 * n + 2:]])
+            if tau != 1:
+                visit(2 * n, z if is_unit_factor(u_window)
+                      else mode_multiply(z, u_window.T, 2 * n + 1))
+            if not is_unit_factor(factors[2 * n]):
+                z = mode_multiply(z, factors[2 * n].T, 2 * n)
+            if width != 1:
+                visit(2 * n + 1, z)
         if n + 1 < order:
             kernels[n] = _pair_matrix(factors[2 * n], factors[2 * n + 1])
             if n not in growing and not is_unit_factor(kernels[n]):
                 prefix = mode_multiply(prefix, kernels[n].T, n)
+        elif gram:
+            z = mode_multiply(t, _pair_matrix(factors[2 * n], factors[2 * n + 1]).T, n)
+            z = z.reshape([u.shape[1] for u in factors])
         elif not is_unit_factor(factors[2 * n + 1]):
             z = mode_multiply(z, factors[2 * n + 1].T, 2 * n + 1)
     return z
@@ -197,14 +248,21 @@ def als_sweep(y: np.ndarray, model: TuckerModel) -> TuckerModel:
     keep their identity factor.  The residual ||H(y) - reconstruction||^2
     never increases.  The projections come from y through one chain
     (:func:`_leave_one_out`), whose last product is the core; the embedded
-    tensor is never built.
+    tensor is never built.  A windowed pair on the chain's Gram route
+    (tau_n > 1, W_n > 1, O_n >= L_n) builds no projection either: its two
+    updates take the top-R_m eigenvectors of the Gram the chain forms from
+    its input mode's L_n x L_n Gram, the eigensolve of
+    :func:`leading_singular_vectors` on a wide unfolding.
     """
     factors = list(model.factors)
 
     def update(m, p):
         factors[m] = leading_singular_vectors(unfold(p, m), model.ranks[m])
 
-    core = _leave_one_out(np.asarray(y), factors, update)
+    def update_from_gram(m, g):
+        factors[m] = _top_eigenvectors(g, model.ranks[m])
+
+    core = _leave_one_out(np.asarray(y), factors, update, update_from_gram)
     return TuckerModel(core, factors)
 
 

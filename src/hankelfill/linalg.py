@@ -1,14 +1,18 @@
 """Orthonormal bases, deterministic by construction: dominant subspaces and new columns.
 
-:func:`leading_singular_vectors` is the whole factor update of the ALS
-sweep: one range rule (a power-of-two prescale of a matrix whose largest
-magnitude is outside [2^-100, 2^100]), then at most one
+:func:`leading_singular_vectors` is the factor update of the ALS sweep:
+one range rule (:func:`_in_range`, a power-of-two prescale of a matrix
+whose largest magnitude is outside [2^-100, 2^100]), then at most one
 decomposition.  A single column, what every update of a rank-one model
 sees, is divided by its norm without one.  A wide matrix (J <= K) takes
-the eigendecomposition of its J x J Gram matrix A A^T: mode sizes in this
-package are window lengths, so J stays small while K can be the product of
-every other mode.  A tall matrix (J > K) takes one thin SVD, orthonormal
-as LAPACK returns it, also where A is rank-deficient.
+the eigendecomposition of its J x J Gram matrix A A^T
+(:func:`_top_eigenvectors`): mode sizes in this package are window
+lengths, so J stays small while K can be the product of every other mode.
+A tall matrix (J > K) takes one thin SVD, orthonormal as LAPACK returns
+it, also where A is rank-deficient.  The sweep's Gram route
+(``completion._leave_one_out``) forms the Gram of a windowed pair's
+unfolding without the unfolding, and takes the same two steps: the range
+rule on the matrix it forms the Gram from, and the same eigensolve.
 :func:`complete_orthonormal_basis` makes every new factor column (random
 start, rank padding, rank above an update's width) with one QR.
 """
@@ -50,6 +54,33 @@ def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return np.hstack([u, apply_sign_convention(q[:, have:])])
 
 
+def _in_range(a: np.ndarray) -> np.ndarray:
+    """``a`` under the range rule: a ValueError if non-finite, prescaled if far from 1.
+
+    A nonzero largest magnitude outside [2^-100, 2^100] is brought into
+    [1/2, 1) by a power of two (exact but where an entry turns subnormal),
+    in a new array; ``a`` inside, or zero, is returned as it is.  Scaling
+    changes no singular or eigenvector, so no solve under- or overflows.
+    """
+    largest = max(float(a.max()), -float(a.min()))  # NaN if any entry is; no |a| temporary
+    if not largest < math.inf:
+        raise ValueError("matrix has non-finite entries")
+    if largest and not 2.0**-100 <= largest <= 2.0**100:
+        a = np.ldexp(a, -math.frexp(largest)[1])
+    return a
+
+
+def _top_eigenvectors(gram: np.ndarray, r: int) -> np.ndarray:
+    """The r leading eigenvectors of a symmetric J x J Gram matrix, under the sign convention.
+
+    The wide step of :func:`leading_singular_vectors`: one ``eigh``, its
+    columns reversed to descending eigenvalue and cut to r, copied
+    C-contiguous and flipped in place (:func:`apply_sign_convention`).
+    """
+    u = np.linalg.eigh(gram)[1][:, ::-1][:, :r]
+    return apply_sign_convention(np.ascontiguousarray(u))
+
+
 def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal J x r basis of the dominant left singular subspace of a J x K matrix.
 
@@ -72,11 +103,7 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     rows, cols = a.shape
     if not 1 <= r <= rows:
         raise ValueError(f"r={r} out of range [1, {rows}] for shape {a.shape}")
-    largest = max(float(a.max()), -float(a.min()))  # NaN if any entry is; no |a| temporary
-    if not largest < math.inf:
-        raise ValueError("matrix has non-finite entries")
-    if largest and not 2.0**-100 <= largest <= 2.0**100:  # largest into [1/2, 1)
-        a = np.ldexp(a, -math.frexp(largest)[1])
+    a = _in_range(a)
     if cols == 1:
         column = a[:, 0]
         peak = column[np.abs(column).argmax()]
@@ -90,11 +117,11 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
             if u[np.abs(u).argmax()] < 0:
                 np.negative(u, out=u)
             u = u.reshape(rows, 1)
+    elif rows <= cols:
+        u = _top_eigenvectors(a @ a.T, r)
     else:
-        if rows <= cols:
-            u = np.linalg.eigh(a @ a.T)[1][:, ::-1][:, :r]
-        else:
-            u = np.linalg.svd(a, full_matrices=False)[0][:, :r]
-        # both solvers return new arrays: flip the signs of ours, C-contiguous, in place
-        u = apply_sign_convention(np.ascontiguousarray(u))
+        # the solver returns a new array: flip the signs of ours, C-contiguous, in place
+        u = apply_sign_convention(np.ascontiguousarray(
+            np.linalg.svd(a, full_matrices=False)[0][:, :r]))
     return u if r <= cols else complete_orthonormal_basis(u, np.eye(rows, r - cols))
+

@@ -16,7 +16,7 @@ whose largest array is too large lives here too
 (:func:`_checked_largest_array`).  It counts four closed forms (the pair
 embeddings, the pair matrices, the factor matrices and the input), which
 bound every array of the sweep's chain because the chain contracts the
-modes that grow last.
+modes that grow last, and the arrays of its Gram route.
 """
 
 from __future__ import annotations
@@ -175,12 +175,18 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool
     Every other array of a fit is no larger than one of these: the chain
     contracts the pair matrices that grow their mode last
     (``completion._leave_one_out``), so its products are bounded by the
-    input or a pair embedding.  The one array left uncounted is
-    ``_pair_matrix``'s zero-padded window factor, (L_n + tau_n - 1) x R_2n+1:
-    it exceeds K_n only where R_2n = 1, and then by less than 2x (at
-    (2000, 2), tau=(500, 1), ranks (1, 1501, 1, 2): K_0 holds 3.00M
-    elements, the padded factor 3.75M).  A pair matrix or a factor matrix
-    can exceed the embedded tensor.
+    input or a pair embedding.  On a pair the sweep's Gram route takes
+    (tau_n > 1, W_n > 1, O_n = prod_{j != n} P_j >= L_n), the sweep builds
+    no pair embedding; its arrays there are a copy of the chain's
+    L_n x O_n product, the Gram S_n (L_n^2) and the Gram products (at most
+    tau_n W_n L_n), each no larger than that pair's embedding,
+    tau_n W_n O_n.  The guard still counts those pair embeddings:
+    ``mode_residuals``, which every rank event runs, embeds every pair.
+    The one array left uncounted is ``_pair_matrix``'s zero-padded window
+    factor, (L_n + tau_n - 1) x R_2n+1: it exceeds K_n only where R_2n = 1,
+    and then by less than 2x (at (2000, 2), tau=(500, 1), ranks
+    (1, 1501, 1, 2): K_0 holds 3.00M elements, the padded factor 3.75M).
+    A pair matrix or a factor matrix can exceed the embedded tensor.
     """
     pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
     count = max(shape[2 * n] * shape[2 * n + 1] * math.prod(pairs[:n] + pairs[n + 1:])

@@ -227,6 +227,9 @@ def windowed_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=windowed_cases())
 @example(case=((5, 4, 3), (2, 4, 1), (2, 3, 4, 1, 1, 3), 1.0, 7))
+# every windowed pair on the sweep's Gram route (O_n >= 18 against L_n = 12)
+@example(case=((12, 12, 3), (4, 4, 1), (2, 3, 2, 3, 1, 3), 1.0, 7))
+@example(case=((12, 12, 3), (4, 4, 1), (3, 5, 2, 5, 1, 3), 1e3, 11))
 def test_the_input_chain_equals_the_chain_over_the_embedded_tensor(case):
     # als_sweep(y) and mode_residuals(y) against the chain over
     # z = np.array(mdt(y, taus)).  On order 1 and at windows of 1 they make
@@ -240,7 +243,8 @@ def test_the_input_chain_equals_the_chain_over_the_embedded_tensor(case):
     # gap < 1e-6 (a Hankel unfolding of lower rank than the cut, say) are
     # left out; their factors may differ in directions the data never see.
     # Measured over 9000 random cases: at most 0.23 of the residual bound
-    # and 0.43 of the sweep bound.
+    # and 0.43 of the sweep bound; over 3000 cases with a pair on the
+    # sweep's Gram route, at most 0.23 of the sweep bound.
     shape, taus, ranks, scale, seed = case
     rng = np.random.default_rng(seed)
     y = scale * rng.standard_normal(shape)
@@ -267,6 +271,81 @@ def test_the_input_chain_equals_the_chain_over_the_embedded_tensor(case):
     assert drift <= bound * np.linalg.norm(z)
     for u, v in zip(swept.factors, reference.factors):
         assert np.abs(u @ u.T - v @ v.T).max() <= bound
+
+
+def _gram_route(shape, taus, ranks):
+    """Per input mode, whether the sweep's chain takes its pair down the Gram route.
+
+    Both windows above 1 and O_n >= L_n, O_n the product of the other
+    modes' rank pairs R_2j R_2j+1.
+    """
+    embedded = embedded_shape(shape, taus)
+    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+    return [tau > 1 and width > 1 and math.prod(pairs[:n] + pairs[n + 1:]) >= length
+            for n, (length, tau, width) in enumerate(zip(shape, embedded[::2], embedded[1::2]))]
+
+
+@st.composite
+def gram_route_cases(draw):
+    """Order 2-3 windowed inputs on which at least one pair takes the Gram route."""
+    order = draw(st.integers(2, 3))
+    shape = tuple(draw(st.lists(st.integers(3, 8), min_size=order, max_size=order)))
+    taus = tuple(draw(st.one_of(st.just(1), st.integers(2, j - 1))) for j in shape)
+    ranks = tuple(draw(st.one_of(st.just(j), st.integers(1, j)))
+                  for j in embedded_shape(shape, taus))
+    assume(any(_gram_route(shape, taus, ranks)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return shape, taus, ranks, scale, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gram_route_cases())
+def test_the_gram_route_gives_the_gram_of_the_projection_routes_unfolding(case):
+    # The chain runs twice on fixed factors (the visits update none): on the
+    # projection route, recording each projection p and pair embedding z,
+    # and with a Gram visit, recording each Gram g.  Both runs share the
+    # chain product T before the pair (z is T embedded), and both routes sum
+    # the same products U[b, c] U[b', c] T[a + b, o] T[a' + b', o], U the
+    # pair's other factor, k x r.  The projection route takes a length-k dot
+    # product per entry of A = unfold(p, m), then a length-r O one per entry
+    # of A A^T: k + r O roundings along each product.  The Gram route takes
+    # O for S = T T^T, k and r for the two factor products and k - 1 for
+    # the strided sum.  So each side is within gamma_d = d u / (1 - d u),
+    # u = eps / 2, d = r O + 2k + r, of the exact Gram, relative to the same
+    # sums over magnitudes: |A| |A|^T with A taken from |z| and |U|.  The
+    # inputs sit inside the range rule's window, so no Gram is rescaled.
+    # Measured over 3000 random cases: at most 0.20 of the bound.
+    shape, taus, ranks, scale, seed = case
+    rng = np.random.default_rng(seed)
+    y = scale * rng.standard_normal(shape)
+    factors = init_model(ranks, embedded_shape(shape, taus), seed).factors
+    projections, embeddings, grams = {}, {}, {}
+    build = completion._embed_mode
+
+    def embedding(t, mode, *args):
+        embeddings[mode] = build(t, mode, *args)
+        return embeddings[mode]
+
+    completion._embed_mode = embedding
+    try:
+        completion._leave_one_out(y, list(factors), projections.__setitem__)
+    finally:
+        completion._embed_mode = build
+    completion._leave_one_out(y, list(factors), lambda m, p: None, grams.__setitem__)
+    routed = _gram_route(shape, taus, ranks)
+    assert sorted(grams) == [m for n, on in enumerate(routed) if on for m in (2 * n, 2 * n + 1)]
+    for m, g in grams.items():
+        n, side = divmod(m, 2)
+        u = factors[m + 1 - 2 * side]  # the pair's other factor
+        z = np.abs(embeddings[n])  # (left, tau, W, right)
+        magnitudes = (np.einsum("labr,bc->alcr", z, np.abs(u)) if side == 0
+                      else np.einsum("labr,ac->blcr", z, np.abs(u)))
+        magnitudes = magnitudes.reshape(g.shape[0], -1)
+        a = unfold(projections[m], m)
+        other = a.shape[1] // u.shape[1]  # O_n
+        d = u.shape[1] * other + 2 * u.shape[0] + u.shape[1]
+        gamma = d * EPS / 2 / (1 - d * EPS / 2)
+        assert np.all(np.abs(g - a @ a.T) <= 2 * gamma * (magnitudes @ magnitudes.T))
 
 
 @st.composite
@@ -347,20 +426,26 @@ def test_sweep_reads_the_full_tensor_at_most_twice(monkeypatch, layer):
 def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice(monkeypatch,
                                                                                 layer):
     # Order 4 with one singleton mode and one window of the whole mode.  The
-    # chain builds one pair embedding per input mode and reads it at most
-    # twice (mode 2n + 1's product for mode 2n's visit, and mode 2n's
-    # product), and no product reads a tensor the embedded tensor's size.
+    # chain builds one pair embedding per input mode off the Gram route and
+    # reads it at most twice (mode 2n + 1's product for mode 2n's visit, and
+    # mode 2n's product), and no product reads a tensor the embedded
+    # tensor's size.  The sweep's Gram route takes the pairs with both
+    # windows above 1 and O_n >= L_n, O_n the other modes' rank pairs: input
+    # modes 0 and 1 here (O = 12 against L = 6 and 7), which it embeds
+    # neither; mode_residuals embeds every pair.
     shape, taus = (6, 7, 1, 5), (3, 4, 1, 5)
     embedded = embedded_shape(shape, taus)
     ranks = (2, 3, 3, 2, 1, 1, 2, 1)
+    gram_route = _gram_route(shape, taus, ranks)
+    assert gram_route == [True, True, False, False]
     rng = np.random.default_rng(3)
     y = rng.standard_normal(shape)
     model = init_model(ranks, embedded, 3)
     copies, reads = [], []
 
-    def embedding(*args):
-        copies.append(completion_embed(*args))
-        return copies[-1]
+    def embedding(t, mode, *args):
+        copies.append((mode, completion_embed(t, mode, *args)))
+        return copies[-1][1]
 
     def counting(t, a, mode):
         reads.append(t)
@@ -372,11 +457,13 @@ def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice
     monkeypatch.setattr(ranking, "mode_multiply", counting)
     if layer == "als_sweep":
         als_sweep(y, model)
+        embeds = [n for n, routed in enumerate(gram_route) if not routed]
     else:
         mode_residuals(y, TuckerModel(np.zeros(ranks), model.factors))
-    assert len(copies) == len(shape)
+        embeds = list(range(len(shape)))
+    assert [n for n, _ in copies] == embeds
     assert max(np.size(t) for t in reads) < math.prod(embedded)
-    for copy in copies:
+    for _, copy in copies:
         assert sum(np.shares_memory(t, copy) for t in reads) <= 2
 
 

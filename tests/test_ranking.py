@@ -322,10 +322,17 @@ def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
     t = rng.standard_normal(shape)
     q = rng.random(shape) >= 0.3
     assume(q.any())
-    # a model seed apart from the data's: on one entry the same draws fit exactly
-    result, sizes = recorded_sizes(lambda: recover(
-        t, q, taus, RankSchedule(tuple((r,) for r in ranks)), StoppingCriteria(0.0, 0.0, 1),
-        seed=seed + 1))
+    # a model seed apart from the data's: on one entry the same draws fit exactly.
+    # The sweep's Gram route embeds no pair it takes, so the run adds what a
+    # rank event builds: mode_residuals on the fill y = where(q, t, e),
+    # which embeds every pair
+    def run():
+        report = recover(t, q, taus, RankSchedule(tuple((r,) for r in ranks)),
+                         StoppingCriteria(0.0, 0.0, 1), seed=seed + 1)
+        mode_residuals(np.where(q, t, report.estimate), report.model)
+        return report
+
+    result, sizes = recorded_sizes(run)
     assert result.cost_trace[-1][0] == 1
     # the fill's y, e and scratch array are the input's size
     assert max(sizes + [t.size]) == _checked_largest_array(embedded_shape(shape, taus), ranks)

@@ -13,9 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel, default_rank_sequences, recover)
+                        StoppingCriteria, TuckerModel, default_rank_sequences,
+                        embedded_shape, recover)
 from hankelfill import pipeline
-from hankelfill.completion import init_model
+from hankelfill.completion import als_sweep, init_model
 from hankelfill.ranking import pad_model
 from helpers import in_copies, masked_cost, plain_loop, texture_image, traced_peak
 
@@ -123,14 +124,16 @@ def image_case():
 
 def test_recover_holds_under_one_and_a_half_embedded_copies():
     # No full-size buffer: the fill is input-sized, and the ALS sweep reads
-    # it, embedding one mode pair at a time.  The largest array is a pair
-    # embedding with every other input mode contracted, 16x49x(4*8*3) here.
-    # Measured: 0.088 copies.
+    # it, embedding one mode pair at a time.  Both windowed pairs take the
+    # sweep's Gram route here (O_n = 4*8*3 = 96 >= L_n = 64), which embeds
+    # neither: its largest array is the Gram's 16x49x64 product, below the
+    # 16x49x(4*8*3) pair embedding that the projection route builds.
+    # Measured: 0.069 copies (0.087 on the projection route).
     x, q, criteria = image_case()
     report, peak = traced_peak(lambda: recover(x, q, TAUS, schedule=RANKS, criteria=criteria,
                                                seed=0))
     assert report.cost_trace[-1][0] == 3
-    assert in_copies(peak, x.shape, TAUS) <= 0.11
+    assert in_copies(peak, x.shape, TAUS) <= 0.08
 
 
 def test_an_input_space_plateau_holds_no_more_than_a_sweep():
@@ -171,9 +174,12 @@ def test_the_input_fill_at_small_windows_holds_little_beyond_the_papers(shape, t
 def test_the_papers_setting_holds_a_tenth_of_an_embedded_copy():
     # The paper's image setting: 256x256x3 at windows (32, 32, 1), whose
     # embedded tensor holds 155.5 million entries (1.16 GiB).  With fixed
-    # ranks (8, 16, 8, 16, 1, 3) the largest array is the first pair
-    # embedding, 32x225x(8*16*3).  Measured: 0.028 copies (34 MiB) for 2
-    # sweeps in 0.3 s on one x86_64 core.
+    # ranks (8, 16, 8, 16, 1, 3) both windowed pairs take the sweep's Gram
+    # route (O_n = 8*16*3 = 384 >= L_n = 256), so no pair embedding is
+    # built: the largest arrays are the Gram's 32x225x256 product and the
+    # input-sized ones.  Measured: 0.021 copies (25 MiB) for 2 sweeps, 0.028
+    # on the projection route, whose first pair embedding is
+    # 32x225x(8*16*3).
     x = texture_image(256)
     q = np.broadcast_to(np.random.default_rng(0).random((256, 256, 1)) >= 0.5, x.shape)
     taus = (32, 32, 1)
@@ -181,7 +187,20 @@ def test_the_papers_setting_holds_a_tenth_of_an_embedded_copy():
     report, peak = traced_peak(lambda: recover(x, q, taus, schedule=(8, 16, 8, 16, 1, 3),
                                                criteria=criteria, seed=0))
     assert report.cost_trace[-1][0] == 2
-    assert in_copies(peak, x.shape, taus) <= 0.1
+    assert in_copies(peak, x.shape, taus) <= 0.025
+
+
+def test_a_papers_setting_sweep_at_wide_rank_pairs_holds_a_fortieth_of_an_embedded_copy():
+    # The same image at ranks (8, 64, 8, 64, 1, 3): both windowed pairs take
+    # the Gram route (O_n = 8*64*3 = 1536 >= L_n = 256).  On the projection
+    # route one sweep built the 32x225x1536 pair embedding and its
+    # projection, 0.116 copies (138 MiB).  Measured: 0.020 copies (24 MiB).
+    x = texture_image(256)
+    taus = (32, 32, 1)
+    model = init_model((8, 64, 8, 64, 1, 3), embedded_shape(x.shape, taus), 0)
+    swept, peak = traced_peak(lambda: als_sweep(x, model))
+    assert swept.ranks == model.ranks
+    assert in_copies(peak, x.shape, taus) <= 0.025
 
 
 def test_no_sweep_fill_or_plateau_reconstructs_the_model(monkeypatch):
