@@ -12,11 +12,12 @@ no step size to tune.  :func:`hankelfill.pipeline.recover`
 drives these steps.  The mask enters only the fill, and F, summed over
 every entry, also counts how far the windows disagree on a missing entry;
 with windows of 1 it is the masked cost.  The ALS sweep and the mode
-ranking read y itself through one projection chain that embeds one mode
-pair at a time (:func:`_leave_one_out`), so no embedded-sized array is
-ever built.  The sweep embeds fewer still: a windowed pair whose other
-modes' rank pairs hold at least its mode's length L takes its two factor
-updates from that mode's L x L Gram (the chain's Gram route), the way
+ranking read y itself through one projection chain that embeds at most one
+mode pair at a time (:func:`_leave_one_out`), so no embedded-sized array
+is ever built.  Both take the same route on each pair: a windowed pair
+whose other modes' rank pairs hold at least its mode's length L embeds
+nothing, and the sweep takes its two factor updates, the ranking its two
+scores, from that mode's L x L Gram (the chain's Gram route), the way
 Hankel-structured SSA codes take the trajectory matrix's Gram.
 """
 
@@ -171,18 +172,22 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit,
     skipped, so at windows of 1, and on an order-1 input, every product is
     the one that chain makes, to the bit.
 
-    The Gram route: given ``visit_gram``, a pair whose run ends in an
-    L_n x O_n matrix T (mode n by the other modes' rank pairs) with
-    tau_n > 1, W_n > 1 and O_n >= L_n builds no pair embedding.  T, under
-    the range rule (``linalg._in_range``), gives S = T T^T, and
-    ``visit_gram(m, g)`` sees, for m = 2n then 2n + 1, the Gram g of the
-    projection's mode-m unfolding, to rounding and a power-of-two scale
+    The Gram route: a pair whose run ends in an L_n x O_n matrix T (mode n
+    by the other modes' rank pairs) with tau_n > 1, W_n > 1 and
+    O_n >= L_n builds no pair embedding.  T, divided by 2^e under the range
+    rule (``linalg._in_range``), gives S = T T^T, and
+    ``visit_gram(m, g, e)`` sees, for m = 2n then 2n + 1, the Gram g of the
+    projection's mode-m unfolding divided by 4^e, to rounding
     (:func:`_windowed_gram` of S by the other mode's factor, 2n's as its
-    visit left it).  Its new arrays are T's copy, S (L_n^2) and the Gram's
-    tau_n W_n L_n product, none larger than the pair embedding,
+    visit left it); a visitor that needs the projection's squared norm, the
+    trace of g, takes 4^e back.  Its new arrays are T's copy, S (L_n^2) and
+    the Gram's tau_n W_n L_n products, none larger than the pair embedding,
     tau_n W_n O_n.  On the last input mode, the return is T contracted with
     the pair matrix of the visited factors.  Other pairs (windows of 1, a
-    window of the whole mode, O_n < L_n) go as above.
+    window of the whole mode, O_n < L_n) go as above.  Every caller in the
+    package passes ``visit_gram``, so the sweep and the mode ranking take
+    one route rule; without it every pair goes the projection route, which
+    the tests keep as the Gram route's reference.
     """
     order = y.ndim
     if len(factors) != 2 * order:
@@ -209,11 +214,11 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit,
                 and math.prod(pairs[:n] + pairs[n + 1:]) >= length)
         if gram:
             matrix = np.moveaxis(t.reshape(math.prod(t.shape[:n]), length, -1), 1, 0)
-            matrix = _in_range(matrix.reshape(length, -1))
+            matrix, power = _in_range(matrix.reshape(length, -1))
             s = matrix @ matrix.T
             del matrix  # T's copy goes before the Gram products are made
-            visit_gram(2 * n, _windowed_gram(s, u_window, tau))
-            visit_gram(2 * n + 1, _windowed_gram(s, factors[2 * n], width))
+            visit_gram(2 * n, _windowed_gram(s, u_window, tau), power)
+            visit_gram(2 * n + 1, _windowed_gram(s, factors[2 * n], width), power)
         else:
             z = _embed_mode(t, n, tau, width).reshape(
                 [u.shape[1] for u in factors[:2 * n]] + [tau, width]
@@ -259,7 +264,7 @@ def als_sweep(y: np.ndarray, model: TuckerModel) -> TuckerModel:
     def update(m, p):
         factors[m] = leading_singular_vectors(unfold(p, m), model.ranks[m])
 
-    def update_from_gram(m, g):
+    def update_from_gram(m, g, power):
         factors[m] = _top_eigenvectors(g, model.ranks[m])
 
     core = _leave_one_out(np.asarray(y), factors, update, update_from_gram)

@@ -54,20 +54,23 @@ def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return np.hstack([u, apply_sign_convention(q[:, have:])])
 
 
-def _in_range(a: np.ndarray) -> np.ndarray:
-    """``a`` under the range rule: a ValueError if non-finite, prescaled if far from 1.
+def _in_range(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``a`` under the range rule and the power e it was divided by; non-finite is a ValueError.
 
     A nonzero largest magnitude outside [2^-100, 2^100] is brought into
-    [1/2, 1) by a power of two (exact but where an entry turns subnormal),
-    in a new array; ``a`` inside, or zero, is returned as it is.  Scaling
-    changes no singular or eigenvector, so no solve under- or overflows.
+    [1/2, 1) by dividing by 2^e (exact but where an entry turns subnormal),
+    in a new array; ``a`` inside, or zero, is returned as it is, with e = 0.
+    Scaling changes no singular or eigenvector, so no solve under- or
+    overflows; a caller that needs a norm takes e back.
     """
     largest = max(float(a.max()), -float(a.min()))  # NaN if any entry is; no |a| temporary
     if not largest < math.inf:
         raise ValueError("matrix has non-finite entries")
+    power = 0
     if largest and not 2.0**-100 <= largest <= 2.0**100:
-        a = np.ldexp(a, -math.frexp(largest)[1])
-    return a
+        power = math.frexp(largest)[1]
+        a = np.ldexp(a, -power)
+    return a, power
 
 
 def _top_eigenvectors(gram: np.ndarray, r: int) -> np.ndarray:
@@ -103,7 +106,7 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     rows, cols = a.shape
     if not 1 <= r <= rows:
         raise ValueError(f"r={r} out of range [1, {rows}] for shape {a.shape}")
-    a = _in_range(a)
+    a, _ = _in_range(a)
     if cols == 1:
         column = a[:, 0]
         peak = column[np.abs(column).argmax()]

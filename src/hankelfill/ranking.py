@@ -13,10 +13,12 @@ are exhausted, or the sweep budget runs out (:class:`StoppingCriteria`).
 The sweep loop that applies this policy is
 :func:`hankelfill.pipeline.recover`; the size guard that refuses a fit
 whose largest array is too large lives here too
-(:func:`_checked_largest_array`).  It counts four closed forms (the pair
-embeddings, the pair matrices, the factor matrices and the input), which
-bound every array of the sweep's chain because the chain contracts the
-modes that grow last, and the arrays of its Gram route.
+(:func:`_checked_largest_array`).  It counts closed forms: per input mode,
+what the chain builds for its pair on the route the ranks pick (the pair
+embedding, or the Gram route's chain product and Gram products), then the
+core, the pair matrices, the factor matrices and the input.  They bound
+every array of a fit, because the chain contracts the modes that grow
+last, and a rank event's scoring walks the chain on the sweep's routes.
 """
 
 from __future__ import annotations
@@ -139,71 +141,105 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     residual whose squared norm is the cost;
     value_m = ||(H(y) - x) projected onto all factors but mode m||^2,
     a proxy for how much cost reduction a rank bump on mode m can buy.  With
-    orthonormal factors that projection of x is the core times U_m on mode m,
-    so x is never built: y runs through the chain of :func:`als_sweep`, which
-    builds no H(y) either.  A mode of size 1 sees the whole projection, the
-    chain's last product less the core.
+    orthonormal factors that projection of x is the core G times U_m on
+    mode m, so x is never built: y runs through the chain of
+    :func:`als_sweep`, on the same routes, which builds no H(y) either.  A
+    mode of size 1 sees the whole projection, the chain's last product c
+    less the core.  A pair on the chain's Gram route has no projection p_m
+    to subtract from: there, since U_m^T p_m = c,
+    value_m = ||c - G||^2 + (||p_m||^2 - ||c||^2), with ||p_m||^2 the trace
+    of the route's Gram and the difference clamped at zero against
+    rounding.  That cancels two sums of the size of ||p_m||^2, so such a
+    value is within 4 sum(J) eps (||H(y)|| + ||G||)^2 of the chain's over
+    H(y), J the embedded shape, not equal to it; every other value is the
+    direct difference.
     """
     values = [0.0] * model.core.ndim
+    energies = {}
 
     def score(m, p):
         d = (p - mode_multiply(model.core, model.factors[m], m)).ravel()
         values[m] = float(d @ d)
 
-    d = (_leave_one_out(np.asarray(y), model.factors, score) - model.core).ravel()
-    whole = float(d @ d)
+    def energy(m, g, power):
+        energies[m] = math.ldexp(float(np.trace(g)), 2 * power)
+
+    c = _leave_one_out(np.asarray(y), model.factors, score, energy).ravel()
+    d = c - model.core.ravel()
+    whole, last = float(d @ d), float(c @ c)
+    for m, e in energies.items():
+        values[m] = whole + max(e - last, 0.0)
     return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
 
 
 def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool = True) -> int:
     """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
 
-    Four closed forms on the embedded ``shape``, with L_n = tau_n + W_n - 1
-    and P_n = R_2n R_2n+1:
+    Closed forms on the embedded ``shape``, with L_n = tau_n + W_n - 1,
+    P_n = R_2n R_2n+1 and O_n = prod_{j != n} P_j:
 
-    - the pair embeddings the sweep's chain builds
-      (``completion._embed_mode``), max_n tau_n W_n prod_{j != n} P_j,
-      which at full ranks is the embedded tensor's count.  ``fit=False``
-      counts these alone, which at full ranks is the embedded tensor that
-      CLI ``embed`` writes;
+    - per input mode n, what the chain (``completion._leave_one_out``)
+      builds for its pair.  On the Gram route (tau_n > 1, W_n > 1,
+      O_n >= L_n) that is the chain's L_n x O_n product T and its copy,
+      L_n O_n, and the two Gram products, tau_n W_n L_n each; the Gram
+      S_n (L_n^2 <= L_n O_n) and the pair's Grams are smaller.  Off the
+      route it is the pair embedding (``completion._embed_mode``),
+      tau_n W_n O_n.  ``fit=False`` counts the pair embedding on every mode
+      and nothing else: at full ranks that is the embedded tensor that CLI
+      ``embed`` writes;
+    - the core, prod R_m: the chain's last product, a random start's and a
+      rank increment's;
     - on order >= 2, the pair matrices K_n (``embedding._pair_matrix``),
       L_n x P_n, which the chain and the map-back build;
     - the factor matrices, J_m x R_m (a random start's Gaussian block and
       the QR that pads a factor);
     - the input, prod L_n: the fill's y, e and scratch array.
 
-    Every other array of a fit is no larger than one of these: the chain
-    contracts the pair matrices that grow their mode last
-    (``completion._leave_one_out``), so its products are bounded by the
-    input or a pair embedding.  On a pair the sweep's Gram route takes
-    (tau_n > 1, W_n > 1, O_n = prod_{j != n} P_j >= L_n), the sweep builds
-    no pair embedding; its arrays there are a copy of the chain's
-    L_n x O_n product, the Gram S_n (L_n^2) and the Gram products (at most
-    tau_n W_n L_n), each no larger than that pair's embedding,
-    tau_n W_n O_n.  The guard still counts those pair embeddings:
-    ``mode_residuals``, which every rank event runs, embeds every pair.
-    The one array left uncounted is ``_pair_matrix``'s zero-padded window
-    factor, (L_n + tau_n - 1) x R_2n+1: it exceeds K_n only where R_2n = 1,
-    and then by less than 2x (at (2000, 2), tau=(500, 1), ranks
-    (1, 1501, 1, 2): K_0 holds 3.00M elements, the padded factor 3.75M).
-    A pair matrix or a factor matrix can exceed the embedded tensor.
+    Every other array of a fit is no larger than one of these.  The chain
+    contracts the pair matrices that grow their mode last, so before mode
+    n's pair its products shrink from the input, then grow up to T, and T
+    is no larger than the pair embedding ((tau_n - 1)(W_n - 1) >= 0); a
+    visit's products are no larger than the pair embedding, the map-back's
+    no larger than the core or the input.  Every walk of the chain, a rank
+    event's scoring (``mode_residuals``) as well as the sweep, takes the
+    same route on the same pair.  The ranks of a run only grow, so the
+    forms at the schedule's final ranks bound the earlier ones: a pair on
+    the route earlier is on it at the end, and a pair off it earlier had
+    O_n < L_n, so its pair embedding was below tau_n W_n L_n.  At full
+    ranks the core is the embedded tensor's count, and no form but a pair
+    or factor matrix exceeds it.  The one array left uncounted is
+    ``_pair_matrix``'s zero-padded window factor, (L_n + tau_n - 1) x
+    R_2n+1: it exceeds K_n only where R_2n = 1, and then by less than 2x
+    (at (2000, 2), tau=(500, 1), ranks (1, 1501, 1, 2): K_0 holds 3.00M
+    elements, the padded factor 3.75M).  A pair matrix or a factor matrix
+    can exceed the embedded tensor.
     """
-    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
-    count = max(shape[2 * n] * shape[2 * n + 1] * math.prod(pairs[:n] + pairs[n + 1:])
-                for n in range(len(pairs)))
-    if count > _ELEMENT_CAP and tuple(ranks) == tuple(shape):
-        raise ValueError(f"embedded tensor would hold {count} elements (a roughly "
+    if tuple(ranks) == tuple(shape) and math.prod(shape) > _ELEMENT_CAP:
+        raise ValueError(f"embedded tensor would hold {math.prod(shape)} elements (a roughly "
                          f"{math.prod(shape[::2])}x expansion of the input via windows "
                          f"{shape[::2]}); the cap is {_ELEMENT_CAP}. Reduce the windows.")
+    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
+    embeddings, arrays = [], []
+    for n, (tau, width, length) in enumerate(zip(shape[::2], shape[1::2], lengths)):
+        other = math.prod(pairs[:n] + pairs[n + 1:])
+        if fit and tau > 1 and width > 1 and other >= length:
+            arrays += [(length * other, "a chain product",
+                        f"{length} x {other} on input mode {n}"),
+                       (tau * width * length, "a Gram product",
+                        f"{tau} x {width} x {length} on input mode {n}")]
+        else:
+            embeddings.append(tau * width * other)
+    count = max(embeddings, default=0)
     if count > _ELEMENT_CAP:
         raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair embedding of "
                          f"{count} elements; the cap is {_ELEMENT_CAP}. Reduce the windows "
                          f"or the ranks.")
     if not fit:
         return count
-    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
+    arrays.append((math.prod(ranks), "a core", " x ".join(map(str, ranks))))
     factor, m = max((j * r, m) for m, (j, r) in enumerate(zip(shape, ranks)))
-    arrays = [(factor, "a factor matrix", f"{shape[m]} x {ranks[m]} on mode {m}")]
+    arrays.append((factor, "a factor matrix", f"{shape[m]} x {ranks[m]} on mode {m}"))
     if len(pairs) > 1:
         kernel, n = max((i * p, n) for n, (i, p) in enumerate(zip(lengths, pairs)))
         arrays.append((kernel, "a pair matrix", f"{lengths[n]} x {pairs[n]} on input mode {n}"))

@@ -2,9 +2,9 @@
 
 ``mode_multiply`` is checked against the definition through the unfolding.
 ``als_sweep`` and ``mode_residuals`` share one projection chain that reads
-the input y and embeds one mode pair at a time; they are checked against the
-same chain over the embedded tensor H(y) (``helpers.embedded_*``), and
-that oracle against plain per-mode chains.
+the input y and embeds at most one mode pair at a time, on the same routes;
+they are checked against the same chain over the embedded tensor H(y)
+(``helpers.embedded_*``), and that oracle against plain per-mode chains.
 """
 
 import math
@@ -230,12 +230,18 @@ def windowed_cases(draw):
 # every windowed pair on the sweep's Gram route (O_n >= 18 against L_n = 12)
 @example(case=((12, 12, 3), (4, 4, 1), (2, 3, 2, 3, 1, 3), 1.0, 7))
 @example(case=((12, 12, 3), (4, 4, 1), (3, 5, 2, 5, 1, 3), 1e3, 11))
+# routed, and outside the range rule's window: the scores must undo its
+# power of two
+@example(case=((12, 12, 3), (4, 4, 1), (3, 5, 2, 5, 1, 3), 2.0**130, 11))
+@example(case=((12, 12, 3), (4, 4, 1), (3, 5, 2, 5, 1, 3), 2.0**-130, 11))
 def test_the_input_chain_equals_the_chain_over_the_embedded_tensor(case):
     # als_sweep(y) and mode_residuals(y) against the chain over
     # z = np.array(mdt(y, taus)).  On order 1 and at windows of 1 they make
     # the same products, so they agree to the bit.  Elsewhere the sums run in
     # another order: each residual is within 4 * sum(embedded) * eps *
-    # (||z|| + ||core||)^2 of the oracle's (see the fill test below), and
+    # (||z|| + ||core||)^2 of the oracle's (see the fill test below; on a
+    # pair on the Gram route the residual is ||c - core||^2 plus the trace
+    # of the route's Gram less ||c||^2, c the chain's last product), and
     # the swept model's reconstruction (relative to ||z||) and factor
     # projectors U U^T are within 4 * sum(embedded) * eps / gap, where gap is
     # the smallest relative singular-value gap at the cut of any update: a
@@ -244,7 +250,9 @@ def test_the_input_chain_equals_the_chain_over_the_embedded_tensor(case):
     # left out; their factors may differ in directions the data never see.
     # Measured over 9000 random cases: at most 0.23 of the residual bound
     # and 0.43 of the sweep bound; over 3000 cases with a pair on the
-    # sweep's Gram route, at most 0.23 of the sweep bound.
+    # Gram route, at most 0.23 of the sweep bound, and the routed pairs'
+    # residuals at most 0.092 of the residual bound (scales 1e-3 to 1e3 and
+    # 2^+-130, half of them after a sweep).
     shape, taus, ranks, scale, seed = case
     rng = np.random.default_rng(seed)
     y = scale * rng.standard_normal(shape)
@@ -303,7 +311,9 @@ def gram_route_cases(draw):
 def test_the_gram_route_gives_the_gram_of_the_projection_routes_unfolding(case):
     # The chain runs twice on fixed factors (the visits update none): on the
     # projection route, recording each projection p and pair embedding z,
-    # and with a Gram visit, recording each Gram g.  Both runs share the
+    # and with a Gram visit, recording each Gram g.  No caller in the package
+    # walks a pair the Gram route takes on the projection route; this test
+    # does, as the route's reference.  Both runs share the
     # chain product T before the pair (z is T embedded), and both routes sum
     # the same products U[b, c] U[b', c] T[a + b, o] T[a' + b', o], U the
     # pair's other factor, k x r.  The projection route takes a length-k dot
@@ -331,7 +341,12 @@ def test_the_gram_route_gives_the_gram_of_the_projection_routes_unfolding(case):
         completion._leave_one_out(y, list(factors), projections.__setitem__)
     finally:
         completion._embed_mode = build
-    completion._leave_one_out(y, list(factors), lambda m, p: None, grams.__setitem__)
+
+    def gram(m, g, power):
+        assert power == 0  # inside the range rule's window
+        grams[m] = g
+
+    completion._leave_one_out(y, list(factors), lambda m, p: None, gram)
     routed = _gram_route(shape, taus, ranks)
     assert sorted(grams) == [m for n, on in enumerate(routed) if on for m in (2 * n, 2 * n + 1)]
     for m, g in grams.items():
@@ -429,10 +444,10 @@ def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice
     # chain builds one pair embedding per input mode off the Gram route and
     # reads it at most twice (mode 2n + 1's product for mode 2n's visit, and
     # mode 2n's product), and no product reads a tensor the embedded
-    # tensor's size.  The sweep's Gram route takes the pairs with both
-    # windows above 1 and O_n >= L_n, O_n the other modes' rank pairs: input
-    # modes 0 and 1 here (O = 12 against L = 6 and 7), which it embeds
-    # neither; mode_residuals embeds every pair.
+    # tensor's size.  The Gram route takes the pairs with both windows above
+    # 1 and O_n >= L_n, O_n the other modes' rank pairs: input modes 0 and 1
+    # here (O = 12 against L = 6 and 7), which neither the sweep nor the
+    # mode ranking embeds.
     shape, taus = (6, 7, 1, 5), (3, 4, 1, 5)
     embedded = embedded_shape(shape, taus)
     ranks = (2, 3, 3, 2, 1, 1, 2, 1)
@@ -457,11 +472,9 @@ def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice
     monkeypatch.setattr(ranking, "mode_multiply", counting)
     if layer == "als_sweep":
         als_sweep(y, model)
-        embeds = [n for n, routed in enumerate(gram_route) if not routed]
     else:
         mode_residuals(y, TuckerModel(np.zeros(ranks), model.factors))
-        embeds = list(range(len(shape)))
-    assert [n for n, _ in copies] == embeds
+    assert [n for n, _ in copies] == [n for n, routed in enumerate(gram_route) if not routed]
     assert max(np.size(t) for t in reads) < math.prod(embedded)
     for _, copy in copies:
         assert sum(np.shares_memory(t, copy) for t in reads) <= 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
                         StoppingCriteria, TuckerModel, default_rank_sequences,
-                        default_stopping_criteria, embedded_shape, recover)
+                        default_stopping_criteria, embedded_shape, mdt, recover)
 from hankelfill import completion, ranking
 from hankelfill.completion import als_sweep, init_model
 from hankelfill.ranking import (_checked_largest_array, mode_residuals, pad_model,
@@ -94,6 +94,22 @@ class TestModeResiduals:
         model = TuckerModel(np.zeros(t.shape), factors)
         for value in plain_mode_residuals(np.where(q, t - x, 0.0), model):
             assert value == pytest.approx(masked, rel=1e-12)
+
+    def test_a_full_rank_fit_on_the_gram_route_scores_zero_to_rounding_never_below(self):
+        # At full ranks every factor is square, so the swept model fits H(y)
+        # and every score is 0.  Both pairs take the Gram route (O_n = 16
+        # and 18 against L_n = 8 and 7), where a score is ||c - G||^2 plus
+        # ||p_m||^2 - ||c||^2: two equal sums that cancel to rounding of
+        # either sign, so the difference is clamped at zero (unclamped, all
+        # four scores here read about -1e-13).
+        shape, taus = (8, 7), (3, 4)
+        embedded = embedded_shape(shape, taus)
+        y = np.random.default_rng(0).standard_normal(shape)
+        model = als_sweep(y, init_model(embedded, embedded, 0))
+        values = mode_residuals(y, model)
+        eps = np.finfo(np.float64).eps
+        bound = 4 * sum(embedded) * eps * (2 * np.linalg.norm(mdt(y, taus))) ** 2
+        assert all(0 <= v <= bound for v in values)
 
     def test_matches_einsum_oracle(self):
         rng = np.random.default_rng(4)
@@ -284,28 +300,38 @@ def fixed_rank_cases(draw, max_order=3):
     return shape, taus, ranks, draw(st.integers(0, 2**32 - 1))
 
 
-_BUILDERS = ("_embed_mode", "_pair_matrix", "mode_multiply", "complete_orthonormal_basis")
+_BUILDERS = ("_embed_mode", "_pair_matrix", "mode_multiply", "complete_orthonormal_basis",
+             "_in_range", "_windowed_gram")
+
+# The arrays a builder makes, from its arguments and result, where they are
+# not its result: the Gram route's copy of the chain's product T comes back
+# from the range rule with its power of two, and a windowed Gram reads the
+# route's Gram S and makes a count x k x L product.
+_MADE = {"_in_range": lambda args, out: [out[0].size],
+         "_windowed_gram": lambda args, g: [args[0].size,
+                                            args[2] * args[1].shape[0] * args[0].shape[0]]}
 
 
 def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
     """``run()``'s result and the sizes of the arrays ``names`` build in ``modules`` meanwhile.
 
     By default the pair embeddings, the pair matrices, every mode product of
-    the chain and every factor matrix.
+    the chain, every factor matrix, and the Gram route's copy of T, S and
+    Gram products.
     """
     sizes = []
     saved = [(module, name, getattr(module, name))
              for module in modules for name in names if hasattr(module, name)]
 
-    def recording(build):
+    def recording(name, build):
         def wrapper(*args):
             z = build(*args)
-            sizes.append(z.size)
+            sizes.extend(_MADE[name](args, z) if name in _MADE else [z.size])
             return z
         return wrapper
 
     for module, name, build in saved:
-        setattr(module, name, recording(build))
+        setattr(module, name, recording(name, build))
     try:
         result = run()
     finally:
@@ -316,6 +342,12 @@ def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
 
 @settings(max_examples=100, deadline=None)
 @given(case=fixed_rank_cases())
+# both windowed pairs on the Gram route; the largest array is input mode
+# 1's chain product, 12 x 45
+@example(case=((12, 12, 3), (4, 4, 1), (3, 5, 2, 5, 1, 3), 0))
+# full ranks, both pairs routed: the largest array is the core, the
+# embedded tensor's count
+@example(case=((6, 6), (3, 3), (3, 4, 3, 4), 0))
 def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
     shape, taus, ranks, seed = case
     rng = np.random.default_rng(seed)
@@ -323,9 +355,8 @@ def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
     q = rng.random(shape) >= 0.3
     assume(q.any())
     # a model seed apart from the data's: on one entry the same draws fit exactly.
-    # The sweep's Gram route embeds no pair it takes, so the run adds what a
-    # rank event builds: mode_residuals on the fill y = where(q, t, e),
-    # which embeds every pair
+    # The run adds what a rank event builds, mode_residuals on the fill
+    # y = where(q, t, e), which takes the sweep's route on every pair
     def run():
         report = recover(t, q, taus, RankSchedule(tuple((r,) for r in ranks)),
                          StoppingCriteria(0.0, 0.0, 1), seed=seed + 1)

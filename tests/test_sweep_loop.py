@@ -140,17 +140,40 @@ def test_an_input_space_plateau_holds_no_more_than_a_sweep():
     # A rank-growing run ranks the modes at each plateau through the ALS
     # sweep's projection chain, so it adds no full-size array: only the
     # fill's input-sized map-back, which the run keeps as its estimate until
-    # the next sweep.  Measured: 0.043 copies.
+    # the next sweep.  Its ranks stay low, so every pair takes the
+    # projection route.  Measured: 0.029 copies.
     x, q, _ = image_case()
     energy = float(x[q] @ x[q])
     criteria = StoppingCriteria(0.0, 1e-2 * energy, 6)
     report, peak = traced_peak(lambda: recover(x, q, TAUS, criteria=criteria, seed=0))
     assert report.rank_history == [(5, 2, 2), (6, 3, 2)]
-    assert in_copies(peak, x.shape, TAUS) <= 0.06
+    assert in_copies(peak, x.shape, TAUS) <= 0.035
+
+
+def test_a_plateau_on_the_gram_route_holds_no_more_than_a_fixed_rank_run():
+    # Four rank events, every sweep a plateau, from (4, 8, 4, 8, 1, 3) to
+    # (8, 16, 8, 16, 1, 3); both windowed pairs take the Gram route
+    # throughout (O_n >= 4*8*3 = 96 against L_n = 64).  The rank events
+    # score the modes on the sweep's routes, so the run holds what a
+    # fixed-rank run at its final ranks holds, to the interpreter's own
+    # small objects.  Measured: 0.1416 copies, 0.1414 at fixed ranks; 0.386
+    # when the rank events embedded every pair.
+    x, q, _ = image_case()
+    energy = float(x[q] @ x[q])
+    schedule = RankSchedule(((4, 8), (8, 16), (4, 8), (8, 16), (1,), (3,)))
+    report, peak = traced_peak(lambda: recover(x, q, TAUS, schedule,
+                                               StoppingCriteria(0.0, 10 * energy, 6), seed=0))
+    assert len(report.rank_history) == 4
+    assert report.ranks == (8, 16, 8, 16, 1, 3)
+    fixed, fixed_peak = traced_peak(lambda: recover(x, q, TAUS, schedule=report.ranks,
+                                                    criteria=StoppingCriteria(0.0, 0.0, 3),
+                                                    seed=0))
+    assert fixed.cost_trace[-1][0] == 3
+    assert peak <= 1.01 * fixed_peak
 
 
 @pytest.mark.parametrize("shape, taus, ranks, copies", [
-    ((64, 64, 3), (2, 2, 1), (2, 8, 2, 8, 1, 3), 2.124),
+    ((64, 64, 3), (2, 2, 1), (2, 8, 2, 8, 1, 3), 1.501),
     ((40000,), (2,), (2, 2), 6.571),
 ])
 def test_the_input_fill_at_small_windows_holds_little_beyond_the_papers(shape, taus, ranks,
@@ -159,7 +182,7 @@ def test_the_input_fill_at_small_windows_holds_little_beyond_the_papers(shape, t
     # embedded tensor, so input-sized arrays weigh: the fill holds y, the
     # duplication counts and a scratch array for the run, each map-back
     # makes one more, and a signal's window factor (39999 x 2) is as large
-    # as the embedded tensor.  Measured: image 2.124 embedded copies, signal
+    # as the embedded tensor.  Measured: image 1.501 embedded copies, signal
     # 6.571.
     rng = np.random.default_rng(0)
     x = rng.standard_normal(shape)
