@@ -13,6 +13,7 @@ Images travel as binary PPM/PGM, everything else as HTEN tensors; the
 format is detected from the file contents on read and from the extension
 (.ppm/.pgm/.hten) on write.  All randomness is seeded: identical flags give
 bit-identical outputs.  Errors print a single ``error: ...`` line on stderr
+(the exception's class name where it has no message, as a MemoryError has)
 and exit nonzero; a missing directory for an output file is such an error,
 raised before any input is read, as is an image output for a shape no image
 holds, raised as soon as the shape is known.  A ``recover`` run prints one
@@ -38,8 +39,8 @@ from .fileio import (_image_magic, _is_image_path, _read_any, _write_any, read_m
                      read_tensor, write_mask)
 from .masks import make_mask
 from .metrics import mean_ssim, psnr, snr
-from .pipeline import SCHEDULE_EXHAUSTED, SWEEP_BUDGET, checked_embedded_shape, recover
-from .ranking import RankSchedule, default_stopping_criteria
+from .pipeline import SCHEDULE_EXHAUSTED, SWEEP_BUDGET, recover
+from .ranking import RankSchedule, _checked_embedded_count, default_stopping_criteria
 from .signals import damped_sine, linear_interpolate_gaps
 
 
@@ -122,7 +123,8 @@ def _cmd_recover(args) -> int:
 
 def _cmd_embed(args) -> int:
     x = _read_any(args.input)
-    shape = checked_embedded_shape(x.shape, args.tau)
+    shape = embedded_shape(x.shape, args.tau)
+    _checked_embedded_count(shape)
     if _is_image_path(args.output):
         _image_magic(args.output, shape)
     xh = mdt(x, args.tau)
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
         _check_output_directories(args)
         return args.func(args)
     except Exception as exc:  # one parsable line, nonzero exit
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -14,11 +14,12 @@ every entry, also counts how far the windows disagree on a missing entry;
 with windows of 1 it is the masked cost.  The ALS sweep and the mode
 ranking read y itself through one projection chain that embeds at most one
 mode pair at a time (:func:`_leave_one_out`), so no embedded-sized array
-is ever built.  Both take the same route on each pair: a windowed pair
-whose other modes' rank pairs hold at least its mode's length L embeds
-nothing, and the sweep takes its two factor updates, the ranking its two
-scores, from that mode's L x L Gram (the chain's Gram route), the way
-Hankel-structured SSA codes take the trajectory matrix's Gram.
+is ever built.  The chain has one route rule, which every walk follows, so
+both take the same route on each pair: a windowed pair whose other modes'
+rank pairs hold at least its mode's length L embeds nothing, and the sweep
+takes its two factor updates, the ranking its two scores, from that mode's
+L x L Gram (the chain's Gram route), the way Hankel-structured SSA codes
+take the trajectory matrix's Gram.
 """
 
 from __future__ import annotations
@@ -146,8 +147,7 @@ def _windowed_gram(s: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
                       (step, item, width + item)).sum(axis=2)
 
 
-def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit,
-                   visit_gram=None) -> np.ndarray:
+def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) -> np.ndarray:
     """Project H(y) onto every factor but mode m's, for each embedded mode m of size above 1.
 
     ``y`` is the input and ``factors`` the 2N factors of a model of its
@@ -184,10 +184,8 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit,
     the Gram's tau_n W_n L_n products, none larger than the pair embedding,
     tau_n W_n O_n.  On the last input mode, the return is T contracted with
     the pair matrix of the visited factors.  Other pairs (windows of 1, a
-    window of the whole mode, O_n < L_n) go as above.  Every caller in the
-    package passes ``visit_gram``, so the sweep and the mode ranking take
-    one route rule; without it every pair goes the projection route, which
-    the tests keep as the Gram route's reference.
+    window of the whole mode, O_n < L_n) go as above.  So every walk, the
+    sweep's and the mode ranking's, takes one route rule.
     """
     order = y.ndim
     if len(factors) != 2 * order:
@@ -210,8 +208,7 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit,
             if not is_unit_factor(kernels[j]):
                 t = mode_multiply(t, kernels[j].T, j)
         length = y.shape[n]
-        gram = (visit_gram is not None and tau > 1 and width > 1
-                and math.prod(pairs[:n] + pairs[n + 1:]) >= length)
+        gram = tau > 1 and width > 1 and math.prod(pairs[:n] + pairs[n + 1:]) >= length
         if gram:
             matrix = np.moveaxis(t.reshape(math.prod(t.shape[:n]), length, -1), 1, 0)
             matrix, power = _in_range(matrix.reshape(length, -1))

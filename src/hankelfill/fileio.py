@@ -121,15 +121,22 @@ def write_image(path, t: np.ndarray) -> None:
 # ---------------------------------------------------------------- tensors
 
 def write_tensor(path, t: np.ndarray) -> None:
-    """Write a dense float64 tensor in the HTEN container (lossless)."""
+    """Write a dense float64 tensor in the HTEN container (lossless).
+
+    The header goes out first, then the values from one buffer: the
+    tensor's own where it is Fortran-ordered, else a single Fortran-order
+    copy, so a write holds at most one copy of the payload.
+    """
     t = np.asarray(t, dtype=np.float64)
     shape = check_shape(t.shape)
     if len(shape) > 255:
         raise ValueError(f"order {len(shape)} exceeds the container limit of 255")
     head = HTEN_MAGIC + struct.pack("<BB", HTEN_VERSION, len(shape))
     head += struct.pack(f"<{len(shape)}Q", *shape)
-    values = np.ascontiguousarray(t.ravel(order="F"), dtype="<f8")
-    Path(path).write_bytes(head + values.tobytes())
+    values = t.ravel(order="F").astype("<f8", copy=False)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(values.data)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -77,13 +77,6 @@ class RecoveryReport:
         return self.model.ranks
 
 
-def checked_embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> tuple[int, ...]:
-    """The embedded shape under windows ``taus``, refused if that tensor exceeds the size cap."""
-    embedded = embedded_shape(shape, taus)
-    _checked_largest_array(embedded, embedded, fit=False)
-    return embedded
-
-
 def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
             schedule: RankSchedule | Sequence[int] | None = None,
             criteria: StoppingCriteria | None = None, seed: int = 0) -> RecoveryReport:

@@ -16,9 +16,12 @@ whose largest array is too large lives here too
 (:func:`_checked_largest_array`).  It counts closed forms: per input mode,
 what the chain builds for its pair on the route the ranks pick (the pair
 embedding, or the Gram route's chain product and Gram products), then the
-core, the pair matrices, the factor matrices and the input.  They bound
-every array of a fit, because the chain contracts the modes that grow
-last, and a rank event's scoring walks the chain on the sweep's routes.
+core, the pair matrices and their padded window factors, the factor
+matrices and the input.  They bound every array of a fit, because the
+chain contracts the modes that grow last, and a rank event's scoring walks
+the chain on the sweep's routes.  At full ranks the guard first refuses
+an embedded tensor above the cap (:func:`_checked_embedded_count`), the
+one check that CLI ``embed``, which writes that tensor, meets.
 """
 
 from __future__ import annotations
@@ -172,7 +175,22 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
 
 
-def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool = True) -> int:
+def _checked_embedded_count(shape: Sequence[int]) -> int:
+    """Elements of the embedded tensor of ``shape``; a ValueError above _ELEMENT_CAP.
+
+    CLI ``embed`` writes that tensor, and a fit at full ranks holds its
+    count in the core, so both meet this refusal, which no choice of ranks
+    can lift.
+    """
+    count = math.prod(shape)
+    if count > _ELEMENT_CAP:
+        raise ValueError(f"embedded tensor would hold {count} elements (a roughly "
+                         f"{math.prod(shape[::2])}x expansion of the input via windows "
+                         f"{tuple(shape[::2])}); the cap is {_ELEMENT_CAP}. Reduce the windows.")
+    return count
+
+
+def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
     """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
 
     Closed forms on the embedded ``shape``, with L_n = tau_n + W_n - 1,
@@ -184,13 +202,14 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool
       L_n O_n, and the two Gram products, tau_n W_n L_n each; the Gram
       S_n (L_n^2 <= L_n O_n) and the pair's Grams are smaller.  Off the
       route it is the pair embedding (``completion._embed_mode``),
-      tau_n W_n O_n.  ``fit=False`` counts the pair embedding on every mode
-      and nothing else: at full ranks that is the embedded tensor that CLI
-      ``embed`` writes;
+      tau_n W_n O_n;
     - the core, prod R_m: the chain's last product, a random start's and a
       rank increment's;
     - on order >= 2, the pair matrices K_n (``embedding._pair_matrix``),
-      L_n x P_n, which the chain and the map-back build;
+      L_n x P_n, which the chain and the map-back build, and, where both
+      windows are above 1, the window factor that ``_pair_matrix`` pads
+      with tau_n - 1 zero rows on each side, (W_n + 2 tau_n - 2) x R_2n+1,
+      which exceeds K_n where R_2n = 1;
     - the factor matrices, J_m x R_m (a random start's Gaussian block and
       the QR that pads a factor);
     - the input, prod L_n: the fill's y, e and scratch array.
@@ -206,51 +225,47 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int], fit: bool
     forms at the schedule's final ranks bound the earlier ones: a pair on
     the route earlier is on it at the end, and a pair off it earlier had
     O_n < L_n, so its pair embedding was below tau_n W_n L_n.  At full
-    ranks the core is the embedded tensor's count, and no form but a pair
-    or factor matrix exceeds it.  The one array left uncounted is
-    ``_pair_matrix``'s zero-padded window factor, (L_n + tau_n - 1) x
-    R_2n+1: it exceeds K_n only where R_2n = 1, and then by less than 2x
-    (at (2000, 2), tau=(500, 1), ranks (1, 1501, 1, 2): K_0 holds 3.00M
-    elements, the padded factor 3.75M).  A pair matrix or a factor matrix
-    can exceed the embedded tensor.
+    ranks the core is the embedded tensor's count, which
+    :func:`_checked_embedded_count` refuses first, and no form but a pair
+    matrix, its padded window factor (there no larger than K_n) or a factor
+    matrix exceeds it.  Those three can exceed the embedded tensor.
     """
-    if tuple(ranks) == tuple(shape) and math.prod(shape) > _ELEMENT_CAP:
-        raise ValueError(f"embedded tensor would hold {math.prod(shape)} elements (a roughly "
-                         f"{math.prod(shape[::2])}x expansion of the input via windows "
-                         f"{shape[::2]}); the cap is {_ELEMENT_CAP}. Reduce the windows.")
+    if tuple(ranks) == tuple(shape):
+        _checked_embedded_count(shape)
     pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
     lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
-    embeddings, arrays = [], []
+    embeddings, routed = [0], []
     for n, (tau, width, length) in enumerate(zip(shape[::2], shape[1::2], lengths)):
         other = math.prod(pairs[:n] + pairs[n + 1:])
-        if fit and tau > 1 and width > 1 and other >= length:
-            arrays += [(length * other, "a chain product",
+        if tau > 1 and width > 1 and other >= length:
+            routed += [(length * other, "a chain product",
                         f"{length} x {other} on input mode {n}"),
                        (tau * width * length, "a Gram product",
                         f"{tau} x {width} x {length} on input mode {n}")]
         else:
             embeddings.append(tau * width * other)
-    count = max(embeddings, default=0)
-    if count > _ELEMENT_CAP:
-        raise ValueError(f"a fit at ranks {tuple(ranks)} would build a pair embedding of "
-                         f"{count} elements; the cap is {_ELEMENT_CAP}. Reduce the windows "
-                         f"or the ranks.")
-    if not fit:
-        return count
-    arrays.append((math.prod(ranks), "a core", " x ".join(map(str, ranks))))
+    arrays = [(max(embeddings), "a pair embedding", ""), *routed,
+              (math.prod(ranks), "a core", " x ".join(map(str, ranks)))]
     factor, m = max((j * r, m) for m, (j, r) in enumerate(zip(shape, ranks)))
     arrays.append((factor, "a factor matrix", f"{shape[m]} x {ranks[m]} on mode {m}"))
     if len(pairs) > 1:
         kernel, n = max((i * p, n) for n, (i, p) in enumerate(zip(lengths, pairs)))
         arrays.append((kernel, "a pair matrix", f"{lengths[n]} x {pairs[n]} on input mode {n}"))
+        padded = [(width + 2 * tau - 2, ranks[2 * n + 1], n)
+                  for n, (tau, width) in enumerate(zip(shape[::2], shape[1::2]))
+                  if tau > 1 and width > 1]
+        if padded:
+            rows, r, n = max(padded, key=lambda f: f[0] * f[1])
+            arrays.append((rows * r, "a padded window factor",
+                           f"{rows} x {r} on input mode {n}"))
     arrays.append((math.prod(lengths), "an input-sized array", f"the input, {tuple(lengths)}"))
     for size, name, detail in arrays:
         if size > _ELEMENT_CAP:
+            detail = f" ({detail})" if detail else ""
             raise ValueError(f"a fit at ranks {tuple(ranks)} would build {name} of {size} "
-                             f"elements ({detail}); the cap is {_ELEMENT_CAP}. Reduce the "
+                             f"elements{detail}; the cap is {_ELEMENT_CAP}. Reduce the "
                              f"windows or the ranks.")
-        count = max(count, size)
-    return count
+    return max(size for size, _, _ in arrays)
 
 
 def _growable(schedule: RankSchedule, ranks: Sequence[int]) -> list[int]:

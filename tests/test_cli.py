@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import hankelfill
-from hankelfill import (cli, read_image, read_tensor, ssim_map, write_image, write_mask,
-                        write_tensor)
+from hankelfill import (cli, mdt, read_image, read_tensor, ssim_map, write_image,
+                        write_mask, write_tensor)
 from hankelfill.cli import main
 from helpers import texture_image
 
@@ -145,6 +145,21 @@ class TestEmbedInvert:
         # no flag sets the cap, so the error offers only smaller windows
         assert err.rstrip().endswith("Reduce the windows.")
         assert not out.exists()
+
+    def test_embed_meets_the_embedded_cap_alone_not_the_fit_guard(self, tmp_path, capsys):
+        # (2000, 2) at tau=500,1 embeds to 1.5M elements.  recover refuses it
+        # for the pair matrix a fit would build, 2000 x 750500
+        # (test_recover_over_the_pair_matrix_cap_is_one_error_line); embed
+        # builds none and writes the embedded tensor
+        src, out = tmp_path / "v.hten", tmp_path / "e.hten"
+        x = np.sin(np.arange(4000.0) / 7).reshape(2000, 2)
+        write_tensor(src, x)
+        code, text, err = run_cli(capsys, "embed", "--input", str(src), "--tau", "500,1",
+                                  "--output", str(out))
+        assert (code, text, err) == (0, "embedded shape (500, 1501, 1, 2)\n", "")
+        embedded = read_tensor(out)
+        assert embedded.size == 1_501_000
+        np.testing.assert_array_equal(embedded, mdt(x, (500, 1)))
 
 
 class TestMaskCommand:
@@ -536,6 +551,18 @@ class TestDemoSignal:
         assert text == ""
         assert err == f"error: epsilon_rel must be nonnegative and finite, got {float(value)}\n"
         assert not out.exists()
+
+
+def test_an_error_without_a_message_prints_its_class_name(tmp_path, capsys, monkeypatch):
+    # a MemoryError carries no message, and "error: " alone would say nothing
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "make_mask", out_of_memory)
+    code, text, err = run_cli(capsys, "mask", "--shape", "8,8", "--pattern", "random-voxel",
+                              "--fraction", "0.5", "--output", str(tmp_path / "m.pgm"))
+    assert (code, text, err) == (1, "", "error: MemoryError\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_exits_nonzero(capsys):

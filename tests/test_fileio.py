@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hankelfill import (read_image, read_mask, read_tensor, write_image, write_mask,
+from hankelfill import (mdt, read_image, read_mask, read_tensor, write_image, write_mask,
                         write_tensor)
+from helpers import traced_peak
 
 
 class TestImages:
@@ -156,6 +157,18 @@ class TestHten:
         write_tensor(path, t)
         payload = path.read_bytes()[6 + 16:]
         np.testing.assert_array_equal(np.frombuffer(payload, "<f8"), [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("layout", ["C order", "an mdt view"])
+    def test_a_write_holds_one_copy_of_the_payload(self, tmp_path, layout):
+        # the header goes out, then the values from one Fortran-order buffer;
+        # joining the header to the values' bytes in memory held 3 payloads
+        x = np.random.default_rng(5).standard_normal((120, 100, 12))
+        t = x if layout == "C order" else mdt(x[:60, :50, :3], (4, 5, 1))
+        path = tmp_path / "t.hten"
+        _, peak = traced_peak(lambda: write_tensor(path, t))
+        assert peak <= 1.1 * t.nbytes
+        head = b"HTEN" + struct.pack(f"<BB{t.ndim}Q", 1, t.ndim, *t.shape)
+        assert path.read_bytes() == head + np.asarray(t).ravel(order="F").astype("<f8").tobytes()
 
 
 class TestMaskFiles:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hankelfill import TuckerModel, embedded_shape, mdt
 from hankelfill import completion, core, ranking
@@ -309,58 +310,57 @@ def gram_route_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=gram_route_cases())
 def test_the_gram_route_gives_the_gram_of_the_projection_routes_unfolding(case):
-    # The chain runs twice on fixed factors (the visits update none): on the
-    # projection route, recording each projection p and pair embedding z,
-    # and with a Gram visit, recording each Gram g.  No caller in the package
-    # walks a pair the Gram route takes on the projection route; this test
-    # does, as the route's reference.  Both runs share the
-    # chain product T before the pair (z is T embedded), and both routes sum
-    # the same products U[b, c] U[b', c] T[a + b, o] T[a' + b', o], U the
-    # pair's other factor, k x r.  The projection route takes a length-k dot
-    # product per entry of A = unfold(p, m), then a length-r O one per entry
-    # of A A^T: k + r O roundings along each product.  The Gram route takes
-    # O for S = T T^T, k and r for the two factor products and k - 1 for
-    # the strided sum.  So each side is within gamma_d = d u / (1 - d u),
-    # u = eps / 2, d = r O + 2k + r, of the exact Gram, relative to the same
-    # sums over magnitudes: |A| |A|^T with A taken from |z| and |U|.  The
-    # inputs sit inside the range rule's window, so no Gram is rescaled.
-    # Measured over 3000 random cases: at most 0.20 of the bound.
+    # The chain runs on fixed factors (the visits update none), recording
+    # each routed pair's L x O chain product T, which the range rule sees
+    # once per routed pair in mode order, and each Gram g.  The reference is
+    # built here from T: its delay embedding E[a, b, o] = T[a + b, o],
+    # contracted with the pair's other factor U, k x r, gives the unfolding
+    # A of the projection the projection route would visit, up to a
+    # permutation of its columns, which leaves A A^T as it is.  Both sides
+    # sum the same products U[b, c] U[b', c] T[a + b, o] T[a' + b', o].
+    # The reference takes a length-k dot product per entry of A, then a
+    # length-r O one per entry of A A^T: k + r O roundings along each
+    # product.  The Gram route takes O for S = T T^T, k and r for the two
+    # factor products and k - 1 for the strided sum.  So each side is within
+    # gamma_d = d u / (1 - d u), u = eps / 2, d = r O + 2k + r, of the exact
+    # Gram, relative to the same sums over magnitudes: |A| |A|^T with A
+    # taken from |T| and |U|.  The inputs sit inside the range rule's
+    # window, so no Gram is rescaled.  Measured over 3000 random cases: at
+    # most 0.30 of the bound.
     shape, taus, ranks, scale, seed = case
     rng = np.random.default_rng(seed)
     y = scale * rng.standard_normal(shape)
     factors = init_model(ranks, embedded_shape(shape, taus), seed).factors
-    projections, embeddings, grams = {}, {}, {}
-    build = completion._embed_mode
+    products, grams = [], {}
+    in_range = completion._in_range
 
-    def embedding(t, mode, *args):
-        embeddings[mode] = build(t, mode, *args)
-        return embeddings[mode]
-
-    completion._embed_mode = embedding
-    try:
-        completion._leave_one_out(y, list(factors), projections.__setitem__)
-    finally:
-        completion._embed_mode = build
+    def recording(t):
+        products.append(t.copy())
+        return in_range(t)
 
     def gram(m, g, power):
         assert power == 0  # inside the range rule's window
         grams[m] = g
 
-    completion._leave_one_out(y, list(factors), lambda m, p: None, gram)
-    routed = _gram_route(shape, taus, ranks)
-    assert sorted(grams) == [m for n, on in enumerate(routed) if on for m in (2 * n, 2 * n + 1)]
-    for m, g in grams.items():
-        n, side = divmod(m, 2)
-        u = factors[m + 1 - 2 * side]  # the pair's other factor
-        z = np.abs(embeddings[n])  # (left, tau, W, right)
-        magnitudes = (np.einsum("labr,bc->alcr", z, np.abs(u)) if side == 0
-                      else np.einsum("labr,ac->blcr", z, np.abs(u)))
-        magnitudes = magnitudes.reshape(g.shape[0], -1)
-        a = unfold(projections[m], m)
-        other = a.shape[1] // u.shape[1]  # O_n
-        d = u.shape[1] * other + 2 * u.shape[0] + u.shape[1]
-        gamma = d * EPS / 2 / (1 - d * EPS / 2)
-        assert np.all(np.abs(g - a @ a.T) <= 2 * gamma * (magnitudes @ magnitudes.T))
+    completion._in_range = recording
+    try:
+        completion._leave_one_out(y, list(factors), lambda m, p: None, gram)
+    finally:
+        completion._in_range = in_range
+    routed = [n for n, on in enumerate(_gram_route(shape, taus, ranks)) if on]
+    assert sorted(grams) == [m for n in routed for m in (2 * n, 2 * n + 1)]
+    assert [t.shape[0] for t in products] == [shape[n] for n in routed]
+    for n, t in zip(routed, products):
+        windows = sliding_window_view(t, factors[2 * n + 1].shape[0], axis=0)  # (tau, O, W)
+        # each mode's rows, by O, by the other mode's rows, which u contracts
+        for m, rows, u in ((2 * n, windows, factors[2 * n + 1]),
+                           (2 * n + 1, windows.transpose(2, 1, 0), factors[2 * n])):
+            a = (rows @ u).reshape(len(rows), -1)
+            magnitudes = (np.abs(rows) @ np.abs(u)).reshape(len(rows), -1)
+            d = u.shape[1] * t.shape[1] + 2 * u.shape[0] + u.shape[1]
+            gamma = d * EPS / 2 / (1 - d * EPS / 2)
+            assert np.all(np.abs(grams[m] - a @ a.T)
+                          <= 2 * gamma * (magnitudes @ magnitudes.T))
 
 
 @st.composite

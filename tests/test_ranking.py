@@ -11,8 +11,8 @@ from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedul
                         default_stopping_criteria, embedded_shape, mdt, recover)
 from hankelfill import completion, ranking
 from hankelfill.completion import als_sweep, init_model
-from hankelfill.ranking import (_checked_largest_array, mode_residuals, pad_model,
-                               select_increment_mode)
+from hankelfill.ranking import (_checked_embedded_count, _checked_largest_array, mode_residuals,
+                               pad_model, select_increment_mode)
 from helpers import (is_non_increasing, orthonormality_defect, plain_loop,
                      plain_mode_residuals, planted_tucker, random_mask, relative_criteria,
                      traced_peak)
@@ -305,11 +305,23 @@ _BUILDERS = ("_embed_mode", "_pair_matrix", "mode_multiply", "complete_orthonorm
 
 # The arrays a builder makes, from its arguments and result, where they are
 # not its result: the Gram route's copy of the chain's product T comes back
-# from the range rule with its power of two, and a windowed Gram reads the
-# route's Gram S and makes a count x k x L product.
+# from the range rule with its power of two, a windowed Gram reads the
+# route's Gram S and makes a count x k x L product, and a pair matrix of two
+# windowed factors pads the window factor, W x r, with tau - 1 zero rows on
+# each side.
 _MADE = {"_in_range": lambda args, out: [out[0].size],
          "_windowed_gram": lambda args, g: [args[0].size,
-                                            args[2] * args[1].shape[0] * args[0].shape[0]]}
+                                            args[2] * args[1].shape[0] * args[0].shape[0]],
+         "_pair_matrix": lambda args, k: [k.size] + (
+             [(args[1].shape[0] + 2 * args[0].shape[0] - 2) * args[1].shape[1]]
+             if min(args[0].shape[0], args[1].shape[0]) > 1 else [])}
+
+
+def largest_pair_embedding(embedded, ranks):
+    """max_n tau_n W_n O_n: the largest pair embedding at ``ranks``, were no pair routed."""
+    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+    return max(tau * width * math.prod(pairs[:n] + pairs[n + 1:])
+               for n, (tau, width) in enumerate(zip(embedded[::2], embedded[1::2])))
 
 
 def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
@@ -348,6 +360,9 @@ def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
 # full ranks, both pairs routed: the largest array is the core, the
 # embedded tensor's count
 @example(case=((6, 6), (3, 3), (3, 4, 3, 4), 0))
+# R_0 = 1: the largest array is input mode 0's padded window factor,
+# 10 x 4, above its pair matrix (7 x 4) and pair embedding (4 x 4 x 2)
+@example(case=((7, 2), (4, 1), (1, 4, 1, 2), 0))
 def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
     shape, taus, ranks, seed = case
     rng = np.random.default_rng(seed)
@@ -390,7 +405,7 @@ def test_no_chain_product_outgrows_the_input_and_the_pair_embeddings(case):
     rng = np.random.default_rng(seed)
     y = rng.standard_normal(shape)
     model = init_model(ranks, embedded, seed)
-    bound = max(y.size, _checked_largest_array(embedded, ranks, fit=False))
+    bound = max(y.size, largest_pair_embedding(embedded, ranks))
     for run in (lambda: als_sweep(y, model), lambda: mode_residuals(y, model)):
         _, sizes = recorded_sizes(run, ("_embed_mode", "mode_multiply"), (completion, ranking))
         assert max(sizes) <= bound
@@ -402,7 +417,7 @@ def test_a_pair_matrix_that_grows_its_mode_is_contracted_last(taus, ranks):
     # input 64,000, and no array of the sweep holds more than 16,800
     shape = (40, 40, 40)
     embedded = embedded_shape(shape, taus)
-    assert _checked_largest_array(embedded, ranks, fit=False) == 16_800
+    assert largest_pair_embedding(embedded, ranks) == 16_800
     assert _checked_largest_array(embedded, ranks) == 64_000
     y = np.random.default_rng(2).standard_normal(shape)
     model = init_model(ranks, embedded, 0)
@@ -448,7 +463,7 @@ def test_at_default_schedules_the_guard_counts_the_embedded_tensor_and_the_pair_
             _checked_largest_array(embedded, final)
     # CLI embed writes the embedded tensor alone and counts nothing else
     if count <= 200_000_000:
-        assert _checked_largest_array(embedded, final, fit=False) == count
+        assert _checked_embedded_count(embedded) == count
 
 
 def test_the_guard_counts_the_factor_matrices_and_allocates_nothing():
@@ -460,7 +475,7 @@ def test_the_guard_counts_the_factor_matrices_and_allocates_nothing():
     embedded = embedded_shape((40000,), (2,))
     schedule = default_rank_sequences(embedded)
     assert [seq[-1] for seq in schedule.sequences] == [2, 39999]
-    assert _checked_largest_array(embedded, (2, 39999), fit=False) == 79_998
+    assert _checked_embedded_count(embedded) == 79_998
 
     def refused():
         with pytest.raises(ValueError, match="factor matrix of 1599920001 elements "
@@ -485,7 +500,7 @@ def test_the_guard_counts_the_pair_matrices_and_allocates_nothing():
 
     _, peak = traced_peak(refused)
     assert peak < 100_000
-    assert _checked_largest_array(embedded, embedded, fit=False) == 1_501_000
+    assert _checked_embedded_count(embedded) == 1_501_000
 
 
 def test_a_sweep_at_full_ranks_peaks_near_the_guard_count():
