@@ -107,7 +107,7 @@ def _cmd_recover(args) -> int:
         _write_trace_csv(args.trace_csv, report.cost_trace, report.rank_history)
     print(f"status {report.status}, ranks {report.ranks}, "
           f"sweeps {report.cost_trace[-1][0]}, "
-          f"wall {report.wall_time_s:.2f}s")
+          f"wall {report.wall_time_s:.3f}s")
     if report.unbridged_gap is not None:
         mode, run = report.unbridged_gap
         print(f"warning: {run} fully missing slices in a row on mode {mode}; no window "

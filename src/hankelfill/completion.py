@@ -14,20 +14,26 @@ every entry, also counts how far the windows disagree on a missing entry;
 with windows of 1 it is the masked cost.  The ALS sweep and the mode
 ranking read y itself through one projection chain that embeds at most one
 mode pair at a time (:func:`_leave_one_out`), so no embedded-sized array
-is ever built.  The chain has one route rule, which every walk follows, so
-both take the same route on each pair: a windowed pair whose other modes'
-rank pairs hold at least its mode's length L embeds nothing, and the sweep
-takes its two factor updates, the ranking its two scores, from that mode's
-L x L Gram (the chain's Gram route), the way Hankel-structured SSA codes
-take the trajectory matrix's Gram.
+is ever built.  The chain's plan (:func:`_chain_plan`) is its route
+rule's one home: made once per embedded shape and ranks, it fixes each
+pair's route, the order of the contractions and the shapes, so every walk
+at those ranks, a rank stage's sweeps and the rank event that ends it,
+takes the same route on each pair, and the size guard
+(``ranking._checked_largest_array``) counts along the same rule.  A
+windowed pair whose other modes' rank pairs hold at least its mode's
+length L embeds nothing, and the sweep takes its two factor updates, the
+ranking its two scores, from that mode's L x L Gram (the chain's Gram
+route), the way Hankel-structured SSA codes take the trajectory matrix's
+Gram.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,6 +153,68 @@ def _windowed_gram(s: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
                       (step, item, width + item)).sum(axis=2)
 
 
+class _PairStep(NamedTuple):
+    """What the chain does on one input mode's pair, at a plan's ranks (:func:`_chain_plan`)."""
+
+    tau: int
+    width: int
+    contract: tuple[int, ...]  # the input modes whose pair matrices the run takes in, in order
+    gram: bool                 # the Gram route
+    left: int                  # prod_{j < n} R_2j R_2j+1: T's row blocks on the Gram route
+    embedded: tuple[int, ...]  # the pair embedding's C-order shape, off the Gram route
+    shrinks: bool              # R_2n R_2n+1 <= L_n: the prefix of the later runs takes in K_n
+
+
+class _ChainPlan(NamedTuple):
+    """The projection chain's routes, contraction orders and shapes at one set of ranks."""
+
+    lengths: tuple[int, ...]  # the input shape, L_n = tau_n + W_n - 1
+    steps: tuple[_PairStep, ...]
+    ranks: tuple[int, ...]    # the last product's shape
+
+    @staticmethod
+    def gram_routes(shape: Sequence[int], ranks: Sequence[int]) -> tuple[bool, ...]:
+        """Per input mode n of the embedded ``shape``, whether its pair takes the Gram route.
+
+        The route rule: tau_n > 1, W_n > 1 and O_n >= L_n, with
+        O_n = prod_{j != n} R_2j R_2j+1 the other modes' rank pairs.  The
+        chain and the size guard (``ranking._checked_largest_array``) both
+        read it here.
+        """
+        pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+        return tuple(tau > 1 and width > 1
+                     and math.prod(pairs[:n] + pairs[n + 1:]) >= tau + width - 1
+                     for n, (tau, width) in enumerate(zip(shape[::2], shape[1::2])))
+
+
+@functools.lru_cache(maxsize=128)
+def _chain_plan(shape: tuple[int, ...], ranks: tuple[int, ...]) -> _ChainPlan:
+    """The chain's plan at the embedded ``shape`` and ``ranks``, worked out once per pair of them.
+
+    Per input mode n: its route (:meth:`_ChainPlan.gram_routes`), the
+    other input modes whose pair matrices K_j its run contracts, in order,
+    and the shapes it reshapes to.  A K_j keeps or shrinks its mode when
+    R_2j R_2j+1 <= L_j: those run first, in mode order, the ones of modes
+    j < n as the prefix that the later runs share.  The K_j that grow
+    their mode run last, in every run, so each run's products shrink, then
+    grow.  A rank stage of a fit, its sweeps and the rank event that ends
+    it, reads one plan.
+    """
+    order = len(shape) // 2
+    lengths = tuple(tau + width - 1 for tau, width in zip(shape[::2], shape[1::2]))
+    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
+    growing = [j for j in range(order) if pairs[j] > lengths[j]]
+    steps = []
+    for n, gram in enumerate(_ChainPlan.gram_routes(shape, ranks)):
+        shrinking = [j for j in range(n + 1, order) if j not in growing]
+        steps.append(_PairStep(shape[2 * n], shape[2 * n + 1],
+                               tuple(shrinking + [j for j in growing if j != n]), gram,
+                               math.prod(pairs[:n]),
+                               ranks[:2 * n] + shape[2 * n:2 * n + 2] + ranks[2 * n + 2:],
+                               n not in growing))
+    return _ChainPlan(lengths, tuple(steps), ranks)
+
+
 def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) -> np.ndarray:
     """Project H(y) onto every factor but mode m's, for each embedded mode m of size above 1.
 
@@ -158,14 +226,12 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
     then the chain takes in ``factors[m]``.  Returns H(y) projected onto
     every factor, the last pair's last product.
 
-    H(y) is never built.  Input mode n's run contracts every other input
+    H(y) is never built.  The walk follows the plan of the factors' shapes
+    (:func:`_chain_plan`).  Input mode n's run contracts every other input
     mode j with its pair matrix K_j (:func:`_pair_matrix`), with the factors
-    the visits made for j < n and the given ones for j > n.  A K_j keeps or
-    shrinks its mode when R_2j R_2j+1 <= I_j: those run first, in mode
-    order, the ones of modes j < n as a prefix shared by the later runs.
-    The K_j that grow their mode run last, in every run, so each run's
-    products shrink, then grow, and none outgrows the input or the copy
-    that follows them: mode n embedded (:func:`_embed_mode`), the pair
+    the visits made for j < n and the given ones for j > n, in the plan's
+    order, so none of its products outgrows the input or the copy that
+    follows them: mode n embedded (:func:`_embed_mode`), the pair
     embedding, on which its two embedded modes are visited, 2n then 2n + 1.
     The update order and the C-order layout are those of the same chain
     over H(y); the sums run in another order.  1x1 identity factors are
@@ -173,10 +239,10 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
     the one that chain makes, to the bit.
 
     The Gram route: a pair whose run ends in an L_n x O_n matrix T (mode n
-    by the other modes' rank pairs) with tau_n > 1, W_n > 1 and
-    O_n >= L_n builds no pair embedding.  T, divided by 2^e under the range
-    rule (``linalg._in_range``), gives S = T T^T, and
-    ``visit_gram(m, g, e)`` sees, for m = 2n then 2n + 1, the Gram g of the
+    by the other modes' rank pairs) and that the plan routes
+    (:meth:`_ChainPlan.gram_routes`) builds no pair embedding.  T, divided
+    by 2^e under the range rule (``linalg._in_range``), gives S = T T^T,
+    and ``visit_gram(m, g, e)`` sees, for m = 2n then 2n + 1, the Gram g of the
     projection's mode-m unfolding divided by 4^e, to rounding
     (:func:`_windowed_gram` of S by the other mode's factor, 2n's as its
     visit left it); a visitor that needs the projection's squared norm, the
@@ -185,55 +251,49 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
     tau_n W_n O_n.  On the last input mode, the return is T contracted with
     the pair matrix of the visited factors.  Other pairs (windows of 1, a
     window of the whole mode, O_n < L_n) go as above.  So every walk, the
-    sweep's and the mode ranking's, takes one route rule.
+    sweep's and the mode ranking's, takes the plan's routes.
     """
     order = y.ndim
     if len(factors) != 2 * order:
         raise ValueError(f"an order-{order} input needs 2 x {order} factors, got {len(factors)}")
+    plan = _chain_plan(tuple([u.shape[0] for u in factors]), tuple([u.shape[1] for u in factors]))
+    if y.shape != plan.lengths:
+        raise ValueError(f"input shape {y.shape} does not match the model's windows: "
+                         f"factor rows {tuple(u.shape[0] for u in factors)}")
     prefix = np.ascontiguousarray(y, dtype=np.float64)
     kernels = [None] * order  # pair matrices, of the given factors until a run updates them
-    pairs = [factors[2 * j].shape[1] * factors[2 * j + 1].shape[1] for j in range(order)]
-    growing = [j for j in range(order) if pairs[j] > y.shape[j]]
-    for n in range(order):
-        u_tau, u_window = factors[2 * n], factors[2 * n + 1]
-        tau, width = u_tau.shape[0], u_window.shape[0]
-        if y.shape[n] != tau + width - 1:
-            raise ValueError(f"input shape {y.shape} does not match the model's windows: "
-                             f"factor rows {tuple(u.shape[0] for u in factors)}")
+    for n, step in enumerate(plan.steps):
         t = prefix
-        shrinking = [j for j in range(n + 1, order) if j not in growing]
-        for j in shrinking + [j for j in growing if j != n]:
+        for j in step.contract:
             if kernels[j] is None:
                 kernels[j] = _pair_matrix(factors[2 * j], factors[2 * j + 1])
             if not is_unit_factor(kernels[j]):
                 t = mode_multiply(t, kernels[j].T, j)
-        length = y.shape[n]
-        gram = tau > 1 and width > 1 and math.prod(pairs[:n] + pairs[n + 1:]) >= length
-        if gram:
-            matrix = np.moveaxis(t.reshape(math.prod(t.shape[:n]), length, -1), 1, 0)
+        if step.gram:
+            length = plan.lengths[n]
+            matrix = np.moveaxis(t.reshape(step.left, length, -1), 1, 0)
             matrix, power = _in_range(matrix.reshape(length, -1))
             s = matrix @ matrix.T
             del matrix  # T's copy goes before the Gram products are made
-            visit_gram(2 * n, _windowed_gram(s, u_window, tau), power)
-            visit_gram(2 * n + 1, _windowed_gram(s, factors[2 * n], width), power)
+            visit_gram(2 * n, _windowed_gram(s, factors[2 * n + 1], step.tau), power)
+            visit_gram(2 * n + 1, _windowed_gram(s, factors[2 * n], step.width), power)
         else:
-            z = _embed_mode(t, n, tau, width).reshape(
-                [u.shape[1] for u in factors[:2 * n]] + [tau, width]
-                + [u.shape[1] for u in factors[2 * n + 2:]])
-            if tau != 1:
+            z = _embed_mode(t, n, step.tau, step.width).reshape(step.embedded)
+            if step.tau != 1:
+                u_window = factors[2 * n + 1]
                 visit(2 * n, z if is_unit_factor(u_window)
                       else mode_multiply(z, u_window.T, 2 * n + 1))
             if not is_unit_factor(factors[2 * n]):
                 z = mode_multiply(z, factors[2 * n].T, 2 * n)
-            if width != 1:
+            if step.width != 1:
                 visit(2 * n + 1, z)
         if n + 1 < order:
             kernels[n] = _pair_matrix(factors[2 * n], factors[2 * n + 1])
-            if n not in growing and not is_unit_factor(kernels[n]):
+            if step.shrinks and not is_unit_factor(kernels[n]):
                 prefix = mode_multiply(prefix, kernels[n].T, n)
-        elif gram:
+        elif step.gram:
             z = mode_multiply(t, _pair_matrix(factors[2 * n], factors[2 * n + 1]).T, n)
-            z = z.reshape([u.shape[1] for u in factors])
+            z = z.reshape(plan.ranks)
         elif not is_unit_factor(factors[2 * n + 1]):
             z = mode_multiply(z, factors[2 * n + 1].T, 2 * n + 1)
     return z
@@ -251,7 +311,7 @@ def als_sweep(y: np.ndarray, model: TuckerModel) -> TuckerModel:
     never increases.  The projections come from y through one chain
     (:func:`_leave_one_out`), whose last product is the core; the embedded
     tensor is never built.  A windowed pair on the chain's Gram route
-    (tau_n > 1, W_n > 1, O_n >= L_n) builds no projection either: its two
+    (:meth:`_ChainPlan.gram_routes`) builds no projection either: its two
     updates take the top-R_m eigenvectors of the Gram the chain forms from
     its input mode's L_n x L_n Gram, the eigensolve of
     :func:`leading_singular_vectors` on a wide unfolding.

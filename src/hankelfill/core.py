@@ -58,11 +58,12 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     Columns follow the package linearization: remaining modes in increasing
     order, the lowest one varying fastest.
     """
-    t = np.asarray(t)
+    if type(t) is not np.ndarray:
+        t = np.asarray(t)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
     axes = (mode, *range(mode), *range(mode + 1, t.ndim))
-    return np.reshape(t.transpose(axes), (t.shape[mode], -1), order="F")
+    return t.transpose(axes).reshape((t.shape[mode], -1), order="F")
 
 
 def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
@@ -83,21 +84,21 @@ def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     if not (type(a) is np.ndarray and a.dtype == _FLOAT64):
         a = np.asarray(a, dtype=np.float64)
     shape = t.shape
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    size = shape[mode]
-    if a.ndim != 2 or a.shape[1] != size:
+    if not (0 <= mode < len(shape) and a.ndim == 2 and a.shape[1] == shape[mode]):
+        if not 0 <= mode < len(shape):
+            raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
         raise ValueError(f"mode_multiply: matrix {a.shape} does not match mode-{mode} size "
-                         f"{size} of tensor {shape}")
-    left = math.prod(shape[:mode])
-    right = math.prod(shape[mode + 1:])
+                         f"{shape[mode]} of tensor {shape}")
+    size = shape[mode]
+    head, tail = shape[:mode], shape[mode + 1:]
+    left, right = math.prod(head), math.prod(tail)
     if left == 1:
         out = a @ t.reshape(size, right)
     elif right == 1:
         out = t.reshape(left, size) @ a.T
     else:
         out = a @ t.reshape(left, size, right)
-    return out.reshape(shape[:mode] + (a.shape[0],) + shape[mode + 1:])
+    return out.reshape(head + (a.shape[0],) + tail)
 
 
 def is_unit_factor(u: np.ndarray) -> bool:

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Shape, check_shape, is_unit_factor, multilinear_product
+from .core import _FLOAT64, Shape, check_shape, is_unit_factor, multilinear_product
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -258,11 +258,13 @@ def inverse_mdt_tucker(core: np.ndarray, factors: Sequence[np.ndarray]) -> np.nd
     K_0 would be L x r_0 r_1, up to L copies of the embedded matrix.  Equal
     to ``inverse_mdt`` of the reconstruction up to rounding.
     """
-    core = np.asarray(core, dtype=np.float64)
+    if not (type(core) is np.ndarray and core.dtype == _FLOAT64):
+        core = np.asarray(core, dtype=np.float64)
     if core.ndim % 2 or len(factors) != core.ndim:
         raise ValueError(f"an embedded Tucker model has one factor per mode of an even-order "
                          f"core; got a core of shape {core.shape} and {len(factors)} factors")
-    factors = [np.asarray(u, dtype=np.float64) for u in factors]
+    factors = [u if type(u) is np.ndarray and u.dtype == _FLOAT64
+               else np.asarray(u, dtype=np.float64) for u in factors]
     if core.ndim == 2:
         return _window_sum(core, *factors)
     kernels = []

@@ -1,13 +1,15 @@
 """Orthonormal bases, deterministic by construction: dominant subspaces and new columns.
 
 :func:`leading_singular_vectors` is the factor update of the ALS sweep:
-one range rule (:func:`_in_range`, a power-of-two prescale of a matrix
+one range rule (:func:`_range_power`, a power-of-two prescale of a matrix
 whose largest magnitude is outside [2^-100, 2^100]), then at most one
 decomposition.  A single column, what every update of a rank-one model
-sees, is divided by its norm without one.  A wide matrix (J <= K) takes
-the eigendecomposition of its J x J Gram matrix A A^T
-(:func:`_top_eigenvectors`): mode sizes in this package are window
-lengths, so J stays small while K can be the product of every other mode.
+sees, is divided by its norm without one; its largest and smallest
+entries give both the rule's magnitude and the peak it divides by first.
+A wide matrix (J <= K) takes the eigendecomposition of its J x J Gram
+matrix A A^T (:func:`_top_eigenvectors`): mode sizes in this package are
+window lengths, so J stays small while K can be the product of every
+other mode.
 A tall matrix (J > K) takes one thin SVD, orthonormal as LAPACK returns
 it, also where A is rank-deficient.  The sweep's Gram route
 (``completion._leave_one_out``) forms the Gram of a windowed pair's
@@ -22,6 +24,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .core import _FLOAT64
 
 
 def apply_sign_convention(u: np.ndarray) -> np.ndarray:
@@ -54,6 +58,19 @@ def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return np.hstack([u, apply_sign_convention(q[:, have:])])
 
 
+def _range_power(largest) -> int:
+    """The power e of two that the range rule divides by, given the largest magnitude.
+
+    0 for a zero or in [2^-100, 2^100]; else the exponent that brings the
+    magnitude into [1/2, 1).  A NaN or infinite magnitude is a ValueError.
+    """
+    if not largest < math.inf:
+        raise ValueError("matrix has non-finite entries")
+    if largest and not 2.0**-100 <= largest <= 2.0**100:
+        return math.frexp(largest)[1]
+    return 0
+
+
 def _in_range(a: np.ndarray) -> tuple[np.ndarray, int]:
     """``a`` under the range rule and the power e it was divided by; non-finite is a ValueError.
 
@@ -63,14 +80,10 @@ def _in_range(a: np.ndarray) -> tuple[np.ndarray, int]:
     Scaling changes no singular or eigenvector, so no solve under- or
     overflows; a caller that needs a norm takes e back.
     """
-    largest = max(float(a.max()), -float(a.min()))  # NaN if any entry is; no |a| temporary
-    if not largest < math.inf:
-        raise ValueError("matrix has non-finite entries")
-    power = 0
-    if largest and not 2.0**-100 <= largest <= 2.0**100:
-        power = math.frexp(largest)[1]
-        a = np.ldexp(a, -power)
-    return a, power
+    # NaN if any entry is; no |a| temporary
+    power = _range_power(max(float(np.maximum.reduce(a, axis=None)),
+                             -float(np.minimum.reduce(a, axis=None))))
+    return (np.ldexp(a, -power) if power else a), power
 
 
 def _top_eigenvectors(gram: np.ndarray, r: int) -> np.ndarray:
@@ -100,16 +113,25 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     :func:`apply_sign_convention`.  A rank above K adds columns orthogonal to
     A's: :func:`complete_orthonormal_basis` of identity columns.
     """
-    a = np.asarray(a, dtype=np.float64)
+    if not (type(a) is np.ndarray and a.dtype == _FLOAT64):
+        a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or 0 in a.shape:
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     rows, cols = a.shape
     if not 1 <= r <= rows:
         raise ValueError(f"r={r} out of range [1, {rows}] for shape {a.shape}")
-    a, _ = _in_range(a)
     if cols == 1:
+        # the largest and the smallest entry, first occurrences (a NaN is
+        # both), give the range rule's magnitude and the peak
         column = a[:, 0]
-        peak = column[np.abs(column).argmax()]
+        top, bottom = column.argmax(), column.argmin()
+        high, low = float(column[top]), -float(column[bottom])
+        power = _range_power(max(high, low))
+        if power:
+            column = np.ldexp(column, -power)
+        # on a tie of high and low either sign divides: the sign
+        # convention below gives one result
+        peak = column[top if high >= low else bottom]
         if peak == 0:  # +0.0 or -0.0 throughout
             u = np.eye(rows, 1)
         else:
@@ -120,11 +142,12 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
             if u[np.abs(u).argmax()] < 0:
                 np.negative(u, out=u)
             u = u.reshape(rows, 1)
-    elif rows <= cols:
-        u = _top_eigenvectors(a @ a.T, r)
     else:
-        # the solver returns a new array: flip the signs of ours, C-contiguous, in place
-        u = apply_sign_convention(np.ascontiguousarray(
-            np.linalg.svd(a, full_matrices=False)[0][:, :r]))
+        a, _ = _in_range(a)
+        if rows <= cols:
+            u = _top_eigenvectors(a @ a.T, r)
+        else:
+            # the solver returns a new array: flip the signs of ours, C-contiguous, in place
+            u = apply_sign_convention(np.ascontiguousarray(
+                np.linalg.svd(a, full_matrices=False)[0][:, :r]))
     return u if r <= cols else complete_orthonormal_basis(u, np.eye(rows, r - cols))
-

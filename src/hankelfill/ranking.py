@@ -17,11 +17,14 @@ whose largest array is too large lives here too
 what the chain builds for its pair on the route the ranks pick (the pair
 embedding, or the Gram route's chain product and Gram products), then the
 core, the pair matrices and their padded window factors, the factor
-matrices and the input.  They bound every array of a fit, because the
-chain contracts the modes that grow last, and a rank event's scoring walks
-the chain on the sweep's routes.  At full ranks the guard first refuses
-an embedded tensor above the cap (:func:`_checked_embedded_count`), the
-one check that CLI ``embed``, which writes that tensor, meets.
+matrices and the input.  The route is the chain plan's
+(``completion._ChainPlan.gram_routes``), the rule's one home, which the
+sweep and a rank event's scoring read too.  The forms bound every array of
+a fit, because the chain contracts the modes that grow last, and a rank
+event's scoring walks the chain on the sweep's routes.  At full ranks the
+guard first refuses an embedded tensor above the cap
+(:func:`_checked_embedded_count`), the one check that CLI ``embed``, which
+writes that tensor, meets.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import check_shape, mode_multiply
-from .completion import TuckerModel, _leave_one_out
+from .completion import TuckerModel, _ChainPlan, _leave_one_out
 from .embedding import embedded_observed_energy
 from .linalg import complete_orthonormal_basis
 
@@ -197,12 +200,12 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
     P_n = R_2n R_2n+1 and O_n = prod_{j != n} P_j:
 
     - per input mode n, what the chain (``completion._leave_one_out``)
-      builds for its pair.  On the Gram route (tau_n > 1, W_n > 1,
-      O_n >= L_n) that is the chain's L_n x O_n product T and its copy,
-      L_n O_n, and the two Gram products, tau_n W_n L_n each; the Gram
-      S_n (L_n^2 <= L_n O_n) and the pair's Grams are smaller.  Off the
-      route it is the pair embedding (``completion._embed_mode``),
-      tau_n W_n O_n;
+      builds for its pair.  On the Gram route of the chain's plan
+      (``completion._ChainPlan.gram_routes``) that is the chain's L_n x O_n
+      product T and its copy, L_n O_n, and the two Gram products,
+      tau_n W_n L_n each; the Gram S_n (L_n^2 <= L_n O_n) and the pair's
+      Grams are smaller.  Off the route it is the pair embedding
+      (``completion._embed_mode``), tau_n W_n O_n;
     - the core, prod R_m: the chain's last product, a random start's and a
       rank increment's;
     - on order >= 2, the pair matrices K_n (``embedding._pair_matrix``),
@@ -235,9 +238,10 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
     pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
     lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
     embeddings, routed = [0], []
-    for n, (tau, width, length) in enumerate(zip(shape[::2], shape[1::2], lengths)):
+    routes = _ChainPlan.gram_routes(shape, ranks)
+    for n, (tau, width, length, gram) in enumerate(zip(shape[::2], shape[1::2], lengths, routes)):
         other = math.prod(pairs[:n] + pairs[n + 1:])
-        if tau > 1 and width > 1 and other >= length:
+        if gram:
             routed += [(length * other, "a chain product",
                         f"{length} x {other} on input mode {n}"),
                        (tau * width * length, "a Gram product",

@@ -219,6 +219,23 @@ class TestRecoverCommand:
         costs = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
+    def test_a_signal_sized_run_reports_what_it_cost(self, tmp_path, capsys):
+        # a 1-D gap fill of the benchmark's signal-batch size takes a few
+        # milliseconds: the status line's wall time shows them, to the
+        # millisecond, in the "wall <digits>s" shape that scripts strip
+        signal = np.exp(-0.005 * np.arange(200.0)) * np.sin(0.55 * np.arange(200.0))
+        observed = np.ones(200, bool)
+        observed[85:115] = False
+        write_tensor(tmp_path / "s.hten", np.where(observed, signal, 0.0))
+        write_mask(tmp_path / "q.hten", observed)
+        code, out, _ = run_cli(capsys, "recover", "--input", str(tmp_path / "s.hten"),
+                               "--mask", str(tmp_path / "q.hten"), "--tau", "50",
+                               "--output", str(tmp_path / "o.hten"))
+        assert code == 0
+        assert re.search(r"\bsweeps \d+, ", out)
+        wall = re.search(r"wall ([0-9]+\.[0-9]{3})s$", out.strip())
+        assert wall and float(wall.group(1)) > 0
+
     def test_rank_seq_flag(self, tmp_path, capsys):
         data, mask = self.fixture_files(tmp_path)
         out_ten = tmp_path / "out.hten"

@@ -294,6 +294,28 @@ def _gram_route(shape, taus, ranks):
             for n, (length, tau, width) in enumerate(zip(shape, embedded[::2], embedded[1::2]))]
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=windowed_cases())
+@example(case=((12, 12, 3), (4, 4, 1), (3, 5, 2, 5, 1, 3), 1.0, 7))
+@example(case=((6, 7, 1, 5), (3, 4, 1, 5), (2, 3, 3, 2, 1, 1, 2, 1), 1.0, 7))
+def test_the_chain_plan_routes_as_the_oracle_and_contracts_every_other_mode_once(case):
+    # Each run n contracts every other input mode once: the prefix the
+    # earlier runs left (modes j < n whose pair matrices shrink them) and
+    # the plan's list, whose pair matrices that grow their mode come last.
+    shape, taus, ranks, _, _ = case
+    embedded = embedded_shape(shape, taus)
+    plan = completion._chain_plan(embedded, ranks)
+    assert [step.gram for step in plan.steps] == _gram_route(shape, taus, ranks)
+    assert plan.lengths == shape
+    grows = [a * b > length for a, b, length in zip(ranks[::2], ranks[1::2], shape)]
+    for n, step in enumerate(plan.steps):
+        prefix = [j for j in range(n) if not grows[j]]
+        assert sorted(prefix + list(step.contract)) == [j for j in range(len(shape)) if j != n]
+        flags = [grows[j] for j in step.contract]
+        assert flags == sorted(flags)
+        assert step.embedded == ranks[:2 * n] + embedded[2 * n:2 * n + 2] + ranks[2 * n + 2:]
+
+
 @st.composite
 def gram_route_cases(draw):
     """Order 2-3 windowed inputs on which at least one pair takes the Gram route."""

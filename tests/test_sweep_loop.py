@@ -13,9 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, SWEEP_BUDGET, RankSchedule,
-                        StoppingCriteria, TuckerModel, default_rank_sequences,
+                        StoppingCriteria, TuckerModel, damped_sine, default_rank_sequences,
                         embedded_shape, recover)
-from hankelfill import pipeline
+from hankelfill import completion, pipeline
 from hankelfill.completion import als_sweep, init_model
 from hankelfill.ranking import pad_model
 from helpers import in_copies, masked_cost, plain_loop, texture_image, traced_peak
@@ -246,3 +246,30 @@ def test_no_sweep_fill_or_plateau_reconstructs_the_model(monkeypatch):
                         StoppingCriteria(0.0, 1e-2 * energy, 40), seed=0)
     assert len(result.rank_history) == 8
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["signal", "image"])
+def test_each_rank_stage_plans_its_chain_once(case):
+    # The chain's plan is made the first time a walk meets a stage's ranks;
+    # the stage's other sweeps and the rank event that ends it, which
+    # scores the modes at the same ranks, read it.  So a default-schedule
+    # run makes one plan per stage, and a second identical run makes none.
+    # A plan keyed by something that never compares equal would be made on
+    # every walk.
+    if case == "signal":  # the benchmark's 1-D gap fill: 61 sweeps, 2 rank events
+        t, taus = damped_sine(200, decay=0.005, omega=0.55), (50,)
+        q = np.ones(t.shape, bool)
+        q[85:115] = False
+    else:  # 83 sweeps, 10 rank events
+        t, taus = texture_image(16)[:, :, 0], (4, 4)
+        q = np.ones(t.shape, bool)
+        q[:, 6:8] = False
+    completion._chain_plan.cache_clear()
+    report = recover(t, q, taus)
+    assert report.status == CONVERGED and report.rank_history
+    stages = 1 + len(report.rank_history)
+    walks = report.cost_trace[-1][0] + len(report.rank_history)
+    assert completion._chain_plan.cache_info()[:2] == (walks - stages, stages)  # hits, misses
+    again = recover(t, q, taus)
+    assert again.rank_history == report.rank_history
+    assert completion._chain_plan.cache_info()[:2] == (2 * walks - stages, stages)
