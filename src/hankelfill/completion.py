@@ -14,17 +14,17 @@ every entry, also counts how far the windows disagree on a missing entry;
 with windows of 1 it is the masked cost.  The ALS sweep and the mode
 ranking read y itself through one projection chain that embeds at most one
 mode pair at a time (:func:`_leave_one_out`), so no embedded-sized array
-is ever built.  The chain's plan (:func:`_chain_plan`) is its route
-rule's one home: made once per embedded shape and ranks, it fixes each
-pair's route, the order of the contractions and the shapes, so every walk
-at those ranks, a rank stage's sweeps and the rank event that ends it,
-takes the same route on each pair, and the size guard
-(``ranking._checked_largest_array``) counts along the same rule.  A
-windowed pair whose other modes' rank pairs hold at least its mode's
-length L embeds nothing, and the sweep takes its two factor updates, the
-ranking its two scores, from that mode's L x L Gram (the chain's Gram
-route), the way Hankel-structured SSA codes take the trajectory matrix's
-Gram.
+is ever built.  The chain's plan (:func:`_chain_plan`) is the one home
+of its route rule and shapes: made once per embedded shape and ranks, it
+fixes each pair's route, the order of the contractions and the shapes, so
+every walk at those ranks, a rank stage's sweeps and the rank event that
+ends it, takes the same route on each pair, and the size guard
+(``ranking._checked_largest_array``) reads its forms from the plan at a
+fit's final ranks.  A windowed pair whose other modes' rank pairs hold at
+least its mode's length L embeds nothing, and the sweep takes its two
+factor updates, the ranking its two scores, from that mode's L x L Gram
+(the chain's Gram route), the way Hankel-structured SSA codes take the
+trajectory matrix's Gram.
 """
 
 from __future__ import annotations
@@ -161,8 +161,10 @@ class _PairStep(NamedTuple):
     contract: tuple[int, ...]  # the input modes whose pair matrices the run takes in, in order
     gram: bool                 # the Gram route
     left: int                  # prod_{j < n} R_2j R_2j+1: T's row blocks on the Gram route
+    pair: int                  # P_n = R_2n R_2n+1, the columns of the pair matrix K_n
+    other: int                 # O_n = prod_{j != n} P_j: T's columns on the Gram route
     embedded: tuple[int, ...]  # the pair embedding's C-order shape, off the Gram route
-    shrinks: bool              # R_2n R_2n+1 <= L_n: the prefix of the later runs takes in K_n
+    shrinks: bool              # P_n <= L_n: the prefix of the later runs takes in K_n
 
 
 class _ChainPlan(NamedTuple):
@@ -172,45 +174,35 @@ class _ChainPlan(NamedTuple):
     steps: tuple[_PairStep, ...]
     ranks: tuple[int, ...]    # the last product's shape
 
-    @staticmethod
-    def gram_routes(shape: Sequence[int], ranks: Sequence[int]) -> tuple[bool, ...]:
-        """Per input mode n of the embedded ``shape``, whether its pair takes the Gram route.
-
-        The route rule: tau_n > 1, W_n > 1 and O_n >= L_n, with
-        O_n = prod_{j != n} R_2j R_2j+1 the other modes' rank pairs.  The
-        chain and the size guard (``ranking._checked_largest_array``) both
-        read it here.
-        """
-        pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
-        return tuple(tau > 1 and width > 1
-                     and math.prod(pairs[:n] + pairs[n + 1:]) >= tau + width - 1
-                     for n, (tau, width) in enumerate(zip(shape[::2], shape[1::2])))
-
 
 @functools.lru_cache(maxsize=128)
 def _chain_plan(shape: tuple[int, ...], ranks: tuple[int, ...]) -> _ChainPlan:
     """The chain's plan at the embedded ``shape`` and ``ranks``, worked out once per pair of them.
 
-    Per input mode n: its route (:meth:`_ChainPlan.gram_routes`), the
-    other input modes whose pair matrices K_j its run contracts, in order,
-    and the shapes it reshapes to.  A K_j keeps or shrinks its mode when
+    Per input mode n: its route, the other input modes whose pair matrices
+    K_j its run contracts, in order, and the shapes it builds.  The route
+    rule, here alone: the pair takes the Gram route when tau_n > 1,
+    W_n > 1 and O_n >= L_n, O_n = prod_{j != n} R_2j R_2j+1 the other
+    modes' rank pairs.  A K_j keeps or shrinks its mode when
     R_2j R_2j+1 <= L_j: those run first, in mode order, the ones of modes
     j < n as the prefix that the later runs share.  The K_j that grow
     their mode run last, in every run, so each run's products shrink, then
     grow.  A rank stage of a fit, its sweeps and the rank event that ends
-    it, reads one plan.
+    it, reads one plan; the size guard (``ranking._checked_largest_array``)
+    reads an uncached one (``__wrapped__``) at a fit's final ranks.
     """
     order = len(shape) // 2
     lengths = tuple(tau + width - 1 for tau, width in zip(shape[::2], shape[1::2]))
     pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
     growing = [j for j in range(order) if pairs[j] > lengths[j]]
     steps = []
-    for n, gram in enumerate(_ChainPlan.gram_routes(shape, ranks)):
+    for n, (tau, width, length) in enumerate(zip(shape[::2], shape[1::2], lengths)):
+        other = math.prod(pairs[:n] + pairs[n + 1:])
         shrinking = [j for j in range(n + 1, order) if j not in growing]
-        steps.append(_PairStep(shape[2 * n], shape[2 * n + 1],
-                               tuple(shrinking + [j for j in growing if j != n]), gram,
-                               math.prod(pairs[:n]),
-                               ranks[:2 * n] + shape[2 * n:2 * n + 2] + ranks[2 * n + 2:],
+        steps.append(_PairStep(tau, width, tuple(shrinking + [j for j in growing if j != n]),
+                               tau > 1 and width > 1 and other >= length,
+                               math.prod(pairs[:n]), pairs[n], other,
+                               ranks[:2 * n] + (tau, width) + ranks[2 * n + 2:],
                                n not in growing))
     return _ChainPlan(lengths, tuple(steps), ranks)
 
@@ -239,10 +231,10 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
     the one that chain makes, to the bit.
 
     The Gram route: a pair whose run ends in an L_n x O_n matrix T (mode n
-    by the other modes' rank pairs) and that the plan routes
-    (:meth:`_ChainPlan.gram_routes`) builds no pair embedding.  T, divided
-    by 2^e under the range rule (``linalg._in_range``), gives S = T T^T,
-    and ``visit_gram(m, g, e)`` sees, for m = 2n then 2n + 1, the Gram g of the
+    by the other modes' rank pairs) and that the plan sends on this route
+    (``_PairStep.gram``) builds no pair embedding.  T, divided by 2^e under
+    the range rule (``linalg._in_range``), gives S = T T^T, and
+    ``visit_gram(m, g, e)`` sees, for m = 2n then 2n + 1, the Gram g of the
     projection's mode-m unfolding divided by 4^e, to rounding
     (:func:`_windowed_gram` of S by the other mode's factor, 2n's as its
     visit left it); a visitor that needs the projection's squared norm, the
@@ -311,9 +303,9 @@ def als_sweep(y: np.ndarray, model: TuckerModel) -> TuckerModel:
     never increases.  The projections come from y through one chain
     (:func:`_leave_one_out`), whose last product is the core; the embedded
     tensor is never built.  A windowed pair on the chain's Gram route
-    (:meth:`_ChainPlan.gram_routes`) builds no projection either: its two
-    updates take the top-R_m eigenvectors of the Gram the chain forms from
-    its input mode's L_n x L_n Gram, the eigensolve of
+    (:func:`_chain_plan`) builds no projection either: its two updates
+    take the top-R_m eigenvectors of the Gram the chain forms from its
+    input mode's L_n x L_n Gram, the eigensolve of
     :func:`leading_singular_vectors` on a wide unfolding.
     """
     factors = list(model.factors)

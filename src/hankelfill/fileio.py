@@ -107,11 +107,16 @@ def _image_magic(path, shape) -> bytes:
 def write_image(path, t: np.ndarray) -> None:
     """Write a tensor as binary PGM (2-D input) or PPM (HxWx3 input).
 
-    Values are rounded to the nearest integer and clamped to [0, 255].  A
-    .pgm path refuses HxWx3 input and a .ppm path HxW input.
+    Values are rounded to the nearest integer and clamped to [0, 255], so
+    +Inf writes 255 and -Inf writes 0 like any value out of range; NaN has
+    no pixel value and is a ValueError, raised before any byte is written.
+    A .pgm path refuses HxWx3 input and a .ppm path HxW input.
     """
     t = np.asarray(t, dtype=np.float64)
     magic = _image_magic(path, t.shape)
+    nans = int(np.count_nonzero(np.isnan(t)))
+    if nans:
+        raise ValueError(f"an image cannot hold NaN: {nans} of {t.size} values are NaN")
     height, width = t.shape[:2]
     pixels = np.clip(np.rint(t), 0, _IMAGE_MAXVAL).astype(np.uint8)
     header = magic + b"\n" + f"{width} {height}\n{_IMAGE_MAXVAL}\n".encode("ascii")

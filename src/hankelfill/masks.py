@@ -72,6 +72,9 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
         if len(shape) < 2:
             raise ValueError("rectangles needs at least a 2-way shape")
         for rect in rects:
+            if len(rect) != 4:
+                raise ValueError(f"rectangle {tuple(rect)} needs 4 values "
+                                 f"(row0, col0, height, width), got {len(rect)}")
             r0, c0, h, w = (int(v) for v in rect)
             if r0 < 0 or c0 < 0 or h < 0 or w < 0 or r0 + h > shape[0] or c0 + w > shape[1]:
                 raise ValueError(f"rectangle {tuple(rect)} out of bounds for shape {shape}")

@@ -17,9 +17,11 @@ whose largest array is too large lives here too
 what the chain builds for its pair on the route the ranks pick (the pair
 embedding, or the Gram route's chain product and Gram products), then the
 core, the pair matrices and their padded window factors, the factor
-matrices and the input.  The route is the chain plan's
-(``completion._ChainPlan.gram_routes``), the rule's one home, which the
-sweep and a rank event's scoring read too.  The forms bound every array of
+matrices and the input.  It reads the routes and every shape the chain
+makes from the chain's plan at the final ranks (``completion._chain_plan``,
+the one home of the route rule and the shapes), which the sweep and a rank
+event's scoring walk too, and adds the core and the factor matrices from
+the ranks.  The forms bound every array of
 a fit, because the chain contracts the modes that grow last, and a rank
 event's scoring walks the chain on the sweep's routes.  At full ranks the
 guard first refuses an embedded tensor above the cap
@@ -37,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import check_shape, mode_multiply
-from .completion import TuckerModel, _ChainPlan, _leave_one_out
+from .completion import TuckerModel, _chain_plan, _leave_one_out
 from .embedding import embedded_observed_energy
 from .linalg import complete_orthonormal_basis
 
@@ -197,15 +199,17 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
     """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
 
     Closed forms on the embedded ``shape``, with L_n = tau_n + W_n - 1,
-    P_n = R_2n R_2n+1 and O_n = prod_{j != n} P_j:
+    P_n = R_2n R_2n+1 and O_n = prod_{j != n} P_j.  The guard reads the
+    routes, L_n, P_n, O_n and the pair embeddings' shapes from the chain's
+    plan at ``ranks`` (``completion._chain_plan``, built uncached, so a
+    fit's own stages still make one plan each), and works out none of them:
 
     - per input mode n, what the chain (``completion._leave_one_out``)
-      builds for its pair.  On the Gram route of the chain's plan
-      (``completion._ChainPlan.gram_routes``) that is the chain's L_n x O_n
-      product T and its copy, L_n O_n, and the two Gram products,
-      tau_n W_n L_n each; the Gram S_n (L_n^2 <= L_n O_n) and the pair's
-      Grams are smaller.  Off the route it is the pair embedding
-      (``completion._embed_mode``), tau_n W_n O_n;
+      builds for its pair.  On the plan's Gram route that is the chain's
+      L_n x O_n product T and its copy, L_n O_n, and the two Gram
+      products, tau_n W_n L_n each; the Gram S_n (L_n^2 <= L_n O_n) and
+      the pair's Grams are smaller.  Off the route it is the pair
+      embedding (``completion._embed_mode``), tau_n W_n O_n;
     - the core, prod R_m: the chain's last product, a random start's and a
       rank increment's;
     - on order >= 2, the pair matrices K_n (``embedding._pair_matrix``),
@@ -235,34 +239,30 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
     """
     if tuple(ranks) == tuple(shape):
         _checked_embedded_count(shape)
-    pairs = [a * b for a, b in zip(ranks[::2], ranks[1::2])]
-    lengths = [a + b - 1 for a, b in zip(shape[::2], shape[1::2])]
-    embeddings, routed = [0], []
-    routes = _ChainPlan.gram_routes(shape, ranks)
-    for n, (tau, width, length, gram) in enumerate(zip(shape[::2], shape[1::2], lengths, routes)):
-        other = math.prod(pairs[:n] + pairs[n + 1:])
-        if gram:
-            routed += [(length * other, "a chain product",
-                        f"{length} x {other} on input mode {n}"),
-                       (tau * width * length, "a Gram product",
-                        f"{tau} x {width} x {length} on input mode {n}")]
+    plan = _chain_plan.__wrapped__(tuple(shape), tuple(ranks))
+    embeddings, routed, kernels, padded = [0], [], [], []
+    for n, (step, length) in enumerate(zip(plan.steps, plan.lengths)):
+        if step.gram:
+            routed += [(length * step.other, "a chain product",
+                        f"{length} x {step.other} on input mode {n}"),
+                       (step.tau * step.width * length, "a Gram product",
+                        f"{step.tau} x {step.width} x {length} on input mode {n}")]
         else:
-            embeddings.append(tau * width * other)
+            embeddings.append(math.prod(step.embedded))
+        kernels.append((length * step.pair, n, f"{length} x {step.pair} on input mode {n}"))
+        if step.tau > 1 and step.width > 1:  # else _pair_matrix returns a factor as it is
+            rows, r = step.width + 2 * step.tau - 2, ranks[2 * n + 1]
+            padded.append((rows * r, "a padded window factor", f"{rows} x {r} on input mode {n}"))
     arrays = [(max(embeddings), "a pair embedding", ""), *routed,
               (math.prod(ranks), "a core", " x ".join(map(str, ranks)))]
     factor, m = max((j * r, m) for m, (j, r) in enumerate(zip(shape, ranks)))
     arrays.append((factor, "a factor matrix", f"{shape[m]} x {ranks[m]} on mode {m}"))
-    if len(pairs) > 1:
-        kernel, n = max((i * p, n) for n, (i, p) in enumerate(zip(lengths, pairs)))
-        arrays.append((kernel, "a pair matrix", f"{lengths[n]} x {pairs[n]} on input mode {n}"))
-        padded = [(width + 2 * tau - 2, ranks[2 * n + 1], n)
-                  for n, (tau, width) in enumerate(zip(shape[::2], shape[1::2]))
-                  if tau > 1 and width > 1]
+    if len(plan.steps) > 1:
+        kernel, _, detail = max(kernels)  # ties go to the last mode
+        arrays.append((kernel, "a pair matrix", detail))
         if padded:
-            rows, r, n = max(padded, key=lambda f: f[0] * f[1])
-            arrays.append((rows * r, "a padded window factor",
-                           f"{rows} x {r} on input mode {n}"))
-    arrays.append((math.prod(lengths), "an input-sized array", f"the input, {tuple(lengths)}"))
+            arrays.append(max(padded, key=lambda f: f[0]))  # ties go to the first
+    arrays.append((math.prod(plan.lengths), "an input-sized array", f"the input, {plan.lengths}"))
     for size, name, detail in arrays:
         if size > _ELEMENT_CAP:
             detail = f" ({detail})" if detail else ""

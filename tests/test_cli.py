@@ -109,6 +109,20 @@ class TestEmbedInvert:
         assert err == "error: cannot write shape (9, 7, 2) as an image (want HxW or HxWx3)\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_invert_to_an_image_refuses_nan_and_writes_nothing(self, tmp_path, capsys):
+        # NaN has no pixel value: cast to uint8 it would read as a 0 pixel.
+        # The corner of the embedded tensor maps back to input entry (0, 0) alone
+        xh = np.array(mdt(np.full((9, 7), 100.0), (4, 3)))
+        xh[0, 0, 0, 0] = np.nan
+        emb, out = tmp_path / "xh.hten", tmp_path / "back.pgm"
+        write_tensor(emb, xh)
+        code, text, err = run_cli(capsys, "invert", "--input", str(emb), "--shape", "9,7",
+                                  "--tau", "4,3", "--output", str(out))
+        assert code == 1
+        assert text == ""
+        assert err == "error: an image cannot hold NaN: 1 of 63 values are NaN\n"
+        assert not out.exists()
+
     def test_embed_writes_an_image_for_an_image_path(self, tmp_path, capsys):
         # a signal embeds to a tau x W matrix, which a .pgm file holds
         src, out = tmp_path / "v.hten", tmp_path / "e.pgm"

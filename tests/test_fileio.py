@@ -44,6 +44,11 @@ class TestImages:
         t = read_image(path)
         np.testing.assert_array_equal(t, [[255.0, 0.0], [128.0, 127.0]])
 
+    def test_infinities_clamp_like_any_value_out_of_range(self, tmp_path):
+        path = tmp_path / "inf.pgm"
+        write_image(path, np.array([[np.inf, -np.inf]]))
+        np.testing.assert_array_equal(read_image(path), [[255.0, 0.0]])
+
     def test_header_comments_are_skipped(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([7, 9]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,13 @@ class TestRectangles:
     def test_out_of_bounds_rectangle(self):
         with pytest.raises(ValueError, match="out of bounds"):
             make_mask((5, 5), "rectangles", rects=[(3, 3, 4, 1)])
+
+    @pytest.mark.parametrize("rect", [(1, 2, 3), (1, 2, 3, 4, 5)])
+    def test_a_rectangle_needs_four_values(self, rect):
+        with pytest.raises(ValueError, match=re.escape(
+                f"rectangle {rect} needs 4 values (row0, col0, height, width), "
+                f"got {len(rect)}")):
+            make_mask((8, 8), "rectangles", rects=[rect])
 
 
 def test_unknown_pattern():
