@@ -22,9 +22,11 @@ ends it, takes the same route on each pair, and the size guard
 (``ranking._checked_largest_array``) reads its forms from the plan at a
 fit's final ranks.  A windowed pair whose other modes' rank pairs hold at
 least its mode's length L embeds nothing, and the sweep takes its two
-factor updates, the ranking its two scores, from that mode's L x L Gram
-(the chain's Gram route), the way Hankel-structured SSA codes take the
-trajectory matrix's Gram.
+factor updates, the ranking the two projections' energies, from that
+mode's L x L Gram (the chain's Gram route), the way Hankel-structured SSA
+codes take the trajectory matrix's Gram; elsewhere the ranking reads each
+projection's energy off the projection itself, so it scores every mode by
+one formula.
 """
 
 from __future__ import annotations

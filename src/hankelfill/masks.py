@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -9,6 +10,14 @@ import numpy as np
 from .core import check_shape
 
 PATTERNS = ("random-voxel", "slices", "random-slices", "rectangles")
+
+
+def _index(value, name: str) -> int | None:
+    """``value`` as an integer, None as it is; a ValueError naming ``name`` otherwise."""
+    try:
+        return None if value is None else operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
@@ -28,9 +37,12 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
     rectangles     axis-aligned boxes ``(row0, col0, height, width)`` in the
                    first two modes missing across all remaining modes
 
-    Randomized patterns are deterministic given ``seed``.
+    Randomized patterns are deterministic given ``seed``.  A position,
+    ``mode``, ``start``, ``count`` or a rectangle's value, that is not an
+    integer is a ValueError, not truncated.
     """
     shape = check_shape(shape)
+    mode, start, count = _index(mode, "mode"), _index(start, "start"), _index(count, "count")
     q = np.ones(shape, dtype=bool)
     if pattern == "random-voxel":
         if fraction is None or not 0.0 <= fraction <= 1.0:
@@ -75,7 +87,7 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
             if len(rect) != 4:
                 raise ValueError(f"rectangle {tuple(rect)} needs 4 values "
                                  f"(row0, col0, height, width), got {len(rect)}")
-            r0, c0, h, w = (int(v) for v in rect)
+            r0, c0, h, w = (_index(v, f"a value of rectangle {tuple(rect)}") for v in rect)
             if r0 < 0 or c0 < 0 or h < 0 or w < 0 or r0 + h > shape[0] or c0 + w > shape[1]:
                 raise ValueError(f"rectangle {tuple(rect)} out of bounds for shape {shape}")
             q[(slice(r0, r0 + h), slice(c0, c0 + w)) + (slice(None),) * (len(shape) - 2)] = False

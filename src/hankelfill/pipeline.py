@@ -100,11 +100,13 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     returning status ``converged``; running out of rank headroom or sweeps
     gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
     fit whose largest array at the final ranks is too large is refused
-    first.  A mask with no observed entry, a NaN or infinite observed value,
-    nonzero observed data whose largest magnitude is below 2^-511 (about
-    1.5e-154, whose square is not a normal float64), or a random start whose
-    cost overflows float64, is a ValueError; a value at a missing entry is
-    never read.  All-zero observed data are fitted
+    first.  Complex data, a mask holding NaN or +-Inf (neither observed nor
+    missing; only a float mask can), a mask with no observed entry, a NaN
+    or infinite observed value, nonzero observed data whose largest
+    magnitude is below 2^-511 (about 1.5e-154, whose square is not a normal
+    float64), or a random start whose cost overflows float64, is a
+    ValueError; a value at a missing entry is never read.  All-zero
+    observed data are fitted
     exactly by the zero model, returned at sweep 0.  After these checks the
     mask is read for a run of fully missing slices that no window bridges,
     which the report names.
@@ -116,8 +118,14 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     preserves the reconstruction).
     """
     started = time.perf_counter()
-    t = np.asarray(data, dtype=np.float64)
-    q = np.asarray(mask, dtype=bool)
+    t, q = np.asarray(data), np.asarray(mask)
+    if t.dtype.kind == "c":
+        raise ValueError(f"data must be real, got {t.dtype}; fit the real and imaginary "
+                         f"parts apart")
+    if q.dtype.kind in "fc" and not np.isfinite(q).all():
+        raise ValueError("the mask holds non-finite values; "
+                         "want 0 for missing and a finite nonzero for observed")
+    t, q = t.astype(np.float64, copy=False), q.astype(bool, copy=False)
     if t.shape != q.shape:
         raise ValueError(f"data shape {t.shape} differs from mask shape {q.shape}")
     shape = embedded_shape(t.shape, taus)

@@ -3,7 +3,9 @@
 Fitting starts every mode at the first entry of its rank sequence (rank one
 under the default doubling sequences).  Whenever the cost plateaus, the
 mode whose projected residual is largest grows to the next entry of its
-sequence (:func:`mode_residuals`, :func:`select_increment_mode`), the
+sequence (:func:`select_increment_mode`); every mode's residual is one
+formula in the energy of the chain's projection onto the other factors
+(:func:`mode_residuals`), on either of the chain's routes.  Then the
 factor is padded with fresh orthonormal columns and the core with zeros
 (:func:`pad_model`, so the reconstruction is untouched), and sweeping
 resumes from that warm start.  The schedule is an immutable value: the
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_shape, mode_multiply
+from .core import check_shape
 from .completion import TuckerModel, _chain_plan, _leave_one_out
 from .embedding import embedded_observed_energy
 from .linalg import complete_orthonormal_basis
@@ -148,36 +150,33 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     its embedding H(y), so H(y) - x, x the model's reconstruction, is the
     residual whose squared norm is the cost;
     value_m = ||(H(y) - x) projected onto all factors but mode m||^2,
-    a proxy for how much cost reduction a rank bump on mode m can buy.  With
-    orthonormal factors that projection of x is the core G times U_m on
-    mode m, so x is never built: y runs through the chain of
-    :func:`als_sweep`, on the same routes, which builds no H(y) either.  A
-    mode of size 1 sees the whole projection, the chain's last product c
-    less the core.  A pair on the chain's Gram route has no projection p_m
-    to subtract from: there, since U_m^T p_m = c,
-    value_m = ||c - G||^2 + (||p_m||^2 - ||c||^2), with ||p_m||^2 the trace
-    of the route's Gram and the difference clamped at zero against
-    rounding.  That cancels two sums of the size of ||p_m||^2, so such a
-    value is within 4 sum(J) eps (||H(y)|| + ||G||)^2 of the chain's over
-    H(y), J the embedded shape, not equal to it; every other value is the
-    direct difference.
+    a proxy for how much cost reduction a rank bump on mode m can buy.  y
+    runs through the chain of :func:`als_sweep`, on the same routes, which
+    builds neither H(y) nor x.  Let p_m be the projection of H(y) onto
+    every factor but mode m's, c = U_m^T p_m the chain's last product and
+    G the core.  The precondition is orthonormal factors, which every fit
+    keeps: then x projects to G times U_m on mode m, and one formula scores
+    every mode,
+    value_m = ||p_m - G x_m U_m||^2 = ||c - G||^2 + max(||p_m||^2 - ||c||^2, 0),
+    with ||p_m||^2 = p_m . p_m on the chain's projection route and the
+    trace of the Gram on its Gram route; a mode of size 1, which the chain
+    does not visit, has ||p_m|| = ||c||.  The difference cancels two sums
+    of the size of ||p_m||^2 and is clamped at zero against that rounding,
+    so a value is within 4 sum(J) eps (||H(y)|| + ||G||)^2 of the direct
+    difference over H(y), J the embedded shape, not equal to it.
     """
-    values = [0.0] * model.core.ndim
     energies = {}
 
-    def score(m, p):
-        d = (p - mode_multiply(model.core, model.factors[m], m)).ravel()
-        values[m] = float(d @ d)
+    def energy(m, p):
+        energies[m] = float(np.vdot(p, p))
 
-    def energy(m, g, power):
+    def gram_energy(m, g, power):
         energies[m] = math.ldexp(float(np.trace(g)), 2 * power)
 
-    c = _leave_one_out(np.asarray(y), model.factors, score, energy).ravel()
+    c = _leave_one_out(np.asarray(y), model.factors, energy, gram_energy).ravel()
     d = c - model.core.ravel()
     whole, last = float(d @ d), float(c @ c)
-    for m, e in energies.items():
-        values[m] = whole + max(e - last, 0.0)
-    return [whole if u.shape[0] == 1 else v for u, v in zip(model.factors, values)]
+    return [whole + max(energies.get(m, last) - last, 0.0) for m in range(model.core.ndim)]
 
 
 def _checked_embedded_count(shape: Sequence[int]) -> int:

@@ -85,6 +85,21 @@ class TestRectangles:
             make_mask((8, 8), "rectangles", rects=[rect])
 
 
+@pytest.mark.parametrize("pattern, kwargs, message", [
+    ("slices", {"mode": 1.0, "start": 0, "count": 1}, "mode must be an integer, got 1.0"),
+    ("slices", {"mode": 0, "start": 1.5, "count": 1}, "start must be an integer, got 1.5"),
+    ("slices", {"mode": 0, "start": 0, "count": 2.0}, "count must be an integer, got 2.0"),
+    ("random-slices", {"mode": np.float64(1), "fraction": 0.5}, "mode must be an integer"),
+    ("rectangles", {"rects": [(1.5, 2, 3, 3)]},
+     "a value of rectangle (1.5, 2, 3, 3) must be an integer, got 1.5"),
+])
+def test_a_position_that_is_not_an_integer_is_refused(pattern, kwargs, message):
+    # a float rectangle was truncated to its integer part, and a float mode,
+    # start or count failed with a raw TypeError from the indexing
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_mask((8, 8), pattern, **kwargs)
+
+
 def test_unknown_pattern():
     with pytest.raises(ValueError, match="unknown pattern"):
         make_mask((5, 5), "swiss-cheese")

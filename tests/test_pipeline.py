@@ -208,6 +208,25 @@ class TestRecover:
         with pytest.raises(ValueError, match="finite"):
             recover(data, np.ones(10, bool), (2,))
 
+    def test_complex_data_rejected(self):
+        # they were fitted on their real part, with only a ComplexWarning
+        truth, req = small_signal_request()
+        with pytest.raises(ValueError, match=r"^data must be real, got complex128"):
+            recover(**dict(req, data=truth + 1j * truth))
+
+    def test_a_mask_holding_a_non_finite_value_is_refused(self):
+        # a float mask's NaN or +-Inf was taken as observed, while read_mask
+        # refused the same mask; a finite float mask runs as its boolean one
+        _, req = small_signal_request()
+        mask = req["mask"].astype(float)
+        assert (recover(**dict(req, mask=mask)).estimate.tobytes()
+                == recover(**req).estimate.tobytes())
+        for bad in (np.nan, np.inf, -np.inf):
+            mask[60] = bad
+            with pytest.raises(ValueError, match="^the mask holds non-finite values; want 0 "
+                                                 "for missing and a finite nonzero for observed$"):
+                recover(**dict(req, mask=mask))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("criteria", [None, StoppingCriteria(1e-10, 1e-8, 60)],
                              ids=["default", "explicit"])

@@ -116,8 +116,9 @@ class TestModeResiduals:
         t = rng.standard_normal((5, 4, 6))
         x = rng.standard_normal((5, 4, 6))
         q = random_mask(t.shape, 0.5, seed=5)
-        factors = [rng.standard_normal((5, 2)), rng.standard_normal((4, 3)),
-                   rng.standard_normal((6, 2))]
+        # orthonormal, as every fit keeps its factors: the scores rest on it
+        factors = [np.linalg.qr(rng.standard_normal(shape))[0]
+                   for shape in ((5, 2), (4, 3), (6, 2))]
         r = np.where(q, t - x, 0.0)
         u0, u1, u2 = factors
         oracle = [
