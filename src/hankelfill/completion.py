@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import check_shape, is_unit_factor, mode_multiply, multilinear_product, unfold
+from .core import (_integers, as_mask, check_shape, is_unit_factor, mode_multiply,
+                   multilinear_product, unfold)
 from .embedding import _pair_matrix, duplication_weights, inverse_mdt_tucker
 from .linalg import (_in_range, _top_eigenvectors, complete_orthonormal_basis,
                      leading_singular_vectors)
@@ -84,12 +84,11 @@ def auxiliary_fill(t: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     fill when every window is 1 (see :func:`_input_space_imputation`).
     Unused in the package; kept while ``perfbench/tracing.py`` traces it by name.
     """
-    t = np.asarray(t)
-    x = np.asarray(x)
+    t, q, x = np.asarray(t), as_mask(q), np.asarray(x)
     if t.shape != q.shape or t.shape != x.shape:
         raise ValueError(f"auxiliary_fill: shapes differ: data {t.shape}, "
-                         f"mask {np.asarray(q).shape}, model {x.shape}")
-    return np.where(np.asarray(q, dtype=bool), t, x)
+                         f"mask {q.shape}, model {x.shape}")
+    return np.where(q, t, x)
 
 
 def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
@@ -101,10 +100,7 @@ def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
     is not an integer is a ValueError, not truncated.
     """
     shape = check_shape(shape)
-    try:
-        ranks = tuple(operator.index(r) for r in ranks)
-    except TypeError:
-        raise ValueError(f"ranks must be integers, got {ranks!r}") from None
+    ranks = _integers(ranks, "ranks")
     if len(ranks) != len(shape):
         raise ValueError(f"need one rank per mode: {len(ranks)} ranks for shape {shape}")
     for m, (r, j) in enumerate(zip(ranks, shape)):

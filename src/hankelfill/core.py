@@ -15,6 +15,7 @@ the lowest-numbered mode varying fastest.  Modes are 0-based throughout.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,9 +29,30 @@ _MAX_ELEMENTS = 2**62
 _FLOAT64 = np.dtype(np.float64)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int by ``operator.index``, else a ValueError naming ``what``.
+
+    The package's one integer rule, with :func:`_integers`: a Python or
+    numpy integer passes, and a float is refused even when whole, never
+    truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """Each of ``values`` by :func:`_integer`'s rule, as a tuple; the ValueError names ``what``."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
+
+
 def check_shape(dims: Iterable[int]) -> Shape:
-    """Validate a tensor shape: order >= 1, all dims >= 1, no index overflow."""
-    shape = tuple(int(d) for d in dims)
+    """Validate a tensor shape: integer dims, order >= 1, all dims >= 1, no index overflow."""
+    shape = _integers(dims, "dimensions")
     if len(shape) == 0:
         raise ValueError("tensor shape must have at least one mode")
     if any(d < 1 for d in shape):
@@ -43,12 +65,23 @@ def check_shape(dims: Iterable[int]) -> Shape:
     return shape
 
 
-def as_mask(flags) -> np.ndarray:
-    """Coerce input to a boolean observation mask (True = observed)."""
+def as_mask(flags, data_shape: Shape | None = None) -> np.ndarray:
+    """Read ``flags`` as a boolean observation mask: nonzero is observed (True).
+
+    This is the package's one mask rule.  A float or complex mask holding NaN
+    or +-Inf is a ValueError: such a value says neither observed nor missing.
+    So is a mask of no mode, or one whose shape is not ``data_shape``, when
+    that is given.  A bool array passes through uncopied.
+    """
     q = np.asarray(flags)
     if q.dtype != np.bool_:
+        if q.dtype.kind in "fc" and not np.isfinite(q).all():
+            raise ValueError("the mask holds non-finite values; "
+                             "want 0 for missing and a finite nonzero for observed")
         q = q != 0
     check_shape(q.shape)
+    if data_shape is not None and q.shape != data_shape:
+        raise ValueError(f"data shape {data_shape} differs from mask shape {q.shape}")
     return q
 
 

@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import _FLOAT64, Shape, check_shape, is_unit_factor, multilinear_product
+from .core import (_FLOAT64, Shape, _integers, as_mask, check_shape, is_unit_factor,
+                   multilinear_product)
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -49,10 +49,7 @@ def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
     embedded shape alone fixes the inverse transform.
     """
     shape = check_shape(shape)
-    try:
-        taus = tuple(operator.index(t) for t in taus)
-    except TypeError:
-        raise ValueError(f"windows must be integers, got {taus!r}") from None
+    taus = _integers(taus, "windows")
     if len(taus) != len(shape):
         raise ValueError(f"need one window per mode: got {len(taus)} windows "
                          f"for order-{len(shape)} shape {shape}")
@@ -106,13 +103,11 @@ def mdt(x: np.ndarray, taus: Sequence[int]) -> np.ndarray:
 def mdt_mask(q: np.ndarray, taus: Sequence[int]) -> np.ndarray:
     """Delay embedding of an observation mask; flags are duplicated verbatim.
 
-    A read-only view, as from :func:`mdt`, of ``q`` or of ``q != 0``.  Unused
-    in the package; kept while ``perfbench/tracing.py`` traces it by name.
+    A read-only view, as from :func:`mdt`, of ``q`` read by
+    :func:`hankelfill.core.as_mask`.  Unused in the package; kept while
+    ``perfbench/tracing.py`` traces it by name.
     """
-    q = np.asarray(q)
-    if q.dtype != np.bool_:
-        q = q != 0
-    return mdt(q, taus)
+    return mdt(as_mask(q), taus)
 
 
 def duplication_weights(shape: Sequence[int], taus: Sequence[int]) -> np.ndarray:
@@ -135,12 +130,14 @@ def embedded_observed_energy(values: np.ndarray, mask: np.ndarray,
 
     Computed without embedding: each source entry shows up once per covering
     window, so its energy is weighted by :func:`duplication_weights`.  Used
-    to scale stopping thresholds to the data.  Finite data
-    whose energy overflows float64 (magnitudes near 1e154 and up) are a
-    ValueError that asks for rescaled data.
+    to scale stopping thresholds to the data.  ``mask`` is read by
+    :func:`hankelfill.core.as_mask` and must have the shape of ``values``.
+    Finite data whose energy overflows float64 (magnitudes near 1e154 and
+    up) are a ValueError that asks for rescaled data.
     """
-    weights = duplication_weights(np.shape(values), taus)
-    observed = np.where(np.asarray(mask, dtype=bool), np.asarray(values, dtype=np.float64), 0.0)
+    values = np.asarray(values, dtype=np.float64)
+    weights = duplication_weights(values.shape, taus)
+    observed = np.where(as_mask(mask, values.shape), values, 0.0)
     with np.errstate(over="ignore"):
         w = np.square(observed)
         w *= weights

@@ -10,7 +10,9 @@ HTEN layout (all integers little-endian):
 
 Images are 8-bit binary P5 (grayscale, HxW) or P6 (color, HxWx3); pixel
 values v are read as float64 v * 255 / maxval and written clamped-rounded to
-[0, 255] under maxval 255.  Masks ride either format: nonzero means observed.
+[0, 255] under maxval 255.  Masks ride either format and are read by the one
+mask rule, :func:`hankelfill.core.as_mask`: nonzero means observed, and NaN
+or +-Inf (only HTEN can hold them) is refused.
 """
 
 from __future__ import annotations
@@ -194,19 +196,16 @@ def _write_any(path, t: np.ndarray) -> None:
 # ---------------------------------------------------------------- masks
 
 def read_mask(path, data_shape=None) -> np.ndarray:
-    """Read an observation mask from a PGM/PPM (nonzero = observed) or HTEN file.
+    """Read an observation mask from a PGM/PPM or HTEN file.
 
-    A mask holding NaN or +-Inf, which only an HTEN file can, is rejected:
-    such a value says neither observed nor missing.
+    The file's values are read by :func:`hankelfill.core.as_mask`: nonzero
+    is observed, and a mask holding NaN or +-Inf, which only an HTEN
+    file can, is rejected: such a value says neither observed nor missing.
 
     A 2-D image mask is broadcast along trailing modes when ``data_shape``
     says the data carries extra channels (e.g. HxW mask for HxWx3 data).
     """
-    values = _read_any(path)
-    if not np.isfinite(values).all():
-        raise ValueError(f"mask {path} holds non-finite values; "
-                         "want 0 for missing and a finite nonzero for observed")
-    q = as_mask(values != 0)
+    q = as_mask(_read_any(path))
     if data_shape is not None:
         data_shape = check_shape(data_shape)
         if q.shape != data_shape:
@@ -221,8 +220,9 @@ def read_mask(path, data_shape=None) -> np.ndarray:
 def write_mask(path, q: np.ndarray) -> None:
     """Write a mask as an image of 0/255 (paths ending .ppm/.pgm) or as HTEN 0/1.
 
-    A PGM holds one channel: a mask of three equal channels is written as
-    one, and one whose channels differ is rejected.
+    ``q`` is read by :func:`hankelfill.core.as_mask`, so NaN or +-Inf is
+    rejected.  A PGM holds one channel: a mask of three equal channels is
+    written as one, and one whose channels differ is rejected.
     """
     q = as_mask(q)
     if str(path).endswith(".pgm") and q.ndim == 3:

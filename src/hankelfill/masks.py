@@ -2,22 +2,14 @@
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from .core import check_shape
+from .core import _integer, as_mask, check_shape
+from .embedding import embedded_shape
 
 PATTERNS = ("random-voxel", "slices", "random-slices", "rectangles")
-
-
-def _index(value, name: str) -> int | None:
-    """``value`` as an integer, None as it is; a ValueError naming ``name`` otherwise."""
-    try:
-        return None if value is None else operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
@@ -37,12 +29,13 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
     rectangles     axis-aligned boxes ``(row0, col0, height, width)`` in the
                    first two modes missing across all remaining modes
 
-    Randomized patterns are deterministic given ``seed``.  A position,
-    ``mode``, ``start``, ``count`` or a rectangle's value, that is not an
-    integer is a ValueError, not truncated.
+    Randomized patterns are deterministic given ``seed``.  A dimension of
+    ``shape`` or a position, ``mode``, ``start``, ``count`` or a rectangle's
+    value, that is not an integer is a ValueError, not truncated.
     """
     shape = check_shape(shape)
-    mode, start, count = _index(mode, "mode"), _index(start, "start"), _index(count, "count")
+    mode, start, count = (None if v is None else _integer(v, name)
+                          for v, name in ((mode, "mode"), (start, "start"), (count, "count")))
     q = np.ones(shape, dtype=bool)
     if pattern == "random-voxel":
         if fraction is None or not 0.0 <= fraction <= 1.0:
@@ -87,7 +80,7 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
             if len(rect) != 4:
                 raise ValueError(f"rectangle {tuple(rect)} needs 4 values "
                                  f"(row0, col0, height, width), got {len(rect)}")
-            r0, c0, h, w = (_index(v, f"a value of rectangle {tuple(rect)}") for v in rect)
+            r0, c0, h, w = (_integer(v, f"a value of rectangle {tuple(rect)}") for v in rect)
             if r0 < 0 or c0 < 0 or h < 0 or w < 0 or r0 + h > shape[0] or c0 + w > shape[1]:
                 raise ValueError(f"rectangle {tuple(rect)} out of bounds for shape {shape}")
             q[(slice(r0, r0 + h), slice(c0, c0 + w)) + (slice(None),) * (len(shape) - 2)] = False
@@ -98,10 +91,10 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
 def longest_missing_runs(q: np.ndarray) -> tuple[int, ...]:
     """Per mode, the longest run of consecutive slices with no observed entry.
 
-    One reduction of ``q`` per mode (nonzero = observed) and no embedding:
-    a slice is fully missing when no entry of it is observed.
+    One reduction of ``q`` per mode (read by :func:`hankelfill.core.as_mask`)
+    and no embedding: a slice is fully missing when no entry of it is observed.
     """
-    q = np.asarray(q, dtype=bool)
+    q = as_mask(q)
     runs = []
     for mode in range(q.ndim):
         seen = q.any(axis=tuple(n for n in range(q.ndim) if n != mode))
@@ -117,11 +110,14 @@ def unbridged_gap(mask: np.ndarray, taus: Sequence[int]) -> tuple[int, int] | No
     mode with window 1 is never bridged: nothing links the slices of that
     mode.  The input fill of the sweep loop
     (:func:`hankelfill.pipeline.recover`) bridges any
-    run on a mode with a longer window.  Ties go to the lowest mode; None
-    when every run is bridged.
+    run on a mode with a longer window.  ``taus`` are checked as
+    :func:`hankelfill.embedding.embedded_shape` checks them.  Ties go to the
+    lowest mode; None when every run is bridged.
     """
+    q = as_mask(mask)
+    taus = embedded_shape(q.shape, taus)[::2]
     worst = None
-    for mode, (run, tau) in enumerate(zip(longest_missing_runs(mask), taus)):
+    for mode, (run, tau) in enumerate(zip(longest_missing_runs(q), taus)):
         if run and tau == 1:
             if worst is None or run > worst[1]:
                 worst = (mode, run)

@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .completion import CostTrace, TuckerModel, _input_space_imputation, als_sweep, init_model
+from .core import _integer, as_mask
 from .embedding import embedded_shape
 from .masks import unbridged_gap
 from .ranking import (RankSchedule, StoppingCriteria, _checked_largest_array, _growable,
@@ -98,18 +99,22 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     :func:`select_increment_mode`) and the model is padded in place of a cold
     restart.  Stops as soon as the cost is <= ``criteria.epsilon``,
     returning status ``converged``; running out of rank headroom or sweeps
-    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.  A
-    fit whose largest array at the final ranks is too large is refused
-    first.  Complex data, a mask holding NaN or +-Inf (neither observed nor
-    missing; only a float mask can), a mask with no observed entry, a NaN
-    or infinite observed value, nonzero observed data whose largest
-    magnitude is below 2^-511 (about 1.5e-154, whose square is not a normal
-    float64), or a random start whose cost overflows float64, is a
-    ValueError; a value at a missing entry is never read.  All-zero
-    observed data are fitted
-    exactly by the zero model, returned at sweep 0.  After these checks the
-    mask is read for a run of fully missing slices that no window bridges,
-    which the report names.
+    gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.
+
+    A ``seed`` that is not a nonnegative integer is refused before anything
+    else, and a fit whose largest array at the final ranks is too large
+    before the observed values are read.  ``mask`` is read by the one mask
+    rule, :func:`hankelfill.core.as_mask`: nonzero is observed, and a mask
+    holding NaN or +-Inf (neither observed nor missing; only a float mask
+    can) is refused, as is one whose shape is not the data's.  Complex
+    data, a mask with no observed entry, a NaN or infinite observed value,
+    nonzero observed data whose largest magnitude is below 2^-511 (about
+    1.5e-154, whose square is not a normal float64), or a random start
+    whose cost overflows float64, is a ValueError too; a value at a missing
+    entry is never read.  All-zero observed data are fitted exactly by the
+    zero model, returned at sweep 0.  After these checks the mask is read
+    for a run of fully missing slices that no window bridges, which the
+    report names.
 
     The report's ``estimate`` is the last fill's map-back e = H^+ X, in the
     input's shape and guaranteed finite; score it with
@@ -118,16 +123,15 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     preserves the reconstruction).
     """
     started = time.perf_counter()
-    t, q = np.asarray(data), np.asarray(mask)
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    t = np.asarray(data)
     if t.dtype.kind == "c":
         raise ValueError(f"data must be real, got {t.dtype}; fit the real and imaginary "
                          f"parts apart")
-    if q.dtype.kind in "fc" and not np.isfinite(q).all():
-        raise ValueError("the mask holds non-finite values; "
-                         "want 0 for missing and a finite nonzero for observed")
-    t, q = t.astype(np.float64, copy=False), q.astype(bool, copy=False)
-    if t.shape != q.shape:
-        raise ValueError(f"data shape {t.shape} differs from mask shape {q.shape}")
+    t = t.astype(np.float64, copy=False)
+    q = as_mask(mask, t.shape)
     shape = embedded_shape(t.shape, taus)
     taus = shape[::2]
     if schedule is None:

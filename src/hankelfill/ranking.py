@@ -34,13 +34,13 @@ writes that tensor, meets.
 from __future__ import annotations
 
 import math
-import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import check_shape
+from .core import _integer, _integers, check_shape
 from .completion import TuckerModel, _chain_plan, _leave_one_out
 from .embedding import embedded_observed_energy
 from .linalg import complete_orthonormal_basis
@@ -65,10 +65,9 @@ class RankSchedule:
     sequences: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        try:
-            sequences = tuple(tuple(operator.index(r) for r in seq) for seq in self.sequences)
-        except TypeError:
-            raise ValueError(f"ranks must be integer sequences, got {self.sequences!r}") from None
+        if not isinstance(self.sequences, Iterable):
+            raise ValueError(f"ranks must be integer sequences, got {self.sequences!r}")
+        sequences = tuple(_integers(seq, "ranks") for seq in self.sequences)
         for m, seq in enumerate(sequences):
             if not seq:
                 raise ValueError(f"mode {m} has an empty rank sequence")
@@ -98,12 +97,8 @@ class StoppingCriteria:
         if not (0 <= self.epsilon < math.inf and 0 <= self.tol < math.inf):
             raise ValueError(f"epsilon and tol must be nonnegative and finite, got "
                              f"epsilon={self.epsilon}, tol={self.tol}")
-        try:
-            sweeps = operator.index(self.max_total_sweeps)
-        except TypeError:
-            raise ValueError(f"max_total_sweeps must be an integer, got "
-                             f"{self.max_total_sweeps!r}") from None
-        if sweeps < 1:
+        self.max_total_sweeps = _integer(self.max_total_sweeps, "max_total_sweeps")
+        if self.max_total_sweeps < 1:
             raise ValueError("max_total_sweeps must be >= 1")
 
 

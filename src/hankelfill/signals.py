@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _integer, as_mask
+
 
 def damped_sine(length: int, *, amplitude: float = 1.0, decay: float = 0.01,
                 omega: float = 0.5, phase: float = 0.0, noise: float = 0.0,
@@ -12,8 +14,10 @@ def damped_sine(length: int, *, amplitude: float = 1.0, decay: float = 0.01,
 
     Gaussian noise of std ``noise`` is added, drawn from a generator seeded
     with ``seed``.  A noiseless damped sinusoid delay-embeds to a Hankel
-    matrix of rank two, the low-rank structure the recovery relies on.
+    matrix of rank two, the low-rank structure the recovery relies on.  A
+    ``length`` that is not an integer is a ValueError, not rounded up.
     """
+    length = _integer(length, "length")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if noise < 0:
@@ -32,7 +36,7 @@ def linear_interpolate_gaps(values: np.ndarray, observed: np.ndarray) -> np.ndar
     extend the nearest observed value.
     """
     values = np.asarray(values, dtype=np.float64)
-    observed = np.asarray(observed, dtype=bool)
+    observed = as_mask(observed)
     if values.ndim != 1 or values.shape != observed.shape:
         raise ValueError(f"expected matching vectors, got {values.shape} and {observed.shape}")
     if not observed.any():

@@ -1,7 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hankelfill import (RankSchedule, StoppingCriteria, damped_sine, default_stopping_criteria,
+                        embedded_shape, make_mask, read_mask, recover, write_mask, write_tensor)
+from hankelfill.completion import init_model
 from hankelfill.core import as_mask, check_shape, mode_multiply, multilinear_product, unfold
+from hankelfill.masks import unbridged_gap
 from helpers import fold, planted_tucker, random_orthonormal
 
 
@@ -191,3 +200,123 @@ def test_planted_model_reconstructs_with_known_factors():
     back = multilinear_product(t, [f.T for f in factors])
     np.testing.assert_allclose(back, core, atol=1e-12)
     assert planted_tucker(shape, ranks, 0).shape == shape
+
+
+# ---------------------------------------------------------------- argument rules
+# Two rules are written once, in core, and every entry point delegates to them:
+# an integer argument is read by operator.index, and a mask reads nonzero as
+# observed and refuses NaN and +-Inf.
+
+SIGNAL = np.sin(np.arange(12.0) / 2)
+SIGNAL_MASK = np.arange(12) % 5 != 2
+SHORT_RUN = StoppingCriteria(0.0, 0.0, 3)
+
+# entry point: (the argument its error names, a call that puts a value in it)
+INTEGER_ARGUMENTS = {
+    "check_shape": ("dimensions", lambda v: check_shape((v, 3))),
+    "embedded_shape": ("windows", lambda v: embedded_shape((6, 5), (v, 2))),
+    "init_model": ("ranks", lambda v: init_model((v, 1), (4, 3), 0)),
+    "RankSchedule": ("ranks", lambda v: RankSchedule(((v, 5), (1,)))),
+    "StoppingCriteria": ("max_total_sweeps", lambda v: StoppingCriteria(0.0, 0.0, v)),
+    "make_mask-shape": ("dimensions", lambda v: make_mask((v, 4), "random-voxel",
+                                                         fraction=0.5)),
+    "make_mask-start": ("start", lambda v: make_mask((6, 4), "slices", mode=0, start=v,
+                                                    count=1)),
+    "recover-seed": ("seed", lambda v: recover(SIGNAL, SIGNAL_MASK, (4,), schedule=(2, 2),
+                                               criteria=SHORT_RUN, seed=v)),
+    "damped_sine": ("length", lambda v: damped_sine(v)),
+}
+
+NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                  np.uint64)
+
+
+def fingerprint(value):
+    """What a call returned, arrays by dtype, shape and bytes, scalars with their type.
+
+    A report's wall time is left out; everything else must match exactly.
+    """
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(map(fingerprint, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(fingerprint(getattr(value, f.name))
+                                           for f in dataclasses.fields(value)
+                                           if f.name != "wall_time_s")
+    return type(value).__name__, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(entry=st.sampled_from(sorted(INTEGER_ARGUMENTS)),
+       value=st.one_of(st.integers(-2, 6).map(float),
+                       st.floats(allow_nan=True, allow_infinity=True)),
+       boxed=st.booleans())
+def test_a_float_argument_is_an_error_naming_it_even_when_whole(entry, value, boxed):
+    name, call = INTEGER_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be (an integer|integers), got "):
+        call(np.float64(value) if boxed else value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=st.sampled_from(sorted(INTEGER_ARGUMENTS)), value=st.integers(1, 4),
+       kind=st.sampled_from(NUMPY_INTEGERS))
+def test_a_numpy_integer_argument_gives_the_result_of_the_python_int(entry, value, kind):
+    _, call = INTEGER_ARGUMENTS[entry]
+    assert fingerprint(call(kind(value))) == fingerprint(call(value))
+
+
+DATA = np.arange(20.0).reshape(4, 5) / 7 + 1
+
+
+def outcome(read, flags, directory):
+    """``read``'s result, or the message of the ValueError it raised."""
+    try:
+        return fingerprint(read(flags, directory))
+    except ValueError as error:
+        return "ValueError", str(error)
+
+
+def read_hten_mask(flags, directory):
+    write_tensor(directory / "flags.hten", flags)
+    return read_mask(directory / "flags.hten")
+
+
+def write_hten_mask(flags, directory):
+    write_mask(directory / "mask.hten", flags)
+    return (directory / "mask.hten").read_bytes()
+
+
+MASK_READERS = {
+    "as_mask": lambda q, _: as_mask(q),
+    "read_mask": read_hten_mask,
+    "write_mask": write_hten_mask,
+    "recover": lambda q, _: recover(DATA, q, (2, 2), schedule=(1, 2, 1, 2),
+                                    criteria=SHORT_RUN, seed=0),
+    "default_stopping_criteria": lambda q, _: default_stopping_criteria(DATA, q, (2, 2)),
+    "unbridged_gap": lambda q, _: unbridged_gap(q, (2, 1)),
+}
+
+
+@st.composite
+def float_masks(draw):
+    """A 4x5 float mask of zeros, finite nonzeros and, in half the cases, NaN and +-Inf."""
+    wild = draw(st.booleans())
+    values = [0.0, -0.0, 1.0, -2.5, 5e-324, 1e308] + [np.nan, np.inf, -np.inf] * wild
+    return draw(arrays(np.float64, DATA.shape, elements=st.one_of(
+        st.sampled_from(values), st.floats(allow_nan=wild, allow_infinity=wild))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(flags=float_masks())
+def test_every_mask_reader_refuses_non_finite_flags_or_reads_nonzero_as_observed(
+        tmp_path_factory, flags):
+    directory = tmp_path_factory.mktemp("mask-rule")
+    for name, read in MASK_READERS.items():
+        if np.isfinite(flags).all():
+            assert outcome(read, flags, directory) == outcome(read, flags != 0, directory), name
+        else:
+            with pytest.raises(ValueError, match="^the mask holds non-finite values; want 0 "
+                                                 "for missing and a finite nonzero for "
+                                                 "observed$"):
+                read(flags, directory)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hankelfill import embedded_shape, inverse_mdt, mdt
+from hankelfill import default_stopping_criteria, embedded_shape, inverse_mdt, mdt
 from hankelfill.core import multilinear_product
 from hankelfill.embedding import (_pair_matrix, duplication_counts, duplication_weights,
                                   embedded_observed_energy, inverse_mdt_tucker, mdt_mask)
@@ -241,6 +242,17 @@ class TestEmbeddedObservedEnergy:
     def test_largest_finite_energy_is_returned(self):
         x = np.full(4, 1e153)
         assert embedded_observed_energy(x, np.ones(4, bool), (1,)) == pytest.approx(4e306)
+
+    @pytest.mark.parametrize("mask_shape", [(10, 10, 1), (3,), (10, 10)])
+    def test_a_mask_of_another_shape_is_refused(self, mask_shape):
+        # it was broadcast against the data, so the default thresholds came
+        # from a mask the fit itself refuses
+        data = np.ones((10, 10, 3))
+        message = f"data shape (10, 10, 3) differs from mask shape {mask_shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            embedded_observed_energy(data, np.ones(mask_shape, bool), (2, 2, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_stopping_criteria(data, np.ones(mask_shape, bool), (2, 2, 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_observed_value_is_an_error(self, bad):

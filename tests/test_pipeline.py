@@ -146,6 +146,30 @@ class TestRecover:
                          schedule=(np.int64(1), np.int32(1)))
         assert report.ranks == (1, 1)
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (-1, "seed must be nonnegative, got -1"),
+    ])
+    def test_a_seed_that_is_not_a_nonnegative_integer_is_refused_first(self, seed, message):
+        # numpy's own TypeError or ValueError, raised at the random start,
+        # named no argument; the seed is now read before the data, so even
+        # a NaN mask and a fit above the size cap meet this error first
+        _, req = small_signal_request(seed=seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            recover(**req)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            recover(np.ones(40000), np.full(40000, np.nan), (2,), schedule=(2, 39999),
+                    seed=seed)
+
+    def test_a_numpy_integer_seed_gives_the_run_of_the_python_int(self):
+        _, req = small_signal_request(criteria=StoppingCriteria(1e-10, 1e-8, 30))
+        given_int = recover(**dict(req, seed=3))
+        given_numpy = recover(**dict(req, seed=np.int64(3)))
+        assert given_numpy.estimate.tobytes() == given_int.estimate.tobytes()
+        assert given_numpy.cost_trace == given_int.cost_trace
+        assert given_numpy.rank_history == given_int.rank_history
+
     def test_empty_mask_rejected(self):
         truth = damped_sine(60, decay=0.01, omega=0.5)
         with pytest.raises(ValueError, match="mask observes no entry"):
@@ -369,6 +393,19 @@ class TestGapReport:
         mask = np.ones(img.shape, bool)
         mask[..., 1] = False
         assert unbridged_gap(mask, (4, 4, 1)) == (2, 1)
+
+    @pytest.mark.parametrize("taus, message", [
+        ((4, 4), "need one window per mode: got 2 windows for order-3 shape (16, 16, 3)"),
+        ((4, 4, 2.5), "windows must be integers, got (4, 4, 2.5)"),
+        ((4, 4, 4), "window tau=4 out of range [1, 3] on mode 2"),
+    ])
+    def test_the_windows_are_read_as_embedded_shape_reads_them(self, taus, message):
+        # the runs were zipped with the windows unchecked: a missing window,
+        # or a float one, left the missing channel unreported
+        mask = np.ones((16, 16, 3), bool)
+        mask[..., 1] = False
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            unbridged_gap(mask, taus)
 
 
 def smooth_volume():
