@@ -24,7 +24,10 @@ fit's final ranks.  A windowed pair whose other modes' rank pairs hold at
 least its mode's length L embeds nothing, and the sweep takes its two
 factor updates, the ranking the two projections' energies, from that
 mode's L x L Gram (the chain's Gram route), the way Hankel-structured SSA
-codes take the trajectory matrix's Gram; elsewhere the ranking reads each
+codes take the trajectory matrix's Gram.  Each update's windowed Gram is
+a 2-D cross-correlation of that Gram, taken by matmuls or, where the
+plan's one closed form says it costs less, from one 2-D FFT of the Gram
+that the pair's two updates share; elsewhere the ranking reads each
 projection's energy off the projection itself, so it scores every mode by
 one formula.
 """
@@ -138,10 +141,12 @@ def _windowed_gram(s: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
     ``s`` is the C-contiguous L x L Gram T T^T of an input mode's chain
     matrix T, and ``u`` the k x r factor of one mode of its pair, with
     L = count + k - 1.  G is the Gram A A^T of the other mode's unfolding A
-    of the pair embedding projected onto u.  u u^T is never formed:
+    of the pair embedding projected onto u.  This is the matmul form,
+    which the plan (:func:`_chain_plan`) takes where the FFT form
+    (:func:`_fft_windowed_gram`) costs more.  u u^T is never formed:
     N = u (u^T V), V the strided (count, k, L) view V[a, b] = s[a + b], then
     G[a, a'] sums N[a, b', a' + b'] over b' through a strided view; each
-    product takes count k L r multiply-adds.
+    product takes count k L r multiply-adds and holds count k L elements.
     """
     rows = np.ndarray((count, u.shape[0], s.shape[0]), s.dtype, s, 0,
                       (s.strides[0], *s.strides))
@@ -149,6 +154,44 @@ def _windowed_gram(s: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
     step, width, item = n.strides
     return np.ndarray((count, count, u.shape[0]), n.dtype, n, 0,
                       (step, item, width + item)).sum(axis=2)
+
+
+def _fft_windowed_gram(spectrum: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
+    """:func:`_windowed_gram` by a 2-D FFT: ``spectrum`` is ``rfft2(s, (n, n))``, n >= L.
+
+    G is a 2-D cross-correlation of s with u u^T, and a + b <= L - 1 <= n - 1
+    for a < ``count``, b < k, so the circular correlation of size n x n is
+    exact on G's block: G = irfft2(conj(rfft2(u u^T, (n, n))) * spectrum)
+    cut to its leading count x count block, a view.  The chain takes one
+    spectrum per routed pair and shares it between the pair's two calls.
+    The error is normwise, not componentwise: of the order of
+    log2(n) eps ||s||_F ||u u^T||_F (the tests derive the bound they check).
+    A call makes u u^T (k x k), one n x (n/2 + 1) complex transform, which
+    takes the product in place, and the n x n inverse.
+    """
+    n = spectrum.shape[0]
+    kernel = np.fft.rfft2(u @ u.T, (n, n))
+    np.conjugate(kernel, out=kernel)
+    kernel *= spectrum
+    return np.fft.irfft2(kernel, (n, n))[:count, :count]
+
+
+def _fft_length(length: int) -> int:
+    """The least 2^a 3^b 5^c at or above ``length``, a size numpy's FFT splits into small radices.
+
+    A length with a large prime factor would take a slower algorithm
+    (measured 6x at L = 127 against 128), and zero padding up to any
+    n >= L keeps the windowed Gram's correlation exact.
+    """
+    n = length
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 class _PairStep(NamedTuple):
@@ -163,6 +206,7 @@ class _PairStep(NamedTuple):
     other: int                 # O_n = prod_{j != n} P_j: T's columns on the Gram route
     embedded: tuple[int, ...]  # the pair embedding's C-order shape, off the Gram route
     shrinks: bool              # P_n <= L_n: the prefix of the later runs takes in K_n
+    fft: int                   # the FFT length n on the Gram route's FFT form, else 0
 
 
 class _ChainPlan(NamedTuple):
@@ -177,17 +221,36 @@ class _ChainPlan(NamedTuple):
 def _chain_plan(shape: tuple[int, ...], ranks: tuple[int, ...]) -> _ChainPlan:
     """The chain's plan at the embedded ``shape`` and ``ranks``, worked out once per pair of them.
 
-    Per input mode n: its route, the other input modes whose pair matrices
-    K_j its run contracts, in order, and the shapes it builds.  The route
-    rule, here alone: the pair takes the Gram route when tau_n > 1,
-    W_n > 1 and O_n >= L_n, O_n = prod_{j != n} R_2j R_2j+1 the other
-    modes' rank pairs.  A K_j keeps or shrinks its mode when
-    R_2j R_2j+1 <= L_j: those run first, in mode order, the ones of modes
-    j < n as the prefix that the later runs share.  The K_j that grow
-    their mode run last, in every run, so each run's products shrink, then
-    grow.  A rank stage of a fit, its sweeps and the rank event that ends
-    it, reads one plan; the size guard (``ranking._checked_largest_array``)
-    reads an uncached one (``__wrapped__``) at a fit's final ranks.
+    Per input mode n: its route, the form of its windowed Grams, the other
+    input modes whose pair matrices K_j its run contracts, in order, and
+    the shapes it builds.  The route rule, here alone: the pair takes the
+    Gram route when tau_n > 1, W_n > 1 and O_n >= L_n,
+    O_n = prod_{j != n} R_2j R_2j+1 the other modes' rank pairs.  The form
+    rule, here alone too: a routed pair takes its two windowed Grams by
+    FFT (:func:`_fft_windowed_gram`, at the length n = :func:`_fft_length`
+    of L_n) when
+
+        tau_n W_n L_n (64 + R_2n + R_2n+1) >= 64 (n^2 log2 n + 2^15),
+
+    else by matmuls (:func:`_windowed_gram`).  The left side is the matmul
+    form's cost: its two products of tau_n W_n L_n elements, whose passes
+    over memory dominate, and their 2 tau_n W_n L_n (R_2n + R_2n+1)
+    multiply-adds, which weigh about 1/64 of a pass per unit of rank.  The
+    right side is the FFT form's: its transforms of n^2 log2 n, and a fixed
+    cost of about 2^15 product elements for its five FFT calls.  Both
+    constants are measured (one core, OpenBLAS, pocketfft: the matmul form
+    takes 3.3 ns per product element, the FFT form 3.5 ns per n^2 log2 n
+    and 85 us).  At pixel-128's pairs (L = 128, ranks 8 and 16) the sides
+    are 20.4M against 9.4M; at slice-inpaint's (L = 64, ranks at most 8)
+    2.3M against 3.7M.  Both sides grow with the ranks only on the left, so
+    a pair on the FFT form stays on it as a fit's ranks grow.  A K_j keeps
+    or shrinks its mode when R_2j R_2j+1 <= L_j: those run first, in mode
+    order, the ones of modes j < n as the prefix that the later runs share.
+    The K_j that grow their mode run last, in every run, so each run's
+    products shrink, then grow.  A rank stage of a fit, its sweeps and the
+    rank event that ends it, reads one plan; the size guard
+    (``ranking._checked_largest_array``) reads uncached ones
+    (``__wrapped__``) at a fit's start and final ranks.
     """
     order = len(shape) // 2
     lengths = tuple(tau + width - 1 for tau, width in zip(shape[::2], shape[1::2]))
@@ -197,11 +260,14 @@ def _chain_plan(shape: tuple[int, ...], ranks: tuple[int, ...]) -> _ChainPlan:
     for n, (tau, width, length) in enumerate(zip(shape[::2], shape[1::2], lengths)):
         other = math.prod(pairs[:n] + pairs[n + 1:])
         shrinking = [j for j in range(n + 1, order) if j not in growing]
+        gram = tau > 1 and width > 1 and other >= length
+        size = _fft_length(length)
+        fft = gram and (tau * width * length * (64 + ranks[2 * n] + ranks[2 * n + 1])
+                        >= 64 * (size * size * math.log2(size) + 2**15))
         steps.append(_PairStep(tau, width, tuple(shrinking + [j for j in growing if j != n]),
-                               tau > 1 and width > 1 and other >= length,
-                               math.prod(pairs[:n]), pairs[n], other,
+                               gram, math.prod(pairs[:n]), pairs[n], other,
                                ranks[:2 * n] + (tau, width) + ranks[2 * n + 2:],
-                               n not in growing))
+                               n not in growing, size if fft else 0))
     return _ChainPlan(lengths, tuple(steps), ranks)
 
 
@@ -235,10 +301,14 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
     ``visit_gram(m, g, e)`` sees, for m = 2n then 2n + 1, the Gram g of the
     projection's mode-m unfolding divided by 4^e, to rounding
     (:func:`_windowed_gram` of S by the other mode's factor, 2n's as its
-    visit left it); a visitor that needs the projection's squared norm, the
-    trace of g, takes 4^e back.  Its new arrays are T's copy, S (L_n^2) and
-    the Gram's tau_n W_n L_n products, none larger than the pair embedding,
-    tau_n W_n O_n.  On the last input mode, the return is T contracted with
+    visit left it, or, on the plan's FFT form (``_PairStep.fft``),
+    :func:`_fft_windowed_gram` of S's one transform, which both visits
+    share); a visitor that needs the projection's squared norm, the trace
+    of g, takes 4^e back.  Its new arrays are T's copy, S (L_n^2) and the
+    Gram's tau_n W_n L_n products, none larger than the pair embedding,
+    tau_n W_n O_n, or on the FFT form, in place of the products, the n x
+    (n/2 + 1) complex transforms and the n x n inverses, n = ``step.fft``.
+    On the last input mode, the return is T contracted with
     the pair matrix of the visited factors.  Other pairs (windows of 1, a
     window of the whole mode, O_n < L_n) go as above.  So every walk, the
     sweep's and the mode ranking's, takes the plan's routes.
@@ -265,8 +335,11 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
             matrix, power = _in_range(matrix.reshape(length, -1))
             s = matrix @ matrix.T
             del matrix  # T's copy goes before the Gram products are made
-            visit_gram(2 * n, _windowed_gram(s, factors[2 * n + 1], step.tau), power)
-            visit_gram(2 * n + 1, _windowed_gram(s, factors[2 * n], step.width), power)
+            gram = _windowed_gram
+            if step.fft:
+                s, gram = np.fft.rfft2(s, (step.fft, step.fft)), _fft_windowed_gram
+            visit_gram(2 * n, gram(s, factors[2 * n + 1], step.tau), power)
+            visit_gram(2 * n + 1, gram(s, factors[2 * n], step.width), power)
         else:
             z = _embed_mode(t, n, step.tau, step.width).reshape(step.embedded)
             if step.tau != 1:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _integer, as_mask, check_shape
+from .core import _integer, _seed, as_mask, check_shape
 from .embedding import embedded_shape
 
 PATTERNS = ("random-voxel", "slices", "random-slices", "rectangles")
@@ -31,9 +31,11 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
 
     Randomized patterns are deterministic given ``seed``.  A dimension of
     ``shape`` or a position, ``mode``, ``start``, ``count`` or a rectangle's
-    value, that is not an integer is a ValueError, not truncated.
+    value, that is not an integer is a ValueError, not truncated, and so is
+    a ``seed`` that is not a nonnegative integer, whatever the pattern.
     """
     shape = check_shape(shape)
+    seed = _seed(seed)
     mode, start, count = (None if v is None else _integer(v, name)
                           for v, name in ((mode, "mode"), (start, "start"), (count, "count")))
     q = np.ones(shape, dtype=bool)

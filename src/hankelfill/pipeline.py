@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .completion import CostTrace, TuckerModel, _input_space_imputation, als_sweep, init_model
-from .core import _integer, as_mask
+from .core import _seed, as_mask
 from .embedding import embedded_shape
 from .masks import unbridged_gap
 from .ranking import (RankSchedule, StoppingCriteria, _checked_largest_array, _growable,
@@ -102,8 +102,9 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     gives ``schedule_exhausted`` / ``sweep_budget`` instead of an error.
 
     A ``seed`` that is not a nonnegative integer is refused before anything
-    else, and a fit whose largest array at the final ranks is too large
-    before the observed values are read.  ``mask`` is read by the one mask
+    else (the one seed rule, ``core._seed``), and a fit whose largest array
+    at any rank stage, from the schedule's first ranks to its final ones,
+    is too large before the observed values are read.  ``mask`` is read by the one mask
     rule, :func:`hankelfill.core.as_mask`: nonzero is observed, and a mask
     holding NaN or +-Inf (neither observed nor missing; only a float mask
     can) is refused, as is one whose shape is not the data's.  Complex
@@ -123,9 +124,7 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     preserves the reconstruction).
     """
     started = time.perf_counter()
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seed = _seed(seed)
     t = np.asarray(data)
     if t.dtype.kind == "c":
         raise ValueError(f"data must be real, got {t.dtype}; fit the real and imaginary "
@@ -144,7 +143,8 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
         if seq[-1] > shape[m]:
             raise ValueError(f"mode {m} sequence tops out at {seq[-1]} but the mode "
                              f"has size {shape[m]}")
-    _checked_largest_array(shape, [seq[-1] for seq in schedule.sequences])
+    _checked_largest_array(shape, [seq[-1] for seq in schedule.sequences],
+                           [seq[0] for seq in schedule.sequences])
     if not q.any():
         raise ValueError("the mask observes no entry: there is nothing to fit")
     peak = float(np.abs(t[q]).max())  # NaN if any observed value is NaN

@@ -17,13 +17,14 @@ The sweep loop that applies this policy is
 whose largest array is too large lives here too
 (:func:`_checked_largest_array`).  It counts closed forms: per input mode,
 what the chain builds for its pair on the route the ranks pick (the pair
-embedding, or the Gram route's chain product and Gram products), then the
-core, the pair matrices and their padded window factors, the factor
-matrices and the input.  It reads the routes and every shape the chain
-makes from the chain's plan at the final ranks (``completion._chain_plan``,
-the one home of the route rule and the shapes), which the sweep and a rank
-event's scoring walk too, and adds the core and the factor matrices from
-the ranks.  The forms bound every array of
+embedding, or the Gram route's chain product and the Gram products or
+transforms of its windowed Grams' form), then the core, the pair matrices
+and their padded window factors, the factor matrices and the input.  It
+reads the routes, the forms and every shape the chain makes from the
+chain's plans at the start and final ranks (``completion._chain_plan``,
+the one home of the route rule, the form rule and the shapes), which the
+sweep and a rank event's scoring walk too, and adds the core and the
+factor matrices from the ranks.  The forms bound every array of
 a fit, because the chain contracts the modes that grow last, and a rank
 event's scoring walks the chain on the sweep's routes.  At full ranks the
 guard first refuses an embedded tensor above the cap
@@ -189,21 +190,35 @@ def _checked_embedded_count(shape: Sequence[int]) -> int:
     return count
 
 
-def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
+def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int],
+                           start: Sequence[int] | None = None) -> int:
     """Elements of the largest array of a fit at ``ranks``; a ValueError above _ELEMENT_CAP.
 
-    Closed forms on the embedded ``shape``, with L_n = tau_n + W_n - 1,
-    P_n = R_2n R_2n+1 and O_n = prod_{j != n} P_j.  The guard reads the
-    routes, L_n, P_n, O_n and the pair embeddings' shapes from the chain's
-    plan at ``ranks`` (``completion._chain_plan``, built uncached, so a
-    fit's own stages still make one plan each), and works out none of them:
+    ``ranks`` are the fit's final ranks and ``start`` its first ones, the
+    final ones by default (a fixed-rank fit).  Closed forms on the embedded
+    ``shape``, with L_n = tau_n + W_n - 1, P_n = R_2n R_2n+1 and
+    O_n = prod_{j != n} P_j, counted in float64s.  The guard reads the
+    routes, the windowed Grams' forms, L_n, P_n, O_n, the FFT lengths n_n
+    and the pair embeddings' shapes from the chain's plans at ``ranks``
+    and ``start`` (``completion._chain_plan``, built uncached, so a fit's
+    own stages still make one plan each), and works out none of them:
 
     - per input mode n, what the chain (``completion._leave_one_out``)
       builds for its pair.  On the plan's Gram route that is the chain's
-      L_n x O_n product T and its copy, L_n O_n, and the two Gram
-      products, tau_n W_n L_n each; the Gram S_n (L_n^2 <= L_n O_n) and
-      the pair's Grams are smaller.  Off the route it is the pair
-      embedding (``completion._embed_mode``), tau_n W_n O_n;
+      L_n x O_n product T and its copy, L_n O_n, and the windowed Grams'
+      arrays.  On their matmul form those are two products of
+      tau_n W_n L_n each.  On their FFT form they are n_n x (n_n/2 + 1)
+      complex transforms, 2 n_n (n_n/2 + 1) float64s each, and n_n x n_n
+      real inverses, fewer; n_n is the least 5-smooth length >= L_n.  At
+      n_n = L_n these are no larger than the matmul form's products:
+      tau_n W_n = L_n + (tau_n - 1)(W_n - 1), so L_n <= tau_n W_n, and
+      2 L_n (L_n/2 + 1) <= tau_n W_n L_n, as (tau_n - 1)(W_n - 1) is at
+      least 1, and at least 2 where L_n is even.  A pair that is on the
+      FFT form at the final ranks but not at ``start`` may take the matmul
+      form at an earlier stage, so both forms are counted for it.  The Gram
+      S_n (L_n^2 <= L_n O_n) and the pair's Grams are smaller.  Off the
+      route it is the pair embedding (``completion._embed_mode``),
+      tau_n W_n O_n;
     - the core, prod R_m: the chain's last product, a random start's and a
       rank increment's;
     - on order >= 2, the pair matrices K_n (``embedding._pair_matrix``),
@@ -222,10 +237,12 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
     visit's products are no larger than the pair embedding, the map-back's
     no larger than the core or the input.  Every walk of the chain, a rank
     event's scoring (``mode_residuals``) as well as the sweep, takes the
-    same route on the same pair.  The ranks of a run only grow, so the
-    forms at the schedule's final ranks bound the earlier ones: a pair on
-    the route earlier is on it at the end, and a pair off it earlier had
-    O_n < L_n, so its pair embedding was below tau_n W_n L_n.  At full
+    same route and form on the same pair.  The ranks of a run only grow,
+    so the forms at the schedule's final ranks bound the earlier ones: a
+    pair on the route earlier is on it at the end, and a pair off it
+    earlier had O_n < L_n, so its pair embedding was below tau_n W_n L_n.
+    The form rule's cost of the matmul form grows with the ranks too, so a
+    pair on the FFT form at ``start`` is on it at every stage.  At full
     ranks the core is the embedded tensor's count, which
     :func:`_checked_embedded_count` refuses first, and no form but a pair
     matrix, its padded window factor (there no larger than K_n) or a factor
@@ -234,13 +251,19 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int]) -> int:
     if tuple(ranks) == tuple(shape):
         _checked_embedded_count(shape)
     plan = _chain_plan.__wrapped__(tuple(shape), tuple(ranks))
+    first = plan if start is None else _chain_plan.__wrapped__(tuple(shape), tuple(start))
     embeddings, routed, kernels, padded = [0], [], [], []
     for n, (step, length) in enumerate(zip(plan.steps, plan.lengths)):
         if step.gram:
-            routed += [(length * step.other, "a chain product",
-                        f"{length} x {step.other} on input mode {n}"),
-                       (step.tau * step.width * length, "a Gram product",
-                        f"{step.tau} x {step.width} x {length} on input mode {n}")]
+            routed.append((length * step.other, "a chain product",
+                           f"{length} x {step.other} on input mode {n}"))
+            if not first.steps[n].fft:
+                routed.append((step.tau * step.width * length, "a Gram product",
+                               f"{step.tau} x {step.width} x {length} on input mode {n}"))
+            if step.fft:
+                columns = step.fft // 2 + 1
+                routed.append((2 * step.fft * columns, "a Gram's transform",
+                               f"{step.fft} x {columns} complex on input mode {n}"))
         else:
             embeddings.append(math.prod(step.embedded))
         kernels.append((length * step.pair, n, f"{length} x {step.pair} on input mode {n}"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _integer, as_mask
+from .core import _integer, _seed, as_mask
 
 
 def damped_sine(length: int, *, amplitude: float = 1.0, decay: float = 0.01,
@@ -15,9 +15,11 @@ def damped_sine(length: int, *, amplitude: float = 1.0, decay: float = 0.01,
     Gaussian noise of std ``noise`` is added, drawn from a generator seeded
     with ``seed``.  A noiseless damped sinusoid delay-embeds to a Hankel
     matrix of rank two, the low-rank structure the recovery relies on.  A
-    ``length`` that is not an integer is a ValueError, not rounded up.
+    ``length`` that is not an integer is a ValueError, not rounded up, and
+    so is a ``seed`` that is not a nonnegative integer, noise or not.
     """
     length = _integer(length, "length")
+    seed = _seed(seed)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if noise < 0:

@@ -224,8 +224,12 @@ INTEGER_ARGUMENTS = {
                                                     count=1)),
     "recover-seed": ("seed", lambda v: recover(SIGNAL, SIGNAL_MASK, (4,), schedule=(2, 2),
                                                criteria=SHORT_RUN, seed=v)),
+    "make_mask-seed": ("seed", lambda v: make_mask((4, 4), "random-voxel", seed=v,
+                                                   fraction=0.5)),
     "damped_sine": ("length", lambda v: damped_sine(v)),
+    "damped_sine-seed": ("seed", lambda v: damped_sine(10, noise=0.1, seed=v)),
 }
+SEED_ARGUMENTS = [entry for entry in INTEGER_ARGUMENTS if entry.endswith("-seed")]
 
 NUMPY_INTEGERS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
                   np.uint64)
@@ -264,6 +268,15 @@ def test_a_float_argument_is_an_error_naming_it_even_when_whole(entry, value, bo
 def test_a_numpy_integer_argument_gives_the_result_of_the_python_int(entry, value, kind):
     _, call = INTEGER_ARGUMENTS[entry]
     assert fingerprint(call(kind(value))) == fingerprint(call(value))
+
+
+@pytest.mark.parametrize("entry", SEED_ARGUMENTS)
+@pytest.mark.parametrize("seed", [-1, -2**70, np.int8(-3)])
+def test_a_negative_seed_is_an_error_naming_it(entry, seed):
+    # one seed rule (core._seed) for every seeded entry point; numpy's
+    # generator would refuse it as "expected non-negative integer"
+    with pytest.raises(ValueError, match=f"^seed must be nonnegative, got {int(seed)}$"):
+        INTEGER_ARGUMENTS[entry][1](seed)
 
 
 DATA = np.arange(20.0).reshape(4, 5) / 7 + 1

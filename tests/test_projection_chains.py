@@ -7,6 +7,7 @@ they are checked against the same chain over the embedded tensor H(y)
 (``helpers.embedded_*``), and that oracle against plain per-mode chains.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -97,11 +98,39 @@ def ttm_cases(draw, position):
     return shape, mode, rows, kind, a_transposed, seed
 
 
-@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@st.composite
+def middle_mode_cases(draw, narrow):
+    """A middle mode between modes of product ``left`` and modes of product ``right``.
+
+    Narrow cases have right < left, and reach the sizes at which the kernel
+    loops over the trailing block (right < 4, left and R >= 64); wide ones
+    have right >= left, which it batches over ``left``.
+    """
+    if narrow:
+        right = draw(st.integers(2, 5))
+        left = draw(st.integers(right + 1, 150))
+    else:
+        left = draw(st.integers(2, 8))
+        right = draw(st.integers(left, 60))
+    head = (2, left // 2) if left % 2 == 0 and draw(st.booleans()) else (left,)
+    tail = (right // 2, 2) if right % 2 == 0 and draw(st.booleans()) else (right,)
+    size = draw(st.integers(1, 40))
+    rows = draw(st.sampled_from([1, size, 63, 64, 100]))
+    kind = draw(st.sampled_from(["contiguous", "fortran", "transposed", "sliced"]))
+    return (head + (size,) + tail, len(head), rows, kind, draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last", "middle, right < left",
+                                      "middle, right >= left"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mode_multiply_matches_unfolding_definition(position, data):
-    shape, mode, rows, kind, a_transposed, seed = data.draw(ttm_cases(position))
+    # first and last: left == 1 and right == 1, one GEMM; a middle mode
+    # batches over left, or loops over a narrow trailing block
+    cases = (middle_mode_cases(position.endswith("< left")) if "right" in position
+             else ttm_cases(position))
+    shape, mode, rows, kind, a_transposed, seed = data.draw(cases)
     rng = np.random.default_rng(seed)
     t = _layout(rng, shape, kind)
     assert t.shape == shape
@@ -353,6 +382,55 @@ def test_the_chain_plan_routes_as_the_oracle_and_contracts_every_other_mode_once
         assert step.embedded == ranks[:2 * n] + embedded[2 * n:2 * n + 2] + ranks[2 * n + 2:]
 
 
+SMOOTH = sorted(2**a * 3**b * 5**c for a in range(12) for b in range(8) for c in range(6))
+
+
+def _fft_form(tau, width, r_tau, r_width):
+    """The form rule's oracle: the FFT length n of a routed pair on the FFT form, else 0.
+
+    n is the least 2^a 3^b 5^c >= L, and the FFT form is taken where
+    tau W L (64 + r_tau + r_width) >= 64 (n^2 log2 n + 2^15).
+    """
+    length = tau + width - 1
+    n = next(m for m in SMOOTH if m >= length)
+    cheaper = tau * width * length * (64 + r_tau + r_width) >= 64 * (n * n * math.log2(n)
+                                                                   + 2**15)
+    return n if cheaper else 0
+
+
+def test_the_fft_length_is_the_least_5_smooth_length_at_or_above():
+    assert [completion._fft_length(n) for n in range(1, 2000)] == [
+        next(m for m in SMOOTH if m >= n) for n in range(1, 2000)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.integers(2, 300), width=st.integers(2, 300), data=st.data())
+def test_a_routed_pair_takes_the_windowed_grams_form_the_closed_form_picks(tau, width, data):
+    # the second input mode, of size ``other`` at a window of 1, gives
+    # O_0 = other; the pair is routed where other >= L
+    r_tau, r_width = data.draw(st.integers(1, tau)), data.draw(st.integers(1, width))
+    other = data.draw(st.integers(1, 2 * (tau + width)))
+    step = completion._chain_plan((tau, width, 1, other), (r_tau, r_width, 1, other)).steps[0]
+    assert step.fft == (_fft_form(tau, width, r_tau, r_width) if step.gram else 0)
+
+
+def test_pixel_128_and_the_paper_take_the_fft_form_and_slice_inpaint_keeps_the_matmul_form():
+    # pixel-128 at its fixed ranks; the paper's image at tau=32,32,1 at
+    # every rank stage of its default schedule on which a pair is routed;
+    # slice-inpaint at every ranks up to its final (8, 8, 8, 8, 1, 3)
+    pixel = completion._chain_plan(embedded_shape((128, 128, 3), (16, 16, 1)),
+                                   (8, 16, 8, 16, 1, 3))
+    assert [step.fft for step in pixel.steps] == [128, 128, 0]
+    paper = embedded_shape((256, 256, 3), (32, 32, 1))
+    small = embedded_shape((64, 64, 3), (8, 8, 1))
+    for ranks in itertools.product((1, 2, 4, 8, 16), repeat=4):
+        plan = completion._chain_plan(paper, ranks + (1, 3))
+        assert [step.fft for step in plan.steps] == [256 if s.gram else 0 for s in plan.steps]
+        if max(ranks) <= 8:
+            plan = completion._chain_plan(small, ranks + (1, 3))
+            assert [step.fft for step in plan.steps] == [0, 0, 0]
+
+
 @st.composite
 def gram_route_cases(draw):
     """Order 2-3 windowed inputs on which at least one pair takes the Gram route."""
@@ -420,6 +498,78 @@ def test_the_gram_route_gives_the_gram_of_the_projection_routes_unfolding(case):
             gamma = d * EPS / 2 / (1 - d * EPS / 2)
             assert np.all(np.abs(grams[m] - a @ a.T)
                           <= 2 * gamma * (magnitudes @ magnitudes.T))
+
+
+# pixel-128's pairs at its fixed ranks, and the paper's at its final ones
+FFT_CASES = {"pixel-128": (16, 113, 8, 16, 384), "paper": (32, 225, 16, 16, 768)}
+
+
+@pytest.mark.parametrize("offset", [0.0, 3.0], ids=["centred", "offset"])
+@pytest.mark.parametrize("case", sorted(FFT_CASES))
+def test_the_fft_form_of_the_windowed_gram_meets_its_normwise_bound(case, offset):
+    # Both sides of a routed pair past the form rule's crossover, against
+    # the matmul form in long double.  An FFT's error is normwise: with
+    # N = n^2 points, each 2-D transform is within eps_N = 4 log2(N) eps of
+    # the exact one in the 2-norm (Higham, Accuracy and Stability, sect.
+    # 24.1: log2(N) passes, each a few roundings).  Let a, b be the exact
+    # transforms of m = u u^T and s, zero-padded to n x n, with
+    # ||a||_2 = n ||m||_F and ||b||_2 = n ||s||_F.  Then the product's
+    # error is at most eps_N n (||m||_F ||b||_inf + ||a||_inf ||s||_F) plus
+    # one rounding of ||a||_inf n ||s||_F, and the inverse divides by n and
+    # adds eps_N of the product, so
+    # ||G_fft - G||_F <= eps_N (||m||_F ||b||_inf + 3 ||a||_inf ||s||_F).
+    # ||a||_inf <= k for orthonormal u, and ||b||_inf <= sum |s|, which an
+    # offset chain matrix makes n ||s||_F or so.  The reference's own error
+    # is within 2 gamma_d of the magnitudes' Gram, d = 2k + r, in long
+    # double's eps.  Measured at these shapes, offsets 0, 3 and 30, three
+    # seeds and ranks 1 to 64: at most 0.003 of the bound, and at most 0.81
+    # of the plain form log2(n) eps ||s||_F ||m||_F, which the matmul form's
+    # own error reached 0.68 of.
+    tau, width, r_tau, r_width, other = FFT_CASES[case]
+    length = tau + width - 1
+    n = completion._fft_length(length)
+    shape = (tau, width, 1, other)
+    assert completion._chain_plan(shape, (r_tau, r_width, 1, other)).steps[0].fft == n
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((length, other)) + offset
+    s = t @ t.T
+    spectrum = np.fft.rfft2(s, (n, n))
+    peak_s = np.abs(spectrum).max()
+    ld = np.longdouble
+    for count, rank in ((tau, r_width), (width, r_tau)):  # each mode's Gram
+        k = length - count + 1
+        u = complete_orthonormal_basis(np.empty((k, 0)), rng.standard_normal((k, rank)))
+        m = u @ u.T
+        g = completion._fft_windowed_gram(spectrum, u, count)
+        exact = completion._windowed_gram(s.astype(ld), u.astype(ld), count)
+        d = 2 * k + rank
+        eps_ld = float(np.finfo(ld).eps)
+        reference = 2 * d * eps_ld * np.linalg.norm(
+            completion._windowed_gram(np.abs(s), np.abs(u), count))
+        eps_n = 4 * math.log2(n * n) * EPS
+        bound = eps_n * (np.linalg.norm(m) * peak_s
+                         + 3 * np.abs(np.fft.rfft2(m, (n, n))).max() * np.linalg.norm(s))
+        error = float(np.linalg.norm((g - exact).astype(np.float64)))
+        assert error <= bound + reference
+
+
+def test_mode_residuals_on_the_fft_form_are_within_the_residual_bound():
+    # a 128 x 128 input at tau=16,16: both pairs routed, both on the FFT
+    # form; every score within the bound of the windowed test above
+    # (measured at most 0.0011 of it over three seeds)
+    shape, taus, ranks = (128, 128), (16, 16), (8, 16, 8, 16)
+    embedded = embedded_shape(shape, taus)
+    assert [step.fft for step in completion._chain_plan(embedded, ranks).steps] == [128, 128]
+    rng = np.random.default_rng(3)
+    i, j = np.meshgrid(np.arange(128.0), np.arange(128.0), indexing="ij")
+    y = np.sin(0.35 * i + 0.55 * j) + 0.5 * np.cos(0.9 * i - 0.25 * j) + 0.1 * (
+        rng.standard_normal(shape))
+    model = als_sweep(y, init_model(ranks, embedded, 3))
+    z = np.array(mdt(y, taus))
+    values = mode_residuals(y, model)
+    oracle = embedded_mode_residuals(z, model)
+    bound = 4 * sum(z.shape) * EPS * (np.linalg.norm(z) + np.linalg.norm(model.core))**2
+    assert all(abs(a - b) <= bound for a, b in zip(values, oracle))
 
 
 @st.composite

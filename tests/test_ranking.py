@@ -302,17 +302,19 @@ def fixed_rank_cases(draw, max_order=3):
 
 
 _BUILDERS = ("_embed_mode", "_pair_matrix", "mode_multiply", "complete_orthonormal_basis",
-             "_in_range", "_windowed_gram")
+             "_in_range", "_windowed_gram", "_fft_windowed_gram")
 
 # The arrays a builder makes, from its arguments and result, where they are
 # not its result: the Gram route's copy of the chain's product T comes back
 # from the range rule with its power of two, a windowed Gram reads the
-# route's Gram S and makes a count x k x L product, and a pair matrix of two
-# windowed factors pads the window factor, W x r, with tau - 1 zero rows on
-# each side.
+# route's Gram S and makes a count x k x L product, its FFT form reads S's
+# n x (n/2 + 1) complex transform, 2 n (n/2 + 1) float64s, makes one of its
+# own and an n x n inverse, and a pair matrix of two windowed factors pads
+# the window factor, W x r, with tau - 1 zero rows on each side.
 _MADE = {"_in_range": lambda args, out: [out[0].size],
          "_windowed_gram": lambda args, g: [args[0].size,
                                             args[2] * args[1].shape[0] * args[0].shape[0]],
+         "_fft_windowed_gram": lambda args, g: [2 * args[0].size, args[0].shape[0]**2],
          "_pair_matrix": lambda args, k: [k.size] + (
              [(args[1].shape[0] + 2 * args[0].shape[0] - 2) * args[1].shape[1]]
              if min(args[0].shape[0], args[1].shape[0]) > 1 else [])}
@@ -364,6 +366,14 @@ def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
 # R_0 = 1: the largest array is input mode 0's padded window factor,
 # 10 x 4, above its pair matrix (7 x 4) and pair embedding (4 x 4 x 2)
 @example(case=((7, 2), (4, 1), (1, 4, 1, 2), 0))
+# pixel-128: both windowed pairs routed and on the FFT form, past the
+# form rule's crossover; the largest arrays are the input, the core, input
+# mode 2's pair embedding and the chain products, 49,152 elements each
+@example(case=((128, 128, 3), (16, 16, 1), (8, 16, 8, 16, 1, 3), 0))
+# input mode 0 on the FFT form with O_0 = L_0 = 128: the largest array is
+# its Grams' 128 x 65 complex transforms, 16,640 float64s, above the input,
+# T and the n x n inverses (16,384)
+@example(case=((128, 128), (64, 1), (8, 8, 1, 128), 0))
 def test_the_guard_counts_the_largest_pair_embedding_a_sweep_builds(case):
     shape, taus, ranks, seed = case
     rng = np.random.default_rng(seed)
@@ -424,6 +434,30 @@ def test_a_pair_matrix_that_grows_its_mode_is_contracted_last(taus, ranks):
     model = init_model(ranks, embedded, 0)
     _, sizes = recorded_sizes(lambda: als_sweep(y, model))
     assert max(sizes) == 16_800
+
+
+def test_the_guard_counts_the_matmul_form_a_stage_takes_before_the_fft_form():
+    # (64, 64) at tau=12,1: the windowed pair is routed at every stage.  At
+    # its start ranks (1, 1) its windowed Grams take the matmul form, two
+    # products of 12 x 53 x 64 = 40,704 elements; at the final (8, 32) the
+    # FFT form, whose transforms hold 4,224 float64s, and the fit's largest
+    # arrays, the core (8 x 32 x 64) among them, hold 16,384
+    shape, taus = (64, 64), (12, 1)
+    embedded = embedded_shape(shape, taus)
+    final, start = (8, 32, 1, 64), (1, 1, 1, 64)
+    steps = [completion._chain_plan(embedded, ranks).steps[0] for ranks in (start, final)]
+    assert [(step.gram, step.fft) for step in steps] == [(True, 0), (True, 64)]
+    assert _checked_largest_array(embedded, final) == 16_384
+    assert _checked_largest_array(embedded, final, start) == 40_704
+    rng = np.random.default_rng(4)
+    t = rng.standard_normal(shape)
+    q = rng.random(shape) >= 0.3
+    schedule = RankSchedule(((1, 8), (1, 32), (1,), (64,)))
+    # every sweep a plateau: two rank events, then a sweep at the final ranks
+    report, sizes = recorded_sizes(lambda: recover(t, q, taus, schedule,
+                                                   StoppingCriteria(0.0, 1e300, 3), seed=1))
+    assert report.ranks == final
+    assert max(sizes) == 40_704
 
 
 def test_the_guard_counts_the_input(monkeypatch):
