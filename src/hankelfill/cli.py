@@ -111,7 +111,8 @@ def _cmd_recover(args) -> int:
     if report.unbridged_gap is not None:
         mode, run = report.unbridged_gap
         print(f"warning: {run} fully missing slices in a row on mode {mode}; no window "
-              f"bridges a run on a mode with --tau 1", file=sys.stderr)
+              f"bridges a run on a mode with --tau 1 or --tau equal to the mode's length",
+              file=sys.stderr)
     stopped_by = {SWEEP_BUDGET: f"--max-sweeps {criteria.max_total_sweeps}",
                   SCHEDULE_EXHAUSTED: f"--tol {criteria.tol:.6g} at the final ranks"}
     if report.status in stopped_by:

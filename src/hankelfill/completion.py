@@ -11,9 +11,10 @@ Each step solves its subproblem globally, so F never increases; there is
 no step size to tune.  :func:`hankelfill.pipeline.recover`
 drives these steps.  The mask enters only the fill, and F, summed over
 every entry, also counts how far the windows disagree on a missing entry;
-with windows of 1 it is the masked cost.  The ALS sweep and the mode
-ranking read y itself through one projection chain that embeds at most one
-mode pair at a time (:func:`_leave_one_out`), so no embedded-sized array
+where no pair embeds anything (windows of 1 or of a whole mode) it is the
+masked cost.  The ALS sweep and the mode ranking read y itself through one
+projection chain that embeds at most one mode pair at a time
+(:func:`_leave_one_out`), so no embedded-sized array
 is ever built.  The chain's plan (:func:`_chain_plan`) is the one home
 of its route rule and shapes: made once per embedded shape and ranks, it
 fixes each pair's route, the order of the contractions and the shapes, so
@@ -41,9 +42,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (_integers, as_mask, check_shape, is_unit_factor, mode_multiply,
-                   multilinear_product, unfold)
-from .embedding import _pair_matrix, duplication_weights, inverse_mdt_tucker
+from .core import _integers, as_mask, check_shape, mode_multiply, multilinear_product, unfold
+from .embedding import _embeds_nothing, _pair_matrix, duplication_weights, inverse_mdt_tucker
 from .linalg import (_in_range, _top_eigenvectors, complete_orthonormal_basis,
                      leading_singular_vectors)
 
@@ -122,17 +122,20 @@ def init_model(ranks: Sequence[int], shape: Sequence[int], seed) -> TuckerModel:
 
 
 def _embed_mode(t: np.ndarray, mode: int, tau: int, width: int) -> np.ndarray:
-    """C-order copy of the C-contiguous t with one mode delay-embedded: (left, tau, width, right).
+    """The C-contiguous t with one mode delay-embedded, C-contiguous: (left, tau, width, right).
 
     t is viewed through its shape as (left, L, right), L = tau + width - 1
     its length on ``mode``; entry (l, a, b, r) of the result is
-    t[l, a + b, r], as :func:`hankelfill.embedding.mdt` embeds a mode.
+    t[l, a + b, r], as :func:`hankelfill.embedding.mdt` embeds a mode.  A
+    windowed pair's result is a copy; a pair that embeds nothing
+    (``embedding._embeds_nothing``) is a reshape of t, and its result a view
+    of t, which copies nothing.
     """
     left, right = math.prod(t.shape[:mode]), math.prod(t.shape[mode + 1:])
     step = right * t.itemsize
     windows = np.ndarray((left, tau, width, right), t.dtype, t, 0,
                          ((tau + width - 1) * step, step, step, t.itemsize))
-    return windows.copy()
+    return np.ascontiguousarray(windows)
 
 
 def _windowed_gram(s: np.ndarray, u: np.ndarray, count: int) -> np.ndarray:
@@ -260,7 +263,7 @@ def _chain_plan(shape: tuple[int, ...], ranks: tuple[int, ...]) -> _ChainPlan:
     for n, (tau, width, length) in enumerate(zip(shape[::2], shape[1::2], lengths)):
         other = math.prod(pairs[:n] + pairs[n + 1:])
         shrinking = [j for j in range(n + 1, order) if j not in growing]
-        gram = tau > 1 and width > 1 and other >= length
+        gram = not _embeds_nothing(tau, width) and other >= length
         size = _fft_length(length)
         fft = gram and (tau * width * length * (64 + ranks[2 * n] + ranks[2 * n + 1])
                         >= 64 * (size * size * math.log2(size) + 2**15))
@@ -286,13 +289,17 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
     (:func:`_chain_plan`).  Input mode n's run contracts every other input
     mode j with its pair matrix K_j (:func:`_pair_matrix`), with the factors
     the visits made for j < n and the given ones for j > n, in the plan's
-    order, so none of its products outgrows the input or the copy that
+    order, so none of its products outgrows the input or the array that
     follows them: mode n embedded (:func:`_embed_mode`), the pair
     embedding, on which its two embedded modes are visited, 2n then 2n + 1.
     The update order and the C-order layout are those of the same chain
-    over H(y); the sums run in another order.  1x1 identity factors are
-    skipped, so at windows of 1, and on an order-1 input, every product is
-    the one that chain makes, to the bit.
+    over H(y); the sums run in another order.  A 1x1 identity factor's
+    product is :func:`hankelfill.core.mode_multiply`'s to skip, and a pair
+    matrix with one is the other factor, so at windows of 1, and on an
+    order-1 input, every product is the one that chain makes, to the bit.
+    A visit's array may share memory with ``y``: on a pair that embeds
+    nothing the pair embedding is a view of the chain's product, which may
+    be ``y`` itself, so a visitor reads it and must not keep or write it.
 
     The Gram route: a pair whose run ends in an L_n x O_n matrix T (mode n
     by the other modes' rank pairs) and that the plan sends on this route
@@ -327,8 +334,7 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
         for j in step.contract:
             if kernels[j] is None:
                 kernels[j] = _pair_matrix(factors[2 * j], factors[2 * j + 1])
-            if not is_unit_factor(kernels[j]):
-                t = mode_multiply(t, kernels[j].T, j)
+            t = mode_multiply(t, kernels[j].T, j)
         if step.gram:
             length = plan.lengths[n]
             matrix = np.moveaxis(t.reshape(step.left, length, -1), 1, 0)
@@ -343,21 +349,18 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
         else:
             z = _embed_mode(t, n, step.tau, step.width).reshape(step.embedded)
             if step.tau != 1:
-                u_window = factors[2 * n + 1]
-                visit(2 * n, z if is_unit_factor(u_window)
-                      else mode_multiply(z, u_window.T, 2 * n + 1))
-            if not is_unit_factor(factors[2 * n]):
-                z = mode_multiply(z, factors[2 * n].T, 2 * n)
+                visit(2 * n, mode_multiply(z, factors[2 * n + 1].T, 2 * n + 1))
+            z = mode_multiply(z, factors[2 * n].T, 2 * n)
             if step.width != 1:
                 visit(2 * n + 1, z)
         if n + 1 < order:
             kernels[n] = _pair_matrix(factors[2 * n], factors[2 * n + 1])
-            if step.shrinks and not is_unit_factor(kernels[n]):
+            if step.shrinks:
                 prefix = mode_multiply(prefix, kernels[n].T, n)
         elif step.gram:
             z = mode_multiply(t, _pair_matrix(factors[2 * n], factors[2 * n + 1]).T, n)
             z = z.reshape(plan.ranks)
-        elif not is_unit_factor(factors[2 * n + 1]):
+        else:
             z = mode_multiply(z, factors[2 * n + 1].T, 2 * n + 1)
     return z
 
@@ -406,9 +409,11 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     core's squared norm, and H^T = D H^+, so
     F = sum_observed D (t - e)^2 + (||core||^2 - sum D e^2).  The second
     term is X's squared distance from the Hankel tensors, clamped at zero
-    against rounding.  At windows of 1, H is a reshape and every X is
-    Hankel, so the term is zero and F is the masked cost, to the rounding of
-    its own sum rather than of ||X||^2.  The map-back is
+    against rounding.  Where every pair embeds nothing, each window 1 or
+    its mode's whole length (``embedding._embeds_nothing``), H is a reshape
+    and every X is Hankel, so the term is zero and F is the masked cost, to
+    the rounding of its own sum rather than of ||X||^2; the two layouts of
+    such a pair give the same F to the bit.  The map-back is
     :func:`inverse_mdt_tucker`, which does not reconstruct the model.
     Besides the map-back's own arrays, e among them, a call allocates
     nothing: the run holds y, D and one input-sized scratch array.
@@ -418,7 +423,7 @@ def _input_space_imputation(t: np.ndarray, q: np.ndarray, taus: Sequence[int]):
     flat = y.reshape(-1)
     sums = np.empty(y.size)
     missing = ~q.ravel()
-    plain = all(tau == 1 for tau in taus)
+    plain = all(_embeds_nothing(tau, length - tau + 1) for tau, length in zip(taus, t.shape))
 
     def impute(model: TuckerModel):
         # e is the map-back's own array; sums = H^T X = D e

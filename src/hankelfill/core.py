@@ -131,7 +131,10 @@ def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
     (128, 128, 3) and (256, 256, 3) by square matrices, and slower at
     R = 16 or ``right`` = 8).  Otherwise neither operand is transposed or
     copied (a non-contiguous or non-float64 ``t`` is converted once, and
-    operands that need no conversion skip it).
+    operands that need no conversion skip it).  A 1x1 identity ``a``
+    (:func:`is_unit_factor`, the factor of a mode of size 1) is skipped
+    exactly: after the checks and that conversion, ``t`` itself is returned,
+    so the result may be the caller's array.
     """
     if not (type(t) is np.ndarray and t.dtype == _FLOAT64 and t.flags.c_contiguous):
         t = np.ascontiguousarray(t, dtype=np.float64)
@@ -143,6 +146,8 @@ def mode_multiply(t: np.ndarray, a: np.ndarray, mode: int) -> np.ndarray:
             raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
         raise ValueError(f"mode_multiply: matrix {a.shape} does not match mode-{mode} size "
                          f"{shape[mode]} of tensor {shape}")
+    if is_unit_factor(a):
+        return t
     size = shape[mode]
     head, tail = shape[:mode], shape[mode + 1:]
     left, right = math.prod(head), math.prod(tail)
@@ -183,13 +188,13 @@ def multilinear_product(g: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
     products that shrink or barely grow the tensor run while it is small, and
     the last, largest product gets the widest trailing block, so its batched
     matmul is a few large GEMMs.  The result equals the mode-order chain up to
-    rounding.  1x1 identity factors (singleton modes) are skipped.
+    rounding.  A 1x1 identity factor (a singleton mode) is skipped by
+    :func:`mode_multiply`, so the result may be ``g`` itself.
     """
     g = np.asarray(g, dtype=np.float64)
     _check_factors(g, factors)
     factors = [np.asarray(u, dtype=np.float64) for u in factors]
     order = sorted(range(g.ndim), key=lambda n: (factors[n].shape[0] / factors[n].shape[1], -n))
     for n in order:
-        if not is_unit_factor(factors[n]):
-            g = mode_multiply(g, factors[n], n)
+        g = mode_multiply(g, factors[n], n)
     return g

@@ -25,7 +25,9 @@ K[i, (r, s)] = sum_{a + b = i} U_tau[a, r] U_window[b, s]
 duplication counts, except on an order-1 model, which convolves its factor
 columns.
 
-tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)).
+tau_n = 1 disables embedding on mode n (the pair becomes (1, I_n)), and so
+does tau_n = I_n, a window of the whole mode (the pair becomes (I_n, 1)):
+both pairs are a reshape, one row or one column (:func:`_embeds_nothing`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (_FLOAT64, Shape, _integers, as_mask, check_shape, is_unit_factor,
                    multilinear_product)
+
+
+def _embeds_nothing(tau: int, width: int) -> bool:
+    """True for a mode pair (tau, W) that is a reshape of its mode: tau = 1 or W = 1.
+
+    The package's one reshape-pair rule.  Such a pair's Hankel matrix is the
+    mode itself as one row or one column, so no two of its slices share a
+    window, its pair matrix is its other factor (:func:`_pair_matrix`) and
+    its map-back averages nothing.
+    """
+    return tau == 1 or width == 1
 
 
 def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
@@ -156,7 +169,10 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
     Mode pair n of ``xh`` has shape (tau_n, I_n - tau_n + 1), which gives the
     window and I_n.  Exact left inverse of :func:`mdt`; a non-Hankel input
     collapses to the per-mode weighted average of duplicates (the separable
-    pseudo-inverse).  The result never shares memory with ``xh``.
+    pseudo-inverse).  A pair that embeds nothing (:func:`_embeds_nothing`,
+    tau_n = 1 or tau_n = I_n) collapses by a reshape, which keeps every
+    value to the bit, the sign of a zero too.  The result never shares
+    memory with ``xh``.
     """
     xh = np.asarray(xh, dtype=np.float64)
     if xh.ndim % 2:
@@ -166,12 +182,12 @@ def inverse_mdt(xh: np.ndarray) -> np.ndarray:
     out = xh
     # Collapse (tau, window) pairs back to full axes, last pair first, each on
     # the C-order (left, tau, window, right) view that mode_multiply also
-    # uses.  A tau = 1 pair is a single window: collapsing it is a reshape.
+    # uses.  A pair of one window or of windows of 1 is a reshape.
     for axis in range(xh.ndim - 2, -1, -2):
         tau, width = out.shape[axis], out.shape[axis + 1]
         length = tau + width - 1
         head, tail = out.shape[:axis], out.shape[axis + 2:]
-        if tau > 1:
+        if not _embeds_nothing(tau, width):
             pairs = out.reshape(math.prod(head), tau, width, math.prod(tail))
             acc = np.zeros((pairs.shape[0], length, pairs.shape[3]))
             for a in range(tau):
@@ -190,7 +206,9 @@ def _pair_matrix(u_tau: np.ndarray, u_window: np.ndarray) -> np.ndarray:
     Contracting an input mode with K^T is contracting its delay embedding's
     mode pair with both factors, and K, its rows divided by the duplication
     counts, maps the pair back.  With a 1x1 identity on either side, K is
-    the other factor itself, so a window of 1 changes no product.  Else K is
+    the other factor itself, so a pair that embeds nothing changes no
+    product, and the chain's two layouts of it, tau = 1 and W = 1, make the
+    same products down to the sign of a zero.  Else K is
     a new C-contiguous (tau + W - 1) x r_tau r_window array, sharing memory
     with neither factor: one batched matmul of u_tau reversed, transposed,
     by the sliding windows of u_window padded by tau - 1 zeros on each side,

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import _integer, _seed, as_mask, check_shape
-from .embedding import embedded_shape
+from .embedding import _embeds_nothing, embedded_shape
 
 PATTERNS = ("random-voxel", "slices", "random-slices", "rectangles")
 
@@ -109,18 +109,19 @@ def unbridged_gap(mask: np.ndarray, taus: Sequence[int]) -> tuple[int, int] | No
     """(mode, run) of the longest run of fully missing slices that no window bridges.
 
     Read from the mask alone (see :func:`longest_missing_runs`).  A run on a
-    mode with window 1 is never bridged: nothing links the slices of that
-    mode.  The input fill of the sweep loop
-    (:func:`hankelfill.pipeline.recover`) bridges any
-    run on a mode with a longer window.  ``taus`` are checked as
+    mode whose pair embeds nothing, window 1 or a window of the whole mode
+    (``embedding._embeds_nothing``), is never bridged: no window holds two
+    slices of that mode, so nothing links them.  The input fill of the
+    sweep loop (:func:`hankelfill.pipeline.recover`) bridges any run on a
+    mode with any other window.  ``taus`` are checked as
     :func:`hankelfill.embedding.embedded_shape` checks them.  Ties go to the
     lowest mode; None when every run is bridged.
     """
     q = as_mask(mask)
-    taus = embedded_shape(q.shape, taus)[::2]
+    shape = embedded_shape(q.shape, taus)
     worst = None
-    for mode, (run, tau) in enumerate(zip(longest_missing_runs(q), taus)):
-        if run and tau == 1:
+    for mode, run in enumerate(longest_missing_runs(q)):
+        if run and _embeds_nothing(shape[2 * mode], shape[2 * mode + 1]):
             if worst is None or run > worst[1]:
                 worst = (mode, run)
     return worst

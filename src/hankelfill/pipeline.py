@@ -59,7 +59,8 @@ class RecoveryReport:
     unchanged).  ``rank_history`` lists (sweep index at which an increment
     fired, mode, new rank).  ``wall_time_s`` spans the whole call, from
     entry to exit.  ``unbridged_gap`` is (mode, run length) of the longest
-    run of fully missing slices that no window bridges, or None (see
+    run of fully missing slices that no window bridges, a run on a mode of
+    window 1 or of a window of the whole mode, or None (see
     :func:`hankelfill.masks.unbridged_gap`); the fit then has nothing to say
     about those slices, whatever its status.
     """
@@ -91,7 +92,9 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     ``criteria`` defaults to thresholds relative to the observed energy
     (:func:`default_stopping_criteria`).  Windows of 1 give plain Tucker
     completion of t: embedded mode 2n + 1 is input mode n, the even modes
-    have size 1, and F is the masked cost ||q * (t - X)||^2.
+    have size 1, and F is the masked cost ||q * (t - X)||^2.  A window of
+    the whole mode, tau_n = I_n, gives the same fit to the bit, with modes
+    2n and 2n + 1 swapped in the ranks and the rank history.
 
     Each sweep imputes the missing entries from the current model and runs
     one :func:`als_sweep`; when two consecutive costs differ by at most

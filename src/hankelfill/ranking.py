@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import _integer, _integers, check_shape
 from .completion import TuckerModel, _chain_plan, _leave_one_out
-from .embedding import embedded_observed_energy
+from .embedding import _embeds_nothing, embedded_observed_energy
 from .linalg import complete_orthonormal_basis
 
 # Stopping thresholds as fractions of the observed energy, used when the
@@ -218,12 +218,14 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int],
       form at an earlier stage, so both forms are counted for it.  The Gram
       S_n (L_n^2 <= L_n O_n) and the pair's Grams are smaller.  Off the
       route it is the pair embedding (``completion._embed_mode``),
-      tau_n W_n O_n;
+      tau_n W_n O_n: a copy of the chain's product on a windowed pair, and
+      on a pair that embeds nothing (``embedding._embeds_nothing``) a view
+      of it, which that count covers too, as the product has its size;
     - the core, prod R_m: the chain's last product, a random start's and a
       rank increment's;
     - on order >= 2, the pair matrices K_n (``embedding._pair_matrix``),
-      L_n x P_n, which the chain and the map-back build, and, where both
-      windows are above 1, the window factor that ``_pair_matrix`` pads
+      L_n x P_n, which the chain and the map-back build, and, where the
+      pair embeds something, the window factor that ``_pair_matrix`` pads
       with tau_n - 1 zero rows on each side, (W_n + 2 tau_n - 2) x R_2n+1,
       which exceeds K_n where R_2n = 1;
     - the factor matrices, J_m x R_m (a random start's Gaussian block and
@@ -267,7 +269,7 @@ def _checked_largest_array(shape: Sequence[int], ranks: Sequence[int],
         else:
             embeddings.append(math.prod(step.embedded))
         kernels.append((length * step.pair, n, f"{length} x {step.pair} on input mode {n}"))
-        if step.tau > 1 and step.width > 1:  # else _pair_matrix returns a factor as it is
+        if not _embeds_nothing(step.tau, step.width):  # else K_n is a factor as it is
             rows, r = step.width + 2 * step.tau - 2, ranks[2 * n + 1]
             padded.append((rows * r, "a padded window factor", f"{rows} x {r} on input mode {n}"))
     arrays = [(max(embeddings), "a pair embedding", ""), *routed,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import _integer, _seed, as_mask
@@ -16,14 +18,15 @@ def damped_sine(length: int, *, amplitude: float = 1.0, decay: float = 0.01,
     with ``seed``.  A noiseless damped sinusoid delay-embeds to a Hankel
     matrix of rank two, the low-rank structure the recovery relies on.  A
     ``length`` that is not an integer is a ValueError, not rounded up, and
-    so is a ``seed`` that is not a nonnegative integer, noise or not.
+    so is a ``seed`` that is not a nonnegative integer, noise or not, and a
+    negative, NaN or infinite ``noise``.
     """
     length = _integer(length, "length")
     seed = _seed(seed)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if noise < 0:
-        raise ValueError(f"noise std must be nonnegative, got {noise}")
+    if not 0 <= noise < math.inf:  # NaN fails the test too
+        raise ValueError(f"noise std must be nonnegative and finite, got {noise}")
     t = np.arange(length, dtype=np.float64)
     v = amplitude * np.exp(-decay * t) * np.sin(omega * t + phase)
     if noise == 0.0:

@@ -341,7 +341,7 @@ class TestRecoverCommand:
         ("4,4,1", None),
         ("4,3,1", None),  # a run as long as the window is bridged too
         ("4,1,1", "warning: 3 fully missing slices in a row on mode 1; no window bridges "
-                  "a run on a mode with --tau 1"),
+                  "a run on a mode with --tau 1 or --tau equal to the mode's length"),
     ])
     def test_a_gap_no_window_bridges_warns_on_stderr(self, tmp_path, capsys, tau, warning):
         # the fixture misses columns 10-12: a run of 3 slices on mode 1

@@ -150,6 +150,16 @@ class TestMdt:
         assert xh.shape == (1, 3, 1, 4, 1, 2)
         np.testing.assert_array_equal(xh.reshape(x.shape), x)
 
+    @pytest.mark.parametrize("taus", [(1, 1, 1), (6, 1, 3), (1, 5, 3), (6, 5, 1)])
+    def test_a_pair_that_embeds_nothing_maps_back_to_the_bit(self, taus):
+        # a window of 1 or of the whole mode is a reshape both ways; the
+        # map-back averaged a whole-mode window's one duplicate, turning
+        # -0.0 into +0.0
+        x = np.random.default_rng(5).standard_normal((6, 5, 3))
+        x[x < -0.5] = -0.0
+        back = inverse_mdt(np.array(mdt(x, taus)))
+        assert back.tobytes() == x.tobytes()
+
     def test_vector_case_matches_delay_embed(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(9)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -346,20 +347,62 @@ def gap_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=gap_cases())
 def test_a_gap_is_reported_exactly_when_no_window_bridges_it(case):
-    # No window bridges a run on a window-1 mode.  Every mask with such a
-    # run is reported, with its longest run (lowest mode on a tie); no other
-    # is, whatever its runs on the other modes.
+    # No window bridges a run on a mode of window 1 or of a window of the
+    # whole mode: either pair is a reshape, and no window holds two of its
+    # slices.  Every mask with such a run is reported, with its longest run
+    # (lowest mode on a tie); no other is, whatever its runs on the other
+    # modes.
     q, taus = case
     runs = naive_runs(q)
     assert longest_missing_runs(q) == tuple(runs)
     unbridged = [(mode, run) for mode, (run, tau) in enumerate(zip(runs, taus))
-                 if run >= 1 and tau == 1]
+                 if run >= 1 and tau in (1, q.shape[mode])]
     gap = unbridged_gap(q, taus)
     if unbridged:
         longest = max(run for _, run in unbridged)
         assert gap == min((mode, run) for mode, run in unbridged if run == longest)
     else:
         assert gap is None
+
+
+@st.composite
+def reshape_layout_cases(draw):
+    order = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(order))
+    mode = draw(st.integers(0, order - 1))
+    taus = tuple(draw(st.integers(1, j)) for j in shape)
+    observed = draw(st.sampled_from([0.5, 0.8, 1.0]))
+    return shape, mode, taus, observed, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reshape_layout_cases())
+def test_a_window_of_the_whole_mode_fits_as_a_window_of_1(case):
+    # tau_n = 1 and tau_n = I_n both leave mode n unembedded: its pair is
+    # (1, I_n) or (I_n, 1), one reshape of the mode.  The two layouts are
+    # one fit, to the bit, with the pair's two embedded modes swapped in
+    # the ranks and the rank events; the other windows are drawn freely.
+    shape, mode, taus, observed, seed = case
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape)
+    mask = rng.random(shape) < observed
+    mask.flat[rng.integers(mask.size)] = True
+    reports = []
+    for tau in (1, shape[mode]):
+        taus = (*taus[:mode], tau, *taus[mode + 1:])
+        # a looser plateau test, so about half the fits grow a rank in 30 sweeps
+        criteria = default_stopping_criteria(data, mask, taus)
+        criteria = dataclasses.replace(criteria, tol=1e3 * criteria.tol, max_total_sweeps=30)
+        reports.append(recover(data, mask, taus, criteria=criteria, seed=seed))
+    plain, whole = reports
+    swap = {2 * mode: 2 * mode + 1, 2 * mode + 1: 2 * mode}
+    assert whole.estimate.tobytes() == plain.estimate.tobytes()
+    assert whole.cost_trace == plain.cost_trace
+    assert whole.status == plain.status
+    assert whole.unbridged_gap == plain.unbridged_gap
+    assert whole.ranks == tuple(plain.ranks[swap.get(m, m)] for m in range(2 * len(shape)))
+    assert whole.rank_history == [(sweep, swap.get(m, m), rank)
+                                  for sweep, m, rank in plain.rank_history]
 
 
 class TestGapReport:
@@ -387,6 +430,21 @@ class TestGapReport:
         report = recover(img, mask, taus, schedule,
                          StoppingCriteria(0.0, 0.0, 2))
         assert report.unbridged_gap == gap
+
+    @pytest.mark.parametrize("taus", [(1, 4), (10, 4)], ids=["window-1", "whole-mode"])
+    def test_a_window_of_the_whole_mode_bridges_no_gap(self, taus):
+        # A 10 x 8 sum of sinusoids with row 3 wholly missing.  A window of
+        # all 10 rows is one column of the pair's Hankel matrix, the same
+        # reshape as a window of 1: the fit converges with the row left
+        # near zero in both layouts, so both report the gap.
+        i, j = np.meshgrid(np.arange(10), np.arange(8), indexing="ij")
+        truth = np.sin(0.5 * i + 0.3 * j + 0.2) + 0.5 * np.sin(0.21 * i - 0.7 * j + 1.0)
+        mask = np.ones(truth.shape, bool)
+        mask[3] = False
+        report = recover(truth, mask, taus, seed=0)
+        assert report.status == CONVERGED
+        assert report.unbridged_gap == (0, 1)
+        assert np.linalg.norm(report.estimate[3] - truth[3]) > 0.5 * np.linalg.norm(truth[3])
 
     def test_a_missing_channel_cannot_be_bridged(self):
         img = texture_image(16)

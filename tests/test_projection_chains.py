@@ -655,7 +655,9 @@ def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice
     # tensor's size.  The Gram route takes the pairs with both windows above
     # 1 and O_n >= L_n, O_n the other modes' rank pairs: input modes 0 and 1
     # here (O = 12 against L = 6 and 7), which neither the sweep nor the
-    # mode ranking embeds.
+    # mode ranking embeds.  The singleton mode's pair and the whole-mode
+    # window's embed nothing: their pair embedding is a view of the chain's
+    # product, no copy, so the read count holds for the copies alone.
     shape, taus = (6, 7, 1, 5), (3, 4, 1, 5)
     embedded = embedded_shape(shape, taus)
     ranks = (2, 3, 3, 2, 1, 1, 2, 1)
@@ -664,11 +666,11 @@ def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice
     rng = np.random.default_rng(3)
     y = rng.standard_normal(shape)
     model = init_model(ranks, embedded, 3)
-    copies, reads = [], []
+    embeddings, reads = [], []
 
     def embedding(t, mode, *args):
-        copies.append((mode, completion_embed(t, mode, *args)))
-        return copies[-1][1]
+        embeddings.append((mode, t, completion_embed(t, mode, *args)))
+        return embeddings[-1][2]
 
     def counting(t, a, mode):
         reads.append(t)
@@ -681,17 +683,22 @@ def test_the_chain_builds_no_embedded_tensor_and_reads_each_pair_embedding_twice
         als_sweep(y, model)
     else:
         mode_residuals(y, TuckerModel(np.zeros(ranks), model.factors))
-    assert [n for n, _ in copies] == [n for n, routed in enumerate(gram_route) if not routed]
+    assert [n for n, _, _ in embeddings] == [n for n, routed in enumerate(gram_route)
+                                             if not routed]
     assert max(np.size(t) for t in reads) < math.prod(embedded)
-    for _, copy in copies:
-        assert sum(np.shares_memory(t, copy) for t in reads) <= 2
+    for n, t, z in embeddings:
+        if taus[n] in (1, shape[n]):
+            assert np.shares_memory(z, t)
+        else:
+            assert sum(np.shares_memory(r, z) for r in reads) <= 2
 
 
 def test_reconstruct_reads_no_full_size_tensor(monkeypatch):
     # The pixel-128 model (a 128x128x3 image, windows (16, 16, 1)).  In mode
     # order its last product is the 3x3 channel factor over the full tensor;
-    # in growth order (I_n / R_n = 2, 113/16, 2, 113/16, -, 1, ties to the
-    # higher mode) the full size is only ever the output.
+    # in growth order (I_n / R_n = 2, 113/16, 2, 113/16, 1, 1, ties to the
+    # higher mode) the full size is only ever the output.  The singleton
+    # mode's 1x1 identity reaches mode_multiply, which returns its tensor.
     shape, ranks = (16, 113, 16, 113, 1, 3), (8, 16, 8, 16, 1, 3)
     model = init_model(ranks, shape, 0)
     calls = []
@@ -703,5 +710,5 @@ def test_reconstruct_reads_no_full_size_tensor(monkeypatch):
     monkeypatch.setattr(core, "mode_multiply", recording)
     x = model.reconstruct()
     assert x.shape == shape
-    assert [mode for mode, _ in calls] == [5, 2, 0, 3, 1]
+    assert [mode for mode, _ in calls] == [5, 4, 2, 0, 3, 1]
     assert max(size for _, size in calls) < x.size / 4

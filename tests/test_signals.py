@@ -46,6 +46,13 @@ class TestValidation:
         with pytest.raises(TypeError, match="wavelength"):
             damped_sine(10, wavelength=3)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_a_negative_or_non_finite_noise_is_refused(self, noise):
+        # NaN passed a bare noise < 0 test and returned a signal of NaNs
+        with pytest.raises(ValueError, match=f"^noise std must be nonnegative and finite, "
+                                             f"got {noise}$"):
+            damped_sine(4, noise=noise)
+
     def test_bad_length(self):
         with pytest.raises(ValueError, match="length"):
             damped_sine(0)
