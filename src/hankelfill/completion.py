@@ -30,7 +30,9 @@ a 2-D cross-correlation of that Gram, taken by matmuls or, where the
 plan's one closed form says it costs less, from one 2-D FFT of the Gram
 that the pair's two updates share; elsewhere the ranking reads each
 projection's energy off the projection itself, so it scores every mode by
-one formula.
+one formula.  No step rescales: :func:`hankelfill.pipeline.recover` fits
+data whose observed peak is inside its range rule's window, where every
+Gram and eigensolve stays far from under- and overflow.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ import numpy as np
 
 from .core import _integers, as_mask, check_shape, mode_multiply, multilinear_product, unfold
 from .embedding import _embeds_nothing, _pair_matrix, duplication_weights, inverse_mdt_tucker
-from .linalg import (_in_range, _top_eigenvectors, complete_orthonormal_basis,
-                     leading_singular_vectors)
+from .linalg import _top_eigenvectors, complete_orthonormal_basis, leading_singular_vectors
 
 # (sweep index, squared-Frobenius cost) per outer iteration
 CostTrace = list[tuple[int, float]]
@@ -204,7 +205,6 @@ class _PairStep(NamedTuple):
     width: int
     contract: tuple[int, ...]  # the input modes whose pair matrices the run takes in, in order
     gram: bool                 # the Gram route
-    left: int                  # prod_{j < n} R_2j R_2j+1: T's row blocks on the Gram route
     pair: int                  # P_n = R_2n R_2n+1, the columns of the pair matrix K_n
     other: int                 # O_n = prod_{j != n} P_j: T's columns on the Gram route
     embedded: tuple[int, ...]  # the pair embedding's C-order shape, off the Gram route
@@ -268,7 +268,7 @@ def _chain_plan(shape: tuple[int, ...], ranks: tuple[int, ...]) -> _ChainPlan:
         fft = gram and (tau * width * length * (64 + ranks[2 * n] + ranks[2 * n + 1])
                         >= 64 * (size * size * math.log2(size) + 2**15))
         steps.append(_PairStep(tau, width, tuple(shrinking + [j for j in growing if j != n]),
-                               gram, math.prod(pairs[:n]), pairs[n], other,
+                               gram, pairs[n], other,
                                ranks[:2 * n] + (tau, width) + ranks[2 * n + 2:],
                                n not in growing, size if fft else 0))
     return _ChainPlan(lengths, tuple(steps), ranks)
@@ -303,20 +303,18 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
 
     The Gram route: a pair whose run ends in an L_n x O_n matrix T (mode n
     by the other modes' rank pairs) and that the plan sends on this route
-    (``_PairStep.gram``) builds no pair embedding.  T, divided by 2^e under
-    the range rule (``linalg._in_range``), gives S = T T^T, and
-    ``visit_gram(m, g, e)`` sees, for m = 2n then 2n + 1, the Gram g of the
-    projection's mode-m unfolding divided by 4^e, to rounding
-    (:func:`_windowed_gram` of S by the other mode's factor, 2n's as its
-    visit left it, or, on the plan's FFT form (``_PairStep.fft``),
-    :func:`_fft_windowed_gram` of S's one transform, which both visits
-    share); a visitor that needs the projection's squared norm, the trace
-    of g, takes 4^e back.  Its new arrays are T's copy, S (L_n^2) and the
+    (``_PairStep.gram``) builds no pair embedding.  T gives S = T T^T, and
+    ``visit_gram(m, g)`` sees, for m = 2n then 2n + 1, the Gram g of the
+    projection's mode-m unfolding, to rounding (:func:`_windowed_gram` of
+    S by the other mode's factor, 2n's as its visit left it, or, on the
+    plan's FFT form (``_PairStep.fft``), :func:`_fft_windowed_gram` of S's
+    one transform, which both visits share).  Its new arrays are T's copy
+    with mode n moved first (none where that is a view), S (L_n^2) and the
     Gram's tau_n W_n L_n products, none larger than the pair embedding,
     tau_n W_n O_n, or on the FFT form, in place of the products, the n x
     (n/2 + 1) complex transforms and the n x n inverses, n = ``step.fft``.
-    On the last input mode, the return is T contracted with
-    the pair matrix of the visited factors.  Other pairs (windows of 1, a
+    On the last input mode, the return is T contracted with the pair
+    matrix of the visited factors.  Other pairs (windows of 1, a
     window of the whole mode, O_n < L_n) go as above.  So every walk, the
     sweep's and the mode ranking's, takes the plan's routes.
     """
@@ -336,16 +334,14 @@ def _leave_one_out(y: np.ndarray, factors: list[np.ndarray], visit, visit_gram) 
                 kernels[j] = _pair_matrix(factors[2 * j], factors[2 * j + 1])
             t = mode_multiply(t, kernels[j].T, j)
         if step.gram:
-            length = plan.lengths[n]
-            matrix = np.moveaxis(t.reshape(step.left, length, -1), 1, 0)
-            matrix, power = _in_range(matrix.reshape(length, -1))
+            matrix = np.moveaxis(t, n, 0).reshape(plan.lengths[n], -1)
             s = matrix @ matrix.T
             del matrix  # T's copy goes before the Gram products are made
             gram = _windowed_gram
             if step.fft:
                 s, gram = np.fft.rfft2(s, (step.fft, step.fft)), _fft_windowed_gram
-            visit_gram(2 * n, gram(s, factors[2 * n + 1], step.tau), power)
-            visit_gram(2 * n + 1, gram(s, factors[2 * n], step.width), power)
+            visit_gram(2 * n, gram(s, factors[2 * n + 1], step.tau))
+            visit_gram(2 * n + 1, gram(s, factors[2 * n], step.width))
         else:
             z = _embed_mode(t, n, step.tau, step.width).reshape(step.embedded)
             if step.tau != 1:
@@ -387,7 +383,7 @@ def als_sweep(y: np.ndarray, model: TuckerModel) -> TuckerModel:
     def update(m, p):
         factors[m] = leading_singular_vectors(unfold(p, m), model.ranks[m])
 
-    def update_from_gram(m, g, power):
+    def update_from_gram(m, g):
         factors[m] = _top_eigenvectors(g, model.ranks[m])
 
     core = _leave_one_out(np.asarray(y), factors, update, update_from_gram)

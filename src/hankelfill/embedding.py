@@ -74,15 +74,17 @@ def embedded_shape(shape: Sequence[int], taus: Sequence[int]) -> Shape:
     return tuple(embedded)
 
 
-@functools.lru_cache
+@functools.lru_cache(typed=True)  # 6.0 must not find the counts cached for 6
 def duplication_counts(length: int, tau: int) -> np.ndarray:
     """How many sliding windows cover each of the L positions, as read-only float64.
 
     Equals tau away from the margins and ramps down to 1 at both ends;
     these are the diagonal entries of the duplication map's Gram matrix,
     exact integers.  Made once per (length, tau): every fill of a run
-    divides its map-back by the same counts.
+    divides its map-back by the same counts.  ``length`` and ``tau`` are
+    read by the one integer rule (``core._integers``).
     """
+    length, tau = _integers((length, tau), "length and tau")
     if not 1 <= tau <= length:
         raise ValueError(f"window tau={tau} out of range [1, {length}]")
     i = np.arange(1, length + 1, dtype=np.float64)

@@ -1,11 +1,10 @@
 """Orthonormal bases, deterministic by construction: dominant subspaces and new columns.
 
-:func:`leading_singular_vectors` is the factor update of the ALS sweep:
-one range rule (:func:`_range_power`, a power-of-two prescale of a matrix
-whose largest magnitude is outside [2^-100, 2^100]), then at most one
-decomposition.  A single column, what every update of a rank-one model
-sees, is divided by its norm without one; its largest and smallest
-entries give both the rule's magnitude and the peak it divides by first.
+:func:`leading_singular_vectors` is the factor update of the ALS sweep: at
+most one decomposition, and no rescaling.  A single column, what every
+update of a rank-one model sees, is divided by its signed peak, then by
+its norm, without one, so it gives the same bits at every power-of-two
+scale where no entry turns subnormal.
 A wide matrix (J <= K) takes the eigendecomposition of its J x J Gram
 matrix A A^T (:func:`_top_eigenvectors`): mode sizes in this package are
 window lengths, so J stays small while K can be the product of every
@@ -13,8 +12,10 @@ other mode.
 A tall matrix (J > K) takes one thin SVD, orthonormal as LAPACK returns
 it, also where A is rank-deficient.  The sweep's Gram route
 (``completion._leave_one_out``) forms the Gram of a windowed pair's
-unfolding without the unfolding, and takes the same two steps: the range
-rule on the matrix it forms the Gram from, and the same eigensolve.
+unfolding without the unfolding, and takes the same eigensolve.  The
+package's one range rule lives in :func:`hankelfill.pipeline.recover`,
+which fits data whose observed peak is inside its window, so no Gram
+under- or overflows and LAPACK never rescales.
 :func:`complete_orthonormal_basis` makes every new factor column (random
 start, rank padding, rank above an update's width) with one QR.
 """
@@ -58,34 +59,6 @@ def complete_orthonormal_basis(u: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return np.hstack([u, apply_sign_convention(q[:, have:])])
 
 
-def _range_power(largest) -> int:
-    """The power e of two that the range rule divides by, given the largest magnitude.
-
-    0 for a zero or in [2^-100, 2^100]; else the exponent that brings the
-    magnitude into [1/2, 1).  A NaN or infinite magnitude is a ValueError.
-    """
-    if not largest < math.inf:
-        raise ValueError("matrix has non-finite entries")
-    if largest and not 2.0**-100 <= largest <= 2.0**100:
-        return math.frexp(largest)[1]
-    return 0
-
-
-def _in_range(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``a`` under the range rule and the power e it was divided by; non-finite is a ValueError.
-
-    A nonzero largest magnitude outside [2^-100, 2^100] is brought into
-    [1/2, 1) by dividing by 2^e (exact but where an entry turns subnormal),
-    in a new array; ``a`` inside, or zero, is returned as it is, with e = 0.
-    Scaling changes no singular or eigenvector, so no solve under- or
-    overflows; a caller that needs a norm takes e back.
-    """
-    # NaN if any entry is; no |a| temporary
-    power = _range_power(max(float(np.maximum.reduce(a, axis=None)),
-                             -float(np.minimum.reduce(a, axis=None))))
-    return (np.ldexp(a, -power) if power else a), power
-
-
 def _top_eigenvectors(gram: np.ndarray, r: int) -> np.ndarray:
     """The r leading eigenvectors of a symmetric J x J Gram matrix, under the sign convention.
 
@@ -100,16 +73,16 @@ def _top_eigenvectors(gram: np.ndarray, r: int) -> np.ndarray:
 def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal J x r basis of the dominant left singular subspace of a J x K matrix.
 
-    Maximizes ||U^T A||_F^2 over orthonormal J x r bases, r in [1, J].  One
-    range rule: A whose largest magnitude is nonzero and outside
-    [2^-100, 2^100] is divided by a power of two near it (exact but where an
-    entry turns subnormal), so no solve under- or overflows and LAPACK never
-    rescales; A inside keeps its bits.  A single column (K = 1) is divided by its signed largest-magnitude
-    entry, then by the norm of the result, then flipped if its first
-    largest-magnitude entry is negative; a zero column gives e_0, as LAPACK's
-    SVD does.  Wide and square A take the top eigenvectors of A A^T, tall A
-    a thin SVD, which spans its rank-deficient directions too; near-degenerate
-    singular values are taken as the solver returns them.  Columns follow
+    Maximizes ||U^T A||_F^2 over orthonormal J x r bases, r in [1, J].  A
+    is not rescaled: its Gram must neither under- nor overflow, which holds
+    for the largest magnitudes that :func:`hankelfill.pipeline.recover`'s
+    range rule leaves.  A non-finite entry is a ValueError.  A single
+    column (K = 1) is divided by its signed largest-magnitude entry, then
+    by the norm of the result, then flipped if its first largest-magnitude
+    entry is negative; a zero column gives e_0, as LAPACK's SVD does.  Wide
+    and square A take the top eigenvectors of A A^T, tall A a thin SVD,
+    which spans its rank-deficient directions too; near-degenerate singular
+    values are taken as the solver returns them.  Columns follow
     :func:`apply_sign_convention`.  A rank above K adds columns orthogonal to
     A's: :func:`complete_orthonormal_basis` of identity columns.
     """
@@ -120,18 +93,19 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
     rows, cols = a.shape
     if not 1 <= r <= rows:
         raise ValueError(f"r={r} out of range [1, {rows}] for shape {a.shape}")
+    # the largest and the smallest entry (a NaN is both); no |a| temporary
     if cols == 1:
-        # the largest and the smallest entry, first occurrences (a NaN is
-        # both), give the range rule's magnitude and the peak
         column = a[:, 0]
         top, bottom = column.argmax(), column.argmin()
-        high, low = float(column[top]), -float(column[bottom])
-        power = _range_power(max(high, low))
-        if power:
-            column = np.ldexp(column, -power)
-        # on a tie of high and low either sign divides: the sign
+        high, low = column[top], column[bottom]
+    else:
+        high, low = np.maximum.reduce(a, axis=None), np.minimum.reduce(a, axis=None)
+    if not -math.inf < low <= high < math.inf:
+        raise ValueError("matrix has non-finite entries")
+    if cols == 1:
+        # on a tie of high and -low either sign divides: the sign
         # convention below gives one result
-        peak = column[top if high >= low else bottom]
+        peak = column[top if high >= -low else bottom]
         if peak == 0:  # +0.0 or -0.0 throughout
             u = np.eye(rows, 1)
         else:
@@ -142,12 +116,10 @@ def leading_singular_vectors(a: np.ndarray, r: int) -> np.ndarray:
             if u[np.abs(u).argmax()] < 0:
                 np.negative(u, out=u)
             u = u.reshape(rows, 1)
+    elif rows <= cols:
+        u = _top_eigenvectors(a @ a.T, r)
     else:
-        a, _ = _in_range(a)
-        if rows <= cols:
-            u = _top_eigenvectors(a @ a.T, r)
-        else:
-            # the solver returns a new array: flip the signs of ours, C-contiguous, in place
-            u = apply_sign_convention(np.ascontiguousarray(
-                np.linalg.svd(a, full_matrices=False)[0][:, :r]))
+        # the solver returns a new array: flip the signs of ours, C-contiguous, in place
+        u = apply_sign_convention(np.ascontiguousarray(
+            np.linalg.svd(a, full_matrices=False)[0][:, :r]))
     return u if r <= cols else complete_orthonormal_basis(u, np.eye(rows, r - cols))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -32,16 +33,19 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
     Randomized patterns are deterministic given ``seed``.  A dimension of
     ``shape`` or a position, ``mode``, ``start``, ``count`` or a rectangle's
     value, that is not an integer is a ValueError, not truncated, and so is
-    a ``seed`` that is not a nonnegative integer, whatever the pattern.
+    a ``seed`` that is not a nonnegative integer, whatever the pattern, and
+    a ``fraction`` that a pattern reads and that is not a real number in
+    [0, 1].
     """
     shape = check_shape(shape)
     seed = _seed(seed)
     mode, start, count = (None if v is None else _integer(v, name)
                           for v, name in ((mode, "mode"), (start, "start"), (count, "count")))
+    in_unit = isinstance(fraction, numbers.Real) and 0.0 <= fraction <= 1.0
     q = np.ones(shape, dtype=bool)
     if pattern == "random-voxel":
-        if fraction is None or not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"random-voxel needs fraction in [0, 1], got {fraction}")
+        if not in_unit:
+            raise ValueError(f"random-voxel needs fraction in [0, 1], got {fraction!r}")
         size = q.size
         n_missing = int(round(fraction * size))
         rng = np.random.default_rng(seed)
@@ -62,7 +66,7 @@ def make_mask(shape: Sequence[int], pattern: str, seed=0, *,
         q[tuple(sl)] = False
         return q
     if pattern == "random-slices":
-        if mode is None or fraction is None or not 0.0 <= fraction <= 1.0:
+        if mode is None or not in_unit:
             raise ValueError("random-slices needs mode and fraction in [0, 1]")
         if not 0 <= mode < len(shape):
             raise ValueError(f"mode {mode} out of range for shape {shape}")

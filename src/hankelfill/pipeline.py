@@ -16,7 +16,10 @@ so the completed embedded tensor is never built either.  Observed entries
 also pass through the model, so the output is everywhere the model's
 explanation of the data rather than a patchwork of input and fill.  Plain
 Tucker completion of a tensor is the case of windows of 1, where H is a
-reshape and the fill is where(q, t, X).
+reshape and the fill is where(q, t, X).  Data of an extreme magnitude are
+fitted divided by a power of two, and the outputs multiplied back: the
+package's one range rule, which :func:`recover` alone applies, so no
+kernel rescales.
 
 :func:`recover` is the package's only sweep loop.  When the cost plateaus
 it grows one mode's rank by the policy of :mod:`hankelfill.ranking`; a
@@ -37,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .completion import CostTrace, TuckerModel, _input_space_imputation, als_sweep, init_model
-from .core import _seed, as_mask
+from .core import _integers, _seed, as_mask
 from .embedding import embedded_shape
 from .masks import unbridged_gap
 from .ranking import (RankSchedule, StoppingCriteria, _checked_largest_array, _growable,
@@ -88,7 +91,8 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     window per input mode: the model X fits H(t), ``mdt`` with windows
     ``taus``.  ``schedule`` covers the embedded modes: a
     :class:`RankSchedule`, None for the default doubling sequences, or a
-    plain tuple of ints, fixed embedded ranks run as one-element sequences.
+    plain tuple of ints, fixed embedded ranks run as one-element sequences
+    (anything else is a ValueError that names ``schedule``).
     ``criteria`` defaults to thresholds relative to the observed energy
     (:func:`default_stopping_criteria`).  Windows of 1 give plain Tucker
     completion of t: embedded mode 2n + 1 is input mode n, the even modes
@@ -114,11 +118,21 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     data, a mask with no observed entry, a NaN or infinite observed value,
     nonzero observed data whose largest magnitude is below 2^-511 (about
     1.5e-154, whose square is not a normal float64), or a random start
-    whose cost overflows float64, is a ValueError too; a value at a missing
-    entry is never read.  All-zero observed data are fitted exactly by the
-    zero model, returned at sweep 0.  After these checks the mask is read
-    for a run of fully missing slices that no window bridges, which the
-    report names.
+    whose cost, in the data's units, overflows float64, is a ValueError
+    too; a value at a missing entry is never read.  All-zero observed data
+    are fitted exactly by the zero model, returned at sweep 0.  After these
+    checks the mask is read for a run of fully missing slices that no
+    window bridges, which the report names.
+
+    The package's one range rule follows these checks: observed data whose
+    largest magnitude is outside [2^-100, 2^100] are fitted divided by the
+    power of two 2^p that brings it into [1/2, 1), and ``criteria``'s
+    thresholds divided by 4^p (one scaled past float64 stays above every
+    cost); the estimate and the model's core are multiplied back by 2^p, and
+    the cost trace by 4^p.  So every Gram and eigensolve of the fit sees
+    magnitudes far inside float64, no kernel rescales, and such data scaled
+    by a power of two (where no value turns subnormal) give the outputs of
+    the unscaled run scaled by it, to the bit.
 
     The report's ``estimate`` is the last fill's map-back e = H^+ X, in the
     input's shape and guaranteed finite; score it with
@@ -139,7 +153,7 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     if schedule is None:
         schedule = default_rank_sequences(shape)
     elif not isinstance(schedule, RankSchedule):
-        schedule = RankSchedule(tuple((r,) for r in schedule))
+        schedule = RankSchedule(tuple((r,) for r in _integers(schedule, "schedule")))
     if schedule.order != len(shape):
         raise ValueError(f"schedule covers {schedule.order} modes, tensor has {len(shape)}")
     for m, seq in enumerate(schedule.sequences):
@@ -161,31 +175,38 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
     if criteria is None:
         criteria = default_stopping_criteria(t, q, taus)
     gap = unbridged_gap(q, taus)
+    # the one range rule: a peak outside [2^-100, 2^100] is brought into
+    # [1/2, 1) by dividing the data by 2^p, so the costs by 4^p
+    power = math.frexp(peak)[1] if peak and not 2.0**-100 <= peak <= 2.0**100 else 0
 
     model = init_model(tuple(seq[0] for seq in schedule.sequences), shape, seed)
     if not peak:
         model = TuckerModel(np.zeros_like(model.core), model.factors)
-    impute = _input_space_imputation(t, q, taus)
     with np.errstate(over="ignore", invalid="ignore"):
+        # a value at a missing entry may overflow here: it is never read
+        impute = _input_space_imputation(np.ldexp(t, -power) if power else t, q, taus)
         y, f_before, estimate = impute(model)
-    if not math.isfinite(f_before):  # the cost never increases: this covers every sweep
+        # a threshold scaled past float64 is inf, above every cost
+        epsilon, tol = np.ldexp([criteria.epsilon, criteria.tol], -2 * power).tolist()
+        start = np.ldexp(f_before, 2 * power)
+    if not np.isfinite(start):  # the cost never increases: this covers every sweep
         raise ValueError("the cost of the random start overflows float64; "
                          "rescale the data")
     trace: CostTrace = [(0, f_before)]
     history: list[tuple[int, int, int]] = []
     status = SWEEP_BUDGET
     sweeps = range(1, criteria.max_total_sweeps + 1)
-    if f_before <= criteria.epsilon:
+    if f_before <= epsilon:
         status, sweeps = CONVERGED, ()
     for sweep in sweeps:
         del estimate  # the sweep peaks without it; the next fill makes the next one
         model = als_sweep(y, model)
         y, f_after, estimate = impute(model)
         trace.append((sweep, f_after))
-        if f_after <= criteria.epsilon:
+        if f_after <= epsilon:
             status = CONVERGED
             break
-        if abs(f_after - f_before) <= criteria.tol:
+        if abs(f_after - f_before) <= tol:
             if not _growable(schedule, model.ranks):
                 status = SCHEDULE_EXHAUSTED
                 break
@@ -196,6 +217,11 @@ def recover(data: np.ndarray, mask: np.ndarray, taus: Sequence[int],
         # Padding leaves the reconstruction (hence the cost) unchanged, so the
         # post-pad reference cost equals f_after either way.
         f_before = f_after
+    if power:
+        with np.errstate(over="ignore"):
+            estimate = np.ldexp(estimate, power)
+            model = TuckerModel(np.ldexp(model.core, power), model.factors)
+        trace = [(sweep, math.ldexp(f, 2 * power)) for sweep, f in trace]
     if not np.all(np.isfinite(estimate)):
         raise RuntimeError("recovery produced non-finite values")
     return RecoveryReport(model, estimate, trace, history, status,

@@ -35,6 +35,8 @@ writes that tensor, meets.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Sequence
@@ -87,6 +89,8 @@ class StoppingCriteria:
 
     epsilon: terminal cost threshold (squared Frobenius units).
     tol: plateau detector |f_after - f_before| <= tol triggers an increment.
+    Each is a real number, nonnegative and finite in float64, else a
+    ValueError, and is stored as a float.
     """
 
     epsilon: float
@@ -95,9 +99,11 @@ class StoppingCriteria:
 
     def __post_init__(self):
         # NaN never fires; inf ends at the random start or makes every sweep a plateau
-        if not (0 <= self.epsilon < math.inf and 0 <= self.tol < math.inf):
-            raise ValueError(f"epsilon and tol must be nonnegative and finite, got "
-                             f"epsilon={self.epsilon}, tol={self.tol}")
+        if not all(isinstance(v, numbers.Real) and 0 <= v <= sys.float_info.max
+                   for v in (self.epsilon, self.tol)):
+            raise ValueError(f"epsilon and tol must be nonnegative and finite numbers, got "
+                             f"epsilon={self.epsilon!r}, tol={self.tol!r}")
+        self.epsilon, self.tol = float(self.epsilon), float(self.tol)
         self.max_total_sweeps = _integer(self.max_total_sweeps, "max_total_sweeps")
         if self.max_total_sweeps < 1:
             raise ValueError("max_total_sweeps must be >= 1")
@@ -112,11 +118,11 @@ def default_stopping_criteria(values: np.ndarray, mask: np.ndarray, taus: Sequen
     :func:`embedded_observed_energy`).  All-ones windows give the plain
     observed energy of ``values``.  epsilon is ``epsilon_rel`` and tol
     DEFAULT_TOL_REL times that energy, with DEFAULT_MAX_TOTAL_SWEEPS; change
-    any of them with ``dataclasses.replace``.  A negative, NaN or infinite
-    ``epsilon_rel`` is a ValueError.
+    any of them with ``dataclasses.replace``.  An ``epsilon_rel`` that is
+    not a real number, or negative, NaN or infinite, is a ValueError.
     """
-    if not 0 <= epsilon_rel < math.inf:
-        raise ValueError(f"epsilon_rel must be nonnegative and finite, got {epsilon_rel}")
+    if not (isinstance(epsilon_rel, numbers.Real) and 0 <= epsilon_rel < math.inf):
+        raise ValueError(f"epsilon_rel must be nonnegative and finite, got {epsilon_rel!r}")
     energy = embedded_observed_energy(values, mask, taus)
     return StoppingCriteria(epsilon=epsilon_rel * energy, tol=DEFAULT_TOL_REL * energy)
 
@@ -166,8 +172,8 @@ def mode_residuals(y: np.ndarray, model: TuckerModel) -> list[float]:
     def energy(m, p):
         energies[m] = float(np.vdot(p, p))
 
-    def gram_energy(m, g, power):
-        energies[m] = math.ldexp(float(np.trace(g)), 2 * power)
+    def gram_energy(m, g):
+        energies[m] = float(np.trace(g))
 
     c = _leave_one_out(np.asarray(y), model.factors, energy, gram_energy).ravel()
     d = c - model.core.ravel()

@@ -1,5 +1,6 @@
 """Shared fixtures builders and oracles used across the test modules."""
 
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -133,6 +134,41 @@ def plain_als_sweep(t, model):
 def plain_mode_residuals(t, model):
     """``mode_residuals`` of a plain tensor ``t`` and its model, one per mode of ``t``."""
     return mode_residuals(t, windows_of_one(model))[1::2]
+
+
+class _NumpyWith:
+    """numpy with some of its names replaced: a module's ``np``, for a spy."""
+
+    def __init__(self, **names):
+        self.__dict__.update(names)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@contextlib.contextmanager
+def spied_numpy(module, name, record):
+    """Within the block, ``record(result)`` sees each ``np.<name>`` result that ``module`` gets.
+
+    The chain's Gram route (``completion._leave_one_out``) reads its chain
+    product T as ``np.moveaxis(t, n, 0).reshape(L_n, -1)``, the one
+    ``moveaxis`` of that module: the view has T's elements in T's order, so
+    spying ``moveaxis`` there sees T, which the reshape copies unless the
+    view is contiguous.
+    """
+    call = getattr(np, name)
+
+    def spy(*args, **kwargs):
+        result = call(*args, **kwargs)
+        record(result)
+        return result
+
+    saved = module.np
+    module.np = _NumpyWith(**{name: spy})
+    try:
+        yield
+    finally:
+        module.np = saved
 
 
 def traced_peak(run):

@@ -10,6 +10,7 @@ from hankelfill import (RankSchedule, StoppingCriteria, damped_sine, default_sto
                         embedded_shape, make_mask, read_mask, recover, write_mask, write_tensor)
 from hankelfill.completion import init_model
 from hankelfill.core import as_mask, check_shape, mode_multiply, multilinear_product, unfold
+from hankelfill.embedding import duplication_counts
 from hankelfill.masks import unbridged_gap
 from helpers import fold, planted_tucker, random_orthonormal
 
@@ -227,6 +228,9 @@ INTEGER_ARGUMENTS = {
     "make_mask-seed": ("seed", lambda v: make_mask((4, 4), "random-voxel", seed=v,
                                                    fraction=0.5)),
     "damped_sine": ("length", lambda v: damped_sine(v)),
+    # 5.5 gave 6 counts and a window of 2.5 a count of 2.5
+    "duplication_counts-length": ("length and tau", lambda v: duplication_counts(v + 4, 2)),
+    "duplication_counts-tau": ("length and tau", lambda v: duplication_counts(6, v)),
     "damped_sine-seed": ("seed", lambda v: damped_sine(10, noise=0.1, seed=v)),
 }
 SEED_ARGUMENTS = [entry for entry in INTEGER_ARGUMENTS if entry.endswith("-seed")]

@@ -92,10 +92,14 @@ class TestRectangles:
     ("random-slices", {"mode": np.float64(1), "fraction": 0.5}, "mode must be an integer"),
     ("rectangles", {"rects": [(1.5, 2, 3, 3)]},
      "a value of rectangle (1.5, 2, 3, 3) must be an integer, got 1.5"),
+    ("random-voxel", {"fraction": "0.5"}, "random-voxel needs fraction in [0, 1], got '0.5'"),
+    ("random-slices", {"mode": 0, "fraction": "0.5"},
+     "random-slices needs mode and fraction in [0, 1]"),
 ])
-def test_a_position_that_is_not_an_integer_is_refused(pattern, kwargs, message):
+def test_a_position_or_fraction_of_the_wrong_type_is_refused(pattern, kwargs, message):
     # a float rectangle was truncated to its integer part, and a float mode,
-    # start or count failed with a raw TypeError from the indexing
+    # start or count failed with a raw TypeError from the indexing, as did a
+    # string fraction from its range check
     with pytest.raises(ValueError, match=re.escape(message)):
         make_mask((8, 8), pattern, **kwargs)
 

@@ -1,12 +1,14 @@
 import dataclasses
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hankelfill import completion, pipeline
 from hankelfill import (CONVERGED, SCHEDULE_EXHAUSTED, RankSchedule, RecoveryReport,
                         StoppingCriteria, damped_sine,
                         default_rank_sequences, default_stopping_criteria, embedded_shape,
@@ -134,9 +136,12 @@ class TestRecover:
         lambda: RankSchedule(((2,), (2.0,))),
         lambda: recover(np.ones(60), np.ones(60, bool), (20.9,)),
         lambda: recover(np.ones(60), np.ones(60, bool), (20,), schedule=(2.9, 2.2)),
-    ], ids=["embedded_shape", "RankSchedule", "recover-windows", "recover-ranks"])
+        lambda: recover(np.ones(60), np.ones(60, bool), (20,), schedule=5),
+    ], ids=["embedded_shape", "RankSchedule", "recover-windows", "recover-ranks",
+            "recover-schedule"])
     def test_non_integer_windows_and_ranks_are_errors(self, call):
-        # an error, never a silent truncation (window 2.7 to 2, ranks 2.9 to 2)
+        # an error, never a silent truncation (window 2.7 to 2, ranks 2.9 to 2);
+        # a schedule of one int was Python's raw "'int' object is not iterable"
         with pytest.raises(ValueError, match="must be integer"):
             call()
 
@@ -252,23 +257,27 @@ class TestRecover:
                                                  "for missing and a finite nonzero for observed$"):
                 recover(**dict(req, mask=mask))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
     @pytest.mark.parametrize("criteria", [None, StoppingCriteria(1e-10, 1e-8, 60)],
                              ids=["default", "explicit"])
-    def test_a_value_at_a_missing_entry_is_never_read(self, bad, criteria):
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-300])
+    def test_a_value_at_a_missing_entry_is_never_read(self, bad, criteria, scale):
         # one data rule: only observed values must be finite, whatever fills
-        # the missing entries, and the run is the one with 0 there
+        # the missing entries, and the run is the one with 0 there; data at
+        # 2^-300 are fitted times 2^299, which takes 1e308 past float64
         _, req = small_signal_request(criteria=criteria)
-        data = np.where(req["mask"], req["data"], 0.0)
+        data = np.where(req["mask"], scale * req["data"], 0.0)
         clean = recover(**dict(req, data=data))
         data[~req["mask"]] = bad
         report = recover(**dict(req, data=data))
         assert report.estimate.tobytes() == clean.estimate.tobytes()
         assert report.cost_trace == clean.cost_trace
         assert report.status == clean.status
-        data[10] = bad  # an observed entry
-        with pytest.raises(ValueError, match=r"^observed values must be finite \(no NaN/Inf\)$"):
-            recover(**dict(req, data=data))
+        if not math.isfinite(bad):
+            data[10] = bad  # an observed entry
+            with pytest.raises(ValueError,
+                               match=r"^observed values must be finite \(no NaN/Inf\)$"):
+                recover(**dict(req, data=data))
 
     def test_report_carries_trace_and_history(self):
         truth, req = small_signal_request(
@@ -314,6 +323,114 @@ class TestRecover:
         assert report.ranks == explicit.ranks
         assert report.unbridged_gap == explicit.unbridged_gap == (2, 1)
         assert fixed or report.rank_history  # the doubling run grows a rank
+
+
+@st.composite
+def unit_peak_requests(draw):
+    """``recover``'s arguments for a small input whose observed peak is in (1/2, 1).
+
+    A damped sine with a gap, or a 2-D sum of two waves with missing
+    entries, with Gaussian noise; the default thresholds (``criteria`` None)
+    or explicit ones, which a scaled run scales with its data.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        length = draw(st.integers(24, 48))
+        x = damped_sine(length, decay=0.02, omega=rng.uniform(0.2, 1.2),
+                        phase=rng.uniform(0, 3))
+        mask = np.ones(length, bool)
+        start = draw(st.integers(1, length - 6))
+        mask[start:start + 4] = False
+        taus = (draw(st.integers(2, length // 3)),)
+    else:
+        i, j = np.meshgrid(np.arange(9.0), np.arange(8.0), indexing="ij")
+        x = np.sin(0.5 * i + 0.3 * j + rng.uniform(0, 3)) + 0.5 * np.sin(0.2 * i - 0.7 * j)
+        mask = rng.random(x.shape) >= 0.3
+        taus = (3, 3)
+    x = x + 0.01 * rng.standard_normal(x.shape)
+    x *= draw(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)) / np.abs(x[mask]).max()
+    assume(0.5 < np.abs(x[mask]).max() < 1.0)
+    criteria = None
+    if draw(st.booleans()):
+        criteria = StoppingCriteria(draw(st.sampled_from([0.0, 1e-6])),
+                                    draw(st.sampled_from([0.0, 1e-8, 1e-5])), 300)
+    return dict(data=x, mask=mask, taus=taus, criteria=criteria,
+                seed=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(request=unit_peak_requests(),
+       power=st.one_of(st.integers(-450, -101), st.integers(101, 450)))
+def test_a_power_of_two_scale_outside_the_window_scales_the_run_bit_for_bit(request, power):
+    # recover divides data whose observed peak is outside [2^-100, 2^100] by
+    # the power of two that brings it into [1/2, 1), and multiplies what it
+    # returns back: the run is the unscaled one, to the bit
+    reference = recover(**request)
+    scaled = dict(request, data=np.ldexp(request["data"], power))
+    if request["criteria"] is not None:
+        scaled["criteria"] = dataclasses.replace(
+            request["criteria"], epsilon=math.ldexp(request["criteria"].epsilon, 2 * power),
+            tol=math.ldexp(request["criteria"].tol, 2 * power))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = recover(**scaled)
+    assert report.estimate.tobytes() == np.ldexp(reference.estimate, power).tobytes()
+    assert report.cost_trace == [(sweep, math.ldexp(f, 2 * power))
+                                 for sweep, f in reference.cost_trace]
+    assert report.model.core.tobytes() == np.ldexp(reference.model.core, power).tobytes()
+    assert (report.status, report.ranks, report.rank_history) == (
+        reference.status, reference.ranks, reference.rank_history)
+
+
+@pytest.mark.parametrize("largest, power", [
+    (0.0, 0), (2.0**-100, 0), (2.0**100, 0), (1.0, 0),
+    (np.nextafter(2.0**-100, 0), -100), (np.nextafter(2.0**100, np.inf), 101),
+    (2.0**-500, -499), (2.0**500, 501)])
+@pytest.mark.parametrize("shape, taus", [((3, 1), (2, 1)), ((3, 5), (2, 3)), ((5, 3), (3, 2))])
+def test_the_range_rule_scales_only_outside_its_window(monkeypatch, largest, power, shape,
+                                                       taus):
+    # the data recover fits: the input's bits inside [2^-100, 2^100], else
+    # divided by the power of two that brings the peak into [1/2, 1)
+    fitted = []
+    imputation = pipeline._input_space_imputation
+    monkeypatch.setattr(pipeline, "_input_space_imputation",
+                        lambda t, q, taus: fitted.append(t) or imputation(t, q, taus))
+    data = np.zeros(shape)
+    data.flat[::2] = np.linspace(-0.5, 0.5, data.flat[::2].size) * largest
+    data[-1, -1] = -largest
+    recover(data, np.ones(shape, bool), taus, schedule=(1, 1, 1, 1),
+            criteria=StoppingCriteria(0.0, 0.0, 2))
+    assert fitted[0].tobytes() == np.ldexp(data, -power).tobytes()
+    if power:
+        assert 0.5 <= np.abs(fitted[0]).max() < 1.0
+    else:
+        assert fitted[0] is data
+
+
+@pytest.mark.parametrize("power", [-400, 400])
+def test_no_factor_update_sees_a_matrix_outside_the_window(monkeypatch, power):
+    # the range rule is recover's alone: every factor update and Gram
+    # eigensolve of a run on data at 2^+-400 sees matrices of the rescaled
+    # data's magnitudes; one-column updates, projection-route updates and
+    # Gram-route eigensolves all run.  Every sweep is a plateau, at 2^-400
+    # by a tol that the range rule scales past float64.  Every entry is
+    # observed: a fill from the random start's model, of magnitude 1, would
+    # set the peak of the early sweeps' matrices whatever the data's scale
+    peaks = {"leading_singular_vectors": [], "_top_eigenvectors": []}
+    for name, seen in peaks.items():
+        def spy(a, r, real=getattr(completion, name), seen=seen):
+            seen.append((a.shape[1], float(np.abs(a).max())))
+            return real(a, r)
+        monkeypatch.setattr(completion, name, spy)
+    image = texture_image(12)
+    mask = np.ones(image.shape, bool)
+    schedule = RankSchedule(((1, 3), (1, 2, 5), (1, 2), (1, 2, 5), (1,), (1, 3)))
+    report = recover(np.ldexp(image, power), mask, (4, 4, 1), schedule,
+                     StoppingCriteria(0.0, 1e300, 12))
+    assert report.ranks == (3, 5, 2, 5, 1, 3)
+    updates, grams = peaks["leading_singular_vectors"], peaks["_top_eigenvectors"]
+    assert {width == 1 for width, _ in updates} == {True, False} and grams
+    assert all(2.0**-300 <= peak <= 2.0**300 for _, peak in updates + grams)
 
 
 def naive_runs(q):

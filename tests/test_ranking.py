@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,16 +17,19 @@ from hankelfill.ranking import (_checked_embedded_count, _checked_largest_array,
                                pad_model, select_increment_mode)
 from helpers import (is_non_increasing, orthonormality_defect, plain_loop,
                      plain_mode_residuals, planted_tucker, random_mask, relative_criteria,
-                     traced_peak)
+                     spied_numpy, traced_peak)
 
 
 class TestStoppingCriteria:
     @pytest.mark.parametrize("epsilon, tol", [(float("nan"), 1.0), (1.0, float("nan")),
                                               (-1.0, 1.0), (1.0, -1e-300),
-                                              (float("inf"), 1.0), (1.0, float("inf"))])
+                                              (float("inf"), 1.0), (1.0, float("inf")),
+                                              ("1", 0), (None, 0), (0, 10**400)])
     def test_negative_or_nan_threshold_rejected(self, epsilon, tol):
-        # an infinite epsilon would stop at the random start as "converged"
-        with pytest.raises(ValueError, match="must be nonnegative and finite"):
+        # an infinite epsilon would stop at the random start as "converged";
+        # a string or None was Python's raw TypeError, and an int beyond
+        # float64 is as infinite as inf there
+        with pytest.raises(ValueError, match="^epsilon and tol must be nonnegative and finite"):
             StoppingCriteria(epsilon=epsilon, tol=tol)
 
     @pytest.mark.parametrize("budget", [2.5, 2.0, "3", None])
@@ -33,9 +38,10 @@ class TestStoppingCriteria:
         with pytest.raises(ValueError, match="max_total_sweeps must be an integer"):
             StoppingCriteria(0.0, 0.0, budget)
 
-    @pytest.mark.parametrize("epsilon_rel", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("epsilon_rel", [float("nan"), float("inf"), -1.0, "x"])
     def test_default_criteria_reject_a_bad_epsilon_rel(self, epsilon_rel):
-        # the error names the argument the caller set, not the scaled epsilon
+        # the error names the argument the caller set, not the scaled epsilon;
+        # a string was Python's raw TypeError
         with pytest.raises(ValueError, match=r"epsilon_rel must be nonnegative and finite"):
             default_stopping_criteria(np.ones(8), np.ones(8, bool), (2,),
                                       epsilon_rel=epsilon_rel)
@@ -302,17 +308,17 @@ def fixed_rank_cases(draw, max_order=3):
 
 
 _BUILDERS = ("_embed_mode", "_pair_matrix", "mode_multiply", "complete_orthonormal_basis",
-             "_in_range", "_windowed_gram", "_fft_windowed_gram")
+             "_windowed_gram", "_fft_windowed_gram", "np.moveaxis")
 
 # The arrays a builder makes, from its arguments and result, where they are
-# not its result: the Gram route's copy of the chain's product T comes back
-# from the range rule with its power of two, a windowed Gram reads the
-# route's Gram S and makes a count x k x L product, its FFT form reads S's
-# n x (n/2 + 1) complex transform, 2 n (n/2 + 1) float64s, makes one of its
-# own and an n x n inverse, and a pair matrix of two windowed factors pads
-# the window factor, W x r, with tau - 1 zero rows on each side.
-_MADE = {"_in_range": lambda args, out: [out[0].size],
-         "_windowed_gram": lambda args, g: [args[0].size,
+# not its result: a windowed Gram reads the route's Gram S and makes a
+# count x k x L product, its FFT form reads S's n x (n/2 + 1) complex
+# transform, 2 n (n/2 + 1) float64s, makes one of its own and an n x n
+# inverse, and a pair matrix of two windowed factors pads the window factor,
+# W x r, with tau - 1 zero rows on each side.  The Gram route's copy of the
+# chain's product T is the size of the view ``np.moveaxis`` returns
+# (``helpers.spied_numpy``).
+_MADE = {"_windowed_gram": lambda args, g: [args[0].size,
                                             args[2] * args[1].shape[0] * args[0].shape[0]],
          "_fft_windowed_gram": lambda args, g: [2 * args[0].size, args[0].shape[0]**2],
          "_pair_matrix": lambda args, k: [k.size] + (
@@ -332,11 +338,15 @@ def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
 
     By default the pair embeddings, the pair matrices, every mode product of
     the chain, every factor matrix, and the Gram route's copy of T, S and
-    Gram products.
+    Gram products.  A name ``np.<f>`` records numpy's ``f`` as ``modules``
+    call it.  A name that no module holds is an error, so a builder that is
+    renamed or deleted cannot drop out of the record unseen.
     """
     sizes = []
+    spied = [name[3:] for name in names if name.startswith("np.")]
     saved = [(module, name, getattr(module, name))
              for module in modules for name in names if hasattr(module, name)]
+    assert {name for _, name, _ in saved} | {"np." + name for name in spied} == set(names)
 
     def recording(name, build):
         def wrapper(*args):
@@ -348,7 +358,10 @@ def recorded_sizes(run, names=_BUILDERS, modules=(completion,)):
     for module, name, build in saved:
         setattr(module, name, recording(name, build))
     try:
-        result = run()
+        with contextlib.ExitStack() as stack:
+            for module, name in itertools.product(modules, spied):
+                stack.enter_context(spied_numpy(module, name, lambda z: sizes.append(z.size)))
+            result = run()
     finally:
         for module, name, build in saved:
             setattr(module, name, build)
